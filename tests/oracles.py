@@ -1,13 +1,17 @@
 """Literal reference implementations used as independent oracles.
 
-Everything here evaluates defining sums term by term against explicitly
+The wavelet oracles evaluate defining sums term by term against explicitly
 synthesized basis vectors; no projection cascades, no convolution tricks.
-Only usable at small resolutions.
+Only usable at small resolutions.  The window kernels at the end take one
+`np.roll` per shift; the production kernels must match them bit for bit.
 """
+
+from itertools import product
 
 import numpy as np
 
-from torwave import CoefficientTree, synthesize
+from torwave import CoefficientTree, SampledFunction, synthesize
+from torwave.errors import ShapeError
 
 
 def basis_vectors(basis, dim, j0, J):
@@ -71,3 +75,64 @@ def literal_detail_coefficients(f_vals, basis, j0):
     for j in range(j0, J):
         out[j] = np.array([float((f_vals * p).mean()) for p in psis[j]])
     return out
+
+
+def _axis_window_max(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
+    out = a.copy()
+    for d in range(1, radius + 1):
+        np.maximum(out, np.roll(a, d, axis=axis), out=out)
+        np.maximum(out, np.roll(a, -d, axis=axis), out=out)
+    return out
+
+
+def window_max(a: np.ndarray, radius: int) -> np.ndarray:
+    """Max over the circular box window of per-axis radius `radius`."""
+    out = a
+    for axis in range(a.ndim):
+        out = _axis_window_max(out, radius, axis)
+    return out
+
+
+def window_mean(a: np.ndarray, radius: int) -> np.ndarray:
+    """Mean over the circular box window of per-axis radius `radius`."""
+    out = a
+    for axis in range(a.ndim):
+        acc = out.copy()
+        for d in range(1, radius + 1):
+            acc = acc + np.roll(out, d, axis=axis) + np.roll(out, -d, axis=axis)
+        out = acc / (2 * radius + 1)
+    return out
+
+
+def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
+                      h: SampledFunction, local: bool = False) -> SampledFunction:
+    """`GrandMaximal.pointwise_shifted` by explicit shifts; `self` is the operator.
+
+    Exact: the convolution fields of f and h are formed once and the
+    window sup of |b(x) A(y) - H(y)| is taken over explicit shifts.
+    """
+    from torwave.sublinear import _window_radius
+    self._check(f)
+    if b.values.shape != f.values.shape or h.values.shape != f.values.shape:
+        raise ShapeError("mismatched resolutions")
+    F = np.fft.fftn(f.values)
+    H = np.fft.fftn(h.values)
+    bv = b.values
+    out = np.zeros_like(f.values)
+    size = f.values.size
+    for (width, power, t), K in self._kernel_ffts.items():
+        if local and t >= 1.0:
+            continue
+        A = np.fft.ifftn(F * K).real / size
+        Hh = np.fft.ifftn(H * K).real / size
+        r = _window_radius(t, self.resolution)
+        if self.dim == 1:
+            for d in range(-r, r + 1):
+                cand = np.abs(bv * np.roll(A, -d) - np.roll(Hh, -d))
+                np.maximum(out, cand, out=out)
+        else:
+            for d0, d1 in product(range(-r, r + 1), repeat=2):
+                cand = np.abs(bv * np.roll(A, (-d0, -d1), (0, 1))
+                              - np.roll(Hh, (-d0, -d1), (0, 1)))
+                np.maximum(out, cand, out=out)
+    return SampledFunction(out)

@@ -40,6 +40,16 @@ def test_deterministic_records():
     assert _strip_wall_time(emit_report(r1)) == _strip_wall_time(emit_report(r2))
 
 
+@pytest.mark.parametrize("operator", ["maximal", "lusin"])
+def test_sandwich_2d(operator):
+    # the two-sided envelope holds pointwise in n = 2 within the default slack
+    cfg = ExperimentConfig(suite="sandwich", resolutions=[32, 64], dim=2,
+                           operator=operator, sample_count=3, root_seed=204)
+    rep = run_suite(cfg)
+    assert len(rep.cases) == 6
+    assert rep.passed, rep.summary
+
+
 def test_resolution_too_small_for_basis_propagates():
     from torwave import ResolutionError
     cfg = ExperimentConfig(suite="reconstruction", resolutions=[4], sample_count=1)

@@ -1,0 +1,135 @@
+"""The window kernels of `sublinear` against the shift-loop oracles, bit for bit.
+
+`pointwise_shifted` takes full-torus windows through a convex hull and the
+other windows through padded views; `window_max` uses a doubling max and
+`window_mean` padded views.  All of them must reproduce the one-`np.roll`-
+per-shift loops in `oracles` exactly, degenerate point clouds included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from torwave import SampledFunction, grand_maximal
+from torwave.samples import derive_rng, random_bmo, random_function
+from torwave.sublinear import _torus_sup, window_max, window_mean
+
+GRIDS = [(1, 64), (1, 256), (1, 512), (2, 16), (2, 32), (2, 64)]
+
+
+def _radii(N):
+    return [0, 1, 5, N // 2 - 1, N // 2, N + 3]
+
+
+@pytest.mark.parametrize("dim,N", GRIDS)
+@pytest.mark.parametrize("kernel,oracle", [(window_max, oracles.window_max),
+                                           (window_mean, oracles.window_mean)],
+                         ids=["window_max", "window_mean"])
+def test_window_kernels_match_shift_loop(dim, N, kernel, oracle):
+    a = np.random.default_rng(N + dim).standard_normal((N,) * dim)
+    for radius in _radii(N):
+        np.testing.assert_array_equal(kernel(a, radius), oracle(a, radius))
+
+
+@pytest.mark.parametrize("dim,N", GRIDS)
+@pytest.mark.parametrize("independent_h", [False, True])
+def test_pointwise_shifted_matches_shift_loop(dim, N, independent_h):
+    rng = derive_rng(90, dim, N)
+    f = random_function(rng, dim, N)
+    b = random_bmo(rng, dim, N)
+    h = random_function(rng, dim, N) if independent_h else b * f
+    op = grand_maximal(dim, N)
+    for local in (False, True):
+        np.testing.assert_array_equal(op.pointwise_shifted(b, f, h, local).values,
+                                      oracles.pointwise_shifted(op, b, f, h, local).values)
+
+
+def _family_values(kind, draw, shape):
+    """Grid values of one degenerate family."""
+    if kind == "zero":
+        return np.zeros(shape)
+    if kind == "constant":
+        return np.full(shape, float(draw(st.integers(-3, 3))))
+    if kind == "small_int":
+        return np.array(draw(st.lists(st.integers(-2, 2), min_size=int(np.prod(shape)),
+                                      max_size=int(np.prod(shape)))),
+                        dtype=float).reshape(shape)
+    return np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(shape)
+
+
+KINDS = ["zero", "constant", "small_int", "random"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), grid=st.sampled_from([(1, 8), (1, 32), (2, 4), (2, 8)]),
+       f_kind=st.sampled_from(KINDS), b_kind=st.sampled_from(KINDS[1:]),
+       h_kind=st.sampled_from(["b*f", *KINDS]))
+def test_pointwise_shifted_degenerate_clouds(data, grid, f_kind, b_kind, h_kind):
+    dim, N = grid
+    shape = (N,) * dim
+    f = SampledFunction(_family_values(f_kind, data.draw, shape))
+    b = SampledFunction(_family_values(b_kind, data.draw, shape))
+    h = b * f if h_kind == "b*f" else SampledFunction(_family_values(h_kind, data.draw, shape))
+    op = grand_maximal(dim, N)
+    np.testing.assert_array_equal(op.pointwise_shifted(b, f, h).values,
+                                  oracles.pointwise_shifted(op, b, f, h).values)
+
+
+def _every_point_sup(b, a, h):
+    out = np.zeros_like(b)
+    for ai, hi in zip(a, h):
+        np.maximum(out, np.abs(b * ai - hi), out=out)
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=1, max_size=40),
+       scale=st.sampled_from([1.0, 1e-3, 1e7, 0.1]),
+       b=st.lists(st.integers(-4, 4), min_size=1, max_size=16))
+def test_torus_sup_on_integer_clouds(points, scale, b):
+    # raw clouds with exact duplicates, collinear runs and tied directions
+    a = np.array([p[0] for p in points], dtype=float) * scale
+    h = np.array([p[1] for p in points], dtype=float) * scale
+    bv = np.array(b, dtype=float)
+    out = np.zeros_like(bv)
+    _torus_sup(out, bv, a, h)
+    np.testing.assert_array_equal(out, _every_point_sup(bv, a, h))
+
+
+def test_torus_sup_near_collinear_ties():
+    # points on a line up to rounding, probed at slopes within a few ulps of
+    # it: floating point then picks maximizers just inside the exact hull,
+    # which only the roundoff margin keeps
+    rng = np.random.default_rng(1)
+    for _ in range(2000):
+        slope, offset = rng.standard_normal(2)
+        a = rng.standard_normal(12)
+        h = slope * a + offset
+        bv = np.r_[slope, slope + rng.standard_normal(8) * 1e-15 * rng.choice([1, 1e3, 1e6])]
+        out = np.zeros_like(bv)
+        _torus_sup(out, bv, a, h)
+        np.testing.assert_array_equal(out, _every_point_sup(bv, a, h))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # FFTs of non-finite input
+@pytest.mark.parametrize("grid", [(1, 8), (1, 64), (2, 8), (2, 16)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("independent_h", [False, True])
+def test_pointwise_shifted_non_finite_b(grid, bad, independent_h):
+    dim, N = grid
+    rng = derive_rng(91, dim, N)
+    f = random_function(rng, dim, N)
+    bv = random_bmo(rng, dim, N).values.copy()
+    bv.flat[[1, N // 2]] = bad
+    b = SampledFunction(bv)
+    h = random_function(rng, dim, N) if independent_h else b * f
+    op = grand_maximal(dim, N)
+    new = op.pointwise_shifted(b, f, h).values
+    np.testing.assert_array_equal(new, oracles.pointwise_shifted(op, b, f, h).values)
+    if independent_h:  # only the points where b is bad go non-finite
+        np.testing.assert_array_equal(~np.isfinite(new), ~np.isfinite(bv))
+    else:  # h = b f carries the bad value into every field
+        assert not np.isfinite(new).any()
