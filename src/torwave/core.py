@@ -190,22 +190,3 @@ def inner(f: SampledFunction, g: SampledFunction) -> float:
 
 def sup_norm(f: SampledFunction) -> float:
     return float(np.max(np.abs(f.values)))
-
-
-def cube_mask(cube: DyadicCube, resolution: int) -> np.ndarray:
-    """Boolean indicator of the cube's cells on the grid."""
-    mask = np.zeros((resolution,) * cube.dim, dtype=bool)
-    mask[cube.grid_slices(resolution)] = True
-    return mask
-
-
-def all_cubes(dim: int, level: int):
-    """Iterate the 2^(level*dim) dyadic cubes of one level in lexicographic order."""
-    top = 1 << level
-    if dim == 1:
-        for k in range(top):
-            yield DyadicCube(1, level, (k,))
-    else:
-        for k0 in range(top):
-            for k1 in range(top):
-                yield DyadicCube(2, level, (k0, k1))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -31,9 +32,18 @@ def read_hlf(path) -> SampledFunction:
             raise FileFormatError(f"{path}: bad magic {magic!r}")
         if dim not in (1, 2):
             raise FileFormatError(f"{path}: unsupported dimension {dim}")
-        n = 1 << level
-        count = n ** dim
+        # the header is checked against the file size before anything is read,
+        # so a corrupt level cannot ask for terabytes
+        samples, odd = divmod(os.fstat(fh.fileno()).st_size - _HEADER.size, 8)
+        exponent = level * dim
+        if samples.bit_length() <= exponent:
+            raise FileFormatError(f"{path}: level {level} in dimension {dim} needs "
+                                  f"2^{exponent} samples, the file holds {samples}")
+        count = 1 << exponent
+        if samples != count or odd:
+            raise FileFormatError(f"{path}: {8 * (samples - count) + odd} trailing bytes "
+                                  f"after {count} samples")
         body = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if body.size != count:
+        if body.size != count:  # the file shrank after the size check
             raise FileFormatError(f"{path}: expected {count} samples, got {body.size}")
-    return SampledFunction(body.reshape((n,) * dim))
+    return SampledFunction(body.reshape((1 << level,) * dim))

@@ -94,6 +94,9 @@ def oscillation_norm(f: SampledFunction, mode: str = "BMO") -> float:
     if mode not in OSCILLATION_MODES:
         raise ConfigurationError(f"unknown oscillation mode {mode!r}")
     v = f.values
+    # a NaN oscillation would drop out of the running max below and read as 0
+    if not np.isfinite(v).all():
+        raise DomainError("oscillation norm of non-finite samples")
     J = f.finest_level
     sup = 0.0
     for level in range(0, J + 1):

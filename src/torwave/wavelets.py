@@ -5,6 +5,19 @@ tree equals the grid inner product of the function with the corresponding
 discrete wavelet, and the synthesized wavelet of a unit coefficient has grid
 L2 norm exactly 1.  All transforms are circular, so analysis/synthesis is an
 orthogonal map and reconstruction is exact to roundoff.
+
+The filter-bank steps are polyphase.  Analysis (`_down`) reads tap m of every
+decimated output through the strided view `pad[m : m+n : 2]` of one
+wrap-padded copy.  Synthesis (`_up`) never forms the zero-stuffed upsampled
+array: output entry 2k+r meets only the taps m = r (mod 2), so each pair of
+taps reads one view of a circularly pre-padded copy.  `projection_stack`
+carries every P_j f up a scaling-only ladder, because the detail channel of
+that ladder is exactly zero.  All of them add their terms in the order of the
+plain per-tap circular convolution (tap by tap, scaling before detail), so
+they agree with it to the last bit; `tests/oracles.py` keeps that convolution
+as the reference.  The terms the zero-stuffed sum also added were all +-0.0,
+at least one of them +0.0, so it never returned -0.0.  `_up` ends with
+`+ 0.0` to keep that sign of zero, which the JSON case records carry.
 """
 
 from __future__ import annotations
@@ -76,12 +89,17 @@ class WaveletBasis:
     detail_filter: np.ndarray = field(repr=False)
     support_factor: float
     vanishing_moments: int
+    # the scaling and detail taps as the two rows of one (2, L) array
+    filter_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("scaling_filter", "detail_filter"):
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        rows = np.stack([self.scaling_filter, self.detail_filter])
+        rows.flags.writeable = False
+        object.__setattr__(self, "filter_rows", rows)
 
     # identity is (family, order); the filters are a pure function of it
     def __eq__(self, other):
@@ -206,57 +224,80 @@ def sigma_set(dim: int) -> tuple[tuple[int, ...], ...]:
 # circular filter-bank steps
 # ---------------------------------------------------------------------------
 
+def _along(ndim: int, axis: int, index) -> tuple:
+    """Index tuple applying `index` on `axis` and taking everything elsewhere."""
+    return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
+
+
+def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
+    """`a` extended circularly by `before` leading and `after` trailing entries."""
+    n = a.shape[axis]
+    return np.take(a, np.arange(-before, n + after) % n, axis=axis)
+
+
 def _down(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Circular convolution with `taps` followed by dyadic decimation."""
-    keep = [slice(None)] * a.ndim
-    keep[axis] = slice(0, None, 2)
-    keep = tuple(keep)
-    acc = taps[0] * a[keep]
-    for m in range(1, len(taps)):
-        acc = acc + taps[m] * np.roll(a, -m, axis=axis)[keep]
+    """Circular convolution with each row of `taps`, then dyadic decimation.
+
+    The results for the rows of the (rows, L) array `taps` are stacked on a
+    new leading axis.  Tap m reads the strided view `pad[m : m+n : 2]` of one
+    wrap-padded copy of `a`.
+    """
+    n = a.shape[axis]
+    length = taps.shape[1]
+    pad = _wrap(a, 0, length - 1, axis)
+    col = taps.reshape(taps.shape + (1,) * a.ndim)
+    acc = col[:, 0] * pad[_along(a.ndim, axis, slice(0, n, 2))]
+    for m in range(1, length):
+        acc += col[:, m] * pad[_along(a.ndim, axis, slice(m, m + n, 2))]
     return acc
 
 
-def _up_pair(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
-             axis: int) -> np.ndarray:
-    """Adjoint of `_down` for both channels: upsample, filter, add."""
-    shape = list(lo.shape)
+def _up(channels: tuple, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Adjoint of `_down`: upsample every channel, filter it with its row of
+    `taps`, and add.
+
+    Output entry 2k+r takes only the taps m = r + 2q, applied to entry k-q of
+    each channel, so both phases r of tap pair q come from one view of a
+    circularly pre-padded copy.  The two phases sit on a length-2 axis after
+    `axis`; the final reshape interleaves them.
+    """
+    first = channels[0]
+    n = first.shape[axis]
+    back = taps.shape[1] // 2 - 1
+    phase = [1] * (first.ndim + 1)
+    phase[axis + 1] = 2
+    pairs = [(np.expand_dims(_wrap(c, back, 0, axis), axis + 1),
+              row.reshape(-1, *phase)) for c, row in zip(channels, taps)]
+    terms = (row[q] * pad[_along(first.ndim + 1, axis, slice(back - q, back - q + n))]
+             for q in range(back + 1) for pad, row in pairs)
+    acc = next(terms)
+    for term in terms:
+        acc += term
+    acc += 0.0  # a zero output is +0.0, as in the zero-stuffed sum
+    shape = list(first.shape)
     shape[axis] *= 2
-    write = [slice(None)] * lo.ndim
-    write[axis] = slice(0, None, 2)
-    write = tuple(write)
-    u = np.zeros(shape)
-    u[write] = lo
-    w = np.zeros(shape)
-    w[write] = hi
-    acc = h[0] * u + g[0] * w
-    for m in range(1, len(h)):
-        acc = acc + h[m] * np.roll(u, m, axis=axis) + g[m] * np.roll(w, m, axis=axis)
-    return acc
+    return acc.reshape(shape)
 
 
 def _step_down(s: np.ndarray, basis: WaveletBasis):
     """One analysis step: scaling array at level j+1 -> (level-j scaling, details)."""
-    h, g = basis.scaling_filter, basis.detail_filter
+    taps = basis.filter_rows
     if s.ndim == 1:
-        return _down(s, h, 0), {(1,): _down(s, g, 0)}
-    lo0 = _down(s, h, 0)
-    hi0 = _down(s, g, 0)
-    return _down(lo0, h, 1), {
-        (0, 1): _down(lo0, g, 1),
-        (1, 0): _down(hi0, h, 1),
-        (1, 1): _down(hi0, g, 1),
-    }
+        lo, hi = _down(s, taps, 0)
+        return lo, {(1,): hi}
+    # both[c1, c0] is filtered with row c0 of `taps` along axis 0, row c1 along axis 1
+    both = _down(_down(s, taps, 0), taps, 2)
+    return both[0, 0], {(0, 1): both[1, 0], (1, 0): both[0, 1], (1, 1): both[1, 1]}
 
 
 def _step_up(s: np.ndarray, details: dict, basis: WaveletBasis) -> np.ndarray:
     """One synthesis step, exact inverse of `_step_down`."""
-    h, g = basis.scaling_filter, basis.detail_filter
+    taps = basis.filter_rows
     if s.ndim == 1:
-        return _up_pair(s, details[(1,)], h, g, 0)
-    lo0 = _up_pair(s, details[(0, 1)], h, g, 1)
-    hi0 = _up_pair(details[(1, 0)], details[(1, 1)], h, g, 1)
-    return _up_pair(lo0, hi0, h, g, 0)
+        return _up((s, details[(1,)]), taps, 0)
+    lo0 = _up((s, details[(0, 1)]), taps, 1)
+    hi0 = _up((details[(1, 0)], details[(1, 1)]), taps, 1)
+    return _up((lo0, hi0), taps, 0)
 
 
 def _zero_details(dim: int, level: int) -> dict:
@@ -455,13 +496,16 @@ def projection_stack(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     """
     cascade = scaling_cascade(tree, basis)
     scale = float(tree.resolution) ** (tree.dim / 2.0)
-    out = {}
-    for j in range(tree.coarse_level, tree.finest_level + 1):
-        s = cascade[j]
-        for jj in range(j, tree.finest_level):
-            s = _step_up(s, _zero_details(tree.dim, jj), basis)
-        out[j] = s * scale
-    return out
+    taps = basis.filter_rows
+    # row i carries P_{j0+i} up the scaling-only ladder, last axis first as in
+    # `_step_up`; the detail channel of every step is zero, so it is left out
+    stack = cascade[tree.coarse_level][None]
+    for j in tree.levels():
+        for axis in range(tree.dim, 0, -1):
+            stack = _up((stack,), taps, axis)
+        stack = np.concatenate([stack, cascade[j + 1][None]])
+    levels = range(tree.coarse_level, tree.finest_level + 1)
+    return {j: s * scale for j, s in zip(levels, stack)}
 
 
 @lru_cache(maxsize=512)

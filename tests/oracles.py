@@ -2,8 +2,9 @@
 
 The wavelet oracles evaluate defining sums term by term against explicitly
 synthesized basis vectors; no projection cascades, no convolution tricks.
-Only usable at small resolutions.  The window kernels at the end take one
-`np.roll` per shift; the production kernels must match them bit for bit.
+Only usable at small resolutions.  The filter-bank steps and the window
+kernels after them take one `np.roll` per tap or shift; the production
+kernels must match them bit for bit.
 """
 
 from itertools import product
@@ -12,6 +13,7 @@ import numpy as np
 
 from torwave import CoefficientTree, SampledFunction, synthesize
 from torwave.errors import ShapeError
+from torwave.wavelets import sigma_set
 
 
 def basis_vectors(basis, dim, j0, J):
@@ -76,6 +78,117 @@ def literal_detail_coefficients(f_vals, basis, j0):
         out[j] = np.array([float((f_vals * p).mean()) for p in psis[j]])
     return out
 
+
+def assert_bitwise_equal(actual, expected):
+    """Equal shape, dtype and bytes: unlike `assert_array_equal`, this tells
+    -0.0 from 0.0 and one NaN payload from another."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape, (actual.shape, expected.shape)
+    assert actual.dtype == expected.dtype, (actual.dtype, expected.dtype)
+    if actual.tobytes() != expected.tobytes():
+        bad = [i for i, (x, y) in enumerate(zip(actual.flat, expected.flat))
+               if x.tobytes() != y.tobytes()]
+        raise AssertionError(f"{len(bad)} of {actual.size} entries differ in their bytes; "
+                             f"first at flat index {bad[0]}: {actual.flat[bad[0]]!r} "
+                             f"vs {expected.flat[bad[0]]!r}")
+
+
+# -- filter-bank steps, one np.roll per tap ----------------------------------
+
+def _down(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Circular convolution with `taps` followed by dyadic decimation."""
+    keep = [slice(None)] * a.ndim
+    keep[axis] = slice(0, None, 2)
+    keep = tuple(keep)
+    acc = taps[0] * a[keep]
+    for m in range(1, len(taps)):
+        acc = acc + taps[m] * np.roll(a, -m, axis=axis)[keep]
+    return acc
+
+
+def _up_pair(lo: np.ndarray, hi: np.ndarray, h: np.ndarray, g: np.ndarray,
+             axis: int) -> np.ndarray:
+    """Adjoint of `_down` for both channels: upsample, filter, add."""
+    shape = list(lo.shape)
+    shape[axis] *= 2
+    write = [slice(None)] * lo.ndim
+    write[axis] = slice(0, None, 2)
+    write = tuple(write)
+    u = np.zeros(shape)
+    u[write] = lo
+    w = np.zeros(shape)
+    w[write] = hi
+    acc = h[0] * u + g[0] * w
+    for m in range(1, len(h)):
+        acc = acc + h[m] * np.roll(u, m, axis=axis) + g[m] * np.roll(w, m, axis=axis)
+    return acc
+
+
+def _step_down(s, basis):
+    h, g = basis.scaling_filter, basis.detail_filter
+    if s.ndim == 1:
+        return _down(s, h, 0), {(1,): _down(s, g, 0)}
+    lo0 = _down(s, h, 0)
+    hi0 = _down(s, g, 0)
+    return _down(lo0, h, 1), {
+        (0, 1): _down(lo0, g, 1),
+        (1, 0): _down(hi0, h, 1),
+        (1, 1): _down(hi0, g, 1),
+    }
+
+
+def _step_up(s, details, basis):
+    h, g = basis.scaling_filter, basis.detail_filter
+    if s.ndim == 1:
+        return _up_pair(s, details[(1,)], h, g, 0)
+    lo0 = _up_pair(s, details[(0, 1)], h, g, 1)
+    hi0 = _up_pair(details[(1, 0)], details[(1, 1)], h, g, 1)
+    return _up_pair(lo0, hi0, h, g, 0)
+
+
+def _zero_details(dim, level):
+    shape = (1 << level,) * dim
+    return {s: np.zeros(shape) for s in sigma_set(dim)}
+
+
+def roll_analyze(f, basis, coarse_level):
+    """`wavelets.analyze` on the per-tap roll steps; returns (scaling, details)."""
+    s = f.values * float(f.resolution) ** (-f.dim / 2.0)
+    details = {}
+    for j in range(f.finest_level - 1, coarse_level - 1, -1):
+        s, details[j] = _step_down(s, basis)
+    return s, details
+
+
+def roll_scaling_cascade(tree, basis):
+    out = {tree.coarse_level: tree.scaling}
+    s = tree.scaling
+    for j in tree.levels():
+        s = _step_up(s, tree.details[j], basis)
+        out[j + 1] = s
+    return out
+
+
+def roll_synthesize(tree, basis):
+    """`wavelets.synthesize` on the per-tap roll steps; returns the sample array."""
+    s = roll_scaling_cascade(tree, basis)[tree.finest_level]
+    return s * float(tree.resolution) ** (tree.dim / 2.0)
+
+
+def roll_projection_stack(tree, basis):
+    """P_j f by full synthesis steps with all-zero detail arrays."""
+    cascade = roll_scaling_cascade(tree, basis)
+    scale = float(tree.resolution) ** (tree.dim / 2.0)
+    out = {}
+    for j in range(tree.coarse_level, tree.finest_level + 1):
+        s = cascade[j]
+        for jj in range(j, tree.finest_level):
+            s = _step_up(s, _zero_details(tree.dim, jj), basis)
+        out[j] = s * scale
+    return out
+
+
+# -- window kernels, one np.roll per shift -----------------------------------
 
 def _axis_window_max(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     out = a.copy()

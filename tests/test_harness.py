@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_hlf_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 60)
     with pytest.raises(FileFormatError, match="magic"):
         read_hlf(str(path))
+
+
+@pytest.mark.parametrize("dim,level,payload,match", [
+    (1, 40, 64, r"needs 2\^40 samples"),  # 8 TiB if the reader trusted the header
+    (2, 20, 0, r"needs 2\^40 samples"),
+    (1, 4, 8 * 15, r"needs 2\^4 samples, the file holds 15"),
+    (1, 4, 8 * 16 + 3, "3 trailing bytes"),
+    (2, 2, 8 * 17, "8 trailing bytes"),
+])
+def test_hlf_size_checked_against_header(tmp_path, dim, level, payload, match):
+    path = tmp_path / "bad.hlf1"
+    path.write_bytes(struct.pack("<4sII20s", b"HLF1", dim, level, b"\0" * 20)
+                     + b"\0" * payload)
+    with pytest.raises(FileFormatError, match=match):
+        read_hlf(str(path))
+    assert cli_main(["norms", "--input", str(path), "--space", "BMO"]) == 2
 
 
 # -- command line -------------------------------------------------------------------

@@ -38,6 +38,17 @@ def test_oscillation_of_constant():
     assert abs(oscillation_norm(f, "BMOplus") - 2.5) < 1e-14
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["BMO", "BMOplus", "bmo", "BMOlog"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_oscillation_rejects_non_finite_samples(rng, bad, mode, dim):
+    # one NaN used to read as a BMO norm of 0: max(0.0, nan) keeps the 0.0
+    vals = random_function(rng, dim, 16).values.copy()
+    vals.flat[3] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        oscillation_norm(SampledFunction(vals), mode)
+
+
 def test_oscillation_ordering(rng):
     for _ in range(50):
         f = random_function(rng, 1, 128)

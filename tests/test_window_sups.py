@@ -3,7 +3,8 @@
 `pointwise_shifted` takes full-torus windows through a convex hull and the
 other windows through padded views; `window_max` uses a doubling max and
 `window_mean` padded views.  All of them must reproduce the one-`np.roll`-
-per-shift loops in `oracles` exactly, degenerate point clouds included.
+per-shift loops in `oracles` exactly, degenerate point clouds included, down
+to the sign of zero that the JSON records carry.
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import assert_bitwise_equal
 from torwave import SampledFunction, grand_maximal
 from torwave.samples import derive_rng, random_bmo, random_function
 from torwave.sublinear import _torus_sup, window_max, window_mean
@@ -30,7 +32,7 @@ def _radii(N):
 def test_window_kernels_match_shift_loop(dim, N, kernel, oracle):
     a = np.random.default_rng(N + dim).standard_normal((N,) * dim)
     for radius in _radii(N):
-        np.testing.assert_array_equal(kernel(a, radius), oracle(a, radius))
+        assert_bitwise_equal(kernel(a, radius), oracle(a, radius))
 
 
 @pytest.mark.parametrize("dim,N", GRIDS)
@@ -42,8 +44,8 @@ def test_pointwise_shifted_matches_shift_loop(dim, N, independent_h):
     h = random_function(rng, dim, N) if independent_h else b * f
     op = grand_maximal(dim, N)
     for local in (False, True):
-        np.testing.assert_array_equal(op.pointwise_shifted(b, f, h, local).values,
-                                      oracles.pointwise_shifted(op, b, f, h, local).values)
+        assert_bitwise_equal(op.pointwise_shifted(b, f, h, local).values,
+                             oracles.pointwise_shifted(op, b, f, h, local).values)
 
 
 def _family_values(kind, draw, shape):
@@ -73,8 +75,8 @@ def test_pointwise_shifted_degenerate_clouds(data, grid, f_kind, b_kind, h_kind)
     b = SampledFunction(_family_values(b_kind, data.draw, shape))
     h = b * f if h_kind == "b*f" else SampledFunction(_family_values(h_kind, data.draw, shape))
     op = grand_maximal(dim, N)
-    np.testing.assert_array_equal(op.pointwise_shifted(b, f, h).values,
-                                  oracles.pointwise_shifted(op, b, f, h).values)
+    assert_bitwise_equal(op.pointwise_shifted(b, f, h).values,
+                         oracles.pointwise_shifted(op, b, f, h).values)
 
 
 def _every_point_sup(b, a, h):
@@ -96,7 +98,7 @@ def test_torus_sup_on_integer_clouds(points, scale, b):
     bv = np.array(b, dtype=float)
     out = np.zeros_like(bv)
     _torus_sup(out, bv, a, h)
-    np.testing.assert_array_equal(out, _every_point_sup(bv, a, h))
+    assert_bitwise_equal(out, _every_point_sup(bv, a, h))
 
 
 def test_torus_sup_near_collinear_ties():
@@ -111,7 +113,7 @@ def test_torus_sup_near_collinear_ties():
         bv = np.r_[slope, slope + rng.standard_normal(8) * 1e-15 * rng.choice([1, 1e3, 1e6])]
         out = np.zeros_like(bv)
         _torus_sup(out, bv, a, h)
-        np.testing.assert_array_equal(out, _every_point_sup(bv, a, h))
+        assert_bitwise_equal(out, _every_point_sup(bv, a, h))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # FFTs of non-finite input
@@ -128,7 +130,7 @@ def test_pointwise_shifted_non_finite_b(grid, bad, independent_h):
     h = random_function(rng, dim, N) if independent_h else b * f
     op = grand_maximal(dim, N)
     new = op.pointwise_shifted(b, f, h).values
-    np.testing.assert_array_equal(new, oracles.pointwise_shifted(op, b, f, h).values)
+    assert_bitwise_equal(new, oracles.pointwise_shifted(op, b, f, h).values)
     if independent_h:  # only the points where b is bad go non-finite
         np.testing.assert_array_equal(~np.isfinite(new), ~np.isfinite(bv))
     else:  # h = b f carries the bad value into every field
