@@ -8,17 +8,15 @@ from .errors import (CancellationError, ConfigurationError, ContractError,
                      HypothesisError, ResolutionError, ShapeError, TorwaveError,
                      UsageError)
 from .wavelets import (CoefficientTree, PsiAtomCheck, WaveletBasis, analyze,
-                       build_basis, default_coarse_level, min_coarse_level,
-                       projection_stack, sampled_wavelet, synthesize,
-                       validate_psi_atom, wavelet_square_function)
+                       build_basis, coarse_projection, default_coarse_level,
+                       min_coarse_level, projection_stack, sampled_wavelet,
+                       synthesize, validate_psi_atom, wavelet_square_function)
 from .paraproducts import (ProductDecomposition, diagonal_coefficient_sum,
                            paraproducts, s_operator, shift_invariance_check)
 from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperator,
-                        almost_diagonal_envelope_fit, apply_multiplier_operator,
-                        fractional_integral_operator, hilbert_operator,
-                        identity_operator, k_class_ratio, operator_from_config,
-                        p_delta, pdelta_composition_check, riesz_operator,
-                        wavelet_matrix)
+                        almost_diagonal_envelope_fit, fractional_integral_operator,
+                        hilbert_operator, identity_operator, k_class_ratio, p_delta,
+                        pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .sublinear import (GrandMaximal, LusinArea, grand_maximal, lusin_area,
                         lusin_area_integral, maximal_function)
 from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_parts,
@@ -27,7 +25,7 @@ from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_parts,
 from .commutators import (AtomicDecomposition, CommutatorDecomposition,
                           FractionalReport, H1bReport, SubbilinearEnvelope,
                           antisymmetric_paraproduct, atomic_decompose,
-                          bilinear_decomposition, commutator_apply,
+                          bilinear_decomposition, commutator_apply, commutator_parts,
                           fractional_commutator_decomposition,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)
@@ -36,6 +34,6 @@ from .samples import (derive_rng, random_bmo, random_classical_atom, random_cube
                       random_tree, truncated_log, two_sided_atom)
 from .hlf import read_hlf, write_hlf
 from .harness import (CSV_SCHEMAS, SUITES, ExperimentConfig, ExperimentReport,
-                      emit_report, parse_report, run_suite)
+                      emit_report, parse_operator, parse_report, run_suite)
 
 __version__ = "0.1.0"

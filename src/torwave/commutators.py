@@ -19,20 +19,13 @@ from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, HypothesisError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm, weak_lp_quasinorm
 from .operators import fractional_integral_operator, hilbert_operator, riesz_operator
-from .paraproducts import paraproducts, s_operator
+from .paraproducts import ProductDecomposition, paraproducts, s_operator
 from .sublinear import grand_maximal
-from .wavelets import WaveletBasis, analyze
+from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection,
+                       sigma_set, wavelet_square_function)
 
 # cost guard for per-evaluation-point commutators; raise these knowingly
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
-
-
-def _check_pointwise_cap(f: SampledFunction):
-    cap = POINTWISE_RESOLUTION_CAP.get(f.dim, 0)
-    if f.resolution > cap:
-        raise ConfigurationError(
-            f"pointwise commutator at N={f.resolution} (dim {f.dim}) exceeds the "
-            f"default cap {cap}; raise POINTWISE_RESOLUTION_CAP to proceed")
 
 
 def commutator_apply(b: SampledFunction, T, f: SampledFunction,
@@ -40,8 +33,8 @@ def commutator_apply(b: SampledFunction, T, f: SampledFunction,
     """Commutator of multiplication by b with T.
 
     Linear form: b T(f) - T(b f).  Sublinear form: the per-evaluation-point
-    value of T applied to (b(x) - b(.)) f(.); operators exposing the
-    expanded fast path are evaluated exactly through it.
+    value of T applied to (b(x) - b(.)) f(.), evaluated exactly through the
+    operator's expanded `pointwise_shifted` path.
     """
     if b.values.shape != f.values.shape:
         raise ShapeError("b and f live on different grids")
@@ -49,48 +42,56 @@ def commutator_apply(b: SampledFunction, T, f: SampledFunction,
         if not getattr(T, "is_linear", False):
             raise ContractError("T is not linear; call with sublinear=True")
         return b * T.apply(f) - T.apply(b * f)
-    _check_pointwise_cap(f)
-    if hasattr(T, "pointwise_shifted"):
-        return T.pointwise_shifted(b, f, b * f)
-    from .sublinear import pointwise_commutator_naive
-    return pointwise_commutator_naive(T, b, f)
+    cap = POINTWISE_RESOLUTION_CAP.get(f.dim, 0)
+    if f.resolution > cap:
+        raise ConfigurationError(
+            f"pointwise commutator at N={f.resolution} (dim {f.dim}) exceeds the "
+            f"default cap {cap}; raise POINTWISE_RESOLUTION_CAP to proceed")
+    if not hasattr(T, "pointwise_shifted"):
+        raise ContractError(f"{getattr(T, 'name', 'T')} has no pointwise_shifted path")
+    return T.pointwise_shifted(b, f, b * f)
 
 
 @dataclass(frozen=True)
 class CommutatorDecomposition:
-    """Remainder part, image of the diagonal part under T, and the residual."""
+    """Remainder part, image of the diagonal part under T, the commutator
+    itself, and the residual of the identity."""
 
     R_part: SampledFunction
     S_image: SampledFunction
+    commutator: SampledFunction
     residual_inf: float
 
-    def summary(self) -> dict:
-        return {"residual_inf": self.residual_inf,
-                "r_part_l1": lp_norm(self.R_part, 1.0),
-                "s_image_l1": lp_norm(self.S_image, 1.0)}
 
-
-def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
-                           basis: WaveletBasis,
-                           coarse_level: int | None = None) -> CommutatorDecomposition:
-    """Split [b,T]f into a remainder plus T of the diagonal paraproduct.
+def commutator_parts(b: SampledFunction, T, f: SampledFunction,
+                     parts: ProductDecomposition) -> CommutatorDecomposition:
+    """[b,T]f = b T f - T(b f), split by the paraproducts `parts` of (f, b).
 
     The remainder is b T f - T(pi2) - T(coarse) - T(pi1 + pi4); together with
-    T(S(f,b)) it reproduces the commutator up to the paraproduct roundoff.
+    T(S(f,b)) = T(-pi3) it reproduces the commutator up to the paraproduct
+    roundoff.  T is applied to f once, and to each part once.
     """
     if not getattr(T, "is_linear", False):
         raise ContractError(
             "T is sublinear; the identity holds only as a two-sided envelope -- "
             "use subbilinear_envelope")
-    ft = analyze(f, basis, coarse_level)
-    bt = analyze(b, basis, coarse_level)
-    parts = paraproducts(ft, bt, basis)
-    r_part = (b * T.apply(f) - T.apply(parts.pi2) - T.apply(parts.coarse)
+    b_Tf = b * T.apply(f)
+    r_part = (b_Tf - T.apply(parts.pi2) - T.apply(parts.coarse)
               - T.apply(parts.pi1 + parts.pi4))
     s_image = T.apply(-1.0 * parts.pi3)
-    comm = commutator_apply(b, T, f)
+    comm = b_Tf - T.apply(b * f)
     residual = sup_norm(comm - r_part - s_image)
-    return CommutatorDecomposition(r_part, s_image, residual)
+    return CommutatorDecomposition(r_part, s_image, comm, residual)
+
+
+def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
+                           basis: WaveletBasis,
+                           coarse_level: int | None = None) -> CommutatorDecomposition:
+    """Split [b,T]f into a remainder plus T of the diagonal paraproduct of
+    the analyzed f and b; see `commutator_parts`."""
+    ft = analyze(f, basis, coarse_level)
+    bt = analyze(b, basis, coarse_level)
+    return commutator_parts(b, T, f, paraproducts(ft, bt, basis))
 
 
 @dataclass(frozen=True)
@@ -112,7 +113,7 @@ def subbilinear_envelope(b: SampledFunction, T, f: SampledFunction,
     The envelope is |T(b(x)f - pi2 - coarse)(x)| + |T(pi1)(x)| + |T(pi4)(x)|;
     both inequalities are checked at every grid point with a roundoff slack.
     """
-    _check_pointwise_cap(f)
+    comm_abs = abs(commutator_apply(b, T, f, sublinear=True))
     ft = analyze(f, basis, coarse_level)
     bt = analyze(b, basis, coarse_level)
     parts = paraproducts(ft, bt, basis)
@@ -122,7 +123,6 @@ def subbilinear_envelope(b: SampledFunction, T, f: SampledFunction,
     term3 = abs(T.apply(parts.pi4))
     r_env = term1 + term2 + term3
     ts_abs = abs(T.apply(-1.0 * parts.pi3))
-    comm_abs = abs(commutator_apply(b, T, f, sublinear=True))
     slack = slack_scale * (1.0 + sup_norm(comm_abs) + sup_norm(r_env))
     upper_gap = comm_abs.values - (r_env.values + ts_abs.values)
     lower_gap = (ts_abs.values - r_env.values) - comm_abs.values
@@ -278,13 +278,10 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     dyadic cube passing the same test, and each group is normalized into a
     unit-budget packet; the weights are the removed normalizations.
     """
-    from .wavelets import (CoefficientTree, projection_stack, sigma_set,
-                           wavelet_square_function)
     W = wavelet_square_function(f).values
     N = f.resolution
     detail_l1 = float(np.abs(W).mean())
-    coarse_proj = projection_stack(f, basis)[f.coarse_level]
-    coarse_l1 = float(np.abs(coarse_proj).mean())
+    coarse_l1 = float(np.abs(coarse_projection(f, basis)).mean())
     coarse_flagged = coarse_l1 > 1e-8 * (1.0 + detail_l1)
 
     medians = {lev: _lower_medians(W, lev) for lev in range(0, f.finest_level)}
@@ -298,6 +295,10 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
         for idx in np.argwhere(occupied):
             off = tuple(int(i) for i in idx)
             med = float(medians[j][off])
+            if not med > 0.0:
+                raise DegeneracyError(
+                    f"square function underflows to {med} on the cube of the nonzero "
+                    f"coefficient at level {j}, offset {off}")
             k = int(math.floor(math.log2(med)))
             if 2.0 ** k >= med:
                 k -= 1
@@ -411,9 +412,8 @@ def fractional_commutator_decomposition(b: SampledFunction, f: SampledFunction,
     T = fractional_integral_operator(alpha, n)
     decomp = bilinear_decomposition(b, T, f, basis, coarse_level)
     p = n / (n - alpha)
-    comm = commutator_apply(b, T, f)
     report = FractionalReport(
         exponent=p,
-        weak_quasinorm=weak_lp_quasinorm(comm, p),
+        weak_quasinorm=weak_lp_quasinorm(decomp.commutator, p),
         remainder_lp=lp_norm(decomp.R_part, p))
     return decomp, report

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import time
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutators import (bilinear_decomposition, commutator_apply,
+from .commutators import (bilinear_decomposition, commutator_apply, commutator_parts,
                           fractional_commutator_decomposition,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)
@@ -27,7 +28,7 @@ from .core import DyadicCube, SampledFunction, sup_norm
 from .errors import UsageError
 from .norms import hardy_norm, lp_norm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
-                        hilbert_operator, k_class_ratio, p_delta,
+                        hilbert_operator, identity_operator, k_class_ratio, p_delta,
                         pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .paraproducts import paraproducts, s_operator
 from .samples import (derive_rng, random_bmo, random_classical_atom,
@@ -68,6 +69,10 @@ CSV_SCHEMAS = {
 }
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one suite run."""
@@ -88,6 +93,23 @@ class ExperimentConfig:
         if self.suite not in SUITES:
             raise UsageError(
                 f"unknown suite {self.suite!r}; valid suites: {', '.join(SUITES)}")
+        well_typed = {
+            "resolutions": isinstance(self.resolutions, (list, tuple))
+            and all(map(_is_int, self.resolutions)),
+            "basis_family": isinstance(self.basis_family, str),
+            "basis_order": _is_int(self.basis_order),
+            "sample_count": _is_int(self.sample_count),
+            "root_seed": _is_int(self.root_seed) and self.root_seed >= 0,
+            "tolerances": isinstance(self.tolerances, dict)
+            and all(isinstance(v, numbers.Real) for v in self.tolerances.values()),
+            "output_path": self.output_path is None or isinstance(self.output_path, str),
+            "dim": _is_int(self.dim) and self.dim in (1, 2),
+            "coarse_level": self.coarse_level is None or _is_int(self.coarse_level),
+            "operator": isinstance(self.operator, str),
+        }
+        for name, ok in well_typed.items():
+            if not ok:
+                raise UsageError(f"bad config value {name}={getattr(self, name)!r}")
         for n in self.resolutions:
             if n < 2 or n & (n - 1):
                 raise UsageError(f"resolutions must be powers of two, got {n}")
@@ -117,10 +139,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise UsageError(f"a config is a JSON object, got {type(d).__name__}")
         d = dict(d)
         if "basis" in d:
-            fam, order = d.pop("basis")
-            d["basis_family"], d["basis_order"] = fam, int(order)
+            basis = d.pop("basis")
+            if not isinstance(basis, (list, tuple)) or len(basis) != 2:
+                raise UsageError(f"basis must be a [family, order] pair, got {basis!r}")
+            d["basis_family"], d["basis_order"] = basis
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore
         unknown = set(d) - known
         if unknown:
@@ -132,7 +158,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+        return cls.from_dict(data)
 
 
 @dataclass
@@ -222,16 +252,31 @@ def _suite_product_identity(cfg: ExperimentConfig):
     return cases, {"worst_residual_over_bound": worst, "tolerance": tol}, ok
 
 
-def _resolve_operator(name: str, dim: int):
-    if name == "hilbert":
+def parse_operator(spec: str, dim: int, resolution: int):
+    """The operator named by `spec` in dimension `dim` on an N = `resolution` grid.
+
+    The grammar is `identity`, `hilbert` (dim 1), `riesz<j>` (1 <= j <= dim),
+    `ifrac:<alpha>` (0 < alpha < dim), `maximal` and `lusin`; anything else
+    raises a TorwaveError.  Linear operators ignore `resolution`.
+    """
+    if spec == "identity":
+        return identity_operator(dim)
+    if spec == "hilbert" and dim == 1:
         return hilbert_operator()
-    if name.startswith("riesz"):
-        axis = int(name[5:] or 1) - 1
-        return riesz_operator(axis, dim)
-    if name.startswith("ifrac:"):
-        return fractional_integral_operator(float(name.split(":")[1]), dim)
-    raise UsageError(f"unknown operator {name!r} "
-                     "(use hilbert, riesz<j>, or ifrac:<alpha>)")
+    if spec == "maximal":
+        return grand_maximal(dim, resolution)
+    if spec == "lusin":
+        return lusin_area(dim, resolution)
+    if spec.startswith("riesz") and spec[5:] in [str(j) for j in range(1, dim + 1)]:
+        return riesz_operator(int(spec[5:]) - 1, dim)
+    if spec.startswith("ifrac:"):
+        try:
+            alpha = float(spec[6:])
+        except ValueError:
+            raise UsageError(f"operator {spec!r}: alpha is not a number") from None
+        return fractional_integral_operator(alpha, dim)
+    raise UsageError(f"unknown operator {spec!r} in dimension {dim} (use identity, "
+                     "hilbert, riesz<j>, ifrac:<alpha>, maximal or lusin)")
 
 
 def _suite_commutator_identity(cfg: ExperimentConfig):
@@ -239,19 +284,18 @@ def _suite_commutator_identity(cfg: ExperimentConfig):
     j0 = cfg.j0(basis)
     tol = cfg.tol("identity_rel")
     dim = 2 if cfg.operator.startswith("riesz") else cfg.dim
-    T = _resolve_operator(cfg.operator, dim)
     cases = []
     ok = True
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
         J = int(N).bit_length() - 1
+        T = parse_operator(cfg.operator, dim, N)
         for ci in range(cfg.sample_count):
             rng = derive_rng(cfg.root_seed, ri, ci)
             f = synthesize(random_h1_tree(rng, dim, j0, J), basis)
             b = random_bmo(rng, dim, N)
             dec = bilinear_decomposition(b, T, f, basis, j0)
-            comm = commutator_apply(b, T, f)
-            rel = dec.residual_inf / (1.0 + sup_norm(comm))
+            rel = dec.residual_inf / (1.0 + sup_norm(dec.commutator))
             good = rel <= tol
             ok &= good
             worst = max(worst, rel)
@@ -268,10 +312,7 @@ def _suite_sandwich(cfg: ExperimentConfig):
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
         J = int(N).bit_length() - 1
-        ops = {"maximal": grand_maximal(cfg.dim, N), "lusin": lusin_area(cfg.dim, N)}
-        T = ops.get(cfg.operator)
-        if T is None:
-            raise UsageError("sandwich suite needs operator 'maximal' or 'lusin'")
+        T = parse_operator(cfg.operator, cfg.dim, N)
         for ci in range(cfg.sample_count):
             rng = derive_rng(cfg.root_seed, ri, ci)
             f = synthesize(random_h1_tree(rng, cfg.dim, j0, J), basis)
@@ -304,8 +345,7 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
             parts = paraproducts(ft, bt, basis)
             h1 = hardy_norm(f, "H1_square", basis, j0)
             base = max(h1 * 1.0, 1e-300)  # b has unit oscillation norm
-            remainder = (b * H.apply(f) - H.apply(parts.pi2) - H.apply(parts.coarse)
-                         - H.apply(parts.pi1 + parts.pi4))
+            remainder = commutator_parts(b, H, f, parts).R_part
             antis = s_operator(analyze(H.apply(f), basis, j0), bt, basis) \
                 - s_operator(ft, analyze(H.adjoint().apply(b), basis, j0), basis)
             row = {
@@ -496,9 +536,7 @@ def _suite_fractional(cfg: ExperimentConfig):
             f = synthesize(random_h1_tree(rng, cfg.dim, j0, J), basis)
             b = random_bmo(rng, cfg.dim, N)
             dec, rep = fractional_commutator_decomposition(b, f, alpha, basis, j0)
-            comm = commutator_apply(
-                b, fractional_integral_operator(alpha, cfg.dim), f)
-            rel = dec.residual_inf / (1.0 + sup_norm(comm))
+            rel = dec.residual_inf / (1.0 + sup_norm(dec.commutator))
             h1 = hardy_norm(f, "H1_square", basis, j0)
             ratio = rep.remainder_lp / max(h1, 1e-300)
             sup_ratio = max(sup_ratio, ratio)

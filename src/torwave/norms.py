@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field
 from .errors import ConfigurationError, DomainError
-from .wavelets import WaveletBasis, analyze, projection_stack, wavelet_square_function
+from .wavelets import WaveletBasis, analyze, coarse_projection, wavelet_square_function
 
 OSCILLATION_MODES = ("BMO", "BMOplus", "bmo", "BMOlog")
 HARDY_MODES = ("H1_square", "H1_maximal", "h1", "Hlog")
@@ -33,14 +33,23 @@ class NormReport:
         return asdict(self)
 
 
+def _finite_input(value: float, f: SampledFunction, what: str) -> float:
+    """`value`, unless it is non-finite because a sample is: DomainError then.
+
+    Finite input is not scanned, so it pays nothing for the check.
+    """
+    if not math.isfinite(value) and not np.isfinite(f.values).all():
+        raise DomainError(f"{what} of non-finite samples")
+    return value
+
+
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Grid Riemann-sum Lp norm; p = inf gives the sup norm."""
     if p < 1:
         raise DomainError(f"p must be >= 1, got {p}")
     a = np.abs(f.values)
-    if math.isinf(p):
-        return float(a.max())
-    return float((a ** p).mean() ** (1.0 / p))
+    value = float(a.max()) if math.isinf(p) else float((a ** p).mean() ** (1.0 / p))
+    return _finite_input(value, f, "Lp norm")
 
 
 def weak_lp_quasinorm(f: SampledFunction, p: float) -> float:
@@ -55,7 +64,7 @@ def weak_lp_quasinorm(f: SampledFunction, p: float) -> float:
     if a[0] == 0.0:
         return 0.0
     measures = np.arange(1, a.size + 1) / a.size
-    return float(np.max(a * measures ** (1.0 / p)))
+    return _finite_input(float(np.max(a * measures ** (1.0 / p))), f, "weak Lp quasinorm")
 
 
 def _level_means(values: np.ndarray, level: int) -> np.ndarray:
@@ -133,8 +142,7 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
         r = a / lam
         return float((r / (logx + np.log(math.e + r))).mean())
 
-    lo = None
-    hi = float(a.mean()) + 1e-300
+    hi = _finite_input(float(a.mean()) + 1e-300, f, "Llog quasinorm")
     while integral(hi) >= 1.0:
         hi *= 2.0
     lo = hi / 2.0
@@ -163,8 +171,7 @@ def hardy_square_parts(f: SampledFunction, basis: WaveletBasis,
     """
     tree = analyze(f, basis, coarse_level)
     detail = lp_norm(wavelet_square_function(tree), 1.0)
-    coarse_proj = projection_stack(tree, basis)[tree.coarse_level]
-    return detail, float(np.abs(coarse_proj).mean())
+    return detail, float(np.abs(coarse_projection(tree, basis)).mean())
 
 
 def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,

@@ -9,10 +9,10 @@ envelope machinery bounds their entries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -47,8 +47,6 @@ class MultiplierOperator:
         self.bound = bound
         self.unbounded_at_zero = unbounded_at_zero
 
-    kind = "multiplier"
-
     def symbol_array(self, resolution: int) -> np.ndarray:
         k = frequency_grid(self.dim, resolution)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -74,9 +72,6 @@ class MultiplierOperator:
         out = np.fft.ifftn(np.fft.fftn(f.values) * s).real
         return SampledFunction(out)
 
-    def __call__(self, f):
-        return self.apply(f)
-
     def adjoint(self) -> "MultiplierOperator":
         orig = self.symbol
         return MultiplierOperator(
@@ -86,12 +81,6 @@ class MultiplierOperator:
 
     def __repr__(self):
         return f"MultiplierOperator({self.name}, dim={self.dim})"
-
-
-def apply_multiplier_operator(op: MultiplierOperator, f: SampledFunction) -> SampledFunction:
-    if getattr(op, "kind", None) != "multiplier":
-        raise ConfigurationError("apply_multiplier_operator needs a multiplier operator")
-    return op.apply(f)
 
 
 # -- stock operators ---------------------------------------------------------
@@ -136,47 +125,20 @@ def fractional_integral_operator(alpha: float, dim: int = 1) -> MultiplierOperat
                               bound=None, unbounded_at_zero=True)
 
 
-def operator_from_config(cfg) -> MultiplierOperator:
-    """Build a multiplier operator from a declarative JSON config (or dict)."""
-    if isinstance(cfg, (str, bytes)):
-        with open(cfg) as fh:
-            cfg = json.load(fh)
-    kind = cfg.get("kind", "multiplier")
-    if kind != "multiplier":
-        raise ConfigurationError(f"config kind {kind!r} is not loadable here")
-    sym = cfg.get("symbol")
-    dim = int(cfg.get("dim", 1))
-    delta = float(cfg.get("delta", 1.0))
-    if sym == "identity":
-        op = identity_operator(dim)
-    elif sym == "hilbert":
-        op = hilbert_operator()
-    elif sym == "riesz":
-        op = riesz_operator(int(cfg.get("axis", 0)), dim)
-    elif sym == "fractional":
-        op = fractional_integral_operator(float(cfg["alpha"]), dim)
-    else:
-        raise ConfigurationError(f"unknown symbol {sym!r} in operator config")
-    op.name = cfg.get("name", op.name)
-    op.delta = delta
-    return op
-
-
 # ---------------------------------------------------------------------------
 # wavelet-basis matrices
 # ---------------------------------------------------------------------------
 
+def _level_cubes(dim: int, level: int) -> list:
+    return [DyadicCube(dim, level, offset)
+            for offset in product(range(1 << level), repeat=dim)]
+
+
 def _basis_index(dim: int, levels):
     for level in levels:
         for s in sigma_set(dim):
-            top = 1 << level
-            if dim == 1:
-                for k in range(top):
-                    yield DyadicCube(1, level, (k,)), s
-            else:
-                for k0 in range(top):
-                    for k1 in range(top):
-                        yield DyadicCube(2, level, (k0, k1)), s
+            for cube in _level_cubes(dim, level):
+                yield cube, s
 
 
 class WaveletMatrixOperator:
@@ -312,28 +274,16 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
     """Max over sampled cube pairs of sum_I'' p(I,I'')p(I',I'') / p(I,I')."""
     if len(levels) == 0:
         raise DomainError("empty level range")
+    from .samples import random_cube  # late to avoid cycle
     rng = np.random.default_rng(seed)
     mids = [cube for level in levels for cube in _level_cubes(dim, level)]
     worst = 0.0
     for _ in range(samples):
-        I = _random_cube(rng, dim, levels)
-        I2 = _random_cube(rng, dim, levels)
+        I = random_cube(rng, dim, levels.start, levels.stop - 1)
+        I2 = random_cube(rng, dim, levels.start, levels.stop - 1)
         total = sum(p_delta(I, mid, delta) * p_delta(I2, mid, delta) for mid in mids)
         worst = max(worst, total / p_delta(I, I2, delta))
     return worst
-
-
-def _level_cubes(dim: int, level: int):
-    top = 1 << level
-    if dim == 1:
-        return [DyadicCube(1, level, (k,)) for k in range(top)]
-    return [DyadicCube(2, level, (k0, k1)) for k0 in range(top) for k1 in range(top)]
-
-
-def _random_cube(rng, dim: int, levels: range) -> DyadicCube:
-    level = int(rng.integers(levels.start, levels.stop))
-    offset = tuple(int(rng.integers(0, 1 << level)) for _ in range(dim))
-    return DyadicCube(dim, level, offset)
 
 
 # ---------------------------------------------------------------------------

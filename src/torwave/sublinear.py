@@ -470,17 +470,3 @@ def lusin_area_integral(f: SampledFunction,
     """Lusin area integral of f over the default cone quadrature."""
     op = operator if operator is not None else lusin_area(f.dim, f.resolution)
     return op.apply(f)
-
-
-def pointwise_commutator_naive(T, b: SampledFunction, f: SampledFunction) -> SampledFunction:
-    """Literal per-evaluation-point commutator x -> T((b(x)-b(.)) f(.))(x).
-
-    Costs one operator application per grid point; used as the reference
-    oracle for the algebraically expanded fast paths.
-    """
-    out = np.zeros_like(f.values)
-    it = np.ndindex(f.values.shape)
-    for idx in it:
-        shifted = SampledFunction((b.values[idx] - b.values) * f.values)
-        out[idx] = T.apply(shifted).values[idx]
-    return SampledFunction(out)

@@ -12,12 +12,13 @@ wrap-padded copy.  Synthesis (`_up`) never forms the zero-stuffed upsampled
 array: output entry 2k+r meets only the taps m = r (mod 2), so each pair of
 taps reads one view of a circularly pre-padded copy.  `projection_stack`
 carries every P_j f up a scaling-only ladder, because the detail channel of
-that ladder is exactly zero.  All of them add their terms in the order of the
-plain per-tap circular convolution (tap by tap, scaling before detail), so
-they agree with it to the last bit; `tests/oracles.py` keeps that convolution
-as the reference.  The terms the zero-stuffed sum also added were all +-0.0,
-at least one of them +0.0, so it never returned -0.0.  `_up` ends with
-`+ 0.0` to keep that sign of zero, which the JSON case records carry.
+that ladder is exactly zero; `coarse_projection` carries P_{j0} f alone.
+All of them add their terms in the order of the plain per-tap circular
+convolution (tap by tap, scaling before detail), so they agree with it to
+the last bit; `tests/oracles.py` keeps that convolution as the reference.
+The terms the zero-stuffed sum also added were all +-0.0, at least one of
+them +0.0, so it never returned -0.0.  `_up` ends with `+ 0.0` to keep that
+sign of zero, which the JSON case records carry.
 """
 
 from __future__ import annotations
@@ -488,6 +489,14 @@ def scaling_cascade(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     return out
 
 
+def _ladder_step(stack: np.ndarray, dim: int, basis: WaveletBasis) -> np.ndarray:
+    """One scaling-only synthesis step of every row of `stack`, last axis
+    first as in `_step_up`; the detail channel is zero, so it is left out."""
+    for axis in range(dim, 0, -1):
+        stack = _up((stack,), basis.filter_rows, axis)
+    return stack
+
+
 def projection_stack(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     """Sampled scaling-space projections P_j f for j = j0..J.
 
@@ -496,16 +505,23 @@ def projection_stack(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     """
     cascade = scaling_cascade(tree, basis)
     scale = float(tree.resolution) ** (tree.dim / 2.0)
-    taps = basis.filter_rows
-    # row i carries P_{j0+i} up the scaling-only ladder, last axis first as in
-    # `_step_up`; the detail channel of every step is zero, so it is left out
+    # row i carries P_{j0+i} up the scaling-only ladder, all levels at once
     stack = cascade[tree.coarse_level][None]
     for j in tree.levels():
-        for axis in range(tree.dim, 0, -1):
-            stack = _up((stack,), taps, axis)
-        stack = np.concatenate([stack, cascade[j + 1][None]])
+        stack = np.concatenate([_ladder_step(stack, tree.dim, basis),
+                                cascade[j + 1][None]])
     levels = range(tree.coarse_level, tree.finest_level + 1)
     return {j: s * scale for j, s in zip(levels, stack)}
+
+
+def coarse_projection(tree: CoefficientTree, basis: WaveletBasis) -> np.ndarray:
+    """P_{j0} f alone, equal to `projection_stack(tree, basis)[j0]` bit for
+    bit: the coarse scaling array carried up the same ladder, with no
+    synthesis cascade."""
+    row = tree.scaling[None]
+    for _ in tree.levels():
+        row = _ladder_step(row, tree.dim, basis)
+    return row[0] * float(tree.resolution) ** (tree.dim / 2.0)
 
 
 @lru_cache(maxsize=512)

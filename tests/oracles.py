@@ -249,3 +249,16 @@ def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
                               - np.roll(Hh, (-d0, -d1), (0, 1)))
                 np.maximum(out, cand, out=out)
     return SampledFunction(out)
+
+
+def pointwise_commutator_naive(T, b: SampledFunction, f: SampledFunction) -> SampledFunction:
+    """Literal per-evaluation-point commutator x -> T((b(x)-b(.)) f(.))(x).
+
+    Costs one operator application per grid point; the reference for the
+    algebraically expanded `pointwise_shifted` paths.
+    """
+    out = np.zeros_like(f.values)
+    for idx in np.ndindex(f.values.shape):
+        shifted = SampledFunction((b.values[idx] - b.values) * f.values)
+        out[idx] = T.apply(shifted).values[idx]
+    return SampledFunction(out)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from torwave import (CancellationError, ContractError, DomainError, DyadicCube,
-                     HypothesisError, SampledFunction, analyze,
-                     antisymmetric_paraproduct, atomic_decompose,
-                     bilinear_decomposition, commutator_apply,
+from oracles import assert_bitwise_equal
+from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
+                     DyadicCube, HypothesisError, MultiplierOperator,
+                     SampledFunction, analyze, antisymmetric_paraproduct,
+                     atomic_decompose, bilinear_decomposition, commutator_apply,
+                     commutator_parts, paraproducts,
                      fractional_commutator_decomposition, fractional_integral_operator,
                      h1b_characterizations, hilbert_operator, identity_operator,
                      lp_norm, make_qb_atom, molecule_norm, subbilinear_envelope,
@@ -61,6 +63,15 @@ def test_sublinear_flag_contract(db4):
         commutator_apply(b, grand_maximal(1, 512), f)
 
 
+def test_sublinear_form_needs_the_pointwise_path(db4):
+    # the literal per-point evaluation lives in tests/oracles.py, not in the library
+    f, b = _pair(3, N=64, basis=db4)
+    with pytest.raises(ContractError, match="pointwise_shifted"):
+        commutator_apply(b, hilbert_operator(), f, sublinear=True)
+    with pytest.raises(ContractError, match="pointwise_shifted"):
+        subbilinear_envelope(b, hilbert_operator(), f, db4, 2)
+
+
 # -- bilinear decomposition ------------------------------------------------------
 
 @pytest.mark.parametrize("opname", ["hilbert", "ifrac"])
@@ -77,6 +88,39 @@ def test_bilinear_identity_against_direct_commutator(db4, opname):
         comm = commutator_apply(b, T, f)
         worst = max(worst, dec.residual_inf / (1.0 + sup_norm(comm)))
     assert worst <= 1e-8
+
+
+def test_commutator_parts_from_tree_paraproducts(db4):
+    # the boundedness sweep passes the paraproducts of the drawn trees, not of
+    # re-analyzed functions; the remainder keeps the inline operand order
+    rng = derive_rng(42)
+    ft = random_h1_tree(rng, 1, 2, 9)
+    f = synthesize(ft, db4)
+    b = random_bmo(rng, 1, 512)
+    parts = paraproducts(ft, analyze(b, db4, 2), db4)
+    H = hilbert_operator()
+    dec = commutator_parts(b, H, f, parts)
+    remainder = (b * H.apply(f) - H.apply(parts.pi2) - H.apply(parts.coarse)
+                 - H.apply(parts.pi1 + parts.pi4))
+    assert_bitwise_equal(dec.R_part.values, remainder.values)
+    assert_bitwise_equal(dec.S_image.values, H.apply(-1.0 * parts.pi3).values)
+    assert_bitwise_equal(dec.commutator.values, commutator_apply(b, H, f).values)
+    assert dec.residual_inf <= 1e-8 * (1.0 + sup_norm(dec.commutator))
+
+
+def test_bilinear_decomposition_applies_T_once_per_input(db4, monkeypatch):
+    # T(f), T(b f), T(pi2), T(coarse), T(pi1 + pi4) and T(-pi3): six, not nine
+    inputs = []
+    apply = MultiplierOperator.apply
+    monkeypatch.setattr(MultiplierOperator, "apply",
+                        lambda self, g: inputs.append(g) or apply(self, g))
+    f, b = _pair(13, N=256, basis=db4)
+    dec = bilinear_decomposition(b, hilbert_operator(), f, db4, 2)
+    assert len(inputs) == 6
+    assert sum(g is f for g in inputs) == 1
+    assert_bitwise_equal(dec.commutator.values,
+                         (b * apply(hilbert_operator(), f)
+                          - apply(hilbert_operator(), b * f)).values)
 
 
 def test_bilinear_constant_b(db4):
@@ -240,6 +284,13 @@ def test_atomic_decompose_flags_coarse_part(db4):
     deco = atomic_decompose(analyze(f, db4, 2), db4)
     assert deco.coarse_flagged
     assert deco.coarse_l1 > 1.0
+
+
+def test_atomic_decompose_rejects_underflowing_square_function(db4):
+    # 1e-200 squared underflows to 0, which used to reach log2 as a math domain error
+    tree = CoefficientTree.unit_detail(DyadicCube(1, 4, (3,)), (1,), 2, 8) * 1e-200
+    with pytest.raises(DegeneracyError, match="underflows"):
+        atomic_decompose(tree, db4)
 
 
 # -- molecules ---------------------------------------------------------------------------

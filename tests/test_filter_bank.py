@@ -2,9 +2,10 @@
 `oracles`, byte for byte.
 
 `_down` reads strided views of one wrap-padded copy, `_up` computes each
-output phase from the taps of matching parity, and `projection_stack` climbs
-a scaling-only ladder.  They keep the oracles' order of adds, so every array
-must be identical down to the sign of zero and the NaN payload.
+output phase from the taps of matching parity, and `projection_stack` and
+`coarse_projection` climb a scaling-only ladder.  They keep the oracles'
+order of adds, so every array must be identical down to the sign of zero and
+the NaN payload.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CoefficientTree, SampledFunction, analyze, build_basis,
-                     projection_stack, synthesize)
+                     coarse_projection, projection_stack, synthesize)
 from torwave.wavelets import (_down, _up, default_coarse_level, min_coarse_level,
                               scaling_cascade, sigma_set)
 
@@ -78,6 +79,18 @@ def test_filter_bank_matches_roll_steps(name, shape, j0, kind):
         assert new.keys() == old.keys()
         for j in old:
             assert_bitwise_equal(new[j], old[j])
+
+
+@pytest.mark.parametrize("name,shape,j0", CASES,
+                         ids=[f"{n}-{len(s)}d-N{s[0]}-j0={j}" for n, s, j in CASES])
+@pytest.mark.parametrize("kind", KINDS)
+def test_coarse_projection_is_the_bottom_of_the_stack(name, shape, j0, kind):
+    # P_{j0} alone climbs the same ladder as row 0 of the stack, so no bit moves
+    basis = _basis(name)
+    dim, J = len(shape), shape[0].bit_length() - 1
+    tree = _tree(kind, np.random.default_rng([J, dim, j0, KINDS.index(kind), 1]),
+                 dim, j0, J)
+    assert_bitwise_equal(coarse_projection(tree, basis), projection_stack(tree, basis)[j0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sums

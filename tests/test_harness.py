@@ -1,13 +1,18 @@
+import importlib
+import importlib.util
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torwave import (CSV_SCHEMAS, ExperimentConfig, ExperimentReport,
-                     FileFormatError, UsageError, emit_report, parse_report,
-                     read_hlf, run_suite, write_hlf)
+from torwave import (CSV_SCHEMAS, CoefficientTree, ContractError, DyadicCube,
+                     ExperimentConfig, ExperimentReport, FileFormatError,
+                     TorwaveError, UsageError, build_basis, emit_report,
+                     grand_maximal, lusin_area, parse_operator, parse_report,
+                     read_hlf, run_suite, synthesize, write_hlf)
 from torwave.cli import main as cli_main
 from torwave.samples import random_function
 import torwave.harness as harness
@@ -29,6 +34,78 @@ def test_config_validation():
         ExperimentConfig(suite="reconstruction", sample_count=0).validate()
     with pytest.raises(UsageError, match="unknown config fields"):
         ExperimentConfig.from_dict({"suite": "reconstruction", "bogus": 1})
+
+
+@pytest.mark.parametrize("fields", [
+    {"resolutions": "abc"}, {"resolutions": [256.0]}, {"resolutions": 256},
+    {"resolutions": [True]}, {"sample_count": "3"}, {"sample_count": 2.5},
+    {"root_seed": None}, {"root_seed": -1}, {"basis": "daubechies"}, {"basis": ["daubechies"]},
+    {"basis": ["daubechies", 4, 1]}, {"basis": ["daubechies", "4"]},
+    {"basis_family": 4}, {"dim": 3}, {"dim": 0}, {"dim": 1.0}, {"dim": "2"},
+    {"coarse_level": "2"}, {"operator": 5}, {"tolerances": []},
+    {"tolerances": {"identity_rel": "x"}}, {"output_path": 7},
+], ids=lambda fields: json.dumps(fields))
+def test_badly_typed_config_is_a_usage_error(fields):
+    with pytest.raises(UsageError, match="bad config value|basis must be"):
+        ExperimentConfig.from_dict({"suite": "reconstruction", **fields})
+
+
+def test_config_must_be_an_object():
+    with pytest.raises(UsageError, match="JSON object"):
+        ExperimentConfig.from_dict([{"suite": "reconstruction"}])
+
+
+@pytest.mark.parametrize("spec,dim,name", [
+    ("identity", 1, "identity"), ("identity", 2, "identity"), ("hilbert", 1, "hilbert"),
+    ("riesz1", 1, "riesz1"), ("riesz1", 2, "riesz1"), ("riesz2", 2, "riesz2"),
+    ("ifrac:0.5", 1, "ifrac0.5"), ("ifrac:1.5", 2, "ifrac1.5"),
+])
+def test_parse_operator_linear_specs(spec, dim, name):
+    T = parse_operator(spec, dim, 64)
+    assert T.is_linear and T.dim == dim and T.name == name
+
+
+def test_parse_operator_sublinear_specs():
+    assert parse_operator("maximal", 2, 32) is grand_maximal(2, 32)
+    assert parse_operator("lusin", 1, 64) is lusin_area(1, 64)
+
+
+@pytest.mark.parametrize("spec,dim", [
+    ("rieszx", 2), ("riesz0", 2), ("riesz3", 2), ("riesz2", 1), ("riesz", 2),
+    ("riesz-1", 2), ("ifrac:abc", 1), ("ifrac:", 1), ("ifrac:0.5:1", 1),
+    ("ifrac:1.5", 1), ("ifrac:nan", 1), ("hilbert", 2), ("Hilbert", 1), ("", 1),
+    ("maximal ", 1), ("frac:0.5", 1),
+])
+def test_parse_operator_rejects_other_specs(spec, dim):
+    with pytest.raises(TorwaveError):
+        parse_operator(spec, dim, 64)
+
+
+@pytest.mark.parametrize("suite,operator", [
+    ("commutator_identity", "rieszx"), ("commutator_identity", "riesz0"),
+    ("commutator_identity", "ifrac:abc"), ("commutator_identity", "maximal"),
+    ("sandwich", "hilbert"), ("sandwich", "max"),
+])
+def test_suites_reject_unusable_operators(suite, operator):
+    cfg = ExperimentConfig(suite=suite, resolutions=[64], sample_count=1,
+                           operator=operator)
+    with pytest.raises((UsageError, ContractError)):
+        run_suite(cfg)
+
+
+def test_benchmark_traced_names_resolve():
+    # perfbench/tracer.py rebinds these by name: a rename must fail here, not there
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.FUNCTIONS and tracer.METHODS
+    for module, name in tracer.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"torwave.{module}"), name))
+    for module, cls, name in tracer.METHODS:
+        owner = getattr(importlib.import_module(f"torwave.{module}"), cls)
+        assert callable(getattr(owner, name))
+    assert set(tracer.SUITES) <= set(harness.SUITES)
 
 
 def test_deterministic_records():
@@ -194,6 +271,27 @@ def test_cli_run_failure_exit_code(tmp_path):
 def test_cli_run_unknown_suite_is_usage_error(tmp_path):
     cfg = _write_config(tmp_path)
     assert cli_main(["run", "--config", cfg, "--suite", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"suite": "reconstruction",', "", "[1, 2]",
+    '{"suite": "reconstruction", "resolutions": "abc"}',
+    '{"suite": "commutator_identity", "resolutions": [64], "operator": "riesz0"}',
+])
+def test_cli_run_bad_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_decompose_underflow_exits_2(tmp_path, capsys):
+    tree = CoefficientTree.unit_detail(DyadicCube(1, 4, (3,)), (1,), 2, 8) * 1e-200
+    path = tmp_path / "tiny.hlf1"
+    write_hlf(str(path), synthesize(tree, build_basis("daubechies", 4)))
+    assert cli_main(["decompose", "--input", str(path)]) == 2
+    assert "underflows" in capsys.readouterr().err
 
 
 def test_cli_norms_and_decompose(tmp_path, rng, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torwave import (ConfigurationError, DomainError, DyadicCube,
-                     SampledFunction, distance_field, hardy_norm,
+                     SampledFunction, build_basis, distance_field, hardy_norm,
                      hardy_square_parts, llog_quasinorm, lp_norm, norm_report,
                      oscillation_norm, synthesize, validate_atom,
                      weak_lp_quasinorm)
@@ -47,6 +47,36 @@ def test_oscillation_rejects_non_finite_samples(rng, bad, mode, dim):
     vals.flat[3] = bad
     with pytest.raises(DomainError, match="non-finite"):
         oscillation_norm(SampledFunction(vals), mode)
+
+
+ESTIMATORS = {
+    "Lp:1": lambda f: lp_norm(f, 1.0),
+    "Lp:2": lambda f: lp_norm(f, 2.0),
+    "Lp:inf": lambda f: lp_norm(f, np.inf),
+    "weakLp": lambda f: weak_lp_quasinorm(f, 1.5),
+    "Llog": llog_quasinorm,
+    "H1_square": lambda f: hardy_norm(f, "H1_square", build_basis("daubechies", 2), 2),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the transforms
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_norms_reject_non_finite_samples(rng, bad, estimator, dim):
+    # these used to return nan (or inf) for one bad sample
+    vals = random_function(rng, dim, 16).values.copy()
+    vals.flat[3] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        ESTIMATORS[estimator](SampledFunction(vals))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflow_of_finite_samples_is_not_a_domain_error():
+    # only non-finite samples raise; a finite sum may still overflow to inf
+    f = SampledFunction(np.full(64, 1e200))
+    assert lp_norm(f, 2.0) == np.inf
+    assert lp_norm(f, 1.0) == pytest.approx(1e200)
 
 
 def test_oscillation_ordering(rng):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from torwave import (ConfigurationError, DomainError, DyadicCube,
                      MultiplierOperator, SampledFunction, almost_diagonal_envelope_fit,
-                     analyze, apply_multiplier_operator, fractional_integral_operator,
-                     hilbert_operator, identity_operator, inner, k_class_ratio,
-                     operator_from_config, p_delta, pdelta_composition_check,
-                     riesz_operator, synthesize, wavelet_matrix)
+                     analyze, fractional_integral_operator, hilbert_operator,
+                     identity_operator, inner, k_class_ratio, p_delta,
+                     pdelta_composition_check, riesz_operator, synthesize,
+                     wavelet_matrix)
 from torwave.operators import WaveletMatrixOperator
 from torwave.samples import derive_rng, random_bmo, random_classical_atom, random_cube, random_h1_tree
 
@@ -57,17 +57,6 @@ def test_linearity_and_adjoint(rng):
     f2 = SampledFunction(rng.standard_normal((32, 32)))
     g2 = SampledFunction(rng.standard_normal((32, 32)))
     assert abs(inner(R.apply(f2), g2) - inner(f2, R.adjoint().apply(g2))) < 1e-10
-
-
-def test_operator_config_loading(tmp_path):
-    cfg = {"name": "halfint", "kind": "multiplier", "symbol": "fractional",
-           "alpha": 0.5, "dim": 1, "delta": 1.0}
-    path = tmp_path / "op.json"
-    path.write_text(__import__("json").dumps(cfg))
-    op = operator_from_config(str(path))
-    assert op.name == "halfint" and op.unbounded_at_zero
-    with pytest.raises(ConfigurationError):
-        operator_from_config({"symbol": "nope"})
 
 
 # -- p_delta -----------------------------------------------------------------
@@ -223,8 +212,3 @@ def test_matrix_transpose_swaps_keys(haar):
     for (src, dst), v in mat.entries.items():
         assert trans.entries[(dst, src)] == v
 
-
-def test_apply_multiplier_guard(db4):
-    mat = wavelet_matrix(identity_operator(1), db4, range(2, 4), 1, 64)
-    with pytest.raises(ConfigurationError):
-        apply_multiplier_operator(mat, SampledFunction(np.zeros(64)))

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import pointwise_commutator_naive
 from torwave import (ConfigurationError, GrandMaximal, LusinArea,
                      SampledFunction, distance_field, grand_maximal, lusin_area,
                      lusin_area_integral, maximal_function)
 from torwave.samples import derive_rng, random_bmo, random_function, two_sided_atom
-from torwave.sublinear import pointwise_commutator_naive
 
 
 def test_maximal_of_zero():
