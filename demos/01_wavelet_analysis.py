@@ -7,8 +7,9 @@ packet an atom.
 
 import numpy as np
 
-from torwave import (DyadicCube, SampledFunction, analyze, build_basis, lp_norm,
-                     synthesize, validate_psi_atom, wavelet_square_function)
+from torwave import (CoefficientTree, DyadicCube, SampledFunction, analyze,
+                     build_basis, lp_norm, synthesize, validate_psi_atom,
+                     wavelet_square_function)
 from torwave.samples import derive_rng, random_psi_atom
 
 rng = derive_rng(2024)
@@ -33,10 +34,7 @@ print(f"|sum coeff^2 - ||f||_L2^2| = {abs(tree.energy() - energy):.3e}")
 
 print("\n== the square function of a single wavelet ==")
 cube = DyadicCube(1, 4, (5,))
-single = analyze(SampledFunction(np.zeros(N)), basis, 2)
-details = single.mutable_details()
-details[4][(1,)][5] = 1.0
-single = single.replace(details=details)
+single = CoefficientTree.unit_detail(cube, (1,), 2, N.bit_length() - 1)
 w = wavelet_square_function(single)
 print(f"on the cube the square function equals |I|^(-1/2) = {cube.measure ** -0.5:g}; "
       f"measured {w.values[cube.grid_slices(N)].max():g}")

@@ -22,9 +22,16 @@ from .samples import derive_rng, random_psi_atom
 from .wavelets import analyze, build_basis, synthesize, validate_psi_atom
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _parse_basis(text: str):
     family, _, order = text.partition(":")
-    return build_basis(family, int(order) if order else 1)
+    return build_basis(family, _int(order, "basis order") if order else 1)
 
 
 def _cmd_run(args) -> int:
@@ -95,7 +102,12 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_atoms(args) -> int:
-    offset = tuple(int(k) for k in args.offset.split(","))
+    offset = tuple(_int(k, "--offset entry") for k in args.offset.split(","))
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    N = args.resolution
+    if N < 2 or N & (N - 1):
+        raise UsageError(f"--resolution must be a power of two >= 2, got {N}")
     if args.kind == "qb":
         if not args.b_file:
             raise UsageError("qb atoms need --b-file")
@@ -109,8 +121,8 @@ def _cmd_atoms(args) -> int:
     elif args.kind == "psi":
         basis = _parse_basis(args.basis) if args.basis else build_basis("daubechies", 4)
         rng = derive_rng(args.seed)
-        J = int(args.resolution).bit_length() - 1
-        tree, R = random_psi_atom(rng, len(offset), args.coarse_level or 2, J)
+        j0 = 2 if args.coarse_level is None else args.coarse_level
+        tree, R = random_psi_atom(rng, len(offset), j0, N.bit_length() - 1)
         atom = synthesize(tree, basis)
         check = validate_psi_atom(tree, R)
         print(check.describe(), f"(cube {R.key()})")

@@ -22,7 +22,7 @@ from .operators import fractional_integral_operator, hilbert_operator, riesz_ope
 from .paraproducts import ProductDecomposition, paraproducts, s_operator
 from .sublinear import grand_maximal
 from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection,
-                       sigma_set, wavelet_square_function)
+                       coeff_index, sigma_set, wavelet_square_function)
 
 # cost guard for per-evaluation-point commutators; raise these knowingly
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
@@ -291,7 +291,7 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     for j in f.levels():
         occupied = np.zeros((1 << j,) * f.dim, dtype=bool)
         for s in sigma_set(f.dim):
-            occupied |= f.details[j][s] != 0.0
+            occupied |= f.band(j, s) != 0.0
         for idx in np.argwhere(occupied):
             off = tuple(int(i) for i in idx)
             med = float(medians[j][off])
@@ -333,15 +333,15 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
             R = roots[root_id]
             members = groups[root_id]
             energy = 0.0
-            packet = CoefficientTree.zeros(f.dim, f.coarse_level, f.finest_level)
-            details = packet.mutable_details()
+            packet = np.zeros_like(f.coeffs)
             for (j, off) in members:
+                cube = DyadicCube(f.dim, j, off)
                 for s in sigma_set(f.dim):
-                    v = f.details[j][s][off]
-                    details[j][s][off] = v
+                    at = coeff_index(cube, s)
+                    v = packet[at] = f.coeffs[at]
                     energy += v * v
             lam = math.sqrt(energy) * R.measure ** 0.5
-            packet = packet.replace(details=details) * (1.0 / lam)
+            packet = CoefficientTree(packet, f.coarse_level) * (1.0 / lam)
             atoms.append((lam, packet, R))
             level_sets.setdefault(k, []).append(
                 {"cube": R.key(), "members": len(members)})

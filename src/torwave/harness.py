@@ -14,7 +14,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
@@ -26,6 +25,7 @@ from .commutators import (bilinear_decomposition, commutator_apply, commutator_p
                           subbilinear_envelope)
 from .core import DyadicCube, SampledFunction, sup_norm
 from .errors import UsageError
+from .hlf import atomic_write
 from .norms import hardy_norm, lp_norm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_ratio, p_delta,
@@ -601,19 +601,6 @@ def _canonical_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _atomic_write(path, text: str):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def emit_report(report: ExperimentReport, format: str = "json", path=None) -> str:
     """Serialize a report canonically (sorted keys, fixed float format) to `path`."""
     if format == "json":
@@ -630,7 +617,7 @@ def emit_report(report: ExperimentReport, format: str = "json", path=None) -> st
     else:
         raise UsageError(f"unknown report format {format!r} (json or csv)")
     if path is not None:
-        _atomic_write(path, text)
+        atomic_write(path, text)
     return text
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 
 import numpy as np
 
@@ -14,12 +15,27 @@ MAGIC = b"HLF1"
 _HEADER = struct.Struct("<4sII20s")
 
 
+def atomic_write(path, data) -> None:
+    """Write `data` (str or bytes) to a temporary file beside `path`, then
+    move it into place: `path` holds either its old or its new content."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        # mkstemp makes the file 0600; give it the mode a plain open() would
+        mask = os.umask(0)
+        os.umask(mask)
+        os.fchmod(fd, 0o666 & ~mask)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_hlf(path, f: SampledFunction) -> None:
     header = _HEADER.pack(MAGIC, f.dim, f.finest_level, b"\0" * 20)
-    data = np.ascontiguousarray(f.values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
+    atomic_write(path, header + np.ascontiguousarray(f.values, dtype="<f8").tobytes())
 
 
 def read_hlf(path) -> SampledFunction:

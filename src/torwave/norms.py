@@ -45,7 +45,7 @@ def _finite_input(value: float, f: SampledFunction, what: str) -> float:
 
 def lp_norm(f: SampledFunction, p: float) -> float:
     """Grid Riemann-sum Lp norm; p = inf gives the sup norm."""
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
     a = np.abs(f.values)
     value = float(a.max()) if math.isinf(p) else float((a ** p).mean() ** (1.0 / p))
@@ -58,7 +58,7 @@ def weak_lp_quasinorm(f: SampledFunction, p: float) -> float:
     The supremum over positive lambda is attained just below one of the
     attained values of |f|, so scanning the sorted value lattice is exact.
     """
-    if p < 1:
+    if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
     a = np.sort(np.abs(f.values).ravel())[::-1]
     if a[0] == 0.0:
@@ -130,11 +130,16 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
     """Luxemburg-type quasinorm with the weight log(e+|x|) + log(e+|f|/lambda).
 
     Found by bisection on lambda; the defining integral at the returned value
-    lies within `tol` of 1 unless f is identically zero.
+    lies within `tol` of 1 unless f is identically zero.  The integral depends
+    on |f| / lambda only, so lambda scales with |f|: the bisection runs on
+    |f| / max|f|, whose mean can neither overflow nor underflow, and the
+    result is scaled back.
     """
     a = np.abs(f.values)
     if not a.any():
         return 0.0
+    top = _finite_input(float(a.max()), f, "Llog quasinorm")
+    a = a / top
     dist = distance_field(f.dim, f.resolution, (0.0,) * f.dim)
     logx = np.log(math.e + dist)
 
@@ -142,24 +147,22 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
         r = a / lam
         return float((r / (logx + np.log(math.e + r))).mean())
 
-    hi = _finite_input(float(a.mean()) + 1e-300, f, "Llog quasinorm")
+    hi = float(a.mean())
     while integral(hi) >= 1.0:
         hi *= 2.0
     lo = hi / 2.0
     while integral(lo) < 1.0:
         lo /= 2.0
-        if lo < 1e-300:
-            return 0.0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         val = integral(mid)
         if abs(val - 1.0) <= tol:
-            return mid
+            return mid * top
         if val > 1.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) * top
 
 
 def hardy_square_parts(f: SampledFunction, basis: WaveletBasis,
@@ -197,11 +200,14 @@ def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = Non
                 coarse_level: int | None = None) -> NormReport:
     """Compute one named norm and wrap it with its method description."""
     N = f.resolution
-    if space.startswith("Lp:"):
-        p = float(space.split(":", 1)[1])
-        return NormReport(space, lp_norm(f, p), f"riemann-sum-L{p:g}", N)
-    if space.startswith("weakLp:"):
-        p = float(space.split(":", 1)[1])
+    if space.startswith(("Lp:", "weakLp:")):
+        kind, _, text = space.partition(":")
+        try:
+            p = float(text)
+        except ValueError:
+            raise ConfigurationError(f"exponent of {space!r} is not a number") from None
+        if kind == "Lp":
+            return NormReport(space, lp_norm(f, p), f"riemann-sum-L{p:g}", N)
         return NormReport(space, weak_lp_quasinorm(f, p), "sorted-lattice-weak", N)
     if space == "Llog":
         return NormReport(space, llog_quasinorm(f), "luxemburg-bisection", N)

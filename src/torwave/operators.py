@@ -18,8 +18,8 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, torus_distance
 from .errors import ConfigurationError, DomainError, ResolutionError, ShapeError
-from .wavelets import (CoefficientTree, WaveletBasis, analyze, sampled_wavelet,
-                       sigma_set)
+from .wavelets import (CoefficientTree, WaveletBasis, analyze, coeff_index,
+                       sampled_wavelet, sigma_set)
 
 MATRIX_ENTRY_FLOOR = 1e-14
 
@@ -162,14 +162,15 @@ class WaveletMatrixOperator:
 
     def apply_tree(self, tree: CoefficientTree) -> CoefficientTree:
         """Apply the matrix to detail coefficients within the level range."""
-        out = CoefficientTree.zeros(tree.dim, tree.coarse_level, tree.finest_level)
-        details = out.mutable_details()
+        if tree.dim != self.dim or not (tree.coarse_level <= self.levels.start
+                                        and self.levels.stop <= tree.finest_level):
+            raise ShapeError(f"{self!r} does not fit {tree!r}")
+        out = np.zeros_like(tree.coeffs)
         for (src, dst), v in self.entries.items():
-            (cube, s), (cube2, s2) = src, dst
-            c = tree.details[cube.level][s][cube.offset]
+            c = tree.coeffs[coeff_index(*src)]
             if c != 0.0:
-                details[cube2.level][s2][cube2.offset] += v * c
-        return out.replace(details=details)
+                out[coeff_index(*dst)] += v * c
+        return CoefficientTree(out, tree.coarse_level)
 
     def to_triplets(self) -> str:
         """Sorted text rows 'row-key col-key value' for external inspection."""
@@ -196,15 +197,15 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
     if levels.stop > J or levels.start < 0 or len(levels) == 0:
         raise ResolutionError(f"level range {levels} incompatible with resolution {resolution}")
     j0 = levels.start
+    index = list(_basis_index(dim, levels))
+    # per-axis positions of every basis coefficient in a coefficient array
+    at = tuple(np.array(axis) for axis in zip(*(coeff_index(*key) for key in index)))
     entries = {}
-    for cube, s in _basis_index(dim, levels):
-        psi = SampledFunction(sampled_wavelet(basis, J, cube, s))
-        image = op.apply(psi)
-        col = analyze(image, basis, j0)
-        for cube2, s2 in _basis_index(dim, levels):
-            v = col.details[cube2.level][s2][cube2.offset]
-            if abs(v) >= MATRIX_ENTRY_FLOOR:
-                entries[((cube, s), (cube2, s2))] = float(v)
+    for key in index:
+        psi = SampledFunction(sampled_wavelet(basis, J, *key))
+        col = analyze(op.apply(psi), basis, j0).coeffs[at]
+        for i in np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR):
+            entries[(key, index[i])] = float(col[i])
     return WaveletMatrixOperator(getattr(op, "name", "op"), dim, levels, entries,
                                  delta=getattr(op, "delta", 1.0))
 

@@ -45,14 +45,11 @@ def _diagonal_layer(f: CoefficientTree, g: CoefficientTree, basis: WaveletBasis,
     step = N >> level
     out = np.zeros((N,) * f.dim)
     for s in sigma_set(f.dim):
-        prod = f.details[level][s] * g.details[level][s]
+        prod = f.band(level, s) * g.band(level, s)
         if not prod.any():
             continue
         lattice = np.zeros_like(out)
-        if f.dim == 1:
-            lattice[::step] = prod
-        else:
-            lattice[::step, ::step] = prod
+        lattice[(slice(None, None, step),) * f.dim] = prod
         sq = mother_wavelet(basis, f.dim, f.finest_level, level, s) ** 2
         out += np.fft.ifftn(np.fft.fftn(lattice) * np.fft.fftn(sq)).real
     return out
@@ -111,7 +108,7 @@ def s_operator(f: CoefficientTree, g: CoefficientTree,
 def diagonal_coefficient_sum(f: CoefficientTree, g: CoefficientTree) -> float:
     """Sum of matched detail-coefficient products over all cubes and orientations."""
     same_layout(f, g)
-    return float(sum((f.details[j][s] * g.details[j][s]).sum()
+    return float(sum((f.band(j, s) * g.band(j, s)).sum()
                      for j in f.levels() for s in sigma_set(f.dim)))
 
 

@@ -14,7 +14,7 @@ from .core import DyadicCube, SampledFunction, distance_field
 from .errors import DegeneracyError, DomainError
 from .norms import oscillation_norm
 from .operators import frequency_grid
-from .wavelets import CoefficientTree, sigma_set
+from .wavelets import CoefficientTree, band_index, sigma_set
 
 
 def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
@@ -39,14 +39,14 @@ def random_function(rng, dim: int, resolution: int, kind: str = "smooth",
 def random_tree(rng, dim: int, coarse_level: int, finest_level: int,
                 decay: float = 0.5) -> CoefficientTree:
     """Random coefficient tree with level-decaying detail energy."""
-    tree = CoefficientTree.zeros(dim, coarse_level, finest_level)
-    details = tree.mutable_details()
+    coeffs = np.array(CoefficientTree.zeros(dim, coarse_level, finest_level).coeffs)
     for j in range(coarse_level, finest_level):
         for s in sigma_set(dim):
-            details[j][s][...] = rng.standard_normal((1 << j,) * dim) \
+            coeffs[band_index(j, s)] = rng.standard_normal((1 << j,) * dim) \
                 * decay ** (j - coarse_level)
-    scaling = rng.standard_normal((1 << coarse_level,) * dim)
-    return tree.replace(scaling=scaling, details=details)
+    coeffs[band_index(coarse_level, (0,) * dim)] = \
+        rng.standard_normal((1 << coarse_level,) * dim)
+    return CoefficientTree(coeffs, coarse_level)
 
 
 def random_cube(rng, dim: int, level_low: int, level_high: int) -> DyadicCube:
@@ -60,21 +60,17 @@ def random_psi_atom(rng, dim: int, coarse_level: int, finest_level: int,
     """Unit-budget wavelet packet on a random cube R; returns (tree, R)."""
     top = max(coarse_level, finest_level - 2 if level_high is None else level_high)
     R = random_cube(rng, dim, coarse_level, top)
-    tree = CoefficientTree.zeros(dim, coarse_level, finest_level)
-    details = tree.mutable_details()
+    coeffs = np.array(CoefficientTree.zeros(dim, coarse_level, finest_level).coeffs)
     total = 0.0
     for j in range(R.level, min(R.level + depth + 1, finest_level)):
         span = 1 << (j - R.level)
         block = tuple(slice(k * span, (k + 1) * span) for k in R.offset)
         for s in sigma_set(dim):
             vals = rng.standard_normal((span,) * dim) * 2.0 ** (-(j - R.level))
-            details[j][s][block] = vals
+            coeffs[band_index(j, s)][block] = vals
             total += float(np.sum(vals ** 2))
-    scale = R.measure ** -0.5 / math.sqrt(total)
-    for j_layer in details.values():
-        for s in j_layer:
-            j_layer[s] *= scale
-    return tree.replace(details=details), R
+    coeffs *= R.measure ** -0.5 / math.sqrt(total)
+    return CoefficientTree(coeffs, coarse_level), R
 
 
 def random_h1_tree(rng, dim: int, coarse_level: int, finest_level: int,

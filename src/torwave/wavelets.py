@@ -6,6 +6,17 @@ discrete wavelet, and the synthesized wavelet of a unit coefficient has grid
 L2 norm exactly 1.  All transforms are circular, so analysis/synthesis is an
 orthogonal map and reconstruction is exact to roundoff.
 
+A coefficient tree is one (N,)*dim array in Mallat's in-place layout.  The
+scaling coefficients of the coarse level j0 fill the `[:2^j0]^dim` corner;
+detail band (j, sigma) is the block `sigma_a 2^j : (sigma_a + 1) 2^j` on
+each axis a (`band_index`).  `analyze` works on one copy of the samples: for
+j = J-1 down to j0 it filters the `[:2^(j+1)]^dim` corner along each axis in
+turn, low channel into the first half of the axis and high channel into the
+second, so the corner's own `[:2^j]^dim` corner is the next level's scaling
+array.  `scaling_cascade` (and with it `synthesize` and `projection_stack`)
+runs the same loop backwards on one working copy, last axis first, handing
+`_up` the two halves of the corner.  Neither loop depends on the dimension.
+
 The filter-bank steps are polyphase.  Analysis (`_down`) reads tap m of every
 decimated output through the strided view `pad[m : m+n : 2]` of one
 wrap-padded copy.  Synthesis (`_up`) never forms the zero-stuffed upsampled
@@ -20,12 +31,12 @@ The terms the zero-stuffed sum also added were all +-0.0, at least one of
 them +0.0, so it never returned -0.0.  `_up` ends with `+ 0.0` to keep that
 sign of zero, which the JSON case records carry.
 """
-
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 
@@ -214,11 +225,9 @@ def default_coarse_level(basis: WaveletBasis) -> int:
 
 def sigma_set(dim: int) -> tuple[tuple[int, ...], ...]:
     """Detail orientations: all 0/1 tuples of length dim except all zeros."""
-    if dim == 1:
-        return ((1,),)
-    if dim == 2:
-        return ((0, 1), (1, 0), (1, 1))
-    raise DomainError(f"dim must be 1 or 2, got {dim}")
+    if dim not in (1, 2):
+        raise DomainError(f"dim must be 1 or 2, got {dim}")
+    return tuple(product((0, 1), repeat=dim))[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -280,95 +289,72 @@ def _up(channels: tuple, taps: np.ndarray, axis: int) -> np.ndarray:
     return acc.reshape(shape)
 
 
-def _step_down(s: np.ndarray, basis: WaveletBasis):
-    """One analysis step: scaling array at level j+1 -> (level-j scaling, details)."""
-    taps = basis.filter_rows
-    if s.ndim == 1:
-        lo, hi = _down(s, taps, 0)
-        return lo, {(1,): hi}
-    # both[c1, c0] is filtered with row c0 of `taps` along axis 0, row c1 along axis 1
-    both = _down(_down(s, taps, 0), taps, 2)
-    return both[0, 0], {(0, 1): both[1, 0], (1, 0): both[0, 1], (1, 1): both[1, 1]}
-
-
-def _step_up(s: np.ndarray, details: dict, basis: WaveletBasis) -> np.ndarray:
-    """One synthesis step, exact inverse of `_step_down`."""
-    taps = basis.filter_rows
-    if s.ndim == 1:
-        return _up((s, details[(1,)]), taps, 0)
-    lo0 = _up((s, details[(0, 1)]), taps, 1)
-    hi0 = _up((details[(1, 0)], details[(1, 1)]), taps, 1)
-    return _up((lo0, hi0), taps, 0)
-
-
-def _zero_details(dim: int, level: int) -> dict:
-    shape = (1 << level,) * dim
-    return {s: np.zeros(shape) for s in sigma_set(dim)}
-
-
 # ---------------------------------------------------------------------------
 # coefficient trees
 # ---------------------------------------------------------------------------
 
+def band_index(level: int, sigma) -> tuple:
+    """Block `sigma_a 2^level : (sigma_a + 1) 2^level` on each axis a of a
+    coefficient array: detail band (level, sigma), or with sigma all zeros
+    the corner that holds the level's scaling coefficients."""
+    n = 1 << level
+    return tuple(slice(s * n, (s + 1) * n) for s in sigma)
+
+
+def coeff_index(cube: DyadicCube, sigma) -> tuple:
+    """Position of the (cube, sigma) detail coefficient in a coefficient array."""
+    return tuple((s << cube.level) + k for s, k in zip(sigma, cube.offset))
+
+
 class CoefficientTree:
-    """Scaling coefficients at one coarse level plus detail layers up to J-1."""
+    """Scaling coefficients at one coarse level plus detail bands up to J-1,
+    in Mallat's layout: one read-only (N,)*dim array `coeffs`, the scaling
+    coefficients in its `[:2^j0]^dim` corner and band (j, sigma) at
+    `band_index(j, sigma)`."""
 
-    __slots__ = ("dim", "coarse_level", "finest_level", "scaling", "details")
+    __slots__ = ("coeffs", "dim", "coarse_level", "finest_level")
 
-    def __init__(self, dim: int, coarse_level: int, finest_level: int,
-                 scaling: np.ndarray, details: dict):
-        if dim not in (1, 2):
-            raise DomainError(f"dim must be 1 or 2, got {dim}")
+    def __init__(self, coeffs, coarse_level: int):
+        coeffs = np.array(coeffs, dtype=float)
+        sigma_set(coeffs.ndim)  # DomainError unless dim is 1 or 2
+        n = coeffs.shape[0]
+        if n < 1 or n & (n - 1) or coeffs.shape != (n,) * coeffs.ndim:
+            raise ShapeError(f"coefficient array has shape {coeffs.shape}, "
+                             f"need (N,)*dim with N a power of two")
+        finest_level = n.bit_length() - 1
         if not 0 <= coarse_level < finest_level:
             raise ResolutionError(
                 f"need 0 <= coarse_level < finest_level, got {coarse_level}, {finest_level}")
-        self.dim = dim
+        coeffs.flags.writeable = False
+        self.coeffs = coeffs
+        self.dim = coeffs.ndim
         self.coarse_level = coarse_level
         self.finest_level = finest_level
-        scaling = np.array(scaling, dtype=float)
-        if scaling.shape != (1 << coarse_level,) * dim:
-            raise ShapeError(f"scaling array has shape {scaling.shape}")
-        scaling.flags.writeable = False
-        self.scaling = scaling
-        sigs = sigma_set(dim)
-        out = {}
-        for j in range(coarse_level, finest_level):
-            layer = {}
-            for s in sigs:
-                arr = np.array(details[j][s], dtype=float)
-                if arr.shape != (1 << j,) * dim:
-                    raise ShapeError(f"detail layer {j}/{s} has shape {arr.shape}")
-                arr.flags.writeable = False
-                layer[s] = arr
-            out[j] = layer
-        self.details = out
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, dim: int, coarse_level: int, finest_level: int) -> "CoefficientTree":
-        scaling = np.zeros((1 << coarse_level,) * dim)
-        details = {j: _zero_details(dim, j) for j in range(coarse_level, finest_level)}
-        return cls(dim, coarse_level, finest_level, scaling, details)
+        sigma_set(dim)  # checked before N^dim entries are allocated
+        # a negative J gives N = 1, which fails the coarse-level check
+        return cls(np.zeros((1 << max(finest_level, 0),) * dim), coarse_level)
 
     @classmethod
     def unit_detail(cls, cube: DyadicCube, sigma: tuple, coarse_level: int,
                     finest_level: int) -> "CoefficientTree":
-        tree = cls.zeros(cube.dim, coarse_level, finest_level)
-        d = tree.mutable_details()
-        d[cube.level][tuple(sigma)][cube.offset] = 1.0
-        return cls(cube.dim, coarse_level, finest_level, tree.scaling, d)
+        zero = cls.zeros(cube.dim, coarse_level, finest_level)
+        zero.band(cube.level, sigma)  # ShapeError for a band the tree lacks
+        coeffs = np.array(zero.coeffs)
+        coeffs[coeff_index(cube, sigma)] = 1.0
+        return cls(coeffs, coarse_level)
 
-    def replace(self, scaling=None, details=None) -> "CoefficientTree":
-        return CoefficientTree(
-            self.dim, self.coarse_level, self.finest_level,
-            self.scaling if scaling is None else scaling,
-            self.details if details is None else details,
-        )
-
-    def mutable_details(self) -> dict:
-        return {j: {s: a.copy() for s, a in layer.items()}
-                for j, layer in self.details.items()}
+    def replace(self, scaling) -> "CoefficientTree":
+        scaling = np.asarray(scaling, dtype=float)
+        if scaling.shape != self.scaling.shape:
+            raise ShapeError(f"scaling array has shape {scaling.shape}")
+        coeffs = np.array(self.coeffs)
+        coeffs[band_index(self.coarse_level, (0,) * self.dim)] = scaling
+        return CoefficientTree(coeffs, self.coarse_level)
 
     # -- accessors ------------------------------------------------------------
 
@@ -376,22 +362,27 @@ class CoefficientTree:
     def resolution(self) -> int:
         return 1 << self.finest_level
 
+    @property
+    def scaling(self) -> np.ndarray:
+        return self.coeffs[band_index(self.coarse_level, (0,) * self.dim)]
+
     def levels(self) -> range:
         return range(self.coarse_level, self.finest_level)
 
-    def detail(self, cube: DyadicCube, sigma: tuple) -> float:
-        return float(self.details[cube.level][tuple(sigma)][cube.offset])
+    def band(self, j: int, sigma) -> np.ndarray:
+        """Read-only view of detail band (j, sigma)."""
+        if j not in self.levels() or tuple(sigma) not in sigma_set(self.dim):
+            raise ShapeError(f"{self!r} has no detail band ({j}, {tuple(sigma)})")
+        return self.coeffs[band_index(j, sigma)]
 
-    def scaling_coeff(self, cube: DyadicCube) -> float:
-        if cube.level != self.coarse_level:
-            raise ShapeError(f"scaling coefficients live at level {self.coarse_level}")
-        return float(self.scaling[cube.offset])
+    def detail(self, cube: DyadicCube, sigma: tuple) -> float:
+        return float(self.band(cube.level, sigma)[cube.offset])
 
     def iter_details(self, threshold: float = 0.0):
         """Yield (cube, sigma, value) with |value| > threshold, in fixed order."""
         for j in self.levels():
             for s in sigma_set(self.dim):
-                arr = self.details[j][s]
+                arr = self.band(j, s)
                 for idx in np.argwhere(np.abs(arr) > threshold):
                     off = tuple(int(i) for i in idx)
                     yield DyadicCube(self.dim, j, off), s, float(arr[off])
@@ -401,19 +392,14 @@ class CoefficientTree:
         return total + self.detail_energy()
 
     def detail_energy(self) -> float:
-        return float(sum(np.sum(a ** 2) for layer in self.details.values()
-                         for a in layer.values()))
+        return float(sum(np.sum(self.band(j, s) ** 2) for j in self.levels()
+                         for s in sigma_set(self.dim)))
 
     # -- linear structure -----------------------------------------------------
 
     def _binary(self, other, op):
-        if (self.dim, self.coarse_level, self.finest_level) != \
-                (other.dim, other.coarse_level, other.finest_level):
-            raise ShapeError("tree layouts do not match")
-        details = {j: {s: op(self.details[j][s], other.details[j][s])
-                       for s in self.details[j]} for j in self.details}
-        return CoefficientTree(self.dim, self.coarse_level, self.finest_level,
-                               op(self.scaling, other.scaling), details)
+        same_layout(self, other)
+        return CoefficientTree(op(self.coeffs, other.coeffs), self.coarse_level)
 
     def __add__(self, other):
         return self._binary(other, np.add)
@@ -422,11 +408,7 @@ class CoefficientTree:
         return self._binary(other, np.subtract)
 
     def __mul__(self, c):
-        c = float(c)
-        details = {j: {s: c * a for s, a in layer.items()}
-                   for j, layer in self.details.items()}
-        return CoefficientTree(self.dim, self.coarse_level, self.finest_level,
-                               c * self.scaling, details)
+        return CoefficientTree(float(c) * self.coeffs, self.coarse_level)
 
     __rmul__ = __mul__
 
@@ -463,35 +445,40 @@ def analyze(f: SampledFunction, basis: WaveletBasis,
     J = f.finest_level
     j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
     _require_valid_levels(basis, j0, J)
-    s = f.values * float(f.resolution) ** (-f.dim / 2.0)
-    details = {}
+    work = f.values * float(f.resolution) ** (-f.dim / 2.0)
     for j in range(J - 1, j0 - 1, -1):
-        s, details[j] = _step_down(s, basis)
-    return CoefficientTree(f.dim, j0, J, s, details)
-
-
-def synthesize(tree: CoefficientTree, basis: WaveletBasis) -> SampledFunction:
-    """Reconstruct the sampled function from its coefficient tree."""
-    _require_valid_levels(basis, tree.coarse_level, tree.finest_level)
-    s = tree.scaling
-    for j in tree.levels():
-        s = _step_up(s, tree.details[j], basis)
-    return SampledFunction(s * float(tree.resolution) ** (tree.dim / 2.0))
+        corner = work[band_index(j + 1, (0,) * f.dim)]
+        for axis in range(f.dim):
+            # the low channel fills the first half of the axis, the high the second
+            np.concatenate(_down(corner, basis.filter_rows, axis), axis=axis, out=corner)
+    return CoefficientTree(work, j0)
 
 
 def scaling_cascade(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     """Scaling coefficient arrays at every level j0..J (J entry reproduces f)."""
+    _require_valid_levels(basis, tree.coarse_level, tree.finest_level)
     out = {tree.coarse_level: tree.scaling}
-    s = tree.scaling
+    work = np.array(tree.coeffs)
     for j in tree.levels():
-        s = _step_up(s, tree.details[j], basis)
-        out[j + 1] = s
+        corner = band_index(j + 1, (0,) * tree.dim)
+        s = work[corner]
+        for axis in range(tree.dim - 1, -1, -1):
+            halves = (s[_along(tree.dim, axis, slice(0, 1 << j))],
+                      s[_along(tree.dim, axis, slice(1 << j, None))])
+            s = _up(halves, basis.filter_rows, axis)
+        work[corner] = out[j + 1] = s
     return out
+
+
+def synthesize(tree: CoefficientTree, basis: WaveletBasis) -> SampledFunction:
+    """Reconstruct the sampled function from its coefficient tree."""
+    s = scaling_cascade(tree, basis)[tree.finest_level]
+    return SampledFunction(s * float(tree.resolution) ** (tree.dim / 2.0))
 
 
 def _ladder_step(stack: np.ndarray, dim: int, basis: WaveletBasis) -> np.ndarray:
     """One scaling-only synthesis step of every row of `stack`, last axis
-    first as in `_step_up`; the detail channel is zero, so it is left out."""
+    first as in `scaling_cascade`; the detail channel is zero, so it is left out."""
     for axis in range(dim, 0, -1):
         stack = _up((stack,), basis.filter_rows, axis)
     return stack
@@ -563,7 +550,7 @@ def wavelet_square_function(tree: CoefficientTree) -> SampledFunction:
     N = tree.resolution
     acc = np.zeros((N,) * tree.dim)
     for j in tree.levels():
-        sq = sum(a ** 2 for a in tree.details[j].values())
+        sq = sum(tree.band(j, s) ** 2 for s in sigma_set(tree.dim))
         acc += _expand(sq, N >> j) * 2.0 ** (j * tree.dim)
     return SampledFunction(np.sqrt(acc))
 
@@ -606,8 +593,8 @@ def validate_psi_atom(tree: CoefficientTree, R: DyadicCube,
     bad = []
     for j in tree.levels():
         inside = _inside_mask(tree.dim, j, R)
-        for s, arr in tree.details[j].items():
-            hit = np.abs(arr) > zero_tol
+        for s in sigma_set(tree.dim):
+            hit = np.abs(tree.band(j, s)) > zero_tol
             if inside is not None:
                 hit &= ~inside
             for idx in np.argwhere(hit):
@@ -622,10 +609,5 @@ def _inside_mask(dim: int, level: int, R: DyadicCube):
     if level < R.level:
         return np.zeros((1 << level,) * dim, dtype=bool)
     shift = level - R.level
-    axes = []
-    for k in R.offset:
-        idx = np.arange(1 << level) >> shift
-        axes.append(idx == k)
-    if dim == 1:
-        return axes[0]
-    return np.logical_and.outer(axes[0], axes[1])
+    axes = [(np.arange(1 << level) >> shift) == k for k in R.offset]
+    return reduce(np.logical_and.outer, axes)

@@ -11,7 +11,7 @@ from itertools import product
 
 import numpy as np
 
-from torwave import CoefficientTree, SampledFunction, synthesize
+from torwave import CoefficientTree, DyadicCube, SampledFunction, synthesize
 from torwave.errors import ShapeError
 from torwave.wavelets import sigma_set
 
@@ -30,10 +30,8 @@ def basis_vectors(basis, dim, j0, J):
             phis[j].append(synthesize(tree, basis).values)
         psis[j] = []
         for k in range(1 << j):
-            tree = CoefficientTree.zeros(1, j, J)
-            det = tree.mutable_details()
-            det[j][(1,)][k] = 1.0
-            psis[j].append(synthesize(tree.replace(details=det), basis).values)
+            tree = CoefficientTree.unit_detail(DyadicCube(1, j, (k,)), (1,), j, J)
+            psis[j].append(synthesize(tree, basis).values)
     return phis, psis
 
 
@@ -164,7 +162,7 @@ def roll_scaling_cascade(tree, basis):
     out = {tree.coarse_level: tree.scaling}
     s = tree.scaling
     for j in tree.levels():
-        s = _step_up(s, tree.details[j], basis)
+        s = _step_up(s, {sg: tree.band(j, sg) for sg in sigma_set(tree.dim)}, basis)
         out[j + 1] = s
     return out
 

@@ -15,8 +15,8 @@ import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CoefficientTree, SampledFunction, analyze, build_basis,
                      coarse_projection, projection_stack, synthesize)
-from torwave.wavelets import (_down, _up, default_coarse_level, min_coarse_level,
-                              scaling_cascade, sigma_set)
+from torwave.wavelets import (_down, _up, band_index, default_coarse_level,
+                              min_coarse_level, scaling_cascade, sigma_set)
 
 BASES = {"haar": ("haar", 1), "db2": ("daubechies", 2), "db4": ("daubechies", 4),
          "db8": ("daubechies", 8), "db10": ("daubechies", 10)}
@@ -51,9 +51,12 @@ CASES = _cases(1, [1 << k for k in range(1, 11)]) + _cases(2, [16, 32, 64])
 
 
 def _tree(kind, rng, dim, j0, J):
-    details = {j: {s: _values(kind, rng, (1 << j,) * dim) for s in sigma_set(dim)}
-               for j in range(j0, J)}
-    return CoefficientTree(dim, j0, J, _values(kind, rng, (1 << j0,) * dim), details)
+    coeffs = np.zeros((1 << J,) * dim)
+    for j in range(j0, J):
+        for s in sigma_set(dim):
+            coeffs[band_index(j, s)] = _values(kind, rng, (1 << j,) * dim)
+    coeffs[band_index(j0, (0,) * dim)] = _values(kind, rng, (1 << j0,) * dim)
+    return CoefficientTree(coeffs, j0)
 
 
 @pytest.mark.parametrize("name,shape,j0", CASES,
@@ -70,7 +73,7 @@ def test_filter_bank_matches_roll_steps(name, shape, j0, kind):
     assert_bitwise_equal(tree.scaling, scaling)
     for j in tree.levels():
         for s in sigma_set(dim):
-            assert_bitwise_equal(tree.details[j][s], details[j][s])
+            assert_bitwise_equal(tree.band(j, s), details[j][s])
 
     tree = _tree(kind, rng, dim, j0, J)
     assert_bitwise_equal(synthesize(tree, basis).values, oracles.roll_synthesize(tree, basis))

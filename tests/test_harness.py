@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import os
 import re
 import struct
 from pathlib import Path
@@ -15,6 +16,7 @@ from torwave import (CSV_SCHEMAS, CoefficientTree, ContractError, DyadicCube,
                      read_hlf, run_suite, synthesize, write_hlf)
 from torwave.cli import main as cli_main
 from torwave.samples import random_function
+import torwave
 import torwave.harness as harness
 
 
@@ -93,12 +95,17 @@ def test_suites_reject_unusable_operators(suite, operator):
         run_suite(cfg)
 
 
-def test_benchmark_traced_names_resolve():
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_traced_names_resolve(monkeypatch):
     # perfbench/tracer.py rebinds these by name: a rename must fail here, not there
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     assert tracer.FUNCTIONS and tracer.METHODS
     for module, name in tracer.FUNCTIONS:
         assert callable(getattr(importlib.import_module(f"torwave.{module}"), name))
@@ -106,6 +113,11 @@ def test_benchmark_traced_names_resolve():
         owner = getattr(importlib.import_module(f"torwave.{module}"), cls)
         assert callable(getattr(owner, name))
     assert set(tracer.SUITES) <= set(harness.SUITES)
+    # the set-up probe builds each workload's cached objects through the public API
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    setup_time = _perfbench_module("setup_time")
+    for workload in setup_time.WORKLOADS:
+        setup_time.construct(torwave, workload)
 
 
 def test_deterministic_records():
@@ -198,13 +210,33 @@ def test_csv_schema_and_row_count():
     assert len(lines) - 2 == cfg.sample_count * len(cfg.resolutions)
 
 
-def test_report_written_atomically(tmp_path):
+def test_report_written_atomically(tmp_path, rng, monkeypatch):
     cfg = ExperimentConfig(suite="reconstruction", resolutions=[128],
                            sample_count=2)
     rep = run_suite(cfg)
     out = tmp_path / "rep.json"
     emit_report(rep, "json", str(out))
     assert parse_report(str(out)).suite == "reconstruction"
+    hlf = tmp_path / "f.hlf1"
+    write_hlf(str(hlf), random_function(rng, 1, 64))
+    assert not list(tmp_path.glob("*.tmp"))
+    mask = os.umask(0)
+    os.umask(mask)
+    for path in (out, hlf):  # the mode of a plain open(), not mkstemp's 0600
+        assert path.stat().st_mode & 0o777 == 0o666 & ~mask
+
+    # a write that fails at the final rename leaves the old file and no temp file
+    old = {path: path.read_bytes() for path in (out, hlf)}
+
+    def no_replace(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", no_replace)
+    with pytest.raises(OSError, match="rename refused"):
+        emit_report(rep, "csv", str(out))
+    with pytest.raises(OSError, match="rename refused"):
+        write_hlf(str(hlf), random_function(rng, 1, 128))
+    assert {path: path.read_bytes() for path in old} == old
     assert not list(tmp_path.glob("*.tmp"))
 
 
@@ -307,6 +339,32 @@ def test_cli_norms_and_decompose(tmp_path, rng, capsys):
     code = cli_main(["decompose", "--input", str(path), "--out", str(out)])
     assert code == 0
     assert out.read_text().startswith("# atom 0 lambda=")
+
+
+@pytest.mark.parametrize("argv", [
+    ["atoms", "--kind", "psi", "--seed", "-1"],
+    ["atoms", "--kind", "qb", "--b-file", "{b}", "--seed", "-1"],
+    ["atoms", "--kind", "psi", "--offset", "a,b"],
+    ["atoms", "--kind", "psi", "--resolution", "100"],
+    ["atoms", "--kind", "psi", "--resolution", "4"],  # no level below the coarse one
+    ["atoms", "--kind", "psi", "--coarse-level", "0"],  # db4 wraps at level 0
+    ["atoms", "--kind", "psi", "--basis", "daubechies:x"],
+    ["norms", "--input", "{b}", "--space", "Lp:2", "--basis", "daubechies:x"],
+    ["norms", "--input", "{b}", "--space", "Lp:abc"],
+    ["norms", "--input", "{b}", "--space", "weakLp:nan"],
+    ["decompose", "--input", "{b}", "--basis", "daubechies:x"],
+], ids=["psi-seed", "qb-seed", "offset", "resolution", "coarse-resolution",
+        "coarse-level-0", "atoms-basis", "norms-basis", "norms-exponent", "norms-nan",
+        "decompose-basis"])
+def test_cli_bad_arguments_exit_2(tmp_path, rng, capsys, argv):
+    b = tmp_path / "b.hlf1"
+    write_hlf(str(b), random_function(rng, 1, 256))
+    out = tmp_path / "out.hlf1"
+    code = cli_main([a.format(b=b) for a in argv] + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_cli_atoms_and_report_roundtrip(tmp_path, rng, capsys):

@@ -126,14 +126,31 @@ def test_llog_zero_and_monotone(rng):
         assert llog_quasinorm(2.0 * f) >= llog_quasinorm(f) - 1e-12
 
 
+def _llog_integral(f, lam):
+    dist = distance_field(f.dim, f.resolution, (0.0,) * f.dim)
+    r = np.abs(f.values) / lam
+    return float((r / (np.log(math.e + dist) + np.log(math.e + r))).mean())
+
+
 def test_llog_defining_integral_is_one(rng):
     for i in range(20):
         f = random_function(derive_rng(61, i), 1, 128, amplitude=5.0)
-        lam = llog_quasinorm(f)
-        dist = distance_field(1, 128, (0.0,))
-        r = np.abs(f.values) / lam
-        integral = float((r / (np.log(math.e + dist) + np.log(math.e + r))).mean())
-        assert abs(integral - 1.0) <= 1e-6
+        assert abs(_llog_integral(f, llog_quasinorm(f)) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [1e308, 1e-305, 1.0])
+def test_llog_of_extreme_constants(c):
+    # the mean of 1e308 samples overflows, 1e-305 ones fell below the old bracket
+    f = SampledFunction(np.full(64, c))
+    lam = llog_quasinorm(f)
+    assert math.isfinite(lam) and lam > 0.0
+    assert abs(_llog_integral(f, lam) - 1.0) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-3, 7.0, 1e300])
+def test_llog_is_positively_homogeneous(rng, c):
+    f = random_function(rng, 1, 128)
+    assert abs(llog_quasinorm(c * f) / (c * llog_quasinorm(f)) - 1.0) <= 1e-5
 
 
 @settings(max_examples=25, deadline=None)

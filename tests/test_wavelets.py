@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torwave import (CoefficientTree, ConfigurationError, DyadicCube,
-                     ResolutionError, SampledFunction, analyze, build_basis,
+from torwave import (CoefficientTree, ConfigurationError, DomainError, DyadicCube,
+                     ResolutionError, SampledFunction, ShapeError, analyze, build_basis,
                      default_coarse_level, hardy_norm, lp_norm, min_coarse_level,
                      sampled_wavelet, synthesize, validate_psi_atom,
                      wavelet_square_function)
 from torwave.samples import derive_rng, random_psi_atom, random_tree
+from torwave.wavelets import band_index, sigma_set
 
 from oracles import literal_detail_coefficients
 
@@ -103,11 +104,7 @@ def test_round_trip_and_parseval_property(seed, dim):
     f = synthesize(tree, basis)
     back = analyze(f, basis, 2)
     assert abs(back.energy() - tree.energy()) <= 1e-10 * (1.0 + tree.energy())
-    for j in tree.levels():
-        for s in tree.details[j]:
-            np.testing.assert_allclose(back.details[j][s], tree.details[j][s],
-                                       atol=1e-10)
-    np.testing.assert_allclose(back.scaling, tree.scaling, atol=1e-10)
+    np.testing.assert_allclose(back.coeffs, tree.coeffs, atol=1e-10)
 
 
 def test_constant_scaling_tree_synthesizes_constant(haar):
@@ -189,8 +186,7 @@ def test_psi_atom_validation_cases(rng):
     check = validate_psi_atom(atom, R2)
     assert check
     # independent summation of the coefficient budget
-    total = sum(float(np.sum(a ** 2)) for layer in atom.details.values()
-                for a in layer.values())
+    total = float(np.sum(atom.coeffs ** 2))
     assert math.sqrt(total) <= R2.measure ** -0.5 * (1.0 + 1e-10)
 
 
@@ -207,7 +203,7 @@ def test_detail_coefficients_match_literal_inner_products(db2, rng):
     tree = analyze(SampledFunction(f), db2, 2)
     literal = literal_detail_coefficients(f, db2, 2)
     for j in literal:
-        np.testing.assert_allclose(tree.details[j][(1,)], literal[j], atol=1e-12)
+        np.testing.assert_allclose(tree.band(j, (1,)), literal[j], atol=1e-12)
 
 
 def test_default_coarse_level_respects_filters():
@@ -215,3 +211,70 @@ def test_default_coarse_level_respects_filters():
     assert default_coarse_level(build_basis("daubechies", 4)) == 2
     assert default_coarse_level(build_basis("daubechies", 8)) == 3
     assert default_coarse_level(build_basis("daubechies", 10)) == 4
+
+
+# -- the coefficient array -------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(8, 16), (16, 8), (12,), (12, 12), (0,)])
+def test_tree_rejects_non_square_or_non_dyadic_arrays(shape):
+    with pytest.raises(ShapeError):
+        CoefficientTree(np.zeros(shape), 1)
+
+
+@pytest.mark.parametrize("shape,j0", [((16,), -1), ((16,), 4), ((16,), 5), ((1,), 0),
+                                      ((8, 8), 3)])
+def test_tree_rejects_bad_coarse_levels(shape, j0):
+    with pytest.raises(ResolutionError):
+        CoefficientTree(np.zeros(shape), j0)
+
+
+def test_zero_tree_rejects_bad_levels():
+    for j0, J in [(0, -1), (3, 3), (-1, 4)]:
+        with pytest.raises(ResolutionError):
+            CoefficientTree.zeros(1, j0, J)
+
+
+def test_tree_rejects_other_dimensions():
+    for coeffs in (np.zeros((4, 4, 4)), np.float64(1.0)):
+        with pytest.raises(DomainError):
+            CoefficientTree(coeffs, 1)
+    with pytest.raises(DomainError):
+        CoefficientTree.zeros(3, 1, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_tree_blocks_are_read_only_and_tile_the_array(dim):
+    tree = random_tree(derive_rng(9), dim, 2, 5)
+    blocks = [band_index(2, (0,) * dim)] + [band_index(j, s) for j in tree.levels()
+                                             for s in sigma_set(dim)]
+    count = np.zeros(tree.coeffs.shape, dtype=int)
+    for block in blocks:
+        count[block] += 1
+    assert (count == 1).all()
+    views = [tree.coeffs, tree.scaling] + [tree.band(j, s) for j in tree.levels()
+                                           for s in sigma_set(dim)]
+    for view in views:
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[(0,) * dim] = 1.0
+
+
+def test_tree_rejects_blocks_it_lacks():
+    tree = CoefficientTree.zeros(2, 2, 5)
+    for j, s in [(1, (1, 1)), (5, (0, 1)), (3, (0, 0)), (3, (1,)), (3, (2, 0))]:
+        with pytest.raises(ShapeError):
+            tree.band(j, s)
+    with pytest.raises(ShapeError):
+        tree.replace(scaling=np.zeros(4))
+    with pytest.raises(ShapeError):
+        CoefficientTree.unit_detail(DyadicCube(2, 1, (0, 1)), (1, 1), 2, 5)
+
+
+def test_orientation_names_the_detail_axes(db4):
+    # constant along axis 0, one wavelet along axis 1: only band (3, (0, 1)) is hit
+    psi = sampled_wavelet(db4, 5, DyadicCube(1, 3, (2,)), (1,))
+    tree = analyze(SampledFunction(np.tile(psi, (32, 1))), db4, 2)
+    hit = [(j, s) for j in tree.levels() for s in sigma_set(2)
+           if np.abs(tree.band(j, s)).max() > 1e-12]
+    assert hit == [(3, (0, 1))]
+    assert np.abs(tree.scaling).max() < 1e-12
