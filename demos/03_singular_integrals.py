@@ -28,7 +28,7 @@ print(f"both annihilate constants: |H 1| = "
 print("\n== wavelet matrix of the Hilbert transform ==")
 basis = build_basis("daubechies", 4)
 mat = wavelet_matrix(H, basis, range(2, 7), 1, 256)
-print(f"levels 2..6: {len(mat.entries)} stored entries (|entry| >= 1e-14)")
+print(f"levels 2..6: {mat.values.size} stored entries (|entry| >= 1e-14)")
 env = almost_diagonal_envelope_fit(mat, delta=1.0)
 (worst_row, _), (worst_col, _) = env.worst_pair
 print(f"fitted envelope constant C = {env.fitted_C:.3f}, attained at "
@@ -37,8 +37,9 @@ print(f"fitted envelope constant C = {env.fitted_C:.3f}, attained at "
 print("\n== envelope profile ==")
 I = DyadicCube(1, 3, (1,))
 I2 = DyadicCube(1, 4, (4,))
-print(f"p(I,I) = {p_delta(I, I, 1.0):g} on the diagonal")
-print(f"p(levels 3,4 at distance 3/32) = {p_delta(I, I2, 1.0):.6f}")
+print(f"p(I,I) = {p_delta(I.level, I.offset, I.level, I.offset, 1.0):g} on the diagonal")
+print(f"p(levels 3,4 at distance 3/32) = "
+      f"{p_delta(I.level, I.offset, I2.level, I2.offset, 1.0):.6f}")
 comp = pdelta_composition_check(range(2, 7), 1.0, samples=50, seed=1)
 print(f"composition ratio sup over 50 sampled pairs: {comp:.2f} (finite, "
       "stable as the level range widens)")

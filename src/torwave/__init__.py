@@ -2,7 +2,7 @@
 commutator decompositions on the periodic torus, with a verification harness."""
 
 from .core import (DyadicCube, SampledFunction, constant, distance_field, inner,
-                   sup_norm, torus_distance, zeros)
+                   sup_norm, zeros)
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, FileFormatError,
                      HypothesisError, ResolutionError, ShapeError, TorwaveError,

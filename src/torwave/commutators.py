@@ -258,13 +258,12 @@ def _lower_medians(values: np.ndarray, level: int) -> np.ndarray:
     A cube has more than half its cells above lambda iff lambda is below this
     value, which turns level-set membership into a threshold comparison.
     """
-    N = values.shape[0]
-    step = N >> level
-    if values.ndim == 1:
-        blocks = values.reshape(1 << level, step)
-    else:
-        blocks = values.reshape(1 << level, step, 1 << level, step)
-        blocks = blocks.transpose(0, 2, 1, 3).reshape(1 << level, 1 << level, step * step)
+    dim = values.ndim
+    step = values.shape[0] >> level
+    # cube axes first, then the cells of each cube on one last axis
+    blocks = values.reshape((1 << level, step) * dim)
+    blocks = blocks.transpose(tuple(range(0, 2 * dim, 2)) + tuple(range(1, 2 * dim, 2)))
+    blocks = blocks.reshape((1 << level,) * dim + (-1,))
     M = blocks.shape[-1]
     kth = M - M // 2 - 1
     return np.partition(blocks, kth, axis=-1)[..., kth]

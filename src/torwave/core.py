@@ -153,22 +153,13 @@ def constant(dim: int, resolution: int, value: float) -> SampledFunction:
 def grid_coordinates(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
     """Meshgrid coordinate arrays (each of shape (N,)*n) for the sampling lattice."""
     axis = np.arange(resolution) / resolution
-    if dim == 1:
-        return (axis,)
-    return tuple(np.meshgrid(axis, axis, indexing="ij"))
+    return tuple(np.meshgrid(*(axis,) * dim, indexing="ij"))
 
 
 def torus_delta(a, b):
     """Per-axis geodesic distance on the unit torus, vectorized."""
     d = np.abs(np.asarray(a) - np.asarray(b)) % 1.0
     return np.minimum(d, 1.0 - d)
-
-
-def torus_distance(x, y) -> float:
-    """Euclidean geodesic distance between two points of the torus."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return float(np.sqrt(np.sum(torus_delta(x, y) ** 2)))
 
 
 def distance_field(dim: int, resolution: int, center) -> np.ndarray:

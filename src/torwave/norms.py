@@ -67,34 +67,20 @@ def weak_lp_quasinorm(f: SampledFunction, p: float) -> float:
     return _finite_input(float(np.max(a * measures ** (1.0 / p))), f, "weak Lp quasinorm")
 
 
-def _level_means(values: np.ndarray, level: int) -> np.ndarray:
-    """Averages of `values` over every dyadic cube of one level."""
-    N = values.shape[0]
-    step = N >> level
-    if values.ndim == 1:
-        return values.reshape(1 << level, step).mean(axis=1)
-    return values.reshape(1 << level, step, 1 << level, step).mean(axis=(1, 3))
-
-
 def _level_oscillations(values: np.ndarray, level: int) -> np.ndarray:
     """Mean oscillation (1/|I|) int_I |f - f_I| for every cube of one level."""
-    N = values.shape[0]
-    step = N >> level
-    if values.ndim == 1:
-        blocks = values.reshape(1 << level, step)
-        means = blocks.mean(axis=1, keepdims=True)
-        return np.abs(blocks - means).mean(axis=1)
-    blocks = values.reshape(1 << level, step, 1 << level, step)
-    means = blocks.mean(axis=(1, 3), keepdims=True)
-    return np.abs(blocks - means).mean(axis=(1, 3))
+    step = values.shape[0] >> level
+    # axis 2a counts the cubes along grid axis a, axis 2a+1 the cells in one
+    blocks = values.reshape((1 << level, step) * values.ndim)
+    inside = tuple(range(1, 2 * values.ndim, 2))
+    means = blocks.mean(axis=inside, keepdims=True)
+    return np.abs(blocks - means).mean(axis=inside)
 
 
 def _cube_centers(dim: int, level: int):
     side = 2.0 ** (-level)
     axis = (np.arange(1 << level) + 0.5) * side
-    if dim == 1:
-        return (axis,)
-    return np.meshgrid(axis, axis, indexing="ij")
+    return np.meshgrid(*(axis,) * dim, indexing="ij")
 
 
 def oscillation_norm(f: SampledFunction, mode: str = "BMO") -> float:

@@ -5,6 +5,12 @@ is enforced by taking the real part, which Hermitian-symmetrizes the symbol
 at the self-conjugate Nyquist bins.  Wavelet-basis matrices hold grid inner
 products of transformed wavelets against the basis, and the scale-and-distance
 envelope machinery bounds their entries.
+
+A wavelet matrix is three COO arrays: entry i is <T psi_rows[i], psi_cols[i]>,
+each wavelet named by its flat position in the `(2^stop,)*dim` coefficient array
+(Mallat's layout, stop ending the level range), which fixes its level,
+orientation and offset.  `p_delta` takes its powers on Python floats, i.e. libm
+`pow`: `np.power` differs in the last bit on a few percent of matrix entries.
 """
 
 from __future__ import annotations
@@ -12,14 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, torus_distance
+from .core import DyadicCube, SampledFunction, torus_delta
 from .errors import ConfigurationError, DomainError, ResolutionError, ShapeError
-from .wavelets import (CoefficientTree, WaveletBasis, analyze, coeff_index,
-                       sampled_wavelet, sigma_set)
+from .wavelets import (CoefficientTree, WaveletBasis, analyze, band_index,
+                       detail_cubes, mother_wavelet, sigma_set)
 
 MATRIX_ENTRY_FLOOR = 1e-14
 
@@ -28,9 +33,7 @@ MATRIX_ENTRY_FLOOR = 1e-14
 def frequency_grid(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
     """Integer FFT frequencies per axis, meshgridded to the full shape."""
     k = np.fft.fftfreq(resolution, d=1.0 / resolution)
-    if dim == 1:
-        return (k,)
-    return tuple(np.meshgrid(k, k, indexing="ij"))
+    return tuple(np.meshgrid(*(k,) * dim, indexing="ij"))
 
 
 class MultiplierOperator:
@@ -129,36 +132,24 @@ def fractional_integral_operator(alpha: float, dim: int = 1) -> MultiplierOperat
 # wavelet-basis matrices
 # ---------------------------------------------------------------------------
 
-def _level_cubes(dim: int, level: int) -> list:
-    return [DyadicCube(dim, level, offset)
-            for offset in product(range(1 << level), repeat=dim)]
-
-
-def _basis_index(dim: int, levels):
-    for level in levels:
-        for s in sigma_set(dim):
-            for cube in _level_cubes(dim, level):
-                yield cube, s
-
-
 class WaveletMatrixOperator:
-    """Sparse table of wavelet-pair inner products of a transformed basis."""
+    """Wavelet-pair inner products of a transformed basis as COO arrays."""
 
     is_linear = True
-    kind = "wavelet_matrix"
 
-    def __init__(self, name: str, dim: int, levels: range, entries: dict,
-                 delta: float = 1.0):
+    def __init__(self, name: str, dim: int, levels: range, rows, cols, values):
         self.name = name
         self.dim = dim
         self.levels = levels
-        self.entries = dict(entries)
-        self.delta = float(delta)
+        self.rows = np.asarray(rows, dtype=np.intp)
+        self.cols = np.asarray(cols, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        # the positions unravelled here hold in every tree with these levels
+        self.coeff_shape = (1 << levels.stop,) * dim
 
     def transpose(self) -> "WaveletMatrixOperator":
-        flipped = {(col, row): v for (row, col), v in self.entries.items()}
         return WaveletMatrixOperator(self.name + "^T", self.dim, self.levels,
-                                     flipped, self.delta)
+                                     self.cols, self.rows, self.values)
 
     def apply_tree(self, tree: CoefficientTree) -> CoefficientTree:
         """Apply the matrix to detail coefficients within the level range."""
@@ -166,25 +157,24 @@ class WaveletMatrixOperator:
                                         and self.levels.stop <= tree.finest_level):
             raise ShapeError(f"{self!r} does not fit {tree!r}")
         out = np.zeros_like(tree.coeffs)
-        for (src, dst), v in self.entries.items():
-            c = tree.coeffs[coeff_index(*src)]
-            if c != 0.0:
-                out[coeff_index(*dst)] += v * c
+        c = tree.coeffs[np.unravel_index(self.rows, self.coeff_shape)]
+        keep = c != 0.0
+        # unbuffered and in entry order, so repeated targets add up as a loop would
+        np.add.at(out, np.unravel_index(self.cols[keep], self.coeff_shape),
+                  self.values[keep] * c[keep])
         return CoefficientTree(out, tree.coarse_level)
 
     def to_triplets(self) -> str:
         """Sorted text rows 'row-key col-key value' for external inspection."""
-        rows = []
-        for (src, dst), v in self.entries.items():
-            rows.append(((src[0].key(), src[1], dst[0].key(), dst[1]), v))
-        rows.sort(key=lambda r: r[0])
-        return "\n".join(
-            f"{rk}:s{''.join(map(str, rs))} {ck}:s{''.join(map(str, cs))} {v:.17g}"
-            for (rk, rs, ck, cs), v in rows)
+        keys = [[(f"{j}:" + ",".join(map(str, k)), "".join(map(str, s)))
+                 for j, s, k in zip(*(a.tolist() for a in detail_cubes(flat, self.coeff_shape)))]
+                for flat in (self.rows, self.cols)]
+        rows = sorted(zip(*keys, self.values.tolist()), key=lambda r: r[:2])
+        return "\n".join(f"{rk}:s{rs} {ck}:s{cs} {v:.17g}" for (rk, rs), (ck, cs), v in rows)
 
     def __repr__(self):
         return (f"WaveletMatrixOperator({self.name}, levels={self.levels.start}"
-                f"..{self.levels.stop - 1}, nnz={len(self.entries)})")
+                f"..{self.levels.stop - 1}, nnz={self.values.size})")
 
 
 def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
@@ -196,39 +186,50 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
     J = int(resolution).bit_length() - 1
     if levels.stop > J or levels.start < 0 or len(levels) == 0:
         raise ResolutionError(f"level range {levels} incompatible with resolution {resolution}")
-    j0 = levels.start
-    index = list(_basis_index(dim, levels))
-    # per-axis positions of every basis coefficient in a coefficient array
-    at = tuple(np.array(axis) for axis in zip(*(coeff_index(*key) for key in index)))
-    entries = {}
-    for key in index:
-        psi = SampledFunction(sampled_wavelet(basis, J, *key))
-        col = analyze(op.apply(psi), basis, j0).coeffs[at]
-        for i in np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR):
-            entries[(key, index[i])] = float(col[i])
-    return WaveletMatrixOperator(getattr(op, "name", "op"), dim, levels, entries,
-                                 delta=getattr(op, "delta", 1.0))
+    flat = np.arange(1 << (levels.stop * dim)).reshape((1 << levels.stop,) * dim)
+    index = np.concatenate([flat[band_index(j, s)].ravel()
+                            for j in levels for s in sigma_set(dim)])
+    at = np.unravel_index(index, flat.shape)
+    cols, values = [], []
+    for j, s, k in zip(*(a.tolist() for a in detail_cubes(index, flat.shape))):
+        # the wavelet on cube (j, k), shifted as `sampled_wavelet` does
+        psi = np.roll(mother_wavelet(basis, dim, J, j, tuple(s)),
+                      tuple(x * ((1 << J) >> j) for x in k), axis=tuple(range(dim)))
+        col = analyze(op.apply(SampledFunction(psi)), basis, levels.start).coeffs[at]
+        keep = np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR)
+        cols.append(index[keep])
+        values.append(col[keep])
+    return WaveletMatrixOperator(getattr(op, "name", "op"), dim, levels,
+                                 np.repeat(index, [len(c) for c in cols]),
+                                 np.concatenate(cols), np.concatenate(values))
 
 
 # ---------------------------------------------------------------------------
 # almost-diagonal envelopes
 # ---------------------------------------------------------------------------
 
-def p_delta(I: DyadicCube, I2: DyadicCube, delta: float) -> float:
-    """Scale-and-distance decay profile between two dyadic cubes.
-
-    Uses the geodesic torus metric between the cube centers.
-    """
-    if I.dim != I2.dim:
+def p_delta(level, offset, level2, offset2, delta: float):
+    """Scale-and-distance decay profile between dyadic cubes given by broadcast
+    arrays of levels and per-axis offsets (last axis), with the geodesic torus
+    metric between the cube centers; a float for one pair of cubes."""
+    offset, offset2 = np.asarray(offset), np.asarray(offset2)
+    if offset.shape[-1:] != offset2.shape[-1:]:
         raise ShapeError("cubes of different dimensions")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
-    n = I.dim
-    j, j2 = I.level, I2.level
-    sides = 2.0 ** (-j) + 2.0 ** (-j2)
-    dist = torus_distance(I.center, I2.center)
-    scale = 2.0 ** (-abs(j - j2) * (delta / 2.0 + n / 2.0)) / (1.0 + (j - j2) ** 2)
-    return scale * (sides / (sides + dist)) ** (n + delta / 2.0)
+    n = offset.shape[-1]
+    j, j2 = np.asarray(level), np.asarray(level2)
+    if (any(a.dtype.kind not in "iu" for a in (j, j2, offset, offset2))
+            or np.any(j < 0) or np.any(j2 < 0)):
+        raise DomainError("cubes need integer offsets and integer levels >= 0")
+    side, side2 = np.ldexp(1.0, -j), np.ldexp(1.0, -j2)
+    sides = side + side2
+    d = torus_delta((offset + 0.5) * side[..., None], (offset2 + 0.5) * side2[..., None])
+    ratio = sides / (sides + np.sqrt(np.sum(d ** 2, axis=-1)))
+    gap = np.abs(j - j2)
+    power = np.frompyfunc(pow, 2, 1)  # on Python floats, as the module docstring says
+    scale = np.asarray(power(2.0, -gap * (delta / 2.0 + n / 2.0)), float) / (1.0 + gap ** 2)
+    return (scale * np.asarray(power(ratio, n + delta / 2.0), float))[()]
 
 
 @dataclass(frozen=True)
@@ -239,11 +240,6 @@ class PdeltaEnvelope:
     fitted_C: float
     worst_pair: tuple
 
-    def to_dict(self):
-        (cube, s), (cube2, s2) = self.worst_pair
-        return {"delta": self.delta, "fitted_C": self.fitted_C,
-                "worst_row": cube.key(), "worst_col": cube2.key()}
-
 
 def almost_diagonal_envelope_fit(matrix: WaveletMatrixOperator,
                                  delta: float) -> PdeltaEnvelope:
@@ -252,22 +248,21 @@ def almost_diagonal_envelope_fit(matrix: WaveletMatrixOperator,
     A matrix whose stored entries are all zero (or dropped) fits C = 0; a
     matrix without an index set is rejected.
     """
-    if getattr(matrix, "kind", None) != "wavelet_matrix":
-        raise ConfigurationError("envelope fit needs a wavelet_matrix operator")
+    if not isinstance(matrix, WaveletMatrixOperator):
+        raise ConfigurationError("envelope fit needs a WaveletMatrixOperator")
     if len(matrix.levels) == 0:
         raise DomainError("empty matrix: no index set")
-    if not matrix.entries:
+    if not matrix.values.size:
         anchor = DyadicCube(matrix.dim, matrix.levels.start, (0,) * matrix.dim)
         key = (anchor, sigma_set(matrix.dim)[0])
         return PdeltaEnvelope(delta, 0.0, (key, key))
-    best = -1.0
-    worst = None
-    for (src, dst), v in matrix.entries.items():
-        ratio = abs(v) / p_delta(src[0], dst[0], delta)
-        if ratio > best:
-            best = ratio
-            worst = (src, dst)
-    return PdeltaEnvelope(delta, best, worst)
+    (j, s, k), (j2, s2, k2) = (detail_cubes(flat, matrix.coeff_shape)
+                               for flat in (matrix.rows, matrix.cols))
+    ratios = np.abs(matrix.values) / p_delta(j, k, j2, k2, delta)
+    i = int(np.argmax(ratios))
+    worst = tuple((DyadicCube(matrix.dim, int(lv[i]), off[i]), tuple(sig[i].tolist()))
+                  for lv, sig, off in ((j, s, k), (j2, s2, k2)))
+    return PdeltaEnvelope(delta, float(ratios[i]), worst)
 
 
 def pdelta_composition_check(levels: range, delta: float, samples: int,
@@ -277,14 +272,18 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
         raise DomainError("empty level range")
     from .samples import random_cube  # late to avoid cycle
     rng = np.random.default_rng(seed)
-    mids = [cube for level in levels for cube in _level_cubes(dim, level)]
+    mids = [np.indices((1 << j,) * dim).reshape(dim, -1).T for j in levels]
+    mids = (np.repeat(levels, [len(k) for k in mids]), np.concatenate(mids))
     worst = 0.0
     for _ in range(samples):
         I = random_cube(rng, dim, levels.start, levels.stop - 1)
         I2 = random_cube(rng, dim, levels.start, levels.stop - 1)
-        total = sum(p_delta(I, mid, delta) * p_delta(I2, mid, delta) for mid in mids)
-        worst = max(worst, total / p_delta(I, I2, delta))
-    return worst
+        terms = (p_delta(I.level, I.offset, *mids, delta)
+                 * p_delta(I2.level, I2.offset, *mids, delta))
+        # Python's sum adds left to right; np.sum adds pairwise and rounds otherwise
+        total = sum(terms.tolist())
+        worst = max(worst, total / p_delta(I.level, I.offset, I2.level, I2.offset, delta))
+    return float(worst)
 
 
 # ---------------------------------------------------------------------------

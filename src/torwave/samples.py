@@ -127,17 +127,13 @@ def _fourier_one_over_k(rng, dim, resolution):
 
 def _lacunary(rng, dim, resolution):
     coords = np.arange(resolution) / resolution
-    if dim == 2:
-        c0, c1 = np.meshgrid(coords, coords, indexing="ij")
+    total = sum(np.meshgrid(*(coords,) * dim, indexing="ij"))  # x_1 + ... + x_dim
     vals = np.zeros((resolution,) * dim)
     top = int(math.log2(resolution)) - 1
     for m in range(1, top):
         amp = (1.0 if rng.random() < 0.5 else -1.0) / math.sqrt(m)
         phase = rng.uniform(0.0, 2.0 * math.pi)
-        if dim == 1:
-            vals += amp * np.cos(2.0 * math.pi * (1 << m) * coords + phase)
-        else:
-            vals += amp * np.cos(2.0 * math.pi * (1 << m) * (c0 + c1) + phase)
+        vals += amp * np.cos(2.0 * math.pi * (1 << m) * total + phase)
     return vals
 
 

@@ -34,6 +34,7 @@ sign of zero, which the JSON case records carry.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import product
@@ -306,6 +307,17 @@ def coeff_index(cube: DyadicCube, sigma) -> tuple:
     return tuple((s << cube.level) + k for s, k in zip(sigma, cube.offset))
 
 
+def detail_cubes(flat, shape: tuple) -> tuple:
+    """(level, sigma, offset) arrays of the detail coefficients at flat
+    positions of a coefficient array of `shape`, inverting `coeff_index`: on
+    axis a the position is sigma_a 2^level + offset_a, and the largest
+    position has sigma_a = 1."""
+    at = np.stack(np.unravel_index(flat, shape), axis=-1)
+    level = np.frexp(at.max(axis=-1))[1] - 1
+    sigma = at >> level[:, None]
+    return level, sigma, at - (sigma << level[:, None])
+
+
 class CoefficientTree:
     """Scaling coefficients at one coarse level plus detail bands up to J-1,
     in Mallat's layout: one read-only (N,)*dim array `coeffs`, the scaling
@@ -322,6 +334,7 @@ class CoefficientTree:
             raise ShapeError(f"coefficient array has shape {coeffs.shape}, "
                              f"need (N,)*dim with N a power of two")
         finest_level = n.bit_length() - 1
+        coarse_level = _integral_level(coarse_level)
         if not 0 <= coarse_level < finest_level:
             raise ResolutionError(
                 f"need 0 <= coarse_level < finest_level, got {coarse_level}, {finest_level}")
@@ -428,8 +441,16 @@ def same_layout(*trees: CoefficientTree) -> None:
 # analysis / synthesis
 # ---------------------------------------------------------------------------
 
+def _integral_level(level) -> int:
+    """`level` as an int; ResolutionError unless integral (numpy ints pass)."""
+    try:
+        return operator.index(level)
+    except TypeError:
+        raise ResolutionError(f"coarse level must be an integer, got {level!r}") from None
+
+
 def _require_valid_levels(basis: WaveletBasis, coarse_level: int, finest_level: int):
-    if not 0 <= coarse_level < finest_level:
+    if not 0 <= _integral_level(coarse_level) < finest_level:
         raise ResolutionError(
             f"need 0 <= coarse_level < J, got {coarse_level} and J={finest_level}")
     L = len(basis.scaling_filter)

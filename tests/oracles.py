@@ -3,17 +3,22 @@
 The wavelet oracles evaluate defining sums term by term against explicitly
 synthesized basis vectors; no projection cascades, no convolution tricks.
 Only usable at small resolutions.  The filter-bank steps and the window
-kernels after them take one `np.roll` per tap or shift; the production
-kernels must match them bit for bit.
+kernels after them take one `np.roll` per tap or shift, and the envelope
+machinery keys wavelet-matrix entries by cube pairs and evaluates `p_delta`
+one pair at a time; the production code must match them bit for bit.
 """
 
 from itertools import product
 
 import numpy as np
 
-from torwave import CoefficientTree, DyadicCube, SampledFunction, synthesize
-from torwave.errors import ShapeError
-from torwave.wavelets import sigma_set
+from torwave import (CoefficientTree, DyadicCube, PdeltaEnvelope, SampledFunction,
+                     analyze, sampled_wavelet, synthesize)
+from torwave.core import torus_delta
+from torwave.errors import DomainError, ShapeError
+from torwave.operators import MATRIX_ENTRY_FLOOR
+from torwave.samples import random_cube
+from torwave.wavelets import coeff_index, sigma_set
 
 
 def basis_vectors(basis, dim, j0, J):
@@ -260,3 +265,114 @@ def pointwise_commutator_naive(T, b: SampledFunction, f: SampledFunction) -> Sam
         shifted = SampledFunction((b.values[idx] - b.values) * f.values)
         out[idx] = T.apply(shifted).values[idx]
     return SampledFunction(out)
+
+
+# -- envelope machinery on cube-keyed entries, one p_delta per pair ----------
+
+def _level_cubes(dim: int, level: int) -> list:
+    return [DyadicCube(dim, level, offset)
+            for offset in product(range(1 << level), repeat=dim)]
+
+
+def _basis_index(dim: int, levels):
+    for level in levels:
+        for s in sigma_set(dim):
+            for cube in _level_cubes(dim, level):
+                yield cube, s
+
+
+def wavelet_matrix_entries(op, basis, levels: range, dim: int, resolution: int) -> dict:
+    """`wavelet_matrix` as a dict keyed by ((cube, sigma), (cube, sigma))
+    pairs (column wavelet first), in assembly order."""
+    J = int(resolution).bit_length() - 1
+    j0 = levels.start
+    index = list(_basis_index(dim, levels))
+    # per-axis positions of every basis coefficient in a coefficient array
+    at = tuple(np.array(axis) for axis in zip(*(coeff_index(*key) for key in index)))
+    entries = {}
+    for key in index:
+        psi = SampledFunction(sampled_wavelet(basis, J, *key))
+        col = analyze(op.apply(psi), basis, j0).coeffs[at]
+        for i in np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR):
+            entries[(key, index[i])] = float(col[i])
+    return entries
+
+
+def apply_tree(entries: dict, tree: CoefficientTree) -> CoefficientTree:
+    """`WaveletMatrixOperator.apply_tree` entry by entry, in entry order."""
+    out = np.zeros_like(tree.coeffs)
+    for (src, dst), v in entries.items():
+        c = tree.coeffs[coeff_index(*src)]
+        if c != 0.0:
+            out[coeff_index(*dst)] += v * c
+    return CoefficientTree(out, tree.coarse_level)
+
+
+def to_triplets(entries: dict) -> str:
+    """Sorted text rows 'row-key col-key value' for external inspection."""
+    rows = []
+    for (src, dst), v in entries.items():
+        rows.append(((src[0].key(), src[1], dst[0].key(), dst[1]), v))
+    rows.sort(key=lambda r: r[0])
+    return "\n".join(
+        f"{rk}:s{''.join(map(str, rs))} {ck}:s{''.join(map(str, cs))} {v:.17g}"
+        for (rk, rs, ck, cs), v in rows)
+
+
+def torus_distance(x, y) -> float:
+    """Euclidean geodesic distance between two points of the torus."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    return float(np.sqrt(np.sum(torus_delta(x, y) ** 2)))
+
+
+def p_delta(I: DyadicCube, I2: DyadicCube, delta: float) -> float:
+    """Scale-and-distance decay profile between two dyadic cubes.
+
+    Uses the geodesic torus metric between the cube centers.
+    """
+    if I.dim != I2.dim:
+        raise ShapeError("cubes of different dimensions")
+    if not 0.0 < delta <= 1.0:
+        raise DomainError(f"delta must lie in (0, 1], got {delta}")
+    n = I.dim
+    j, j2 = I.level, I2.level
+    sides = 2.0 ** (-j) + 2.0 ** (-j2)
+    dist = torus_distance(I.center, I2.center)
+    scale = 2.0 ** (-abs(j - j2) * (delta / 2.0 + n / 2.0)) / (1.0 + (j - j2) ** 2)
+    return scale * (sides / (sides + dist)) ** (n + delta / 2.0)
+
+
+def almost_diagonal_envelope_fit(entries: dict, dim: int, levels: range,
+                                 delta: float) -> PdeltaEnvelope:
+    """Fit the smallest C with |entry| <= C * p_delta over all stored entries."""
+    if len(levels) == 0:
+        raise DomainError("empty matrix: no index set")
+    if not entries:
+        anchor = DyadicCube(dim, levels.start, (0,) * dim)
+        key = (anchor, sigma_set(dim)[0])
+        return PdeltaEnvelope(delta, 0.0, (key, key))
+    best = -1.0
+    worst = None
+    for (src, dst), v in entries.items():
+        ratio = abs(v) / p_delta(src[0], dst[0], delta)
+        if ratio > best:
+            best = ratio
+            worst = (src, dst)
+    return PdeltaEnvelope(delta, best, worst)
+
+
+def pdelta_composition_check(levels: range, delta: float, samples: int,
+                             dim: int = 1, seed: int = 0) -> float:
+    """Max over sampled cube pairs of sum_I'' p(I,I'')p(I',I'') / p(I,I')."""
+    if len(levels) == 0:
+        raise DomainError("empty level range")
+    rng = np.random.default_rng(seed)
+    mids = [cube for level in levels for cube in _level_cubes(dim, level)]
+    worst = 0.0
+    for _ in range(samples):
+        I = random_cube(rng, dim, levels.start, levels.stop - 1)
+        I2 = random_cube(rng, dim, levels.start, levels.stop - 1)
+        total = sum(p_delta(I, mid, delta) * p_delta(I2, mid, delta) for mid in mids)
+        worst = max(worst, total / p_delta(I, I2, delta))
+    return worst

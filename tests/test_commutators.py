@@ -378,3 +378,16 @@ def test_fractional_alpha_domain(db4):
     f, b = _pair(12, N=256, basis=db4)
     with pytest.raises(DomainError):
         fractional_commutator_decomposition(b, f, 1.5, db4, 2)
+
+
+@pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])
+def test_lower_medians_are_per_cube_order_statistics(dim, N):
+    from torwave.commutators import _lower_medians
+    values = np.random.default_rng(8).standard_normal((N,) * dim)
+    for level in range(N.bit_length() - 1):
+        step = N >> level
+        got = _lower_medians(values, level)
+        assert got.shape == (1 << level,) * dim
+        for cube in np.ndindex(got.shape):
+            block = np.sort(values[tuple(slice(k * step, (k + 1) * step) for k in cube)], axis=None)
+            assert got[cube] == block[block.size - block.size // 2 - 1]

@@ -241,3 +241,16 @@ def test_norm_report_serialization(db4, rng):
     assert d["space"] == "Lp:2" and d["resolution"] == 128
     rep = norm_report(f, "bmo")
     assert "whole torus" in rep.method
+
+
+@pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])
+def test_level_oscillations_are_per_cube_mean_oscillations(dim, N):
+    from torwave.norms import _level_oscillations
+    values = np.random.default_rng(9).standard_normal((N,) * dim)
+    for level in range(N.bit_length()):
+        step = N >> level
+        got = _level_oscillations(values, level)
+        assert got.shape == (1 << level,) * dim
+        for cube in np.ndindex(got.shape):
+            block = values[tuple(slice(k * step, (k + 1) * step) for k in cube)]
+            assert abs(got[cube] - np.abs(block - block.mean()).mean()) < 1e-14

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torwave import (CoefficientTree, ConfigurationError, DomainError, DyadicCube,
+from torwave import (CoefficientTree, ConfigurationError, DomainError, ShapeError,
                      MultiplierOperator, SampledFunction, almost_diagonal_envelope_fit,
                      analyze, fractional_integral_operator, hilbert_operator,
                      identity_operator, inner, k_class_ratio, p_delta,
@@ -62,21 +62,25 @@ def test_linearity_and_adjoint(rng):
 # -- p_delta -----------------------------------------------------------------
 
 def test_p_delta_diagonal_and_domain():
-    I = DyadicCube(1, 3, (1,))
-    assert p_delta(I, I, 1.0) == 1.0
+    assert p_delta(3, (1,), 3, (1,), 1.0) == 1.0
     with pytest.raises(DomainError):
-        p_delta(I, I, 1.5)
+        p_delta(3, (1,), 3, (1,), 1.5)
     with pytest.raises(DomainError):
-        p_delta(I, I, 0.0)
+        p_delta(3, (1,), 3, (1,), 0.0)
+    with pytest.raises(ShapeError):
+        p_delta(3, (1,), 3, (1, 1), 1.0)
+    for bad in [(2.5, (1,)), (-1, (0,)), (3, (0.5,)), (np.array([2, -1]), [(1,), (0,)])]:
+        with pytest.raises(DomainError):
+            p_delta(*bad, 3, (1,), 1.0)
+        with pytest.raises(DomainError):
+            p_delta(3, (1,), *bad, 1.0)
 
 
 def test_p_delta_hand_value():
     # n=1, delta=1, levels 3 and 4, centers 3/16 and 9/32: distance 3/32,
     # sides sum 3/16, so the ratio term is (2/3)^(3/2); scale term is 1/4.
-    I = DyadicCube(1, 3, (1,))
-    I2 = DyadicCube(1, 4, (4,))
     expected = 0.25 * (2.0 / 3.0) ** 1.5
-    assert abs(p_delta(I, I2, 1.0) - expected) < 1e-12
+    assert abs(p_delta(3, (1,), 4, (4,), 1.0) - expected) < 1e-12
     assert abs(expected - 0.13608276348795434) < 1e-15
 
 
@@ -86,7 +90,8 @@ def test_p_delta_symmetry(seed):
     rng = derive_rng(seed)
     I = random_cube(rng, 1, 2, 7)
     I2 = random_cube(rng, 1, 2, 7)
-    assert p_delta(I, I2, 1.0) == p_delta(I2, I, 1.0)
+    assert (p_delta(I.level, I.offset, I2.level, I2.offset, 1.0)
+            == p_delta(I2.level, I2.offset, I.level, I.offset, 1.0))
 
 
 def test_composition_single_cube():
@@ -104,8 +109,9 @@ def test_composition_widening_stability():
 
 def test_identity_matrix(db4):
     mat = wavelet_matrix(identity_operator(1), db4, range(2, 6), 1, 128)
-    for (src, dst), v in mat.entries.items():
-        assert abs(v - (1.0 if src == dst else 0.0)) < 1e-10
+    assert set(mat.rows[mat.rows == mat.cols]) == set(range(4, 64))
+    np.testing.assert_allclose(mat.values, (mat.rows == mat.cols).astype(float),
+                               rtol=0, atol=1e-10)
     env = almost_diagonal_envelope_fit(mat, 1.0)
     assert abs(env.fitted_C - 1.0) < 1e-10
 
@@ -117,13 +123,15 @@ def test_zero_matrix_fits_zero(db4):
     assert env.fitted_C == 0.0
     with pytest.raises(DomainError):
         almost_diagonal_envelope_fit(
-            WaveletMatrixOperator("none", 1, range(2, 2), {}), 1.0)
+            WaveletMatrixOperator("none", 1, range(2, 2), [], [], []), 1.0)
 
 
 def test_hilbert_haar_matrix_is_antisymmetric(haar):
     mat = wavelet_matrix(hilbert_operator(), haar, range(2, 6), 1, 128)
-    for (src, dst), v in mat.entries.items():
-        assert abs(v + mat.entries.get((dst, src), 0.0)) < 1e-10
+    entries = dict(zip(zip(mat.rows.tolist(), mat.cols.tolist()), mat.values.tolist()))
+    assert len(entries) == mat.values.size
+    for (src, dst), v in entries.items():
+        assert abs(v + entries.get((dst, src), 0.0)) < 1e-10
 
 
 def test_matrix_apply_matches_apply_then_analyze(db4):
@@ -148,7 +156,7 @@ def test_matrix_triplet_export(db4):
     mat = wavelet_matrix(identity_operator(1), db4, range(2, 4), 1, 64)
     text = mat.to_triplets()
     lines = text.splitlines()
-    assert len(lines) == len(mat.entries)
+    assert len(lines) == mat.values.size
     assert lines == sorted(lines)
     level, offsets = lines[0].split(" ")[0].split(":")[:2]
     assert level == "2" and offsets == "0"
@@ -205,6 +213,14 @@ def test_k_class_other_members_finite():
 def test_matrix_transpose_swaps_keys(haar):
     mat = wavelet_matrix(hilbert_operator(), haar, range(2, 5), 1, 128)
     trans = mat.transpose()
-    for (src, dst), v in mat.entries.items():
-        assert trans.entries[(dst, src)] == v
+    np.testing.assert_array_equal(trans.rows, mat.cols)
+    np.testing.assert_array_equal(trans.cols, mat.rows)
+    np.testing.assert_array_equal(trans.values, mat.values)
+    # <M^T x, y> = <x, M y> over the bands of the levels
+    rng = np.random.default_rng(5)
+    x, y = (CoefficientTree(rng.standard_normal(128), 2) for _ in range(2))
+    inside = slice(4, 32)
+    lhs = np.dot(trans.apply_tree(x).coeffs[inside], y.coeffs[inside])
+    rhs = np.dot(x.coeffs[inside], mat.apply_tree(y).coeffs[inside])
+    assert abs(lhs - rhs) < 1e-12
 

@@ -234,6 +234,19 @@ def test_zero_tree_rejects_bad_levels():
             CoefficientTree.zeros(1, j0, J)
 
 
+def test_non_integral_coarse_levels_are_resolution_errors(db4):
+    f = SampledFunction(np.random.default_rng(0).standard_normal(64))
+    calls = [lambda: analyze(f, db4, 2.0), lambda: CoefficientTree(np.zeros(16), 2.0),
+             lambda: CoefficientTree.zeros(1, 2.0, 4), lambda: analyze(f, db4, "2")]
+    for call in calls:
+        with pytest.raises(ResolutionError, match="integer"):
+            call()
+    # numpy integers are integral
+    tree = analyze(f, db4, np.int64(2))
+    assert type(tree.coarse_level) is int
+    assert CoefficientTree.zeros(1, np.int32(2), 4).coarse_level == 2
+
+
 def test_tree_rejects_other_dimensions():
     for coeffs in (np.zeros((4, 4, 4)), np.float64(1.0)):
         with pytest.raises(DomainError):
