@@ -8,24 +8,28 @@ from .errors import (CancellationError, ConfigurationError, ContractError,
                      HypothesisError, ResolutionError, ShapeError, TorwaveError,
                      UsageError)
 from .wavelets import (CoefficientTree, PsiAtomCheck, WaveletBasis, analyze,
-                       build_basis, coarse_projection, default_coarse_level,
-                       min_coarse_level, projection_stack, sampled_wavelet,
-                       synthesize, validate_psi_atom, wavelet_square_function)
-from .paraproducts import (ProductDecomposition, diagonal_coefficient_sum,
-                           paraproducts, s_operator, shift_invariance_check)
+                       analyze_batch, build_basis, coarse_projection,
+                       coarse_projection_batch, default_coarse_level, min_coarse_level,
+                       projection_batch, projection_stack, sampled_wavelet,
+                       square_function_batch, synthesize, synthesize_batch,
+                       validate_psi_atom, wavelet_square_function)
+from .paraproducts import (ProductBatch, ProductDecomposition, diagonal_coefficient_sum,
+                           paraproducts, paraproducts_batch, s_operator, s_operator_batch,
+                           shift_invariance_check)
 from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperator,
                         almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_ratio, p_delta,
                         pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .sublinear import (GrandMaximal, LusinArea, grand_maximal, lusin_area,
                         lusin_area_integral, maximal_function)
-from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_parts,
-                    llog_quasinorm, lp_norm, norm_report, oscillation_norm,
+from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_batch,
+                    hardy_square_parts, llog_quasinorm, lp_norm, norm_report, oscillation_norm,
                     validate_atom, weak_lp_quasinorm)
-from .commutators import (AtomicDecomposition, CommutatorDecomposition,
+from .commutators import (AtomicDecomposition, CommutatorBatch, CommutatorDecomposition,
                           FractionalReport, H1bReport, SubbilinearEnvelope,
                           antisymmetric_paraproduct, atomic_decompose,
-                          bilinear_decomposition, commutator_apply, commutator_parts,
+                          bilinear_decomposition, bilinear_decomposition_batch,
+                          commutator_apply, commutator_parts, commutator_parts_batch,
                           fractional_commutator_decomposition,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)

@@ -14,15 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field, sup_norm
+from .core import DyadicCube, SampledFunction, distance_field, sup_norm, sup_norms
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, HypothesisError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm, weak_lp_quasinorm
-from .operators import fractional_integral_operator, hilbert_operator, riesz_operator
-from .paraproducts import ProductDecomposition, paraproducts, s_operator
+from .operators import (fractional_integral_operator, hilbert_operator, require_linear,
+                        riesz_operator)
+from .paraproducts import (ProductBatch, ProductDecomposition, paraproducts,
+                           paraproducts_batch, s_operator)
 from .sublinear import grand_maximal
-from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection,
-                       coeff_index, sigma_set, wavelet_square_function)
+from .wavelets import (CoefficientTree, WaveletBasis, analyze, analyze_batch,
+                       coarse_projection, coeff_index, default_coarse_level, sigma_set,
+                       wavelet_square_function)
 
 # cost guard for per-evaluation-point commutators; raise these knowingly
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
@@ -39,8 +42,7 @@ def commutator_apply(b: SampledFunction, T, f: SampledFunction,
     if b.values.shape != f.values.shape:
         raise ShapeError("b and f live on different grids")
     if not sublinear:
-        if not getattr(T, "is_linear", False):
-            raise ContractError("T is not linear; call with sublinear=True")
+        require_linear(T, "T is not linear; call with sublinear=True")
         return b * T.apply(f) - T.apply(b * f)
     cap = POINTWISE_RESOLUTION_CAP.get(f.dim, 0)
     if f.resolution > cap:
@@ -63,25 +65,62 @@ class CommutatorDecomposition:
     residual_inf: float
 
 
+@dataclass(frozen=True)
+class CommutatorBatch:
+    """`CommutatorDecomposition` of a stack of cases: arrays whose leading
+    axes index the cases, `residual_inf` an array of the leading shape."""
+
+    R_part: np.ndarray
+    S_image: np.ndarray
+    commutator: np.ndarray
+    residual_inf: np.ndarray
+
+    def case(self, index=()) -> CommutatorDecomposition:
+        return CommutatorDecomposition(
+            SampledFunction(self.R_part[index]), SampledFunction(self.S_image[index]),
+            SampledFunction(self.commutator[index]), float(self.residual_inf[index]))
+
+
+def commutator_parts_batch(b, T, f, parts: ProductBatch) -> CommutatorBatch:
+    """`commutator_parts` of every case of the stacks b, f and `parts`.
+
+    T is applied once to each of its six inputs f, pi2, coarse, pi1 + pi4,
+    -pi3 and b f, every call covering the whole stack of cases.
+    """
+    require_linear(T, "T is sublinear; the identity holds only as a two-sided "
+                       "envelope -- use subbilinear_envelope")
+    b, f = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+    if not b.shape == f.shape == parts.pi1.shape:
+        raise ShapeError("b, f and the paraproducts live on different grids")
+    Tf, T_pi2, T_coarse, T_pi14, s_image, T_bf = map(T.apply, (
+        f, parts.pi2, parts.coarse, parts.pi1 + parts.pi4, parts.pi3 * -1.0, b * f))
+    b_Tf = b * Tf
+    r_part = b_Tf - T_pi2 - T_coarse - T_pi14
+    comm = b_Tf - T_bf
+    return CommutatorBatch(r_part, s_image, comm, sup_norms(comm - r_part - s_image, T.dim))
+
+
 def commutator_parts(b: SampledFunction, T, f: SampledFunction,
                      parts: ProductDecomposition) -> CommutatorDecomposition:
     """[b,T]f = b T f - T(b f), split by the paraproducts `parts` of (f, b).
 
     The remainder is b T f - T(pi2) - T(coarse) - T(pi1 + pi4); together with
     T(S(f,b)) = T(-pi3) it reproduces the commutator up to the paraproduct
-    roundoff.  T is applied to f once, and to each part once.
+    roundoff.
     """
-    if not getattr(T, "is_linear", False):
-        raise ContractError(
-            "T is sublinear; the identity holds only as a two-sided envelope -- "
-            "use subbilinear_envelope")
-    b_Tf = b * T.apply(f)
-    r_part = (b_Tf - T.apply(parts.pi2) - T.apply(parts.coarse)
-              - T.apply(parts.pi1 + parts.pi4))
-    s_image = T.apply(-1.0 * parts.pi3)
-    comm = b_Tf - T.apply(b * f)
-    residual = sup_norm(comm - r_part - s_image)
-    return CommutatorDecomposition(r_part, s_image, comm, residual)
+    return commutator_parts_batch(b.values, T, f.values, ProductBatch.of(parts)).case()
+
+
+def bilinear_decomposition_batch(b, T, f, basis: WaveletBasis, coarse_level: int | None,
+                                 dim: int) -> CommutatorBatch:
+    """`bilinear_decomposition` of every case of the stacks b and f; f and b
+    are analyzed together."""
+    b, f = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+    if b.shape != f.shape:
+        raise ShapeError("b and f live on different grids")
+    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    ft, bt = analyze_batch(np.stack([f, b]), basis, j0, dim)
+    return commutator_parts_batch(b, T, f, paraproducts_batch(ft, bt, basis, j0, dim))
 
 
 def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
@@ -89,9 +128,8 @@ def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
                            coarse_level: int | None = None) -> CommutatorDecomposition:
     """Split [b,T]f into a remainder plus T of the diagonal paraproduct of
     the analyzed f and b; see `commutator_parts`."""
-    ft = analyze(f, basis, coarse_level)
-    bt = analyze(b, basis, coarse_level)
-    return commutator_parts(b, T, f, paraproducts(ft, bt, basis))
+    return bilinear_decomposition_batch(b.values, T, f.values, basis, coarse_level,
+                                        f.dim).case()
 
 
 @dataclass(frozen=True)

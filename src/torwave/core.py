@@ -142,6 +142,18 @@ class SampledFunction:
         return f"SampledFunction(dim={self.dim}, N={self.resolution})"
 
 
+def grid_level(shape: tuple, dim: int) -> int:
+    """J of an array shape whose trailing `dim` axes are an (N,)*dim grid
+    with N = 2^J; any leading (batch) axes are allowed."""
+    if dim not in (1, 2):
+        raise DomainError(f"dim must be 1 or 2, got {dim}")
+    n = shape[-1] if shape else 0
+    if n < 1 or n & (n - 1) or tuple(shape[len(shape) - dim:]) != (n,) * dim:
+        raise ShapeError(f"array of shape {tuple(shape)} does not end in an (N,)*{dim} "
+                         f"grid with N a power of two")
+    return n.bit_length() - 1
+
+
 def zeros(dim: int, resolution: int) -> SampledFunction:
     return SampledFunction(np.zeros((resolution,) * dim))
 
@@ -181,3 +193,9 @@ def inner(f: SampledFunction, g: SampledFunction) -> float:
 
 def sup_norm(f: SampledFunction) -> float:
     return float(np.max(np.abs(f.values)))
+
+
+def sup_norms(values: np.ndarray, dim: int) -> np.ndarray:
+    """`sup_norm` of every grid on the trailing `dim` axes, as an array of
+    the leading shape (a max, so no summation order is involved)."""
+    return np.abs(values).reshape(values.shape[:values.ndim - dim] + (-1,)).max(axis=-1)

@@ -19,23 +19,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutators import (bilinear_decomposition, commutator_apply, commutator_parts,
-                          fractional_commutator_decomposition,
+from .commutators import (bilinear_decomposition_batch, commutator_apply,
+                          commutator_parts_batch, fractional_commutator_decomposition,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)
-from .core import DyadicCube, SampledFunction, sup_norm
+from .core import DyadicCube, SampledFunction, sup_norm, sup_norms
 from .errors import UsageError
 from .hlf import atomic_write
-from .norms import hardy_norm, lp_norm
+from .norms import hardy_norm, hardy_square_batch, lp_norm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_ratio, p_delta,
                         pdelta_composition_check, riesz_operator, wavelet_matrix)
-from .paraproducts import paraproducts, s_operator
+from .paraproducts import paraproducts_batch, s_operator_batch
 from .samples import (derive_rng, random_bmo, random_classical_atom,
                       random_cube, random_function, random_h1_tree,
                       truncated_log, two_sided_atom)
 from .sublinear import grand_maximal, lusin_area
-from .wavelets import analyze, build_basis, default_coarse_level, synthesize
+from .wavelets import (analyze_batch, build_basis, default_coarse_level, synthesize,
+                       synthesize_batch)
 
 SCHEMA_VERSION = "1"
 
@@ -209,6 +210,14 @@ def _drift(values) -> float:
     return max(vals) / min(vals)
 
 
+def _draw(cfg: ExperimentConfig, ri: int, draw) -> list:
+    """`draw(rng)` for every case at resolution index `ri`, each case from its
+    own `derive_rng(root_seed, ri, ci)` stream in case order; the arrays it
+    returns are stacked per position, with the case index leading."""
+    rows = [draw(derive_rng(cfg.root_seed, ri, ci)) for ci in range(cfg.sample_count)]
+    return [np.stack(column) for column in zip(*rows)]
+
+
 def _suite_reconstruction(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
@@ -216,15 +225,24 @@ def _suite_reconstruction(cfg: ExperimentConfig):
     cases = []
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
+        f, = _draw(cfg, ri, lambda rng: (
+            random_function(rng, cfg.dim, N, kind="white").values,))
+        g = synthesize_batch(analyze_batch(f, basis, j0, cfg.dim), basis, j0, cfg.dim)
+        errors, sizes = sup_norms(g - f, cfg.dim), sup_norms(f, cfg.dim)
         for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
-            f = random_function(rng, cfg.dim, N, kind="white")
-            g = synthesize(analyze(f, basis, j0), basis)
-            rel = sup_norm(g - f) / max(sup_norm(f), 1e-300)
+            rel = float(errors[ci]) / max(float(sizes[ci]), 1e-300)
             worst = max(worst, rel)
             cases.append({"resolution": N, "case": ci, "residual_rel": rel,
                           "ok": rel <= tol})
     return cases, {"max_residual_rel": worst, "tolerance": tol}, worst <= tol
+
+
+def _tree_and_bmo(dim: int, j0: int, N: int):
+    """Draw of the product and commutator suites: a random H^1 coefficient
+    array, then a unit-BMO sample."""
+    J = int(N).bit_length() - 1
+    return lambda rng: (random_h1_tree(rng, dim, j0, J).coeffs,
+                        random_bmo(rng, dim, N).values)
 
 
 def _suite_product_identity(cfg: ExperimentConfig):
@@ -235,19 +253,18 @@ def _suite_product_identity(cfg: ExperimentConfig):
     ok = True
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
-        J = int(N).bit_length() - 1
+        ft, g = _draw(cfg, ri, _tree_and_bmo(cfg.dim, j0, N))
+        parts = paraproducts_batch(ft, analyze_batch(g, basis, j0, cfg.dim), basis, j0,
+                                   cfg.dim)
+        fg_sup = sup_norms(synthesize_batch(ft, basis, j0, cfg.dim) * g, cfg.dim)
         for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
-            ft = random_h1_tree(rng, cfg.dim, j0, J)
-            g = random_bmo(rng, cfg.dim, N)
-            parts = paraproducts(ft, analyze(g, basis, j0), basis)
-            fg = synthesize(ft, basis) * g
-            bound = tol * (1.0 + sup_norm(fg))
-            good = parts.residual_inf <= bound
+            residual = float(parts.residual_inf[ci])
+            bound = tol * (1.0 + float(fg_sup[ci]))
+            good = residual <= bound
             ok &= good
-            worst = max(worst, parts.residual_inf / bound)
+            worst = max(worst, residual / bound)
             cases.append({"resolution": N, "case": ci,
-                          "residual_inf": parts.residual_inf, "bound": bound,
+                          "residual_inf": residual, "bound": bound,
                           "ok": good})
     return cases, {"worst_residual_over_bound": worst, "tolerance": tol}, ok
 
@@ -288,14 +305,13 @@ def _suite_commutator_identity(cfg: ExperimentConfig):
     ok = True
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
-        J = int(N).bit_length() - 1
         T = parse_operator(cfg.operator, dim, N)
+        ft, b = _draw(cfg, ri, _tree_and_bmo(dim, j0, N))
+        f = synthesize_batch(ft, basis, j0, dim)
+        dec = bilinear_decomposition_batch(b, T, f, basis, j0, dim)
+        sizes = sup_norms(dec.commutator, dim)
         for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
-            f = synthesize(random_h1_tree(rng, dim, j0, J), basis)
-            b = random_bmo(rng, dim, N)
-            dec = bilinear_decomposition(b, T, f, basis, j0)
-            rel = dec.residual_inf / (1.0 + sup_norm(dec.commutator))
+            rel = float(dec.residual_inf[ci]) / (1.0 + float(sizes[ci]))
             good = rel <= tol
             ok &= good
             worst = max(worst, rel)
@@ -329,38 +345,44 @@ def _suite_sandwich(cfg: ExperimentConfig):
 def _suite_boundedness_sweep(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
-    H = hilbert_operator() if cfg.dim == 1 else riesz_operator(0, 2)
+    dim = cfg.dim
+    H = hilbert_operator() if dim == 1 else riesz_operator(0, 2)
+    H_adjoint = H.adjoint()
+
+    def h1_square(values):
+        """hardy_norm(., "H1_square") of every case: detail + coarse mass."""
+        detail, coarse = hardy_square_batch(values, basis, j0, dim)
+        return detail + coarse
+
     cases = []
     fits = {}
     for ri, N in enumerate(cfg.resolutions):
-        J = int(N).bit_length() - 1
         sups = {"ratio_s": 0.0, "ratio_remainder": 0.0, "ratio_pi4": 0.0,
                 "ratio_antisym": 0.0}
+        ft, b = _draw(cfg, ri, _tree_and_bmo(dim, j0, N))
+        f = synthesize_batch(ft, basis, j0, dim)
+        bt = analyze_batch(b, basis, j0, dim)
+        parts = paraproducts_batch(ft, bt, basis, j0, dim)
+        remainder = commutator_parts_batch(b, H, f, parts).R_part
+        antis = s_operator_batch(analyze_batch(H.apply(f), basis, j0, dim), bt, basis, j0, dim) \
+            - s_operator_batch(ft, analyze_batch(H_adjoint.apply(b), basis, j0, dim), basis,
+                               j0, dim)
+        h1, h1_pi4, h1_antis = map(h1_square, (f, parts.pi4, antis))
         for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
-            ft = random_h1_tree(rng, cfg.dim, j0, J)
-            f = synthesize(ft, basis)
-            b = random_bmo(rng, cfg.dim, N)
-            bt = analyze(b, basis, j0)
-            parts = paraproducts(ft, bt, basis)
-            h1 = hardy_norm(f, "H1_square", basis, j0)
-            base = max(h1 * 1.0, 1e-300)  # b has unit oscillation norm
-            remainder = commutator_parts(b, H, f, parts).R_part
-            antis = s_operator(analyze(H.apply(f), basis, j0), bt, basis) \
-                - s_operator(ft, analyze(H.adjoint().apply(b), basis, j0), basis)
+            base = max(float(h1[ci]) * 1.0, 1e-300)  # b has unit oscillation norm
             row = {
-                "ratio_s": lp_norm(-1.0 * parts.pi3, 1.0) / base,
-                "ratio_remainder": lp_norm(remainder, 1.0) / base,
-                "ratio_pi4": hardy_norm(parts.pi4, "H1_square", basis, j0) / base,
-                "ratio_antisym": hardy_norm(antis, "H1_square", basis, j0) / base,
+                "ratio_s": lp_norm(SampledFunction(parts.pi3[ci] * -1.0), 1.0) / base,
+                "ratio_remainder": lp_norm(SampledFunction(remainder[ci]), 1.0) / base,
+                "ratio_pi4": float(h1_pi4[ci]) / base,
+                "ratio_antisym": float(h1_antis[ci]) / base,
             }
             for k, v in row.items():
                 sups[k] = max(sups[k], v)
             cases.append({"resolution": N, "case": ci, **row})
         kh = k_class_ratio(H, atoms=max(cfg.sample_count // 5, 4), b_samples=5,
-                           seed=cfg.root_seed + ri, dim=cfg.dim, resolution=N)
-        ks = k_class_ratio(lusin_area(cfg.dim, N), atoms=max(cfg.sample_count // 5, 4),
-                           b_samples=5, seed=cfg.root_seed + ri, dim=cfg.dim,
+                           seed=cfg.root_seed + ri, dim=dim, resolution=N)
+        ks = k_class_ratio(lusin_area(dim, N), atoms=max(cfg.sample_count // 5, 4),
+                           b_samples=5, seed=cfg.root_seed + ri, dim=dim,
                            resolution=N)
         fits[N] = dict(sups, kclass_hilbert=kh, kclass_lusin=ks)
     drift_cap = cfg.tol("drift_factor")

@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field
 from .errors import ConfigurationError, DomainError
-from .wavelets import WaveletBasis, analyze, coarse_projection, wavelet_square_function
+from .wavelets import (WaveletBasis, analyze_batch, coarse_projection_batch,
+                       default_coarse_level, square_function_batch)
 
 OSCILLATION_MODES = ("BMO", "BMOplus", "bmo", "BMOlog")
 HARDY_MODES = ("H1_square", "H1_maximal", "h1", "Hlog")
@@ -151,6 +152,20 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
     return 0.5 * (lo + hi) * top
 
 
+def hardy_square_batch(values, basis: WaveletBasis, coarse_level: int | None,
+                       dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """`hardy_square_parts` of every grid on the trailing axes of `values`,
+    as two arrays of the leading shape; the L1 means are taken per case."""
+    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    coeffs = analyze_batch(values, basis, j0, dim)
+    grids = coeffs.shape[coeffs.ndim - dim:]
+    square = square_function_batch(coeffs, j0, dim).reshape((-1,) + grids)
+    coarse = coarse_projection_batch(coeffs, basis, j0, dim).reshape((-1,) + grids)
+    batch = coeffs.shape[:coeffs.ndim - dim]
+    return (np.reshape([lp_norm(SampledFunction(w), 1.0) for w in square], batch),
+            np.reshape([float(np.abs(p).mean()) for p in coarse], batch))
+
+
 def hardy_square_parts(f: SampledFunction, basis: WaveletBasis,
                        coarse_level: int | None = None) -> tuple[float, float]:
     """(detail, coarse) L1 masses of the square-function Hardy estimator.
@@ -158,9 +173,8 @@ def hardy_square_parts(f: SampledFunction, basis: WaveletBasis,
     The coarse part is the L1 norm of the sampled coarse scaling projection;
     a genuinely cancellative input has a negligible coarse part.
     """
-    tree = analyze(f, basis, coarse_level)
-    detail = lp_norm(wavelet_square_function(tree), 1.0)
-    return detail, float(np.abs(coarse_projection(tree, basis)).mean())
+    detail, coarse = hardy_square_batch(f.values, basis, coarse_level, f.dim)
+    return float(detail), float(coarse)
 
 
 def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,

@@ -21,9 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, torus_delta
-from .errors import ConfigurationError, DomainError, ResolutionError, ShapeError
-from .wavelets import (CoefficientTree, WaveletBasis, analyze, band_index,
+from .core import DyadicCube, SampledFunction, grid_level, torus_delta
+from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
+                     ShapeError)
+from .wavelets import (CoefficientTree, WaveletBasis, analyze_batch, band_index,
                        detail_cubes, mother_wavelet, sigma_set)
 
 MATRIX_ENTRY_FLOOR = 1e-14
@@ -37,23 +38,32 @@ def frequency_grid(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
 
 
 class MultiplierOperator:
-    """Linear Fourier multiplier operator with a derivable adjoint."""
+    """Linear Fourier multiplier operator with a derivable adjoint.
+
+    `apply` takes a sampled function, or an array whose trailing `dim` axes
+    are (N,)*dim grids under any leading (batch) shape; it transforms the
+    trailing axes only, so row i of a batched result equals the operator
+    applied to row i alone, bit for bit.  The symbol array of each
+    resolution is computed once and kept read-only.
+    """
 
     is_linear = True
 
-    def __init__(self, name: str, symbol, dim: int, delta: float = 1.0,
-                 bound: float | None = 1.0, unbounded_at_zero: bool = False):
+    def __init__(self, name: str, symbol, dim: int, bound: float | None = 1.0,
+                 unbounded_at_zero: bool = False):
         self.name = name
         self.symbol = symbol
         self.dim = dim
-        self.delta = float(delta)
         self.bound = bound
         self.unbounded_at_zero = unbounded_at_zero
+        self._symbols = {}
 
     def symbol_array(self, resolution: int) -> np.ndarray:
+        if resolution in self._symbols:
+            return self._symbols[resolution]
         k = frequency_grid(self.dim, resolution)
         with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.asarray(self.symbol(*k), dtype=complex)
+            s = np.array(self.symbol(*k), dtype=complex)
         origin = (0,) * self.dim
         if self.unbounded_at_zero:
             s[origin] = 0.0
@@ -66,44 +76,62 @@ class MultiplierOperator:
         if self.bound is not None and np.max(np.abs(s)) > self.bound * (1 + 1e-12):
             raise ConfigurationError(
                 f"{self.name}: symbol exceeds its declared bound {self.bound}")
+        s.flags.writeable = False
+        self._symbols[resolution] = s
         return s
 
-    def apply(self, f: SampledFunction) -> SampledFunction:
-        if f.dim != self.dim:
+    def apply(self, f):
+        """T f for a SampledFunction; for an array, T of every grid on its
+        trailing axes, returned as an array."""
+        single = isinstance(f, SampledFunction)
+        if single and f.dim != self.dim:
             raise ShapeError(f"{self.name} acts in dimension {self.dim}, input has {f.dim}")
-        s = self.symbol_array(f.resolution)
-        out = np.fft.ifftn(np.fft.fftn(f.values) * s).real
-        return SampledFunction(out)
+        values = f.values if single else np.asarray(f, dtype=float)
+        N = 1 << grid_level(values.shape, self.dim)
+        axes = tuple(range(-self.dim, 0))
+        # one complex buffer, transformed and multiplied in place
+        spectrum = np.fft.fftn(values, axes=axes, out=np.empty(values.shape, complex))
+        spectrum *= self.symbol_array(N)
+        out = np.fft.ifftn(spectrum, axes=axes, out=spectrum).real
+        return SampledFunction(out) if single else out
 
     def adjoint(self) -> "MultiplierOperator":
         orig = self.symbol
         return MultiplierOperator(
             self.name + "*", lambda *k: np.conj(orig(*k)), self.dim,
-            delta=self.delta, bound=self.bound,
-            unbounded_at_zero=self.unbounded_at_zero)
+            bound=self.bound, unbounded_at_zero=self.unbounded_at_zero)
 
     def __repr__(self):
         return f"MultiplierOperator({self.name}, dim={self.dim})"
+
+
+def require_linear(T, hint: str) -> None:
+    """ContractError (with `hint`) unless T is linear, and ContractError
+    unless it has an `apply` on sampled functions and stacks of them."""
+    if not getattr(T, "is_linear", False):
+        raise ContractError(hint)
+    if not callable(getattr(T, "apply", None)):
+        raise ContractError(
+            f"{getattr(T, 'name', 'T')} has no apply on sampled functions "
+            "(a wavelet matrix acts on coefficient trees through apply_tree)")
 
 
 # -- stock operators ---------------------------------------------------------
 
 def identity_operator(dim: int = 1) -> MultiplierOperator:
     return MultiplierOperator("identity", lambda *k: np.ones_like(k[0], dtype=complex),
-                              dim, delta=1.0, bound=1.0)
+                              dim, bound=1.0)
 
 
 def hilbert_operator() -> MultiplierOperator:
-    return MultiplierOperator("hilbert", lambda k: -1j * np.sign(k), 1,
-                              delta=1.0, bound=1.0)
+    return MultiplierOperator("hilbert", lambda k: -1j * np.sign(k), 1, bound=1.0)
 
 
 def riesz_operator(axis: int, dim: int = 2) -> MultiplierOperator:
     if not 0 <= axis < dim:
         raise ConfigurationError(f"riesz axis {axis} outside dimension {dim}")
     if dim == 1:
-        return MultiplierOperator("riesz1", lambda k: -1j * np.sign(k), 1,
-                                  delta=1.0, bound=1.0)
+        return MultiplierOperator("riesz1", lambda k: -1j * np.sign(k), 1, bound=1.0)
 
     def symbol(*k):
         norm = np.sqrt(sum(ki ** 2 for ki in k))
@@ -112,7 +140,7 @@ def riesz_operator(axis: int, dim: int = 2) -> MultiplierOperator:
         s[norm == 0] = 0.0
         return s
 
-    return MultiplierOperator(f"riesz{axis + 1}", symbol, dim, delta=1.0, bound=1.0)
+    return MultiplierOperator(f"riesz{axis + 1}", symbol, dim, bound=1.0)
 
 
 def fractional_integral_operator(alpha: float, dim: int = 1) -> MultiplierOperator:
@@ -124,8 +152,8 @@ def fractional_integral_operator(alpha: float, dim: int = 1) -> MultiplierOperat
         with np.errstate(divide="ignore"):
             return (2.0 * math.pi * norm) ** (-alpha) + 0j
 
-    return MultiplierOperator(f"ifrac{alpha:g}", symbol, dim, delta=1.0,
-                              bound=None, unbounded_at_zero=True)
+    return MultiplierOperator(f"ifrac{alpha:g}", symbol, dim, bound=None,
+                              unbounded_at_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -177,31 +205,43 @@ class WaveletMatrixOperator:
                 f"..{self.levels.stop - 1}, nnz={self.values.size})")
 
 
+def _circular_shifts(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Stack of `base` rolled by each row of the (count, dim) cell counts
+    `shifts`, as `np.roll` would, gathered in one indexing step."""
+    count, dim = shifts.shape
+    n = base.shape[0]
+    at = tuple(((np.arange(n) - shifts[:, a, None]) % n).reshape(
+        (count,) + (1,) * a + (n,) + (1,) * (dim - 1 - a)) for a in range(dim))
+    return base[at]
+
+
 def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
                    resolution: int) -> WaveletMatrixOperator:
     """Assemble grid inner products of op applied to every basis wavelet.
 
-    Entries below 1e-14 are dropped to keep the table sparse.
+    The wavelets of the level range form one stack, which goes through
+    `op.apply` and `analyze_batch` once.  Entries below 1e-14 are dropped to
+    keep the table sparse.
     """
+    require_linear(op, f"{getattr(op, 'name', 'op')} is not linear; a wavelet matrix "
+                       "needs a linear operator")
     J = int(resolution).bit_length() - 1
     if levels.stop > J or levels.start < 0 or len(levels) == 0:
         raise ResolutionError(f"level range {levels} incompatible with resolution {resolution}")
     flat = np.arange(1 << (levels.stop * dim)).reshape((1 << levels.stop,) * dim)
     index = np.concatenate([flat[band_index(j, s)].ravel()
                             for j in levels for s in sigma_set(dim)])
-    at = np.unravel_index(index, flat.shape)
-    cols, values = [], []
-    for j, s, k in zip(*(a.tolist() for a in detail_cubes(index, flat.shape))):
-        # the wavelet on cube (j, k), shifted as `sampled_wavelet` does
-        psi = np.roll(mother_wavelet(basis, dim, J, j, tuple(s)),
-                      tuple(x * ((1 << J) >> j) for x in k), axis=tuple(range(dim)))
-        col = analyze(op.apply(SampledFunction(psi)), basis, levels.start).coeffs[at]
-        keep = np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR)
-        cols.append(index[keep])
-        values.append(col[keep])
+    # the wavelets of one band, cube offsets in raster order as in `index`:
+    # the mother wavelet rolled by offset * N / 2^j cells, as `sampled_wavelet` does
+    psi = np.concatenate([
+        _circular_shifts(mother_wavelet(basis, dim, J, j, s),
+                         np.indices((1 << j,) * dim).reshape(dim, -1).T << (J - j))
+        for j in levels for s in sigma_set(dim)])
+    coeffs = analyze_batch(op.apply(psi), basis, levels.start, dim)
+    block = coeffs[(slice(None),) + np.unravel_index(index, flat.shape)]
+    rows, cols = np.nonzero(np.abs(block) >= MATRIX_ENTRY_FLOOR)
     return WaveletMatrixOperator(getattr(op, "name", "op"), dim, levels,
-                                 np.repeat(index, [len(c) for c in cols]),
-                                 np.concatenate(cols), np.concatenate(values))
+                                 index[rows], index[cols], block[rows, cols])
 
 
 # ---------------------------------------------------------------------------

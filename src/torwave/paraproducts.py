@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledFunction, sup_norm
-from .wavelets import (CoefficientTree, WaveletBasis, mother_wavelet,
-                       projection_stack, same_layout, sigma_set)
+from .core import SampledFunction, grid_level, sup_norm, sup_norms
+from .errors import ShapeError
+from .wavelets import (CoefficientTree, WaveletBasis, band_index, mother_wavelet,
+                       projection_batch, same_layout, sigma_set)
 
 
 @dataclass(frozen=True)
@@ -33,35 +34,83 @@ class ProductDecomposition:
         return self.pi1 + self.pi2 + self.pi3 + self.pi4 + self.coarse
 
 
-def _diagonal_layer(f: CoefficientTree, g: CoefficientTree, basis: WaveletBasis,
-                    level: int) -> np.ndarray:
-    """Same-cube detail products: sum of <f,psi><g,psi> psi^2 over one level.
+@dataclass(frozen=True)
+class ProductBatch:
+    """`ProductDecomposition` of a stack of cases: every part is an array
+    whose leading axes index the cases, `residual_inf` an array of the
+    leading shape."""
+
+    pi1: np.ndarray
+    pi2: np.ndarray
+    pi3: np.ndarray
+    pi4: np.ndarray
+    coarse: np.ndarray
+    residual_inf: np.ndarray
+
+    @classmethod
+    def of(cls, parts: ProductDecomposition) -> "ProductBatch":
+        """One case as a stack of batch shape ()."""
+        return cls(*(part.values for part in (parts.pi1, parts.pi2, parts.pi3,
+                                              parts.pi4, parts.coarse)),
+                   np.float64(parts.residual_inf))
+
+    def case(self, index=()) -> ProductDecomposition:
+        parts = (self.pi1, self.pi2, self.pi3, self.pi4, self.coarse)
+        return ProductDecomposition(*(SampledFunction(part[index]) for part in parts),
+                                    float(self.residual_inf[index]))
+
+
+def _diagonal_layer(fc: np.ndarray, gc: np.ndarray, basis: WaveletBasis, level: int,
+                    dim: int) -> np.ndarray:
+    """Same-cube detail products: sum of <f,psi><g,psi> psi^2 over one level,
+    for every case of the coefficient stacks `fc` and `gc`.
 
     All wavelets of one level are circular shifts of the zero-offset one, so
     the sum is a circular convolution of the coefficient-product lattice with
-    the squared mother wavelet.
+    the squared mother wavelet, whose spectrum serves the whole stack.  A
+    case whose band product is all zero gets no term from that band.
     """
-    N = f.resolution
-    step = N >> level
-    out = np.zeros((N,) * f.dim)
-    for s in sigma_set(f.dim):
-        prod = f.band(level, s) * g.band(level, s)
-        if not prod.any():
+    J = grid_level(fc.shape, dim)
+    step = 1 << (J - level)
+    axes = tuple(range(-dim, 0))
+    out = np.zeros(fc.shape)
+    for s in sigma_set(dim):
+        band = (Ellipsis,) + band_index(level, s)
+        prod = fc[band] * gc[band]
+        live = prod.reshape(prod.shape[:prod.ndim - dim] + (-1,)).any(axis=-1)
+        if not live.any():
             continue
-        lattice = np.zeros_like(out)
-        lattice[(slice(None, None, step),) * f.dim] = prod
-        sq = mother_wavelet(basis, f.dim, f.finest_level, level, s) ** 2
-        out += np.fft.ifftn(np.fft.fftn(lattice) * np.fft.fftn(sq)).real
+        pick = Ellipsis if live.all() else live
+        picked = prod[pick]
+        lattice = np.zeros(picked.shape[:picked.ndim - dim] + out.shape[out.ndim - dim:])
+        lattice[(Ellipsis,) + (slice(None, None, step),) * dim] = picked
+        conv = np.fft.fftn(lattice, axes=axes, out=np.empty(lattice.shape, complex))
+        conv *= np.fft.fftn(mother_wavelet(basis, dim, J, level, s) ** 2)
+        out[pick] += np.fft.ifftn(conv, axes=axes, out=conv).real
     return out
 
 
-def _layers(f: CoefficientTree, g: CoefficientTree, basis: WaveletBasis):
-    Pf = projection_stack(f, basis)
-    Pg = projection_stack(g, basis)
-    levels = list(f.levels())
-    Qf = {j: Pf[j + 1] - Pf[j] for j in levels}
-    Qg = {j: Pg[j + 1] - Pg[j] for j in levels}
-    return Pf, Pg, Qf, Qg, levels
+def paraproducts_batch(fc, gc, basis: WaveletBasis, coarse_level: int,
+                       dim: int) -> ProductBatch:
+    """`paraproducts` of every pair of coefficient arrays on the trailing
+    axes of `fc` and `gc`."""
+    fc, gc = np.asarray(fc, dtype=float), np.asarray(gc, dtype=float)
+    if fc.shape != gc.shape:
+        raise ShapeError("tree layouts do not match")
+    Pf = projection_batch(fc, basis, coarse_level, dim)
+    Pg = projection_batch(gc, basis, coarse_level, dim)
+    J = max(Pf)
+    pi1, pi2, pi3, pi4 = (np.zeros(fc.shape) for _ in range(4))
+    for j in range(coarse_level, J):
+        Qf, Qg = Pf[j + 1] - Pf[j], Pg[j + 1] - Pg[j]
+        pi1 += Pf[j] * Qg
+        pi2 += Qf * Pg[j]
+        diag = _diagonal_layer(fc, gc, basis, j, dim)
+        pi3 += diag
+        pi4 += Qf * Qg - diag
+    coarse = Pf[coarse_level] * Pg[coarse_level]
+    residual = Pf[J] * Pg[J] - (pi1 + pi2 + pi3 + pi4 + coarse)
+    return ProductBatch(pi1, pi2, pi3, pi4, coarse, sup_norms(residual, dim))
 
 
 def paraproducts(f: CoefficientTree, g: CoefficientTree,
@@ -69,40 +118,26 @@ def paraproducts(f: CoefficientTree, g: CoefficientTree,
     """Split the pointwise product of the synthesized inputs into its four
     bilinear parts plus the coarse-scale remainder."""
     same_layout(f, g)
-    Pf, Pg, Qf, Qg, levels = _layers(f, g, basis)
-    N = f.resolution
-    shape = (N,) * f.dim
-    pi1 = np.zeros(shape)
-    pi2 = np.zeros(shape)
-    pi3 = np.zeros(shape)
-    pi4 = np.zeros(shape)
-    for j in levels:
-        pi1 += Pf[j] * Qg[j]
-        pi2 += Qf[j] * Pg[j]
-        diag = _diagonal_layer(f, g, basis, j)
-        pi3 += diag
-        pi4 += Qf[j] * Qg[j] - diag
-    j0 = f.coarse_level
-    coarse = Pf[j0] * Pg[j0]
-    J = f.finest_level
-    product = Pf[J] * Pg[J]
-    residual = product - (pi1 + pi2 + pi3 + pi4 + coarse)
-    return ProductDecomposition(
-        pi1=SampledFunction(pi1), pi2=SampledFunction(pi2),
-        pi3=SampledFunction(pi3), pi4=SampledFunction(pi4),
-        coarse=SampledFunction(coarse),
-        residual_inf=float(np.max(np.abs(residual))),
-    )
+    return paraproducts_batch(f.coeffs, g.coeffs, basis, f.coarse_level, f.dim).case()
+
+
+def s_operator_batch(fc, gc, basis: WaveletBasis, coarse_level: int,
+                     dim: int) -> np.ndarray:
+    """`s_operator` of every pair of coefficient arrays in the stacks."""
+    fc, gc = np.asarray(fc, dtype=float), np.asarray(gc, dtype=float)
+    if fc.shape != gc.shape:
+        raise ShapeError("tree layouts do not match")
+    acc = np.zeros(fc.shape)
+    for j in range(coarse_level, grid_level(fc.shape, dim)):
+        acc += _diagonal_layer(fc, gc, basis, j, dim)
+    return -acc
 
 
 def s_operator(f: CoefficientTree, g: CoefficientTree,
                basis: WaveletBasis) -> SampledFunction:
     """Negated diagonal part: same code path as the pi3 layer, sign flipped."""
     same_layout(f, g)
-    acc = np.zeros((f.resolution,) * f.dim)
-    for j in f.levels():
-        acc += _diagonal_layer(f, g, basis, j)
-    return SampledFunction(-acc)
+    return SampledFunction(s_operator_batch(f.coeffs, g.coeffs, basis, f.coarse_level, f.dim))
 
 
 def diagonal_coefficient_sum(f: CoefficientTree, g: CoefficientTree) -> float:

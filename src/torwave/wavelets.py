@@ -13,7 +13,7 @@ each axis a (`band_index`).  `analyze` works on one copy of the samples: for
 j = J-1 down to j0 it filters the `[:2^(j+1)]^dim` corner along each axis in
 turn, low channel into the first half of the axis and high channel into the
 second, so the corner's own `[:2^j]^dim` corner is the next level's scaling
-array.  `scaling_cascade` (and with it `synthesize` and `projection_stack`)
+array.  `_cascade` (and with it `synthesize` and `projection_stack`)
 runs the same loop backwards on one working copy, last axis first, handing
 `_up` the two halves of the corner.  Neither loop depends on the dimension.
 
@@ -30,6 +30,16 @@ the last bit; `tests/oracles.py` keeps that convolution as the reference.
 The terms the zero-stuffed sum also added were all +-0.0, at least one of
 them +0.0, so it never returned -0.0.  `_up` ends with `+ 0.0` to keep that
 sign of zero, which the JSON case records carry.
+
+Leading batch axis: every loop acts on the trailing `dim` axes of an array
+with any leading shape, and the steps take their axis counted from the end.
+`analyze_batch`, `synthesize_batch`, `projection_batch`,
+`coarse_projection_batch` and `square_function_batch` push a whole stack of
+cases (values or Mallat-layout coefficient arrays) through each step at
+once.  Every step is elementwise across the leading axes, so case i of a
+batched result equals the result for case i alone, bit for bit.  The
+`SampledFunction` / `CoefficientTree` functions (`analyze`, `synthesize`,
+`scaling_cascade`, ...) are these loops at batch shape ().
 """
 from __future__ import annotations
 
@@ -41,7 +51,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction
+from .core import DyadicCube, SampledFunction, grid_level
 from .errors import ConfigurationError, DomainError, ResolutionError, ShapeError
 
 # Detail (high-pass) filters for the standard minimum-phase Daubechies family,
@@ -235,9 +245,10 @@ def sigma_set(dim: int) -> tuple[tuple[int, ...], ...]:
 # circular filter-bank steps
 # ---------------------------------------------------------------------------
 
-def _along(ndim: int, axis: int, index) -> tuple:
-    """Index tuple applying `index` on `axis` and taking everything elsewhere."""
-    return (slice(None),) * axis + (index,) + (slice(None),) * (ndim - axis - 1)
+def _along(axis: int, index) -> tuple:
+    """Index tuple applying `index` on the negative `axis` and taking
+    everything elsewhere."""
+    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
 
 
 def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
@@ -247,7 +258,8 @@ def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
 
 
 def _down(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Circular convolution with each row of `taps`, then dyadic decimation.
+    """Circular convolution with each row of `taps` along the negative
+    `axis`, then dyadic decimation.
 
     The results for the rows of the (rows, L) array `taps` are stacked on a
     new leading axis.  Tap m reads the strided view `pad[m : m+n : 2]` of one
@@ -257,15 +269,15 @@ def _down(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     length = taps.shape[1]
     pad = _wrap(a, 0, length - 1, axis)
     col = taps.reshape(taps.shape + (1,) * a.ndim)
-    acc = col[:, 0] * pad[_along(a.ndim, axis, slice(0, n, 2))]
+    acc = col[:, 0] * pad[_along(axis, slice(0, n, 2))]
     for m in range(1, length):
-        acc += col[:, m] * pad[_along(a.ndim, axis, slice(m, m + n, 2))]
+        acc += col[:, m] * pad[_along(axis, slice(m, m + n, 2))]
     return acc
 
 
 def _up(channels: tuple, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Adjoint of `_down`: upsample every channel, filter it with its row of
-    `taps`, and add.
+    """Adjoint of `_down`: upsample every channel along the negative `axis`,
+    filter it with its row of `taps`, and add.
 
     Output entry 2k+r takes only the taps m = r + 2q, applied to entry k-q of
     each channel, so both phases r of tap pair q come from one view of a
@@ -275,11 +287,10 @@ def _up(channels: tuple, taps: np.ndarray, axis: int) -> np.ndarray:
     first = channels[0]
     n = first.shape[axis]
     back = taps.shape[1] // 2 - 1
-    phase = [1] * (first.ndim + 1)
-    phase[axis + 1] = 2
-    pairs = [(np.expand_dims(_wrap(c, back, 0, axis), axis + 1),
-              row.reshape(-1, *phase)) for c, row in zip(channels, taps)]
-    terms = (row[q] * pad[_along(first.ndim + 1, axis, slice(back - q, back - q + n))]
+    phase = (2,) + (1,) * (-axis - 1)
+    pairs = [(np.expand_dims(_wrap(c, back, 0, axis), axis), row.reshape(-1, *phase))
+             for c, row in zip(channels, taps)]
+    terms = (row[q] * pad[_along(axis - 1, slice(back - q, back - q + n))]
              for q in range(back + 1) for pad, row in pairs)
     acc = next(terms)
     for term in terms:
@@ -460,49 +471,88 @@ def _require_valid_levels(basis: WaveletBasis, coarse_level: int, finest_level: 
             f"need coarse_level >= {min_coarse_level(basis)} for {basis}")
 
 
+def _corner(level: int, dim: int) -> tuple:
+    """Index of the `[:2^level]^dim` corner of every case of a batch."""
+    return (Ellipsis,) + band_index(level, (0,) * dim)
+
+
+def analyze_batch(values, basis: WaveletBasis, coarse_level: int | None,
+                  dim: int) -> np.ndarray:
+    """Coefficient arrays (Mallat's layout) of every (N,)*dim grid on the
+    trailing axes of `values`."""
+    values = np.asarray(values, dtype=float)
+    J = grid_level(values.shape, dim)
+    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    _require_valid_levels(basis, j0, J)
+    work = values * float(1 << J) ** (-dim / 2.0)
+    for j in range(J - 1, j0 - 1, -1):
+        corner = work[_corner(j + 1, dim)]
+        for axis in range(-dim, 0):
+            # the low channel fills the first half of the axis, the high the second
+            np.concatenate(_down(corner, basis.filter_rows, axis), axis=axis, out=corner)
+    return work
+
+
 def analyze(f: SampledFunction, basis: WaveletBasis,
             coarse_level: int | None = None) -> CoefficientTree:
     """Decompose a sampled function into its coefficient tree."""
-    J = f.finest_level
     j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
-    _require_valid_levels(basis, j0, J)
-    work = f.values * float(f.resolution) ** (-f.dim / 2.0)
-    for j in range(J - 1, j0 - 1, -1):
-        corner = work[band_index(j + 1, (0,) * f.dim)]
-        for axis in range(f.dim):
-            # the low channel fills the first half of the axis, the high the second
-            np.concatenate(_down(corner, basis.filter_rows, axis), axis=axis, out=corner)
-    return CoefficientTree(work, j0)
+    return CoefficientTree(analyze_batch(f.values, basis, j0, f.dim), j0)
+
+
+def _cascade(coeffs: np.ndarray, basis: WaveletBasis, coarse_level: int,
+             dim: int) -> dict:
+    """Scaling arrays of every case at every level j0..J (J entry reproduces f)."""
+    J = grid_level(coeffs.shape, dim)
+    _require_valid_levels(basis, coarse_level, J)
+    out = {coarse_level: coeffs[_corner(coarse_level, dim)]}
+    work = np.array(coeffs, dtype=float)
+    for j in range(coarse_level, J):
+        s = work[_corner(j + 1, dim)]
+        for axis in range(-1, -dim - 1, -1):
+            halves = (s[_along(axis, slice(0, 1 << j))], s[_along(axis, slice(1 << j, None))])
+            s = _up(halves, basis.filter_rows, axis)
+        work[_corner(j + 1, dim)] = out[j + 1] = s
+    return out
 
 
 def scaling_cascade(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     """Scaling coefficient arrays at every level j0..J (J entry reproduces f)."""
-    _require_valid_levels(basis, tree.coarse_level, tree.finest_level)
-    out = {tree.coarse_level: tree.scaling}
-    work = np.array(tree.coeffs)
-    for j in tree.levels():
-        corner = band_index(j + 1, (0,) * tree.dim)
-        s = work[corner]
-        for axis in range(tree.dim - 1, -1, -1):
-            halves = (s[_along(tree.dim, axis, slice(0, 1 << j))],
-                      s[_along(tree.dim, axis, slice(1 << j, None))])
-            s = _up(halves, basis.filter_rows, axis)
-        work[corner] = out[j + 1] = s
-    return out
+    return _cascade(tree.coeffs, basis, tree.coarse_level, tree.dim)
+
+
+def synthesize_batch(coeffs, basis: WaveletBasis, coarse_level: int,
+                     dim: int) -> np.ndarray:
+    """Sampled functions of every coefficient array on the trailing axes."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    J = grid_level(coeffs.shape, dim)
+    return _cascade(coeffs, basis, coarse_level, dim)[J] * float(1 << J) ** (dim / 2.0)
 
 
 def synthesize(tree: CoefficientTree, basis: WaveletBasis) -> SampledFunction:
     """Reconstruct the sampled function from its coefficient tree."""
-    s = scaling_cascade(tree, basis)[tree.finest_level]
-    return SampledFunction(s * float(tree.resolution) ** (tree.dim / 2.0))
+    return SampledFunction(synthesize_batch(tree.coeffs, basis, tree.coarse_level, tree.dim))
 
 
 def _ladder_step(stack: np.ndarray, dim: int, basis: WaveletBasis) -> np.ndarray:
-    """One scaling-only synthesis step of every row of `stack`, last axis
-    first as in `scaling_cascade`; the detail channel is zero, so it is left out."""
-    for axis in range(dim, 0, -1):
+    """One scaling-only synthesis step of every case in `stack`, last axis
+    first as in `_cascade`; the detail channel is zero, so it is left out."""
+    for axis in range(-1, -dim - 1, -1):
         stack = _up((stack,), basis.filter_rows, axis)
     return stack
+
+
+def projection_batch(coeffs, basis: WaveletBasis, coarse_level: int, dim: int) -> dict:
+    """Sampled scaling-space projections P_j f of every case, j = j0..J."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    cascade = _cascade(coeffs, basis, coarse_level, dim)
+    J = max(cascade)
+    # row i carries P_{j0+i} up the scaling-only ladder, all levels at once
+    stack = cascade[coarse_level][None]
+    for j in range(coarse_level, J):
+        stack = np.concatenate([_ladder_step(stack, dim, basis), cascade[j + 1][None]])
+    stack *= float(1 << J) ** (dim / 2.0)
+    return dict(zip(range(coarse_level, J + 1), stack))
 
 
 def projection_stack(tree: CoefficientTree, basis: WaveletBasis) -> dict:
@@ -511,25 +561,26 @@ def projection_stack(tree: CoefficientTree, basis: WaveletBasis) -> dict:
     P_J f equals the synthesized function exactly; successive differences
     P_{j+1}f - P_j f are the sampled detail layers.
     """
-    cascade = scaling_cascade(tree, basis)
-    scale = float(tree.resolution) ** (tree.dim / 2.0)
-    # row i carries P_{j0+i} up the scaling-only ladder, all levels at once
-    stack = cascade[tree.coarse_level][None]
-    for j in tree.levels():
-        stack = np.concatenate([_ladder_step(stack, tree.dim, basis),
-                                cascade[j + 1][None]])
-    levels = range(tree.coarse_level, tree.finest_level + 1)
-    return {j: s * scale for j, s in zip(levels, stack)}
+    return projection_batch(tree.coeffs, basis, tree.coarse_level, tree.dim)
+
+
+def coarse_projection_batch(coeffs, basis: WaveletBasis, coarse_level: int,
+                            dim: int) -> np.ndarray:
+    """P_{j0} f of every case alone, equal to `projection_batch(...)[j0]` bit
+    for bit: the coarse scaling arrays carried up the same ladder, with no
+    synthesis cascade."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    J = grid_level(coeffs.shape, dim)
+    _require_valid_levels(basis, coarse_level, J)
+    row = coeffs[_corner(coarse_level, dim)]
+    for _ in range(coarse_level, J):
+        row = _ladder_step(row, dim, basis)
+    return row * float(1 << J) ** (dim / 2.0)
 
 
 def coarse_projection(tree: CoefficientTree, basis: WaveletBasis) -> np.ndarray:
-    """P_{j0} f alone, equal to `projection_stack(tree, basis)[j0]` bit for
-    bit: the coarse scaling array carried up the same ladder, with no
-    synthesis cascade."""
-    row = tree.scaling[None]
-    for _ in tree.levels():
-        row = _ladder_step(row, tree.dim, basis)
-    return row[0] * float(tree.resolution) ** (tree.dim / 2.0)
+    """P_{j0} f alone, equal to `projection_stack(tree, basis)[j0]` bit for bit."""
+    return coarse_projection_batch(tree.coeffs, basis, tree.coarse_level, tree.dim)
 
 
 @lru_cache(maxsize=512)
@@ -558,22 +609,27 @@ def sampled_wavelet(basis: WaveletBasis, finest_level: int, cube: DyadicCube,
 # square function and psi-atoms
 # ---------------------------------------------------------------------------
 
-def _expand(arr: np.ndarray, factor: int) -> np.ndarray:
-    """Blow a level array up to the sampling grid (piecewise constant)."""
-    out = arr
-    for axis in range(arr.ndim):
-        out = np.repeat(out, factor, axis=axis)
-    return out
+def _expand(arr: np.ndarray, factor: int, dim: int) -> np.ndarray:
+    """Blow level arrays up to the sampling grid (piecewise constant)."""
+    for axis in range(-dim, 0):
+        arr = np.repeat(arr, factor, axis=axis)
+    return arr
+
+
+def square_function_batch(coeffs, coarse_level: int, dim: int) -> np.ndarray:
+    """`wavelet_square_function` of every coefficient array on the trailing axes."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    J = grid_level(coeffs.shape, dim)
+    acc = np.zeros(coeffs.shape)
+    for j in range(coarse_level, J):
+        sq = sum(coeffs[(Ellipsis,) + band_index(j, s)] ** 2 for s in sigma_set(dim))
+        acc += _expand(sq, 1 << (J - j), dim) * 2.0 ** (j * dim)
+    return np.sqrt(acc)
 
 
 def wavelet_square_function(tree: CoefficientTree) -> SampledFunction:
     """Pointwise l2 aggregate of detail coefficients weighted by 1/|I| on each cube."""
-    N = tree.resolution
-    acc = np.zeros((N,) * tree.dim)
-    for j in tree.levels():
-        sq = sum(tree.band(j, s) ** 2 for s in sigma_set(tree.dim))
-        acc += _expand(sq, N >> j) * 2.0 ** (j * tree.dim)
-    return SampledFunction(np.sqrt(acc))
+    return SampledFunction(square_function_batch(tree.coeffs, tree.coarse_level, tree.dim))
 
 
 @dataclass(frozen=True)

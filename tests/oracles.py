@@ -18,7 +18,7 @@ from torwave.core import torus_delta
 from torwave.errors import DomainError, ShapeError
 from torwave.operators import MATRIX_ENTRY_FLOOR
 from torwave.samples import random_cube
-from torwave.wavelets import coeff_index, sigma_set
+from torwave.wavelets import band_index, coeff_index, detail_cubes, mother_wavelet, sigma_set
 
 
 def basis_vectors(basis, dim, j0, J):
@@ -296,6 +296,27 @@ def wavelet_matrix_entries(op, basis, levels: range, dim: int, resolution: int) 
         for i in np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR):
             entries[(key, index[i])] = float(col[i])
     return entries
+
+
+def wavelet_matrix_columns(op, basis, levels: range, dim: int, resolution: int):
+    """`wavelet_matrix`'s (rows, cols, values) arrays, one basis wavelet at a
+    time: roll the mother wavelet, apply op, analyze, keep the entries at or
+    above the floor."""
+    J = int(resolution).bit_length() - 1
+    flat = np.arange(1 << (levels.stop * dim)).reshape((1 << levels.stop,) * dim)
+    index = np.concatenate([flat[band_index(j, s)].ravel()
+                            for j in levels for s in sigma_set(dim)])
+    at = np.unravel_index(index, flat.shape)
+    cols, values = [], []
+    for j, s, k in zip(*(a.tolist() for a in detail_cubes(index, flat.shape))):
+        psi = np.roll(mother_wavelet(basis, dim, J, j, tuple(s)),
+                      tuple(x * ((1 << J) >> j) for x in k), axis=tuple(range(dim)))
+        col = analyze(op.apply(SampledFunction(psi)), basis, levels.start).coeffs[at]
+        keep = np.flatnonzero(np.abs(col) >= MATRIX_ENTRY_FLOOR)
+        cols.append(index[keep])
+        values.append(col[keep])
+    return (np.repeat(index, [len(c) for c in cols]), np.concatenate(cols),
+            np.concatenate(values))
 
 
 def apply_tree(entries: dict, tree: CoefficientTree) -> CoefficientTree:

@@ -11,7 +11,7 @@ from torwave import (CancellationError, ContractError, DegeneracyError, DomainEr
                      h1b_characterizations, hilbert_operator, identity_operator,
                      lp_norm, make_qb_atom, molecule_norm, subbilinear_envelope,
                      sup_norm, synthesize, validate_atom, validate_psi_atom,
-                     wavelet_square_function)
+                     wavelet_matrix, wavelet_square_function)
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
                              random_function, random_h1_tree, random_psi_atom)
 from torwave.sublinear import grand_maximal, lusin_area
@@ -61,6 +61,20 @@ def test_sublinear_flag_contract(db4):
     f, b = _pair(3, basis=db4)
     with pytest.raises(ContractError):
         commutator_apply(b, grand_maximal(1, 512), f)
+
+
+def test_wavelet_matrix_is_no_operator_on_sampled_functions(haar, db4):
+    # it is linear, but acts on coefficient trees only: a typed error, not an
+    # AttributeError from a missing `apply`
+    mat = wavelet_matrix(hilbert_operator(), haar, range(2, 4), 1, 64)
+    f, b = _pair(6, N=64, basis=db4)
+    parts = paraproducts(analyze(f, db4, 2), analyze(b, db4, 2), db4)
+    with pytest.raises(ContractError, match="apply_tree"):
+        commutator_apply(b, mat, f)
+    with pytest.raises(ContractError, match="apply_tree"):
+        commutator_parts(b, mat, f, parts)
+    with pytest.raises(ContractError, match="apply_tree"):
+        bilinear_decomposition(b, mat, f, db4, 2)
 
 
 def test_sublinear_form_needs_the_pointwise_path(db4):
@@ -117,7 +131,7 @@ def test_bilinear_decomposition_applies_T_once_per_input(db4, monkeypatch):
     f, b = _pair(13, N=256, basis=db4)
     dec = bilinear_decomposition(b, hilbert_operator(), f, db4, 2)
     assert len(inputs) == 6
-    assert sum(g is f for g in inputs) == 1
+    assert sum(g is f.values for g in inputs) == 1
     assert_bitwise_equal(dec.commutator.values,
                          (b * apply(hilbert_operator(), f)
                           - apply(hilbert_operator(), b * f)).values)

@@ -46,6 +46,19 @@ def test_coo_arrays_list_the_entries_in_order(matrices):
     assert_bitwise_equal(mat.values, np.array(list(entries.values())))
 
 
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_coo_arrays_equal_the_per_column_loop(name):
+    # one stacked op.apply and analyze against one wavelet at a time
+    (family, order), dim, N, levels = MATRICES[name]
+    basis = build_basis(family, order)
+    op = hilbert_operator() if dim == 1 else riesz_operator(0, 2)
+    mat = wavelet_matrix(op, basis, levels, dim, N)
+    rows, cols, values = oracles.wavelet_matrix_columns(op, basis, levels, dim, N)
+    assert_bitwise_equal(mat.rows, rows)
+    assert_bitwise_equal(mat.cols, cols)
+    assert_bitwise_equal(mat.values, values)
+
+
 def test_triplet_text_is_unchanged(matrices):
     mat, entries = matrices
     assert mat.to_triplets() == oracles.to_triplets(entries)

@@ -1,5 +1,5 @@
 """The polyphase filter bank of `wavelets` against the per-tap roll steps in
-`oracles`, byte for byte.
+`oracles`, byte for byte, and every batched layer against its own rows.
 
 `_down` reads strided views of one wrap-padded copy, `_up` computes each
 output phase from the taps of matching parity, and `projection_stack` and
@@ -13,9 +13,14 @@ import pytest
 
 import oracles
 from oracles import assert_bitwise_equal
-from torwave import (CoefficientTree, SampledFunction, analyze, build_basis,
-                     coarse_projection, projection_stack, synthesize)
-from torwave.wavelets import (_down, _up, band_index, default_coarse_level,
+from torwave import (CoefficientTree, SampledFunction, analyze, analyze_batch, build_basis,
+                     coarse_projection, coarse_projection_batch, commutator_parts,
+                     commutator_parts_batch, hardy_square_batch, hardy_square_parts,
+                     hilbert_operator, paraproducts, paraproducts_batch, parse_operator,
+                     projection_batch, projection_stack, riesz_operator, s_operator,
+                     s_operator_batch, square_function_batch, synthesize, synthesize_batch,
+                     wavelet_square_function)
+from torwave.wavelets import (_cascade, _down, _up, band_index, default_coarse_level,
                               min_coarse_level, scaling_cascade, sigma_set)
 
 BASES = {"haar": ("haar", 1), "db2": ("daubechies", 2), "db4": ("daubechies", 4),
@@ -108,6 +113,7 @@ def test_kernels_on_non_finite_and_integer_input(name, shape, axis, bad):
     hi = rng.choice([0.0, -0.0, 2.0], shape)
     lo.flat[[0, 5]] = bad
     hi.flat[[3, 5, -1]] = [bad, -bad, bad]
+    axis -= len(shape)  # the kernels take the axis counted from the end
 
     assert_bitwise_equal(_up((lo, hi), basis.filter_rows, axis),
                          oracles._up_pair(lo, hi, h, g, axis))
@@ -123,3 +129,109 @@ def test_kernels_on_non_finite_and_integer_input(name, shape, axis, bad):
     down = _down(ints, basis.filter_rows, axis)
     assert_bitwise_equal(down[0], oracles._down(ints, h, axis))
     assert_bitwise_equal(down[1], oracles._down(ints, g, axis))
+
+
+# -- the leading batch axis ---------------------------------------------------
+#
+# Every batched layer must give each case of a stack the bytes it gives that
+# case alone.  The stacks have leading shape (2, 3) and mix the value kinds,
+# so rows of zeros and of signed zeros sit beside random rows.
+
+LEAD = (2, 3)
+BATCH_CASES = [(name, dim, N) for name in ("haar", "db2", "db8")
+               for dim, N in ((1, 64), (2, 16))]
+BATCH_IDS = [f"{name}-{dim}d-N{N}" for name, dim, N in BATCH_CASES]
+
+
+def _stack(rng, shape):
+    rows = [_values(KINDS[i % len(KINDS)], rng, shape) for i in range(np.prod(LEAD))]
+    return np.stack(rows).reshape(LEAD + shape)
+
+
+def _tree_stack(rng, dim, j0, J):
+    rows = [_tree(KINDS[i % len(KINDS)], rng, dim, j0, J).coeffs
+            for i in range(np.prod(LEAD))]
+    return np.stack(rows).reshape(LEAD + ((1 << J),) * dim)
+
+
+@pytest.mark.parametrize("name,dim,N", BATCH_CASES, ids=BATCH_IDS)
+def test_batched_filter_bank_equals_its_rows(name, dim, N):
+    basis = _basis(name)
+    j0, J = min_coarse_level(basis), N.bit_length() - 1
+    rng = np.random.default_rng([N, dim, len(basis.scaling_filter)])
+
+    values = _stack(rng, (N,) * dim)
+    coeffs = analyze_batch(values, basis, j0, dim)
+    trees = _tree_stack(rng, dim, j0, J)
+    synthesized = synthesize_batch(trees, basis, j0, dim)
+    cascade = _cascade(trees, basis, j0, dim)
+    projections = projection_batch(trees, basis, j0, dim)
+    coarse = coarse_projection_batch(trees, basis, j0, dim)
+    square = square_function_batch(trees, j0, dim)
+    for i in np.ndindex(LEAD):
+        assert_bitwise_equal(coeffs[i], analyze(SampledFunction(values[i]), basis, j0).coeffs)
+        tree = CoefficientTree(trees[i], j0)
+        assert_bitwise_equal(synthesized[i], synthesize(tree, basis).values)
+        single = scaling_cascade(tree, basis)
+        assert cascade.keys() == single.keys()
+        for j in single:
+            assert_bitwise_equal(cascade[j][i], single[j])
+        single = projection_stack(tree, basis)
+        assert projections.keys() == single.keys()
+        for j in single:
+            assert_bitwise_equal(projections[j][i], single[j])
+        assert_bitwise_equal(coarse[i], coarse_projection(tree, basis))
+        assert_bitwise_equal(square[i], wavelet_square_function(tree).values)
+
+
+@pytest.mark.parametrize("name,dim,N", BATCH_CASES, ids=BATCH_IDS)
+def test_batched_hardy_estimate_equals_its_rows(name, dim, N):
+    basis = _basis(name)
+    values = _stack(np.random.default_rng([N, dim, 7]), (N,) * dim)
+    j0 = min_coarse_level(basis)
+    detail, coarse = hardy_square_batch(values, basis, j0, dim)
+    for i in np.ndindex(LEAD):
+        single = hardy_square_parts(SampledFunction(values[i]), basis, j0)
+        assert_bitwise_equal(np.array([detail[i], coarse[i]]), np.array(single))
+
+
+@pytest.mark.parametrize("op", ["hilbert", "ifrac:0.5", "riesz1", "riesz2", "identity"])
+def test_batched_multiplier_equals_its_rows(op):
+    dim = 2 if op.startswith("riesz") else 1
+    T = parse_operator(op, dim, 32)
+    values = _stack(np.random.default_rng(len(op)), (32,) * dim)
+    out = T.apply(values)
+    assert out.shape == values.shape
+    for i in np.ndindex(LEAD):
+        assert_bitwise_equal(out[i], T.apply(SampledFunction(values[i])).values)
+
+
+@pytest.mark.parametrize("name,dim,N", BATCH_CASES, ids=BATCH_IDS)
+def test_batched_paraproducts_equal_their_rows(name, dim, N):
+    basis = _basis(name)
+    j0, J = min_coarse_level(basis), N.bit_length() - 1
+    rng = np.random.default_rng([N, dim, 11])
+    fc, gc = _tree_stack(rng, dim, j0, J), _tree_stack(rng, dim, j0, J)
+    # one case of f without the coarsest detail level, and one case of g with
+    # no detail at all: the diagonal layer skips cases, not whole bands
+    fc[0, 1][band_index(j0 + 1, (0,) * dim)] = 0.0
+    scaling = gc[1, 2][band_index(j0, (0,) * dim)].copy()
+    gc[1, 2] = 0.0
+    gc[1, 2][band_index(j0, (0,) * dim)] = scaling
+    batch = paraproducts_batch(fc, gc, basis, j0, dim)
+    diagonal = s_operator_batch(fc, gc, basis, j0, dim)
+    T = hilbert_operator() if dim == 1 else riesz_operator(1, 2)
+    b = _stack(rng, (N,) * dim)
+    f = synthesize_batch(fc, basis, j0, dim)
+    commutator = commutator_parts_batch(b, T, f, batch)
+    for i in np.ndindex(LEAD):
+        f_tree, g_tree = CoefficientTree(fc[i], j0), CoefficientTree(gc[i], j0)
+        single = paraproducts(f_tree, g_tree, basis)
+        for part in ("pi1", "pi2", "pi3", "pi4", "coarse"):
+            assert_bitwise_equal(getattr(batch, part)[i], getattr(single, part).values)
+        assert_bitwise_equal(batch.residual_inf[i], np.float64(single.residual_inf))
+        assert_bitwise_equal(diagonal[i], s_operator(f_tree, g_tree, basis).values)
+        dec = commutator_parts(SampledFunction(b[i]), T, SampledFunction(f[i]), single)
+        for part in ("R_part", "S_image", "commutator"):
+            assert_bitwise_equal(getattr(commutator, part)[i], getattr(dec, part).values)
+        assert_bitwise_equal(commutator.residual_inf[i], np.float64(dec.residual_inf))

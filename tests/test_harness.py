@@ -388,3 +388,31 @@ def test_cli_atoms_and_report_roundtrip(tmp_path, rng, capsys):
     assert code == 0
     header = csv_path.read_text().splitlines()[1]
     assert header == ",".join(CSV_SCHEMAS["product_identity"])
+
+
+# -- batching independence -------------------------------------------------------
+#
+# The batched suites push every case of one resolution through each layer as
+# one stack.  A case's record must not depend on how many cases share its
+# stack: case 0 of a 20-case run equals the record of a one-case run.
+
+BATCHED = {
+    "reconstruction": dict(resolutions=[64, 128], basis_family="haar", basis_order=1),
+    "product_identity": dict(resolutions=[64, 128]),
+    "commutator_identity": dict(resolutions=[64, 128], operator="ifrac:0.5"),
+    "commutator_identity-riesz1": dict(suite="commutator_identity", resolutions=[16, 32],
+                                       operator="riesz1", basis_order=2),
+    "boundedness_sweep": dict(resolutions=[64, 128]),
+}
+
+
+@pytest.mark.parametrize("name", BATCHED)
+def test_case_records_do_not_depend_on_the_batch(name):
+    fields = dict({"suite": name}, root_seed=17, **BATCHED[name])
+
+    def first_cases(count):
+        report = run_suite(ExperimentConfig.from_dict(dict(fields, sample_count=count)))
+        # json.dumps writes floats by repr, so -0.0 and 0.0 stay apart
+        return json.dumps([case for case in report.cases if case["case"] == 0])
+
+    assert first_cases(20) == first_cases(1)

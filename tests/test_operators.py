@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torwave import (CoefficientTree, ConfigurationError, DomainError, ShapeError,
-                     MultiplierOperator, SampledFunction, almost_diagonal_envelope_fit,
-                     analyze, fractional_integral_operator, hilbert_operator,
+from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainError,
+                     ShapeError, MultiplierOperator, SampledFunction,
+                     almost_diagonal_envelope_fit, analyze, fractional_integral_operator,
+                     grand_maximal, hilbert_operator,
                      identity_operator, inner, k_class_ratio, p_delta,
                      pdelta_composition_check, riesz_operator, synthesize,
                      wavelet_matrix)
@@ -114,6 +115,14 @@ def test_identity_matrix(db4):
                                rtol=0, atol=1e-10)
     env = almost_diagonal_envelope_fit(mat, 1.0)
     assert abs(env.fitted_C - 1.0) < 1e-10
+
+
+def test_wavelet_matrix_needs_a_linear_operator(haar):
+    # a sublinear operator, and a wavelet matrix itself, which has no `apply`
+    mat = wavelet_matrix(hilbert_operator(), haar, range(2, 4), 1, 64)
+    for op, match in [(grand_maximal(1, 64), "not linear"), (mat, "apply_tree")]:
+        with pytest.raises(ContractError, match=match):
+            wavelet_matrix(op, haar, range(2, 4), 1, 64)
 
 
 def test_zero_matrix_fits_zero(db4):
