@@ -1,20 +1,22 @@
 """Grand maximal operator, its local variant, and the Lusin area integral.
 
-Both operators are built from finitely many linear convolution fields
-(a fixed bump dictionary over a dyadic scale grid for the maximal operator,
-Poisson-extension gradients over a dyadic height grid for the area integral).
-Because of that, the pointwise-shifted commutator input (b(x) - b(.)) f(.)
-expands algebraically: T((b(x) f - h))(x) is computed exactly without one
-operator application per grid point.  Every window is the same discrete
-circular box of per-axis radius r, read from circularly padded copies
-(or, when it covers the whole torus, from the convex hull of the point
-cloud it contains), and every window sup or sum reproduces the explicit
-shift-by-shift result bit for bit; the subadditivity used by the sandwich
-estimates is then exact.
+Both operators are built from finitely many linear convolution fields (a bump
+dictionary over a dyadic scale grid, Poisson-extension gradients over a dyadic
+height grid), so the pointwise-shifted commutator input (b(x) - b(.)) f(.)
+expands algebraically: T((b(x) f - h))(x) is exact without one operator
+application per grid point.  Each call makes one pass over the dictionary:
+kernel spectra sit in one read-only stack sorted by window radius, fields come
+from one inverse FFT per input and radius (per height for the area integral),
+and the full-torus windows of a radius share one convex hull, of the union of
+their point clouds; the other windows of a radius, and every height's window
+mean, are read from one circularly padded stack.  Every window sup or sum
+reproduces the kernel-by-kernel, shift-by-shift result bit for bit, so the
+subadditivity used by the sandwich estimates is exact.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import product
 
@@ -22,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import SampledFunction
-from .errors import ConfigurationError, ShapeError
+from .errors import ConfigurationError, DomainError, ShapeError
 from .operators import frequency_grid
 
 _BUMP_SHAPES = ((0.5, 2), (0.75, 3), (1.0, 4))  # (width, polynomial power)
@@ -75,15 +77,12 @@ def _window_radius(t: float, resolution: int) -> int:
 
 
 def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
-    index = [slice(None)] * ndim
-    index[axis] = slice(start, stop)
-    return tuple(index)
+    return tuple(slice(start, stop) if i == axis else slice(None) for i in range(ndim))
 
 
 def _wrap_pad(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    width = [(0, 0)] * a.ndim
-    width[axis] = (radius, radius)
-    return np.pad(a, width, mode="wrap")
+    return np.pad(a, [(radius, radius) if i == axis else (0, 0) for i in range(a.ndim)],
+                  mode="wrap")
 
 
 def _axis_window_max(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
@@ -103,45 +102,53 @@ def _axis_window_max(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
                       m[_axis_slice(a.ndim, axis, length - span, length - span + n)])
 
 
-def window_max(a: np.ndarray, radius: int) -> np.ndarray:
-    """Max over the circular box window of per-axis radius `radius`.
-
-    O(log radius) array maxima per axis; exact, since max is idempotent and
-    overlapping runs change nothing.
-    """
+def window_max(a: np.ndarray, radius: int, dim: int | None = None) -> np.ndarray:
+    """Max over the circular box window of per-axis radius `radius` on the
+    trailing `dim` axes of `a` (all by default): O(log radius) array maxima
+    per axis, exact since max is idempotent and overlapping runs change nothing."""
     out = a
-    for axis in range(a.ndim):
+    for axis in range(a.ndim - (a.ndim if dim is None else dim), a.ndim):
         out = _axis_window_max(out, radius, axis)
     return out
 
 
-def window_mean(a: np.ndarray, radius: int) -> np.ndarray:
-    """Mean over the circular box window of per-axis radius `radius`.
-
-    Sums shifted views of a circularly padded copy in the fixed order
-    x, x[.-1], x[.+1], x[.-2], ... so the rounding never depends on the
-    window's position.
-    """
-    out = a
-    for axis in range(a.ndim):
+def window_mean(a: np.ndarray, radius, dim: int | None = None) -> np.ndarray:
+    """Mean over the circular box window of per-axis radius `radius` (one int,
+    or one per row of the leading axis, non-increasing) on the trailing `dim`
+    axes of `a` (all by default).  Each row sums shifted views of one copy
+    padded at the largest radius in the fixed order x, x[.-1], x[.+1], ...,
+    the rows still short of their radius taking a prefix, so the rounding
+    depends neither on the window's position nor on the other rows."""
+    radii = np.atleast_1d(radius)
+    if np.any(radii[1:] > radii[:-1]):
+        raise DomainError("per-row window radii must be non-increasing")
+    out = a if np.ndim(radius) else a[None]
+    top = int(radii[0])
+    rows = np.searchsorted(-radii, -np.arange(1, top + 1), side="right").tolist()
+    for axis in range(out.ndim - (a.ndim if dim is None else dim), out.ndim):
         n = out.shape[axis]
-        padded = _wrap_pad(out, radius, axis)
-        acc = out.copy()
-        for d in range(1, radius + 1):
-            acc += padded[_axis_slice(a.ndim, axis, radius - d, radius - d + n)]
-            acc += padded[_axis_slice(a.ndim, axis, radius + d, radius + d + n)]
-        out = acc / (2 * radius + 1)
-    return out
+        # shifted[s] = the padded copy from s to s + n along axis
+        shifted = np.moveaxis(sliding_window_view(_wrap_pad(out, top, axis), n, axis=axis),
+                              (axis, -1), (0, axis + 1))
+        out = out.copy()
+        for d, m in enumerate(rows, 1):
+            out[:m] += shifted[top - d, :m]
+            out[:m] += shifted[top + d, :m]
+        del shifted
+        out /= (2 * radii + 1).reshape((-1,) + (1,) * (out.ndim - 1))
+    return out if np.ndim(radius) else out[0]
 
 
 _SUP_BUFFER_ELEMENTS = 1 << 15  # bounds the candidate blocks of the window sups
+_HULL_CHUNK = 1 << 13  # bounds the points one hull filter sorts at a time
+_SMALL_SEGMENT = 64  # quickhull hands segments this small to the monotone chain
 
 
-def _monotone_chain(xs: list, ys: list, points: list) -> list:
-    """Andrew's monotone chain: the lower convex chain of `points`, indices
-    into xs/ys in increasing x order."""
+def _monotone_chain(xs: list, ys: list) -> list:
+    """Andrew's monotone chain: the lower convex chain of the points
+    (xs[k], ys[k]), given in increasing x order, as positions k."""
     chain = []
-    for k in points:
+    for k in range(len(xs)):
         while len(chain) >= 2:
             i, j = chain[-2], chain[-1]
             if (xs[j] - xs[i]) * (ys[k] - ys[i]) > (ys[j] - ys[i]) * (xs[k] - xs[i]):
@@ -151,28 +158,22 @@ def _monotone_chain(xs: list, ys: list, points: list) -> list:
     return chain
 
 
-_SMALL_SEGMENT = 64  # quickhull hands segments this small to the monotone chain
-
-
 def _lower_chain(xs: np.ndarray, ys: np.ndarray) -> list:
     """Indices of the lower convex chain of points with strictly increasing xs.
 
     Quickhull keeps, per chord, only the points strictly below it (vectorized)
     and splits at the lowest; small segments go to the monotone chain.
     """
-    xl, yl = xs.tolist(), ys.tolist()
     chain = [0]
     stack = [(0, xs.size - 1, np.arange(1, xs.size - 1))]
     while stack:
         i, j, idx = stack.pop()
-        if idx.size <= _SMALL_SEGMENT:
-            chain += _monotone_chain(xl, yl, [i, *idx.tolist(), j])[1:]
-            continue
         cross = (xs[j] - xs[i]) * (ys[idx] - ys[i]) - (ys[j] - ys[i]) * (xs[idx] - xs[i])
         below = cross < 0.0
         idx, cross = idx[below], cross[below]
-        if idx.size == 0:
-            chain.append(j)
+        if idx.size <= _SMALL_SEGMENT:
+            points = np.r_[i, idx, j]
+            chain += points[_monotone_chain(xs[points].tolist(), ys[points].tolist())[1:]].tolist()
             continue
         k = idx[np.argmin(cross)]
         stack.append((k, j, idx[idx > k]))
@@ -189,12 +190,11 @@ def _hull_candidates(a: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     since its value is at most a convex combination of two chain vertices'
     values minus v.  Rounding (unit roundoff u = eps/2) moves each computed
     value by at most ~3u(|b| max|a| + max|h|) and the vertical distances by
-    ~12u max|h|,
-    so a point is dropped only when it lies inside both chains by more than
-    `margin`, which bounds both with room to spare.  Then every floating-point
-    maximizer survives, and the sup over the survivors is bitwise the sup over
-    all points.  Non-finite data keeps every point, and a point whose distance
-    overflows is kept.
+    ~12u max|h|, so a point is dropped only when it lies inside both chains by
+    more than `margin`, which bounds both with room to spare.  Then every
+    floating-point maximizer survives, and the sup over the survivors is
+    bitwise the sup over all points.  Non-finite data keeps every point, and a
+    point whose distance overflows is kept.
     """
     # a NaN in b is NaN at its own x whatever the candidates, so it sets no bound
     bound = np.fmax.reduce(np.abs(b), axis=None, initial=0.0)
@@ -220,9 +220,16 @@ def _hull_candidates(a: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _torus_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray) -> None:
-    """out = max(out, max over all y of |b A(y) - H(y)|), over hull candidates."""
+    """out = max(out, max over all points y of |b A(y) - H(y)|), over hull
+    candidates: the cloud (the union of the rows of stacked A, H) is filtered
+    in chunks of `_HULL_CHUNK` points and their survivors once more, each
+    filter keeping every floating-point maximizer."""
     a, h = A.ravel(), H.ravel()
-    keep = _hull_candidates(a, h, b)
+    keep = np.concatenate([start + _hull_candidates(a[start:start + _HULL_CHUNK],
+                                                    h[start:start + _HULL_CHUNK], b)
+                           for start in range(0, a.size, _HULL_CHUNK)])
+    if a.size > _HULL_CHUNK:
+        keep = keep[_hull_candidates(a[keep], h[keep], b)]
     a, h = a[keep, None], h[keep, None]
     flat_out, flat_b = out.reshape(-1), b.reshape(-1)
     block = max(1, _SUP_BUFFER_ELEMENTS // b.size)
@@ -237,18 +244,17 @@ def _torus_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray) -> 
 
 def _window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
                 radius: int) -> None:
-    """out = max(out, max over the box window at x of |b(x) A(y) - H(y)|).
-
-    Loops over the window's shifts, reading them as views of circularly
-    padded copies of A and H; shifts along the last axis go in blocks.
-    """
-    n, span = A.shape[0], 2 * radius + 1
-    Ap = np.pad(A, radius, mode="wrap")
-    Hp = np.pad(H, radius, mode="wrap")
-    block = max(1, min(span, _SUP_BUFFER_ELEMENTS // b.size))
+    """out = max(out, max over the rows of A, H and the box window at x of
+    |b(x) A(y) - H(y)|): the window's shifts are views of circularly padded
+    copies of A and H, and shifts along the last axis go in blocks."""
+    n, span = b.shape[0], 2 * radius + 1
+    width = [(0, 0)] * (A.ndim - b.ndim) + [(radius, radius)] * b.ndim
+    Ap = np.pad(A, width, mode="wrap")
+    Hp = np.pad(H, width, mode="wrap")
+    block = max(1, min(span, _SUP_BUFFER_ELEMENTS // A.size))
     buf = np.empty((block,) + A.shape)
-    for lead in product(range(span), repeat=A.ndim - 1):
-        rows = tuple(slice(k, k + n) for k in lead)
+    for lead in product(range(span), repeat=b.ndim - 1):
+        rows = (Ellipsis, *(slice(k, k + n) for k in lead), slice(None))
         # shifted[k][..., j] = padded[rows][..., k + j]
         A_shifted = np.moveaxis(sliding_window_view(Ap[rows], n, axis=-1), -2, 0)
         H_shifted = np.moveaxis(sliding_window_view(Hp[rows], n, axis=-1), -2, 0)
@@ -257,10 +263,28 @@ def _window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
             np.multiply(b, A_shifted[start:start + block], out=cand)
             np.subtract(cand, H_shifted[start:start + block], out=cand)
             np.abs(cand, out=cand)
-            np.maximum(out, np.maximum.reduce(cand, axis=0), out=out)
+            np.maximum(out, np.maximum.reduce(cand.reshape((-1,) + b.shape)), out=out)
 
 
-class GrandMaximal:
+class _GridOperator:
+    """A (dim, N) grid, its trailing FFT axes and the input checks."""
+
+    is_linear = False
+
+    def __init__(self, dim: int, resolution: int):
+        if dim not in (1, 2):
+            raise DomainError(f"dim must be 1 or 2, got {dim}")
+        self.dim, self.resolution = dim, resolution
+        self._axes = tuple(range(-dim, 0))
+
+    def _check(self, f: SampledFunction, *others: SampledFunction) -> None:
+        if f.dim != self.dim or f.resolution != self.resolution:
+            raise ShapeError("operator built for a different grid")
+        if any(g.values.shape != f.values.shape for g in others):
+            raise ShapeError("mismatched resolutions")
+
+
+class GrandMaximal(_GridOperator):
     """Nontangential maximal operator over a finite bump dictionary.
 
     The true object takes a sup over an infinite family of test functions;
@@ -269,39 +293,35 @@ class GrandMaximal:
     here require (constants are fitted, never assumed).
     """
 
-    is_linear = False
-
     def __init__(self, dim: int, resolution: int, scales=None):
-        self.dim = dim
-        self.resolution = resolution
+        super().__init__(dim, resolution)
         self.scales = tuple(scales) if scales is not None else default_scales(resolution)
         if not self.scales:
             raise ConfigurationError("empty scale grid for the maximal operator")
         self.name = "grand_maximal"
-        self._kernel_ffts = {}
-        for width, power in _BUMP_SHAPES:
-            amp = _bump_amplitude(width, power, dim)
-            for t in self.scales:
-                self._kernel_ffts[(width, power, t)] = np.fft.fftn(
-                    self._sampled_kernel(width, power, amp, t))
+        # one row per (bump, scale), sorted by (window radius, scale): every
+        # radius is a slice, and the local rows (t < 1) come first, since
+        # t >= 1 always takes the largest radius N // 2
+        rows = sorted(((_window_radius(t, resolution), t, shape)
+                       for shape in _BUMP_SHAPES for t in self.scales), key=lambda row: row[:2])
+        amps = {shape: _bump_amplitude(*shape, dim) for shape in _BUMP_SHAPES}
+        self._spectra = np.empty((len(rows),) + (resolution,) * dim, dtype=complex)
+        for spectrum, (_, t, shape) in zip(self._spectra, rows):
+            np.fft.fftn(self._sampled_kernel(*shape, amps[shape], t), out=spectrum)
+        self._spectra.flags.writeable = False
+        self._kernel_scales = tuple(t for _, t, _ in rows)
+        self._radii = np.array([r for r, _, _ in rows])
+        self._local_rows = sum(t < 1.0 for t in self._kernel_scales)
         self.dictionary_mass = max(_bump_mass(w, p, dim) for w, p in _BUMP_SHAPES)
 
     def _sampled_kernel(self, width, power, amp, t):
         """Periodized dilation t^-n phi(./t) sampled on the grid."""
         N, dim = self.resolution, self.dim
-        axis = np.arange(N) / N
         reach = int(math.ceil(width * t + 1.0))
-        shifts = range(-reach, reach + 1)
+        squares = (np.arange(N) / N + np.arange(-reach, reach + 1)[:, None]) ** 2
         out = np.zeros((N,) * dim)
-        if dim == 1:
-            for m in shifts:
-                out += _bump(np.abs(axis + m) / t, width, power)
-        else:
-            ax0, ax1 = np.meshgrid(axis, axis, indexing="ij")
-            for m0 in shifts:
-                for m1 in shifts:
-                    r = np.sqrt((ax0 + m0) ** 2 + (ax1 + m1) ** 2) / t
-                    out += _bump(r, width, power)
+        for square in product(squares, repeat=dim):  # (x_a + m_a)^2 per axis a
+            out += _bump(np.sqrt(functools.reduce(np.add.outer, square)) / t, width, power)
         return amp * out / t ** dim
 
     def _scale_set(self, local: bool):
@@ -310,66 +330,51 @@ class GrandMaximal:
             raise ConfigurationError("no scales under 1 available for the local variant")
         return ts
 
-    def _fields(self, f: SampledFunction, local: bool):
-        F = np.fft.fftn(f.values)
-        for (width, power, t), K in self._kernel_ffts.items():
-            if local and t >= 1.0:
-                continue
-            u = np.fft.ifftn(F * K).real / f.values.size
-            yield t, u
+    def _field_groups(self, values: np.ndarray, local: bool):
+        """(radius, fields) per window-radius group: fields[i][k] is values[i]
+        convolved with the group's k-th kernel, one inverse FFT per input."""
+        self._scale_set(local)
+        spectra = np.fft.fftn(values, axes=self._axes)
+        radii = self._radii[:self._local_rows if local else None]
+        starts = np.flatnonzero(np.diff(radii, prepend=-1)).tolist()
+        for start, stop in zip(starts, starts[1:] + [radii.size]):
+            yield int(radii[start]), [self._convolve(s, slice(start, stop)) for s in spectra]
+
+    def _convolve(self, spectrum: np.ndarray, rows: slice) -> np.ndarray:
+        u = spectrum * self._spectra[rows]
+        return np.fft.ifftn(u, axes=self._axes, out=u).real / spectrum.size
 
     def apply(self, f: SampledFunction, local: bool = False) -> SampledFunction:
         self._check(f)
-        self._scale_set(local)
         out = np.zeros_like(f.values)
-        for t, u in self._fields(f, local):
-            r = _window_radius(t, self.resolution)
-            np.maximum(out, window_max(np.abs(u), r), out=out)
+        for r, (u,) in self._field_groups(f.values[None], local):
+            np.maximum(out, np.maximum.reduce(window_max(np.abs(u, out=u), r, self.dim)), out=out)
         return SampledFunction(out)
 
     def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
                           h: SampledFunction, local: bool = False) -> SampledFunction:
         """x -> value at x of the operator applied to b(x) f(.) - h(.).
 
-        Exact: the convolution fields A of f and H of h are formed once per
-        (bump, scale), and the window sup of |b(x) A(y) - H(y)| is taken two
-        ways, both bitwise equal to looping over every shift of the window:
-
-        - a window with 2r+1 >= N covers the whole torus, so the sup depends
-          on x only through b(x): it is the support function of the cloud
-          {(A(y), H(y))} in the directions +-(b(x), -1).  It is evaluated over
-          the cloud's convex-hull vertices plus every point within a roundoff
-          margin of the hull, which contains every floating-point maximizer
-          (see `_hull_candidates`);
-        - a smaller window loops over its shifts, reading shifted views of
-          circularly padded copies of A and H.
+        Exact: the sup of |b(x) A(y) - H(y)| over the fields A of f and H of h
+        of one window radius is bitwise the kernel-by-kernel, shift-by-shift
+        one.  A window with 2r+1 >= N covers the torus, so the sup is the
+        support function of the union of the clouds {(A(y), H(y))} in the
+        directions +-(b(x), -1), evaluated over the hull vertices plus every
+        point within a roundoff margin of the hull (`_hull_candidates`); a
+        smaller window loops over its shifts (`_window_sup`).
         """
-        self._check(f)
-        if b.values.shape != f.values.shape or h.values.shape != f.values.shape:
-            raise ShapeError("mismatched resolutions")
-        F = np.fft.fftn(f.values)
-        H = np.fft.fftn(h.values)
+        self._check(f, b, h)
         bv = b.values
         out = np.zeros_like(f.values)
-        size = f.values.size
-        for (width, power, t), K in self._kernel_ffts.items():
-            if local and t >= 1.0:
-                continue
-            A = np.fft.ifftn(F * K).real / size
-            Hh = np.fft.ifftn(H * K).real / size
-            r = _window_radius(t, self.resolution)
+        for r, (A, H) in self._field_groups(np.stack([f.values, h.values]), local):
             if 2 * r + 1 >= self.resolution:
-                _torus_sup(out, bv, A, Hh)
+                _torus_sup(out, bv, A, H)
             else:
-                _window_sup(out, bv, A, Hh, r)
+                _window_sup(out, bv, A, H, r)
         return SampledFunction(out)
 
-    def _check(self, f):
-        if f.dim != self.dim or f.resolution != self.resolution:
-            raise ShapeError("operator built for a different grid")
 
-
-class LusinArea:
+class LusinArea(_GridOperator):
     """Area integral of the Poisson extension over discretized cones.
 
     The cone integral is a fixed nonnegative quadrature over a dyadic height
@@ -377,85 +382,80 @@ class LusinArea:
     |grad u|^2, so the operator is an exact L2 norm of linear fields.
     """
 
-    is_linear = False
-
     def __init__(self, dim: int, resolution: int, scales=None):
-        self.dim = dim
-        self.resolution = resolution
+        super().__init__(dim, resolution)
         self.scales = tuple(scales) if scales is not None else default_scales(
             resolution, top_exponent=-1, bottom_exponent=-13, min_cells=1)
         if not self.scales:
             raise ConfigurationError("empty height grid for the area integral")
         self.name = "lusin_area"
-        k = frequency_grid(dim, resolution)
-        self._knorm = np.sqrt(sum(ki ** 2 for ki in k))
-        self._kaxes = k
+        self._kaxes = frequency_grid(dim, resolution)
+        self._knorm = np.sqrt(sum(ki ** 2 for ki in self._kaxes))
+        # (height t, window radius r, weight t^(1-n) * dt * window measure)
+        self._heights = [(t, r, t ** (1 - dim) * (t / 2.0) * ((2 * r + 1) / resolution) ** dim)
+                         for t, r in ((t, _window_radius(t, resolution)) for t in self.scales)]
+        # the heights in non-increasing window radius: the rows of one sweep
+        self._sweep = sorted(range(len(self.scales)), key=lambda i: -self._heights[i][1])
 
     def _gradient_multipliers(self, t: float):
         pois = np.exp(-2.0 * math.pi * t * self._knorm)
-        mults = [2.0j * math.pi * ka * pois for ka in self._kaxes]
-        mults.append(-2.0 * math.pi * self._knorm * pois)
-        return mults
+        for ka in self._kaxes:
+            yield 2.0j * math.pi * ka * pois
+        yield -2.0 * math.pi * self._knorm * pois
 
-    def _weights(self):
-        N = self.resolution
-        for t in self.scales:
-            r = _window_radius(t, N)
-            measure = ((2 * r + 1) / N) ** self.dim
-            yield t, r, t ** (1 - self.dim) * (t / 2.0) * measure
+    def _height_dots(self, values: np.ndarray, pairs) -> np.ndarray:
+        """dots[q, row] = sum over k of grad_k(values[i]) * grad_k(values[j])
+        at the row-th height of the sweep, for pairs[q] = (i, j); the gradient
+        fields of every input come from one inverse FFT per height."""
+        spectra = np.fft.fftn(values, axes=self._axes)
+        dots = np.zeros((len(pairs), len(self.scales)) + values.shape[1:])
+        grads = np.empty((len(values), self.dim + 1) + values.shape[1:], dtype=complex)
+        for row, i in enumerate(self._sweep):
+            for k, mult in enumerate(self._gradient_multipliers(self.scales[i])):
+                np.multiply(spectra, mult, out=grads[:, k])
+            np.fft.ifftn(grads, axes=self._axes, out=grads)
+            for k in range(self.dim + 1):
+                for dot, (p, q) in zip(dots, pairs):
+                    dot[row] += grads[p, k].real * grads[q, k].real
+        return dots
 
-    def _cone_quadratic(self, F, G) -> np.ndarray:
-        """Cone quadrature of the product of gradient fields of two inputs."""
-        acc = np.zeros((self.resolution,) * self.dim)
-        for t, r, w in self._weights():
-            dot = np.zeros_like(acc)
-            for mult in self._gradient_multipliers(t):
-                a = np.fft.ifftn(F * mult).real
-                bb = a if G is F else np.fft.ifftn(G * mult).real
-                dot += a * bb
-            acc += w * window_mean(dot, r)
-        return acc
+    def _cone_quadratics(self, values: np.ndarray, pairs) -> list:
+        """Cone quadrature of the product of the gradient fields of values[i]
+        and values[j], per pair (i, j): all heights' window means in one
+        sweep, one quadrature at a time, then w * mean added in height order."""
+        radii = [self._heights[i][1] for i in self._sweep]
+        quadratics = []
+        for dot in self._height_dots(values, pairs):
+            means = window_mean(dot, radii, self.dim)
+            quadratics.append(np.zeros(values.shape[1:]))
+            for (_, _, w), row in zip(self._heights, np.argsort(self._sweep)):
+                quadratics[-1] += w * means[row]
+            del means
+        return quadratics
 
     def apply(self, f: SampledFunction) -> SampledFunction:
         self._check(f)
-        F = np.fft.fftn(f.values)
-        return SampledFunction(np.sqrt(np.maximum(self._cone_quadratic(F, F), 0.0)))
+        qa, = self._cone_quadratics(f.values[None], [(0, 0)])
+        return SampledFunction(np.sqrt(np.maximum(qa, 0.0)))
 
     def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
                           h: SampledFunction) -> SampledFunction:
         """x -> area integral at x of b(x) f(.) - h(.), by quadratic expansion."""
-        self._check(f)
-        if b.values.shape != f.values.shape or h.values.shape != f.values.shape:
-            raise ShapeError("mismatched resolutions")
-        F = np.fft.fftn(f.values)
-        H = np.fft.fftn(h.values)
-        qa = self._cone_quadratic(F, F)
-        qc = self._cone_quadratic(F, H)
-        qb = self._cone_quadratic(H, H)
+        self._check(f, b, h)
+        qa, qc, qb = self._cone_quadratics(np.stack([f.values, h.values]),
+                                           [(0, 0), (0, 1), (1, 1)])
         bv = b.values
         return SampledFunction(np.sqrt(np.maximum(bv * bv * qa - 2.0 * bv * qc + qb, 0.0)))
 
-    def _check(self, f):
-        if f.dim != self.dim or f.resolution != self.resolution:
-            raise ShapeError("operator built for a different grid")
 
-
-_MAXIMAL_CACHE: dict = {}
-_LUSIN_CACHE: dict = {}
-
-
+@functools.cache
 def grand_maximal(dim: int, resolution: int) -> GrandMaximal:
-    key = (dim, resolution)
-    if key not in _MAXIMAL_CACHE:
-        _MAXIMAL_CACHE[key] = GrandMaximal(dim, resolution)
-    return _MAXIMAL_CACHE[key]
+    return GrandMaximal(dim, resolution)
 
 
+@functools.cache
 def lusin_area(dim: int, resolution: int) -> LusinArea:
-    key = (dim, resolution)
-    if key not in _LUSIN_CACHE:
-        _LUSIN_CACHE[key] = LusinArea(dim, resolution)
-    return _LUSIN_CACHE[key]
+    return LusinArea(dim, resolution)
 
 
 def maximal_function(f: SampledFunction, local: bool = False,

@@ -3,9 +3,10 @@
 The wavelet oracles evaluate defining sums term by term against explicitly
 synthesized basis vectors; no projection cascades, no convolution tricks.
 Only usable at small resolutions.  The filter-bank steps and the window
-kernels after them take one `np.roll` per tap or shift, and the envelope
-machinery keys wavelet-matrix entries by cube pairs and evaluates `p_delta`
-one pair at a time; the production code must match them bit for bit.
+kernels after them take one `np.roll` per tap or shift, the sublinear
+operators one kernel or height at a time, and the envelope machinery keys
+wavelet-matrix entries by cube pairs and evaluates `p_delta` one pair at a
+time; the production code must match them bit for bit.
 """
 
 from itertools import product
@@ -220,27 +221,44 @@ def window_mean(a: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
+# -- sublinear operators, one kernel or height at a time ---------------------
+
+def _kernel_fields(op, F, local):
+    """(t, field) per kernel of a `GrandMaximal`, one inverse FFT each."""
+    for t, K in zip(op._kernel_scales, op._spectra):
+        if local and t >= 1.0:
+            continue
+        yield t, np.fft.ifftn(F * K).real / F.size
+
+
+def maximal_apply(op, f: SampledFunction, local: bool = False) -> SampledFunction:
+    """`GrandMaximal.apply` one kernel at a time, with the shift-loop `window_max`."""
+    from torwave.sublinear import _window_radius
+    op._check(f)
+    op._scale_set(local)
+    out = np.zeros_like(f.values)
+    for t, u in _kernel_fields(op, np.fft.fftn(f.values), local):
+        np.maximum(out, window_max(np.abs(u), _window_radius(t, op.resolution)), out=out)
+    return SampledFunction(out)
+
+
 def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
                       h: SampledFunction, local: bool = False) -> SampledFunction:
     """`GrandMaximal.pointwise_shifted` by explicit shifts; `self` is the operator.
 
-    Exact: the convolution fields of f and h are formed once and the
-    window sup of |b(x) A(y) - H(y)| is taken over explicit shifts.
+    Exact: the convolution fields of f and h are formed once per kernel and
+    the window sup of |b(x) A(y) - H(y)| is taken over explicit shifts.
     """
     from torwave.sublinear import _window_radius
     self._check(f)
     if b.values.shape != f.values.shape or h.values.shape != f.values.shape:
         raise ShapeError("mismatched resolutions")
+    self._scale_set(local)
     F = np.fft.fftn(f.values)
     H = np.fft.fftn(h.values)
     bv = b.values
     out = np.zeros_like(f.values)
-    size = f.values.size
-    for (width, power, t), K in self._kernel_ffts.items():
-        if local and t >= 1.0:
-            continue
-        A = np.fft.ifftn(F * K).real / size
-        Hh = np.fft.ifftn(H * K).real / size
+    for (t, A), (_, Hh) in zip(_kernel_fields(self, F, local), _kernel_fields(self, H, local)):
         r = _window_radius(t, self.resolution)
         if self.dim == 1:
             for d in range(-r, r + 1):
@@ -252,6 +270,40 @@ def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
                               - np.roll(Hh, (-d0, -d1), (0, 1)))
                 np.maximum(out, cand, out=out)
     return SampledFunction(out)
+
+
+def _cone_quadratic(op, F, G) -> np.ndarray:
+    """`LusinArea`'s cone quadrature of two inputs' gradient fields, one height
+    and one gradient component at a time, with the shift-loop `window_mean`."""
+    acc = np.zeros((op.resolution,) * op.dim)
+    for t, r, w in op._heights:
+        dot = np.zeros_like(acc)
+        for mult in op._gradient_multipliers(t):
+            a = np.fft.ifftn(F * mult).real
+            bb = a if G is F else np.fft.ifftn(G * mult).real
+            dot += a * bb
+        acc += w * window_mean(dot, r)
+    return acc
+
+
+def lusin_apply(op, f: SampledFunction) -> SampledFunction:
+    """`LusinArea.apply` one height at a time."""
+    op._check(f)
+    F = np.fft.fftn(f.values)
+    return SampledFunction(np.sqrt(np.maximum(_cone_quadratic(op, F, F), 0.0)))
+
+
+def lusin_pointwise_shifted(op, b: SampledFunction, f: SampledFunction,
+                            h: SampledFunction) -> SampledFunction:
+    """`LusinArea.pointwise_shifted` by three separate cone quadratures."""
+    op._check(f)
+    F = np.fft.fftn(f.values)
+    H = np.fft.fftn(h.values)
+    qa = _cone_quadratic(op, F, F)
+    qc = _cone_quadratic(op, F, H)
+    qb = _cone_quadratic(op, H, H)
+    bv = b.values
+    return SampledFunction(np.sqrt(np.maximum(bv * bv * qa - 2.0 * bv * qc + qb, 0.0)))
 
 
 def pointwise_commutator_naive(T, b: SampledFunction, f: SampledFunction) -> SampledFunction:

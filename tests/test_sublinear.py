@@ -1,11 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import pointwise_commutator_naive
-from torwave import (ConfigurationError, GrandMaximal, LusinArea,
+from oracles import assert_bitwise_equal, pointwise_commutator_naive
+from torwave import (ConfigurationError, DomainError, GrandMaximal, LusinArea,
                      SampledFunction, distance_field, grand_maximal, lusin_area,
                      lusin_area_integral, maximal_function)
 from torwave.samples import derive_rng, random_bmo, random_function, two_sided_atom
+from torwave.sublinear import _BUMP_SHAPES, _bump, _bump_amplitude
 
 
 def test_maximal_of_zero():
@@ -38,6 +41,57 @@ def test_empty_scale_grid_rejected():
         GrandMaximal(1, 128, scales=())
     with pytest.raises(ConfigurationError):
         LusinArea(1, 128, scales=())
+
+
+def test_local_without_scales_under_one_rejected():
+    # at N = 4 the scale grid is (2, 1): the local variant has nothing to take
+    op = grand_maximal(1, 4)
+    f = SampledFunction(np.arange(4.0))
+    for call in (lambda: op.apply(f, local=True),
+                 lambda: op.pointwise_shifted(f, f, 0 * f, local=True)):
+        with pytest.raises(ConfigurationError):
+            call()
+
+
+@pytest.mark.parametrize("cls", [GrandMaximal, LusinArea])
+@pytest.mark.parametrize("dim", [0, 3])
+def test_unsupported_dimension_rejected(cls, dim):
+    with pytest.raises(DomainError):
+        cls(dim, 8)
+
+
+def test_sampled_kernel_single_formula_keeps_1d_bits():
+    # sqrt(fl(y^2)) = |y| in binary64, so the dimension-free radius
+    # reproduces the former 1-D kernel, sum of bumps at |x + m| / t
+    N = 256
+    op = grand_maximal(1, N)
+    axis = np.arange(N) / N
+    for width, power in _BUMP_SHAPES:
+        amp = _bump_amplitude(width, power, 1)
+        for t in op.scales:
+            reach = int(np.ceil(width * t + 1.0))
+            old = np.zeros(N)
+            for m in range(-reach, reach + 1):
+                old += _bump(np.abs(axis + m) / t, width, power)
+            assert_bitwise_equal(op._sampled_kernel(width, power, amp, t), amp * old / t)
+
+
+@pytest.mark.parametrize("factory", [grand_maximal, lusin_area])
+def test_pointwise_shifted_transient_memory(factory):
+    # the commutator_identity riesz1 run at N = 128 peaks at about 4.5 MiB of
+    # transients; the sublinear stacks at N = 64 must stay under that
+    rng = derive_rng(83)
+    f = random_function(rng, 2, 64)
+    b = random_bmo(rng, 2, 64)
+    h = b * f
+    op = factory(2, 64)
+    tracemalloc.start()
+    try:
+        op.pointwise_shifted(b, f, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20, peak
 
 
 def test_lusin_of_constant_and_homogeneity(rng):

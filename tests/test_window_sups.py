@@ -4,8 +4,12 @@
 other windows through padded views; `window_max` uses a doubling max and
 `window_mean` padded views.  All of them must reproduce the one-`np.roll`-
 per-shift loops in `oracles` exactly, degenerate point clouds included, down
-to the sign of zero that the JSON records carry.
+to the sign of zero that the JSON records carry.  The operators run one
+pass over stacked kernels and heights; they must reproduce the one-kernel,
+one-height loops in `oracles` exactly too.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,8 +18,10 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import assert_bitwise_equal
-from torwave import SampledFunction, grand_maximal
+from torwave import SampledFunction, grand_maximal, lusin_area
+from torwave.errors import DomainError
 from torwave.samples import derive_rng, random_bmo, random_function
+from torwave import sublinear
 from torwave.sublinear import _torus_sup, window_max, window_mean
 
 GRIDS = [(1, 64), (1, 256), (1, 512), (2, 16), (2, 32), (2, 64)]
@@ -33,6 +39,54 @@ def test_window_kernels_match_shift_loop(dim, N, kernel, oracle):
     a = np.random.default_rng(N + dim).standard_normal((N,) * dim)
     for radius in _radii(N):
         assert_bitwise_equal(kernel(a, radius), oracle(a, radius))
+
+
+@pytest.mark.parametrize("dim,N", GRIDS)
+def test_stacked_window_kernels_match_per_row(dim, N):
+    rng = np.random.default_rng(N + dim)
+    stack = rng.standard_normal((5,) + (N,) * dim)
+    for radius in _radii(N):  # one radius for the whole stack
+        for kernel, oracle in ((window_max, oracles.window_max),
+                               (window_mean, oracles.window_mean)):
+            for row, a in zip(kernel(stack, radius, dim), stack):
+                assert_bitwise_equal(row, oracle(a, radius))
+    mixed = [N + 3, N // 2, 5, 5, 0]  # one radius per row, as in the height sweep
+    for row, a, radius in zip(window_mean(stack, mixed, dim), stack, mixed):
+        assert_bitwise_equal(row, oracles.window_mean(a, radius))
+    with pytest.raises(DomainError):
+        window_mean(stack, mixed[::-1], dim)
+
+
+@pytest.mark.parametrize("dim,N", GRIDS)
+def test_operator_apply_matches_per_kernel_loop(dim, N):
+    rng = derive_rng(92, dim, N)
+    f = random_function(rng, dim, N)
+    maximal, lusin = grand_maximal(dim, N), lusin_area(dim, N)
+    for local in (False, True):
+        assert_bitwise_equal(maximal.apply(f, local).values,
+                             oracles.maximal_apply(maximal, f, local).values)
+    assert_bitwise_equal(lusin.apply(f).values, oracles.lusin_apply(lusin, f).values)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # non-finite b
+@pytest.mark.parametrize("dim,N", GRIDS)
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf])
+def test_lusin_pointwise_shifted_matches_per_height_loop(dim, N, bad):
+    rng = derive_rng(93, dim, N)
+    f = random_function(rng, dim, N)
+    bv = random_bmo(rng, dim, N).values.copy()
+    if bad is not None:
+        bv.flat[[1, N // 2]] = bad
+    b = SampledFunction(bv)
+    op = lusin_area(dim, N)
+    for h in (b * f, random_function(rng, dim, N)):
+        new = op.pointwise_shifted(b, f, h).values
+        old = oracles.lusin_pointwise_shifted(op, b, f, h).values
+        # numpy's inverse FFT of a stack carries NaN operands through in
+        # another order than that of one row, so only a NaN's sign bit may
+        # differ; unlike the maximal operator, no abs() clears it here
+        assert_bitwise_equal(np.where(np.isnan(new), np.nan, new),
+                             np.where(np.isnan(old), np.nan, old))
 
 
 @pytest.mark.parametrize("dim,N", GRIDS)
@@ -90,14 +144,17 @@ def _every_point_sup(b, a, h):
 @given(points=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
                        min_size=1, max_size=40),
        scale=st.sampled_from([1.0, 1e-3, 1e7, 0.1]),
-       b=st.lists(st.integers(-4, 4), min_size=1, max_size=16))
-def test_torus_sup_on_integer_clouds(points, scale, b):
-    # raw clouds with exact duplicates, collinear runs and tied directions
+       b=st.lists(st.integers(-4, 4), min_size=1, max_size=16),
+       chunk=st.integers(1, 48))
+def test_torus_sup_on_integer_clouds(points, scale, b, chunk):
+    # raw clouds with exact duplicates, collinear runs and tied directions,
+    # filtered whole or in chunks whose survivors are filtered once more
     a = np.array([p[0] for p in points], dtype=float) * scale
     h = np.array([p[1] for p in points], dtype=float) * scale
     bv = np.array(b, dtype=float)
     out = np.zeros_like(bv)
-    _torus_sup(out, bv, a, h)
+    with mock.patch.object(sublinear, "_HULL_CHUNK", chunk):
+        _torus_sup(out, bv, a, h)
     assert_bitwise_equal(out, _every_point_sup(bv, a, h))
 
 
@@ -135,3 +192,19 @@ def test_pointwise_shifted_non_finite_b(grid, bad, independent_h):
         np.testing.assert_array_equal(~np.isfinite(new), ~np.isfinite(bv))
     else:  # h = b f carries the bad value into every field
         assert not np.isfinite(new).any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # FFTs of non-finite input
+@pytest.mark.parametrize("dim,N", GRIDS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pointwise_shifted_non_finite_b_local(dim, N, bad):
+    rng = derive_rng(94, dim, N)
+    f = random_function(rng, dim, N)
+    bv = random_bmo(rng, dim, N).values.copy()
+    bv.flat[[1, N // 2]] = bad
+    b = SampledFunction(bv)
+    h = b * f if np.isnan(bad) else random_function(rng, dim, N)
+    op = grand_maximal(dim, N)
+    for local in (False, True):
+        assert_bitwise_equal(op.pointwise_shifted(b, f, h, local).values,
+                             oracles.pointwise_shifted(op, b, f, h, local).values)
