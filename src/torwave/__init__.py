@@ -24,7 +24,7 @@ from .sublinear import (GrandMaximal, LusinArea, grand_maximal, lusin_area,
                         lusin_area_integral, maximal_function)
 from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_batch,
                     hardy_square_parts, llog_quasinorm, lp_norm, norm_report, oscillation_norm,
-                    validate_atom, weak_lp_quasinorm)
+                    oscillation_norm_batch, validate_atom, weak_lp_quasinorm)
 from .commutators import (AtomicDecomposition, CommutatorBatch, CommutatorDecomposition,
                           FractionalReport, H1bReport, SubbilinearEnvelope,
                           antisymmetric_paraproduct, atomic_decompose,
@@ -33,8 +33,8 @@ from .commutators import (AtomicDecomposition, CommutatorBatch, CommutatorDecomp
                           fractional_commutator_decomposition,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)
-from .samples import (derive_rng, random_bmo, random_classical_atom, random_cube,
-                      random_function, random_h1_tree, random_psi_atom,
+from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
+                      random_cube, random_function, random_h1_tree, random_psi_atom,
                       random_tree, truncated_log, two_sided_atom)
 from .hlf import read_hlf, write_hlf
 from .harness import (CSV_SCHEMAS, SUITES, ExperimentConfig, ExperimentReport,

@@ -31,7 +31,7 @@ from .operators import (almost_diagonal_envelope_fit, fractional_integral_operat
                         hilbert_operator, identity_operator, k_class_ratio, p_delta,
                         pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .paraproducts import paraproducts_batch, s_operator_batch
-from .samples import (derive_rng, random_bmo, random_classical_atom,
+from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
                       random_cube, random_function, random_h1_tree,
                       truncated_log, two_sided_atom)
 from .sublinear import grand_maximal, lusin_area
@@ -151,7 +151,7 @@ class ExperimentConfig:
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore
         unknown = set(d) - known
         if unknown:
-            raise UsageError(f"unknown config fields: {sorted(unknown)}")
+            raise UsageError(f"unknown config fields: {sorted(unknown, key=str)}")
         if "suite" not in d:
             raise UsageError("config is missing the suite name")
         return cls(**d).validate()
@@ -210,12 +210,10 @@ def _drift(values) -> float:
     return max(vals) / min(vals)
 
 
-def _draw(cfg: ExperimentConfig, ri: int, draw) -> list:
-    """`draw(rng)` for every case at resolution index `ri`, each case from its
-    own `derive_rng(root_seed, ri, ci)` stream in case order; the arrays it
-    returns are stacked per position, with the case index leading."""
-    rows = [draw(derive_rng(cfg.root_seed, ri, ci)) for ci in range(cfg.sample_count)]
-    return [np.stack(column) for column in zip(*rows)]
+def _case_rngs(cfg: ExperimentConfig, ri: int) -> list:
+    """The stream of every case at resolution index `ri`,
+    `derive_rng(root_seed, ri, ci)`, in case order."""
+    return [derive_rng(cfg.root_seed, ri, ci) for ci in range(cfg.sample_count)]
 
 
 def _suite_reconstruction(cfg: ExperimentConfig):
@@ -225,8 +223,8 @@ def _suite_reconstruction(cfg: ExperimentConfig):
     cases = []
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
-        f, = _draw(cfg, ri, lambda rng: (
-            random_function(rng, cfg.dim, N, kind="white").values,))
+        f = np.stack([random_function(rng, cfg.dim, N, kind="white").values
+                      for rng in _case_rngs(cfg, ri)])
         g = synthesize_batch(analyze_batch(f, basis, j0, cfg.dim), basis, j0, cfg.dim)
         errors, sizes = sup_norms(g - f, cfg.dim), sup_norms(f, cfg.dim)
         for ci in range(cfg.sample_count):
@@ -237,12 +235,13 @@ def _suite_reconstruction(cfg: ExperimentConfig):
     return cases, {"max_residual_rel": worst, "tolerance": tol}, worst <= tol
 
 
-def _tree_and_bmo(dim: int, j0: int, N: int):
-    """Draw of the product and commutator suites: a random H^1 coefficient
-    array, then a unit-BMO sample."""
+def _tree_and_bmo(cfg: ExperimentConfig, ri: int, dim: int, j0: int, N: int):
+    """Draw of the product and commutator suites, case index leading: per case an
+    H^1 coefficient array, then a unit-BMO sample, normalized once per stack."""
+    rngs = _case_rngs(cfg, ri)
     J = int(N).bit_length() - 1
-    return lambda rng: (random_h1_tree(rng, dim, j0, J).coeffs,
-                        random_bmo(rng, dim, N).values)
+    return (np.stack([random_h1_tree(rng, dim, j0, J).coeffs for rng in rngs]),
+            random_bmo_batch(rngs, dim, N))
 
 
 def _suite_product_identity(cfg: ExperimentConfig):
@@ -253,7 +252,7 @@ def _suite_product_identity(cfg: ExperimentConfig):
     ok = True
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
-        ft, g = _draw(cfg, ri, _tree_and_bmo(cfg.dim, j0, N))
+        ft, g = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
         parts = paraproducts_batch(ft, analyze_batch(g, basis, j0, cfg.dim), basis, j0,
                                    cfg.dim)
         fg_sup = sup_norms(synthesize_batch(ft, basis, j0, cfg.dim) * g, cfg.dim)
@@ -306,7 +305,7 @@ def _suite_commutator_identity(cfg: ExperimentConfig):
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
         T = parse_operator(cfg.operator, dim, N)
-        ft, b = _draw(cfg, ri, _tree_and_bmo(dim, j0, N))
+        ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
         f = synthesize_batch(ft, basis, j0, dim)
         dec = bilinear_decomposition_batch(b, T, f, basis, j0, dim)
         sizes = sup_norms(dec.commutator, dim)
@@ -329,8 +328,7 @@ def _suite_sandwich(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         J = int(N).bit_length() - 1
         T = parse_operator(cfg.operator, cfg.dim, N)
-        for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
+        for ci, rng in enumerate(_case_rngs(cfg, ri)):
             f = synthesize(random_h1_tree(rng, cfg.dim, j0, J), basis)
             b = random_bmo(rng, cfg.dim, N)
             env = subbilinear_envelope(b, T, f, basis, j0,
@@ -359,7 +357,7 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         sups = {"ratio_s": 0.0, "ratio_remainder": 0.0, "ratio_pi4": 0.0,
                 "ratio_antisym": 0.0}
-        ft, b = _draw(cfg, ri, _tree_and_bmo(dim, j0, N))
+        ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
         f = synthesize_batch(ft, basis, j0, dim)
         bt = analyze_batch(b, basis, j0, dim)
         parts = paraproducts_batch(ft, bt, basis, j0, dim)
@@ -404,8 +402,7 @@ def _suite_h1b_equivalence(cfg: ExperimentConfig):
         J = int(N).bit_length() - 1
         ratios = {"square_over_riesz": [], "square_over_T": [], "riesz_over_T": []}
         fitted_C = 0.0
-        for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
+        for ci, rng in enumerate(_case_rngs(cfg, ri)):
             b = random_bmo(rng, cfg.dim, N)
             Q = random_cube(rng, cfg.dim, j0, J - 2)
             a = make_qb_atom(Q, b, 2.0, seed=int(rng.integers(0, 2 ** 31)))
@@ -517,8 +514,7 @@ def _suite_molecule(cfg: ExperimentConfig):
     per_res = {}
     for ri, N in enumerate(cfg.resolutions):
         fitted_comm = 0.0
-        for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
+        for ci, rng in enumerate(_case_rngs(cfg, ri)):
             a, Q = random_classical_atom(rng, cfg.dim, N)
             val = molecule_norm(a, 0.25, Q.center)
             fitted_atoms = max(fitted_atoms, val)
@@ -554,8 +550,7 @@ def _suite_fractional(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         J = int(N).bit_length() - 1
         sup_ratio = 0.0
-        for ci in range(cfg.sample_count):
-            rng = derive_rng(cfg.root_seed, ri, ci)
+        for ci, rng in enumerate(_case_rngs(cfg, ri)):
             f = synthesize(random_h1_tree(rng, cfg.dim, j0, J), basis)
             b = random_bmo(rng, cfg.dim, N)
             dec, rep = fractional_commutator_decomposition(b, f, alpha, basis, j0)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field
+from .core import DyadicCube, SampledFunction, distance_field, grid_level
 from .errors import ConfigurationError, DomainError
 from .wavelets import (WaveletBasis, analyze_batch, coarse_projection_batch,
                        default_coarse_level, square_function_batch)
@@ -68,49 +68,50 @@ def weak_lp_quasinorm(f: SampledFunction, p: float) -> float:
     return _finite_input(float(np.max(a * measures ** (1.0 / p))), f, "weak Lp quasinorm")
 
 
-def _level_oscillations(values: np.ndarray, level: int) -> np.ndarray:
-    """Mean oscillation (1/|I|) int_I |f - f_I| for every cube of one level."""
-    step = values.shape[0] >> level
-    # axis 2a counts the cubes along grid axis a, axis 2a+1 the cells in one
-    blocks = values.reshape((1 << level, step) * values.ndim)
-    inside = tuple(range(1, 2 * values.ndim, 2))
-    means = blocks.mean(axis=inside, keepdims=True)
-    return np.abs(blocks - means).mean(axis=inside)
+def _level_oscillations(values: np.ndarray, level: int, dim: int) -> np.ndarray:
+    """Mean oscillation (1/|I|) int_I |f - f_I| for every cube of one level,
+    on the trailing `dim` axes of `values`."""
+    step = values.shape[-1] >> level
+    # from the end, axis 2a - 2dim counts the cubes along grid axis a, the next the cells
+    blocks = values.reshape(values.shape[:values.ndim - dim] + (1 << level, step) * dim)
+    inside = tuple(range(1 - 2 * dim, 0, 2))
+    # np.add.reduce / count is what ndarray.mean computes, without its overhead
+    means = np.add.reduce(blocks, axis=inside, keepdims=True) / step ** dim
+    return np.add.reduce(np.abs(blocks - means), axis=inside) / step ** dim
 
 
-def _cube_centers(dim: int, level: int):
-    side = 2.0 ** (-level)
-    axis = (np.arange(1 << level) + 0.5) * side
-    return np.meshgrid(*(axis,) * dim, indexing="ij")
+def oscillation_norm_batch(values, dim: int, mode: str = "BMO") -> np.ndarray:
+    """`oscillation_norm` of every grid on the trailing `dim` axes of
+    `values`, as an array of the leading shape."""
+    if mode not in OSCILLATION_MODES:
+        raise ConfigurationError(f"unknown oscillation mode {mode!r}")
+    v = np.asarray(values, dtype=float)
+    J = grid_level(v.shape, dim)
+    # a NaN oscillation would drop out of the running max below and read as 0
+    if not np.isfinite(v).all():
+        raise DomainError("oscillation norm of non-finite samples")
+    grid = tuple(range(-dim, 0))
+    sup = 0.0
+    for level in range(0, J + 1):
+        osc = _level_oscillations(v, level, dim)
+        if mode == "BMOlog":
+            axis = (np.arange(1 << level) + 0.5) * 2.0 ** (-level)  # cube centers
+            dist = sum(np.minimum(c % 1.0, 1.0 - c % 1.0) ** 2
+                       for c in np.meshgrid(*(axis,) * dim, indexing="ij"))
+            osc = osc * (level * math.log(2.0) + np.log(math.e + np.sqrt(dist)))
+        sup = np.maximum(sup, osc.max(axis=grid))
+    if mode == "BMOplus":
+        sup += np.abs(v.mean(axis=grid))
+    elif mode == "bmo":
+        # the only torus cube of measure >= 1 is the whole domain
+        sup += np.abs(v).mean(axis=grid)
+    return sup
 
 
 def oscillation_norm(f: SampledFunction, mode: str = "BMO") -> float:
     """Dyadic-cube mean-oscillation norms: BMO, BMO with anchored average,
     the local variant, and the logarithmically weighted variant."""
-    if mode not in OSCILLATION_MODES:
-        raise ConfigurationError(f"unknown oscillation mode {mode!r}")
-    v = f.values
-    # a NaN oscillation would drop out of the running max below and read as 0
-    if not np.isfinite(v).all():
-        raise DomainError("oscillation norm of non-finite samples")
-    J = f.finest_level
-    sup = 0.0
-    for level in range(0, J + 1):
-        osc = _level_oscillations(v, level)
-        if mode == "BMOlog":
-            centers = _cube_centers(f.dim, level)
-            dist = np.zeros_like(osc)
-            for axis in range(f.dim):
-                dist = dist + np.minimum(centers[axis] % 1.0, 1.0 - centers[axis] % 1.0) ** 2
-            weight = level * math.log(2.0) + np.log(math.e + np.sqrt(dist))
-            osc = osc * weight
-        sup = max(sup, float(osc.max()))
-    if mode == "BMOplus":
-        sup += abs(f.mean())
-    elif mode == "bmo":
-        # the only torus cube of measure >= 1 is the whole domain
-        sup += float(np.abs(v).mean())
-    return sup
+    return float(oscillation_norm_batch(f.values, f.dim, mode))
 
 
 def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -> float:

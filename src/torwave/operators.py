@@ -43,8 +43,9 @@ class MultiplierOperator:
     `apply` takes a sampled function, or an array whose trailing `dim` axes
     are (N,)*dim grids under any leading (batch) shape; it transforms the
     trailing axes only, so row i of a batched result equals the operator
-    applied to row i alone, bit for bit.  The symbol array of each
-    resolution is computed once and kept read-only.
+    applied to row i alone: bit for bit for finite input, and for non-finite
+    input at the same NaN positions, though a NaN's sign bit may differ.
+    The symbol array of each resolution is computed once and kept read-only.
     """
 
     is_linear = True

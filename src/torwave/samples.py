@@ -6,13 +6,14 @@ split a root seed into independent per-case streams and stay reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field
 from .errors import DegeneracyError, DomainError
-from .norms import oscillation_norm
+from .norms import oscillation_norm_batch
 from .operators import frequency_grid
 from .wavelets import CoefficientTree, band_index, sigma_set
 
@@ -22,14 +23,28 @@ def derive_rng(root_seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(root_seed), *map(int, path)]))
 
 
+@functools.cache
+def _grid_tables(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
+    """Read-only tables of the spectral sample families on the grid: |k|,
+    1/|k| (0 at k = 0) and the coordinate sum x_1 + ... + x_dim."""
+    k = frequency_grid(dim, resolution)
+    norm = np.sqrt(sum(ki ** 2 for ki in k))
+    with np.errstate(divide="ignore"):
+        decay = np.where(norm > 0, 1.0 / np.maximum(norm, 1e-300), 0.0)
+    coords = np.arange(resolution) / resolution
+    tables = norm, decay, sum(np.meshgrid(*(coords,) * dim, indexing="ij"))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def random_function(rng, dim: int, resolution: int, kind: str = "smooth",
                     amplitude: float = 1.0) -> SampledFunction:
     """Random real function: white noise or a spectrally decaying field."""
     white = rng.standard_normal((resolution,) * dim)
     if kind == "white":
         return SampledFunction(amplitude * white)
-    k = frequency_grid(dim, resolution)
-    norm = np.sqrt(sum(ki ** 2 for ki in k))
+    norm, _, _ = _grid_tables(dim, resolution)
     decay = (1.0 + norm) ** -1.2
     vals = np.fft.ifftn(np.fft.fftn(white) * decay).real
     vals *= amplitude / max(np.abs(vals).max(), 1e-300)
@@ -55,33 +70,40 @@ def random_cube(rng, dim: int, level_low: int, level_high: int) -> DyadicCube:
     return DyadicCube(dim, level, offset)
 
 
+def _psi_atom_sum(rng, dim: int, coarse_level: int, finest_level: int, n_atoms: int,
+                  signed: bool, depth: int = 3, level_high: int | None = None):
+    """Sum of `n_atoms` unit-budget wavelet packets on random cubes, added into one
+    array, each times a signed weight drawn after it if `signed`; returns (tree, last R)."""
+    coeffs = np.array(CoefficientTree.zeros(dim, coarse_level, finest_level).coeffs)
+    top = max(coarse_level, finest_level - 2 if level_high is None else level_high)
+    sigmas, R = sigma_set(dim), None
+    for _ in range(n_atoms):
+        R = random_cube(rng, dim, coarse_level, top)
+        blocks = []
+        for j in range(R.level, min(R.level + depth + 1, finest_level)):
+            span = 1 << (j - R.level)
+            for s in sigmas:
+                vals = rng.standard_normal((span,) * dim) * 2.0 ** (-(j - R.level))
+                blocks.append((tuple(slice((a << j) + k * span, (a << j) + (k + 1) * span)
+                                     for a, k in zip(s, R.offset)), vals))
+        scale = R.measure ** -0.5 / math.sqrt(sum(float((v ** 2).sum()) for _, v in blocks))
+        lam = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.random() < 0.5 else -1.0) \
+            if signed else 1.0
+        for index, vals in blocks:
+            coeffs[index] += lam * (vals * scale)
+    return CoefficientTree(coeffs, coarse_level), R
+
+
 def random_psi_atom(rng, dim: int, coarse_level: int, finest_level: int,
                     depth: int = 3, level_high: int | None = None):
     """Unit-budget wavelet packet on a random cube R; returns (tree, R)."""
-    top = max(coarse_level, finest_level - 2 if level_high is None else level_high)
-    R = random_cube(rng, dim, coarse_level, top)
-    coeffs = np.array(CoefficientTree.zeros(dim, coarse_level, finest_level).coeffs)
-    total = 0.0
-    for j in range(R.level, min(R.level + depth + 1, finest_level)):
-        span = 1 << (j - R.level)
-        block = tuple(slice(k * span, (k + 1) * span) for k in R.offset)
-        for s in sigma_set(dim):
-            vals = rng.standard_normal((span,) * dim) * 2.0 ** (-(j - R.level))
-            coeffs[band_index(j, s)][block] = vals
-            total += float(np.sum(vals ** 2))
-    coeffs *= R.measure ** -0.5 / math.sqrt(total)
-    return CoefficientTree(coeffs, coarse_level), R
+    return _psi_atom_sum(rng, dim, coarse_level, finest_level, 1, False, depth, level_high)
 
 
 def random_h1_tree(rng, dim: int, coarse_level: int, finest_level: int,
                    n_atoms: int = 3) -> CoefficientTree:
     """Finite combination of psi-atoms with random signed weights."""
-    out = CoefficientTree.zeros(dim, coarse_level, finest_level)
-    for _ in range(n_atoms):
-        atom, _ = random_psi_atom(rng, dim, coarse_level, finest_level)
-        lam = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.random() < 0.5 else -1.0)
-        out = out + lam * atom
-    return out
+    return _psi_atom_sum(rng, dim, coarse_level, finest_level, n_atoms, True)[0]
 
 
 def truncated_log(dim: int, resolution: int, center, floor: float | None = None) -> SampledFunction:
@@ -90,13 +112,10 @@ def truncated_log(dim: int, resolution: int, center, floor: float | None = None)
     return SampledFunction(-np.log(distance_field(dim, resolution, center) + eps))
 
 
-def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
-    """Random oscillation sample normalized to unit dyadic BMO norm.
-
-    Draws from three families: spectrally log-correlated Fourier series
-    (coefficients ~ 1/|k|), lacunary cosine series with slowly decaying
-    weights, and truncated logarithms at a random center; plus mixtures.
-    """
+def _raw_bmo(rng, dim: int, resolution: int) -> np.ndarray:
+    """One mean-zero oscillation sample before normalization: a log-correlated
+    Fourier series (coefficients ~ 1/|k|), a lacunary cosine series with slowly
+    decaying weights, a truncated logarithm at a random center, or a mixture."""
     mode = int(rng.integers(0, 4))
     if mode == 0:
         vals = _fourier_one_over_k(rng, dim, resolution)
@@ -109,25 +128,34 @@ def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
         center = rng.random(dim)
         vals = (_fourier_one_over_k(rng, dim, resolution)
                 + truncated_log(dim, resolution, center).values)
-    f = SampledFunction(vals - vals.mean())
-    norm = oscillation_norm(f, "BMO")
-    if norm < 1e-12:
-        return random_bmo(rng, dim, resolution)
-    return SampledFunction(f.values / norm)
+    return SampledFunction(vals - vals.mean()).values
+
+
+def random_bmo_batch(rngs, dim: int, resolution: int) -> np.ndarray:
+    """`random_bmo` of each generator in the list `rngs`, stacked, bit for bit:
+    one norm call for the stack, then a row of norm below 1e-12 is redrawn
+    from its own generator, which leaves the other streams untouched."""
+    raw = np.stack([_raw_bmo(rng, dim, resolution) for rng in rngs])
+    norms = oscillation_norm_batch(raw, dim, "BMO")
+    for i in np.flatnonzero(norms < 1e-12):
+        raw[i] = random_bmo_batch(rngs[i:i + 1], dim, resolution)[0]
+        norms[i] = 1.0
+    return raw / norms.reshape(norms.shape + (1,) * dim)
+
+
+def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
+    """Random oscillation sample normalized to unit dyadic BMO norm."""
+    return SampledFunction(random_bmo_batch([rng], dim, resolution)[0])
 
 
 def _fourier_one_over_k(rng, dim, resolution):
-    k = frequency_grid(dim, resolution)
-    norm = np.sqrt(sum(ki ** 2 for ki in k))
-    with np.errstate(divide="ignore"):
-        decay = np.where(norm > 0, 1.0 / np.maximum(norm, 1e-300), 0.0)
+    _, decay, _ = _grid_tables(dim, resolution)
     white = rng.standard_normal((resolution,) * dim)
     return np.fft.ifftn(np.fft.fftn(white) * decay).real * resolution ** (dim / 2.0)
 
 
 def _lacunary(rng, dim, resolution):
-    coords = np.arange(resolution) / resolution
-    total = sum(np.meshgrid(*(coords,) * dim, indexing="ij"))  # x_1 + ... + x_dim
+    *_, total = _grid_tables(dim, resolution)
     vals = np.zeros((resolution,) * dim)
     top = int(math.log2(resolution)) - 1
     for m in range(1, top):

@@ -4,11 +4,14 @@ The wavelet oracles evaluate defining sums term by term against explicitly
 synthesized basis vectors; no projection cascades, no convolution tricks.
 Only usable at small resolutions.  The filter-bank steps and the window
 kernels after them take one `np.roll` per tap or shift, the sublinear
-operators one kernel or height at a time, and the envelope machinery keys
+operators one kernel or height at a time, the envelope machinery keys
 wavelet-matrix entries by cube pairs and evaluates `p_delta` one pair at a
-time; the production code must match them bit for bit.
+time, and the samplers draw one case at a time, one coefficient tree per
+atom and one norm call per BMO sample; the production code must match them
+bit for bit.
 """
 
+import math
 from itertools import product
 
 import numpy as np
@@ -16,9 +19,10 @@ import numpy as np
 from torwave import (CoefficientTree, DyadicCube, PdeltaEnvelope, SampledFunction,
                      analyze, sampled_wavelet, synthesize)
 from torwave.core import torus_delta
-from torwave.errors import DomainError, ShapeError
-from torwave.operators import MATRIX_ENTRY_FLOOR
-from torwave.samples import random_cube
+from torwave.errors import ConfigurationError, DomainError, ShapeError
+from torwave.norms import OSCILLATION_MODES
+from torwave.operators import MATRIX_ENTRY_FLOOR, frequency_grid
+from torwave.samples import random_cube, truncated_log
 from torwave.wavelets import band_index, coeff_index, detail_cubes, mother_wavelet, sigma_set
 
 
@@ -449,3 +453,120 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
         total = sum(p_delta(I, mid, delta) * p_delta(I2, mid, delta) for mid in mids)
         worst = max(worst, total / p_delta(I, I2, delta))
     return worst
+
+
+# -- oscillation norm of one grid, one level at a time -----------------------
+
+def _level_oscillations(values: np.ndarray, level: int) -> np.ndarray:
+    step = values.shape[0] >> level
+    blocks = values.reshape((1 << level, step) * values.ndim)
+    inside = tuple(range(1, 2 * values.ndim, 2))
+    means = blocks.mean(axis=inside, keepdims=True)
+    return np.abs(blocks - means).mean(axis=inside)
+
+
+def oscillation_norm(f: SampledFunction, mode: str = "BMO") -> float:
+    """Dyadic-cube mean-oscillation norm of one sample, level by level."""
+    if mode not in OSCILLATION_MODES:
+        raise ConfigurationError(f"unknown oscillation mode {mode!r}")
+    v = f.values
+    if not np.isfinite(v).all():
+        raise DomainError("oscillation norm of non-finite samples")
+    sup = 0.0
+    for level in range(0, f.finest_level + 1):
+        osc = _level_oscillations(v, level)
+        if mode == "BMOlog":
+            side = 2.0 ** (-level)
+            axis = (np.arange(1 << level) + 0.5) * side
+            centers = np.meshgrid(*(axis,) * f.dim, indexing="ij")
+            dist = np.zeros_like(osc)
+            for a in range(f.dim):
+                dist = dist + np.minimum(centers[a] % 1.0, 1.0 - centers[a] % 1.0) ** 2
+            weight = level * math.log(2.0) + np.log(math.e + np.sqrt(dist))
+            osc = osc * weight
+        sup = max(sup, float(osc.max()))
+    if mode == "BMOplus":
+        sup += abs(f.mean())
+    elif mode == "bmo":
+        sup += float(np.abs(v).mean())
+    return sup
+
+
+# -- samplers, one case, one atom tree and one norm call at a time -----------
+
+def random_psi_atom(rng, dim: int, coarse_level: int, finest_level: int,
+                    depth: int = 3, level_high: int | None = None):
+    """Unit-budget wavelet packet on a random cube R; returns (tree, R)."""
+    top = max(coarse_level, finest_level - 2 if level_high is None else level_high)
+    R = random_cube(rng, dim, coarse_level, top)
+    coeffs = np.array(CoefficientTree.zeros(dim, coarse_level, finest_level).coeffs)
+    total = 0.0
+    for j in range(R.level, min(R.level + depth + 1, finest_level)):
+        span = 1 << (j - R.level)
+        block = tuple(slice(k * span, (k + 1) * span) for k in R.offset)
+        for s in sigma_set(dim):
+            vals = rng.standard_normal((span,) * dim) * 2.0 ** (-(j - R.level))
+            coeffs[band_index(j, s)][block] = vals
+            total += float(np.sum(vals ** 2))
+    coeffs *= R.measure ** -0.5 / math.sqrt(total)
+    return CoefficientTree(coeffs, coarse_level), R
+
+
+def random_h1_tree(rng, dim: int, coarse_level: int, finest_level: int,
+                   n_atoms: int = 3) -> CoefficientTree:
+    """Sum of psi-atom trees with random signed weights, one tree per atom."""
+    out = CoefficientTree.zeros(dim, coarse_level, finest_level)
+    for _ in range(n_atoms):
+        atom, _ = random_psi_atom(rng, dim, coarse_level, finest_level)
+        lam = float(rng.uniform(0.5, 1.5)) * (1.0 if rng.random() < 0.5 else -1.0)
+        out = out + lam * atom
+    return out
+
+
+def _fourier_one_over_k(rng, dim, resolution):
+    k = frequency_grid(dim, resolution)
+    norm = np.sqrt(sum(ki ** 2 for ki in k))
+    with np.errstate(divide="ignore"):
+        decay = np.where(norm > 0, 1.0 / np.maximum(norm, 1e-300), 0.0)
+    white = rng.standard_normal((resolution,) * dim)
+    return np.fft.ifftn(np.fft.fftn(white) * decay).real * resolution ** (dim / 2.0)
+
+
+def _lacunary(rng, dim, resolution):
+    coords = np.arange(resolution) / resolution
+    total = sum(np.meshgrid(*(coords,) * dim, indexing="ij"))  # x_1 + ... + x_dim
+    vals = np.zeros((resolution,) * dim)
+    top = int(math.log2(resolution)) - 1
+    for m in range(1, top):
+        amp = (1.0 if rng.random() < 0.5 else -1.0) / math.sqrt(m)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        vals += amp * np.cos(2.0 * math.pi * (1 << m) * total + phase)
+    return vals
+
+
+def bmo_values(rng, dim: int, resolution: int) -> np.ndarray:
+    """One oscillation sample of a random family, before centering."""
+    mode = int(rng.integers(0, 4))
+    if mode == 0:
+        vals = _fourier_one_over_k(rng, dim, resolution)
+    elif mode == 1:
+        vals = _lacunary(rng, dim, resolution)
+    elif mode == 2:
+        center = rng.random(dim)
+        vals = truncated_log(dim, resolution, center).values
+    else:
+        center = rng.random(dim)
+        vals = (_fourier_one_over_k(rng, dim, resolution)
+                + truncated_log(dim, resolution, center).values)
+    return vals
+
+
+def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
+    """Random oscillation sample normalized to unit dyadic BMO norm, redrawn
+    from the same generator while its norm is below 1e-12."""
+    vals = bmo_values(rng, dim, resolution)
+    f = SampledFunction(vals - vals.mean())
+    norm = oscillation_norm(f, "BMO")
+    if norm < 1e-12:
+        return random_bmo(rng, dim, resolution)
+    return SampledFunction(f.values / norm)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torwave import (CSV_SCHEMAS, CoefficientTree, ContractError, DyadicCube,
                      ExperimentConfig, ExperimentReport, FileFormatError,
@@ -50,6 +51,33 @@ def test_config_validation():
 def test_badly_typed_config_is_a_usage_error(fields):
     with pytest.raises(UsageError, match="bad config value|basis must be"):
         ExperimentConfig.from_dict({"suite": "reconstruction", **fields})
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) \
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=8) \
+    | st.sampled_from(["reconstruction", "daubechies", "haar", "hilbert", "riesz1"]) \
+    | st.sampled_from([0, 1, 2, 4, 256, 512])
+_VALUES = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=6) | st.integers(), inner,
+                                         max_size=3), max_leaves=8)
+_KEYS = st.sampled_from(["suite", "resolutions", "basis", "basis_family", "basis_order",
+                         "sample_count", "root_seed", "tolerances", "output_path", "dim",
+                         "coarse_level", "operator"]) | st.text(max_size=6) | st.integers()
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.dictionaries(_KEYS, _VALUES, max_size=8),
+       suite=st.none() | st.sampled_from(harness.SUITES))
+def test_from_dict_yields_a_config_or_a_typed_error(d, suite):
+    """Any dict becomes a validated config or a TorwaveError, never another
+    exception."""
+    if suite is not None:
+        d = dict(d, suite=suite)
+    try:
+        cfg = ExperimentConfig.from_dict(d)
+    except TorwaveError:
+        return
+    assert cfg.validate() is cfg
 
 
 def test_config_must_be_an_object():

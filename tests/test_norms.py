@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
+from oracles import assert_bitwise_equal
 from torwave import (ConfigurationError, DomainError, DyadicCube,
                      SampledFunction, build_basis, distance_field, hardy_norm,
                      hardy_square_parts, llog_quasinorm, lp_norm, norm_report,
-                     oscillation_norm, synthesize, validate_atom,
-                     weak_lp_quasinorm)
+                     oscillation_norm, oscillation_norm_batch, synthesize,
+                     validate_atom, weak_lp_quasinorm)
+from torwave.errors import ShapeError
+from torwave.norms import OSCILLATION_MODES
 from torwave.samples import derive_rng, random_function, random_psi_atom
 
 
@@ -249,8 +253,62 @@ def test_level_oscillations_are_per_cube_mean_oscillations(dim, N):
     values = np.random.default_rng(9).standard_normal((N,) * dim)
     for level in range(N.bit_length()):
         step = N >> level
-        got = _level_oscillations(values, level)
+        got = _level_oscillations(values, level, dim)
         assert got.shape == (1 << level,) * dim
         for cube in np.ndindex(got.shape):
             block = values[tuple(slice(k * step, (k + 1) * step) for k in cube)]
             assert abs(got[cube] - np.abs(block - block.mean()).mean()) < 1e-14
+
+
+def _oscillation_stack(seed: int, batch: tuple, dim: int, N: int) -> np.ndarray:
+    """Rough and smooth rows, with a constant, mean-offset row among them."""
+    rng = derive_rng(seed, dim, N)
+    rows = [rng.standard_normal((N,) * dim) * rng.uniform(0.1, 10.0) + rng.normal()
+            if i % 2 else random_function(rng, dim, N).values
+            for i in range(int(np.prod(batch)))]
+    if rows:
+        rows[-1] = np.full((N,) * dim, 2.5)
+    return np.reshape(rows, batch + (N,) * dim)
+
+
+@pytest.mark.parametrize("mode", OSCILLATION_MODES)
+@pytest.mark.parametrize("dim, N", [(1, 2), (1, 256), (2, 2), (2, 32)])
+def test_stacked_oscillation_norm_rows_equal_one_row_calls(mode, dim, N):
+    stack = _oscillation_stack(11, (2, 3), dim, N)
+    got = oscillation_norm_batch(stack, dim, mode)
+    assert got.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        row = SampledFunction(stack[idx])
+        assert_bitwise_equal(got[idx], np.float64(oscillation_norm(row, mode)))
+        assert_bitwise_equal(got[idx], np.float64(oracles.oscillation_norm(row, mode)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(OSCILLATION_MODES), count=st.integers(0, 6),
+       grid=st.sampled_from([(1, 1), (1, 8), (1, 64), (1, 512), (2, 1), (2, 4), (2, 16)]),
+       seed=st.integers(0, 2 ** 16))
+def test_stacked_oscillation_norm_over_stack_sizes(mode, count, grid, seed):
+    dim, N = grid
+    stack = _oscillation_stack(seed, (count,), dim, N)
+    got = oscillation_norm_batch(stack, dim, mode)
+    assert got.shape == (count,)
+    for i in range(count):
+        assert_bitwise_equal(got[i], np.float64(
+            oracles.oscillation_norm(SampledFunction(stack[i]), mode)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", OSCILLATION_MODES)
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stack_with_one_non_finite_row_is_a_domain_error(bad, mode, dim):
+    stack = _oscillation_stack(12, (4,), dim, 16)
+    stack[2].flat[5] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        oscillation_norm_batch(stack, dim, mode)
+
+
+def test_stacked_oscillation_norm_checks_mode_and_grid():
+    with pytest.raises(ConfigurationError):
+        oscillation_norm_batch(np.zeros((2, 8)), 1, "BMO2")
+    with pytest.raises(ShapeError):
+        oscillation_norm_batch(np.zeros((2, 8, 4)), 2)

@@ -233,3 +233,32 @@ def test_matrix_transpose_swaps_keys(haar):
     rhs = np.dot(x.coeffs[inside], mat.apply_tree(y).coeffs[inside])
     assert abs(lhs - rhs) < 1e-12
 
+
+
+MULTIPLIERS = {"hilbert": (hilbert_operator, 1), "riesz1": (lambda: riesz_operator(0, 2), 2),
+               "ifrac": (lambda: fractional_integral_operator(0.5, 1), 1)}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan and inf in the transforms
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", MULTIPLIERS)
+def test_batched_multiplier_rows_against_one_row_calls(name, bad):
+    """Finite rows of a batched apply equal the one-row result bit for bit; a
+    row holding a non-finite sample comes out NaN where the one-row result is
+    NaN, but a NaN's sign bit may differ between the two."""
+    make, dim = MULTIPLIERS[name]
+    T = make()
+    N = 64 if dim == 1 else 16
+    X = derive_rng(71, dim).standard_normal((3,) + (N,) * dim)
+    if bad is not None:
+        X[1].flat[5] = bad
+    Y = T.apply(X)
+    for i in range(3):
+        y = T.apply(SampledFunction(X[i])).values
+        if bad is None or i != 1:
+            assert Y[i].tobytes() == y.tobytes()
+        else:
+            np.testing.assert_array_equal(np.isnan(Y[i]), np.isnan(y))
+            assert np.isnan(y).any()
+            keep = ~np.isnan(y)
+            assert Y[i][keep].tobytes() == y[keep].tobytes()

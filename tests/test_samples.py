@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from torwave import DomainError, lp_norm, oscillation_norm, validate_psi_atom
-from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
-                             random_h1_tree, random_psi_atom, truncated_log,
-                             two_sided_atom)
+import oracles
+from oracles import assert_bitwise_equal
+from torwave import (DomainError, ExperimentConfig, SampledFunction, lp_norm,
+                     oscillation_norm, validate_psi_atom)
+import torwave.samples as samples
+from torwave.harness import _tree_and_bmo
+from torwave.samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
+                             random_function, random_h1_tree, random_psi_atom,
+                             truncated_log, two_sided_atom)
 
 
 def test_derive_rng_is_splittable_and_deterministic():
@@ -59,3 +64,117 @@ def test_truncated_log_is_finite():
     b = truncated_log(1, 512, (0.25,))
     assert np.all(np.isfinite(b.values))
     assert b.values.max() == np.log(512.0)
+
+
+@pytest.mark.parametrize("dim, resolutions", [(1, [256, 512]), (2, [32, 64])])
+@pytest.mark.parametrize("root_seed", [0, 5, 31, 2024])
+def test_stacked_draws_equal_the_per_case_oracles(dim, resolutions, root_seed):
+    """The product and commutator suites' stacked draw is, case by case, the
+    tree and then the BMO sample the one-case oracles draw from its stream."""
+    count = 6
+    cfg = ExperimentConfig("product_identity", resolutions=resolutions,
+                           sample_count=count, root_seed=root_seed, dim=dim)
+    for ri, N in enumerate(resolutions):
+        trees, bmo = _tree_and_bmo(cfg, ri, dim, 2, N)
+        assert trees.shape == bmo.shape == (count,) + (N,) * dim
+        for ci in range(count):
+            rng = derive_rng(root_seed, ri, ci)
+            assert_bitwise_equal(trees[ci],
+                                 oracles.random_h1_tree(rng, dim, 2, N.bit_length() - 1).coeffs)
+            assert_bitwise_equal(bmo[ci], oracles.random_bmo(rng, dim, N).values)
+
+
+@pytest.mark.parametrize("dim, N", [(1, 64), (1, 1024), (2, 16), (2, 64)])
+def test_one_case_samplers_equal_the_oracles(dim, N):
+    J = N.bit_length() - 1
+    for seed in range(4):
+        for n_atoms in (0, 1, 4):
+            assert_bitwise_equal(
+                random_h1_tree(derive_rng(seed, n_atoms), dim, 2, J, n_atoms).coeffs,
+                oracles.random_h1_tree(derive_rng(seed, n_atoms), dim, 2, J, n_atoms).coeffs)
+        tree, R = random_psi_atom(derive_rng(seed), dim, 2, J, depth=1, level_high=J - 3)
+        want, R_want = oracles.random_psi_atom(derive_rng(seed), dim, 2, J, depth=1,
+                                               level_high=J - 3)
+        assert R == R_want
+        assert_bitwise_equal(tree.coeffs, want.coeffs)
+        rng, rng_want = derive_rng(seed, 9), derive_rng(seed, 9)
+        for _ in range(3):
+            assert_bitwise_equal(random_bmo(rng, dim, N).values,
+                                 oracles.random_bmo(rng_want, dim, N).values)
+        assert rng.bit_generator.state == rng_want.bit_generator.state
+
+
+def _constant_once(draw, targets, calls):
+    """`draw`, except that the first call on each generator in `targets`
+    consumes a real draw and returns a constant field, of BMO norm 0."""
+    def patched(rng, dim, resolution):
+        vals = draw(rng, dim, resolution)
+        calls.append(id(rng))
+        if id(rng) in targets and calls.count(id(rng)) == 1:
+            return np.full_like(vals, 3.0)
+        return vals
+    return patched
+
+
+@pytest.mark.parametrize("dim, N", [(1, 256), (2, 32)])
+def test_degenerate_draw_is_redrawn_from_its_own_stream(monkeypatch, dim, N):
+    """A sample of norm < 1e-12 is redrawn after the stack's norms are taken;
+    every row, and every generator's state after it, equals the one-case
+    recursion that redraws at once."""
+    count, bad = 5, (1, 3)
+    rngs = [derive_rng(8, ci) for ci in range(count)]
+    want_rngs = [derive_rng(8, ci) for ci in range(count)]
+    calls, want_calls = [], []
+    monkeypatch.setattr(samples, "_raw_bmo", _constant_once(
+        samples._raw_bmo, {id(rngs[i]) for i in bad}, calls))
+    monkeypatch.setattr(oracles, "bmo_values", _constant_once(
+        oracles.bmo_values, {id(want_rngs[i]) for i in bad}, want_calls))
+    got = random_bmo_batch(rngs, dim, N)
+    for ci in range(count):
+        assert_bitwise_equal(got[ci], oracles.random_bmo(want_rngs[ci], dim, N).values)
+        assert rngs[ci].bit_generator.state == want_rngs[ci].bit_generator.state
+    # the degenerate rows took two raw draws, the others one, on both paths
+    counts = [2 if ci in bad else 1 for ci in range(count)]
+    assert [calls.count(id(r)) for r in rngs] == counts
+    assert [want_calls.count(id(r)) for r in want_rngs] == counts
+    assert all(abs(oscillation_norm(SampledFunction(row), "BMO") - 1.0) < 1e-9
+               for row in got)
+
+
+def test_degenerate_draw_in_the_suite_draw(monkeypatch):
+    """The same redraw through the suites' stacked (tree, BMO) draw: case 2's
+    first raw draw takes nothing from its stream and reads as a zero field,
+    so its redraw is the draw the one-case oracle makes."""
+    cfg = ExperimentConfig("product_identity", resolutions=[128], sample_count=4,
+                           root_seed=3)
+    real, calls = samples._raw_bmo, []
+
+    def zero_once(rng, dim, resolution):
+        calls.append(rng)
+        return np.zeros(resolution) if len(calls) == 3 else real(rng, dim, resolution)
+
+    monkeypatch.setattr(samples, "_raw_bmo", zero_once)
+    trees, bmo = _tree_and_bmo(cfg, 0, 1, 2, 128)
+    assert len(calls) == 5 and calls[2] is calls[4]
+    for ci in range(4):
+        rng = derive_rng(3, 0, ci)
+        assert_bitwise_equal(trees[ci], oracles.random_h1_tree(rng, 1, 2, 7).coeffs)
+        assert_bitwise_equal(bmo[ci], oracles.random_bmo(rng, 1, 128).values)
+
+
+def test_smooth_random_function_equals_the_uncached_spectrum():
+    for dim, N in ((1, 128), (2, 32)):
+        rng, white_rng = derive_rng(4, dim), derive_rng(4, dim)
+        k = np.sqrt(sum(ki ** 2 for ki in np.meshgrid(
+            *(np.fft.fftfreq(N, d=1.0 / N),) * dim, indexing="ij")))
+        vals = np.fft.ifftn(np.fft.fftn(white_rng.standard_normal((N,) * dim))
+                            * (1.0 + k) ** -1.2).real
+        vals *= 2.0 / np.abs(vals).max()
+        assert_bitwise_equal(random_function(rng, dim, N, amplitude=2.0).values, vals)
+
+
+def test_cached_sample_tables_are_read_only():
+    for table in samples._grid_tables(1, 64):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
