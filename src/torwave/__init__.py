@@ -26,13 +26,11 @@ from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_batch,
                     hardy_square_parts, llog_quasinorm, lp_norm, norm_report, oscillation_norm,
                     oscillation_norm_batch, validate_atom, weak_lp_quasinorm)
 from .commutators import (AtomicDecomposition, CommutatorBatch, CommutatorDecomposition,
-                          FractionalReport, H1bReport, SubbilinearEnvelope,
-                          antisymmetric_paraproduct, atomic_decompose,
-                          bilinear_decomposition, bilinear_decomposition_batch,
-                          commutator_apply, commutator_parts, commutator_parts_batch,
-                          fractional_commutator_decomposition,
-                          h1b_characterizations, make_qb_atom, molecule_norm,
-                          subbilinear_envelope)
+                          H1bReport, SubbilinearEnvelope, antisymmetric_paraproduct,
+                          atomic_decompose, bilinear_decomposition,
+                          bilinear_decomposition_batch, commutator_apply,
+                          commutator_parts_batch, h1b_characterizations, make_qb_atom,
+                          molecule_norm, subbilinear_envelope)
 from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
                       random_cube, random_function, random_h1_tree, random_psi_atom,
                       random_tree, truncated_log, two_sided_atom)

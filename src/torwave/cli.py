@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .commutators import atomic_decompose, make_qb_atom
 from .core import DyadicCube
 from .errors import TorwaveError, UsageError

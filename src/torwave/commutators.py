@@ -17,11 +17,9 @@ import numpy as np
 from .core import DyadicCube, SampledFunction, distance_field, sup_norm, sup_norms
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, HypothesisError, ShapeError)
-from .norms import hardy_norm, lp_norm, oscillation_norm, weak_lp_quasinorm
-from .operators import (fractional_integral_operator, hilbert_operator, require_linear,
-                        riesz_operator)
-from .paraproducts import (ProductBatch, ProductDecomposition, paraproducts,
-                           paraproducts_batch, s_operator)
+from .norms import hardy_norm, lp_norm, oscillation_norm
+from .operators import require_linear, riesz_operator
+from .paraproducts import ProductBatch, paraproducts, paraproducts_batch, s_operator
 from .sublinear import grand_maximal
 from .wavelets import (CoefficientTree, WaveletBasis, analyze, analyze_batch,
                        coarse_projection, coeff_index, default_coarse_level, sigma_set,
@@ -82,10 +80,13 @@ class CommutatorBatch:
 
 
 def commutator_parts_batch(b, T, f, parts: ProductBatch) -> CommutatorBatch:
-    """`commutator_parts` of every case of the stacks b, f and `parts`.
+    """[b,T]f = b T f - T(b f) of every case of the stacks b and f, split by
+    the paraproducts `parts` of (f, b).
 
-    T is applied once to each of its six inputs f, pi2, coarse, pi1 + pi4,
-    -pi3 and b f, every call covering the whole stack of cases.
+    The remainder is b T f - T(pi2) - T(coarse) - T(pi1 + pi4); together with
+    T(S(f,b)) = T(-pi3) it reproduces the commutator up to the paraproduct
+    roundoff.  T is applied once to each of its six inputs f, pi2, coarse,
+    pi1 + pi4, -pi3 and b f, every call covering the whole stack of cases.
     """
     require_linear(T, "T is sublinear; the identity holds only as a two-sided "
                        "envelope -- use subbilinear_envelope")
@@ -98,17 +99,6 @@ def commutator_parts_batch(b, T, f, parts: ProductBatch) -> CommutatorBatch:
     r_part = b_Tf - T_pi2 - T_coarse - T_pi14
     comm = b_Tf - T_bf
     return CommutatorBatch(r_part, s_image, comm, sup_norms(comm - r_part - s_image, T.dim))
-
-
-def commutator_parts(b: SampledFunction, T, f: SampledFunction,
-                     parts: ProductDecomposition) -> CommutatorDecomposition:
-    """[b,T]f = b T f - T(b f), split by the paraproducts `parts` of (f, b).
-
-    The remainder is b T f - T(pi2) - T(coarse) - T(pi1 + pi4); together with
-    T(S(f,b)) = T(-pi3) it reproduces the commutator up to the paraproduct
-    roundoff.
-    """
-    return commutator_parts_batch(b.values, T, f.values, ProductBatch.of(parts)).case()
 
 
 def bilinear_decomposition_batch(b, T, f, basis: WaveletBasis, coarse_level: int | None,
@@ -127,7 +117,7 @@ def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
                            basis: WaveletBasis,
                            coarse_level: int | None = None) -> CommutatorDecomposition:
     """Split [b,T]f into a remainder plus T of the diagonal paraproduct of
-    the analyzed f and b; see `commutator_parts`."""
+    the analyzed f and b; see `commutator_parts_batch`."""
     return bilinear_decomposition_batch(b.values, T, f.values, basis, coarse_level,
                                         f.dim).case()
 
@@ -254,8 +244,7 @@ def h1b_characterizations(f: SampledFunction, b: SampledFunction,
     bt = analyze(b, basis, coarse_level)
     sfb = s_operator(ft, bt, basis)
     v_square = hardy_norm(sfb, "H1_square", basis, coarse_level)
-    riesz_ops = [hilbert_operator()] if f.dim == 1 else \
-        [riesz_operator(0, 2), riesz_operator(1, 2)]
+    riesz_ops = [riesz_operator(a, f.dim) for a in range(f.dim)]
     v_riesz = sum(lp_norm(commutator_apply(b, op, f), 1.0) for op in riesz_ops)
     if T is None or T is maximal:
         v_T = v_maximal
@@ -390,7 +379,7 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# molecules, antisymmetric paraproducts, fractional commutators
+# molecules and antisymmetric paraproducts
 # ---------------------------------------------------------------------------
 
 def molecule_norm(g: SampledFunction, epsilon: float, y0) -> float:
@@ -428,29 +417,3 @@ def antisymmetric_paraproduct(f: SampledFunction, g: SampledFunction, T,
         - s_operator(ft, analyze(Tg, basis, coarse_level), basis)
     return P, hardy_norm(P, "H1_square", basis, coarse_level)
 
-
-@dataclass(frozen=True)
-class FractionalReport:
-    """Weak-Lebesgue data attached to a fractional commutator decomposition."""
-
-    exponent: float
-    weak_quasinorm: float
-    remainder_lp: float
-
-
-def fractional_commutator_decomposition(b: SampledFunction, f: SampledFunction,
-                                        alpha: float, basis: WaveletBasis,
-                                        coarse_level: int | None = None):
-    """Commutator decomposition for the fractional integral of order alpha,
-    with the weak-Lebesgue quasinorm report at the critical exponent."""
-    n = f.dim
-    if not 0.0 < alpha < n:
-        raise DomainError(f"alpha must lie in (0, {n}), got {alpha}")
-    T = fractional_integral_operator(alpha, n)
-    decomp = bilinear_decomposition(b, T, f, basis, coarse_level)
-    p = n / (n - alpha)
-    report = FractionalReport(
-        exponent=p,
-        weak_quasinorm=weak_lp_quasinorm(decomp.commutator, p),
-        remainder_lp=lp_norm(decomp.R_part, p))
-    return decomp, report

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,13 +43,6 @@ class DyadicCube:
     @property
     def center(self) -> tuple[float, ...]:
         return tuple((k + 0.5) * self.side for k in self.offset)
-
-    def contains(self, other: "DyadicCube") -> bool:
-        """Dyadic containment: other is a descendant of (or equal to) this cube."""
-        if other.dim != self.dim or other.level < self.level:
-            return False
-        shift = other.level - self.level
-        return all((ko >> shift) == ks for ko, ks in zip(other.offset, self.offset))
 
     def ancestor(self, level: int) -> "DyadicCube":
         if level > self.level:
@@ -166,6 +160,13 @@ def grid_coordinates(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
     """Meshgrid coordinate arrays (each of shape (N,)*n) for the sampling lattice."""
     axis = np.arange(resolution) / resolution
     return tuple(np.meshgrid(*(axis,) * dim, indexing="ij"))
+
+
+@lru_cache(maxsize=64)
+def frequency_grid(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
+    """Integer FFT frequencies per axis, meshgridded to the full shape."""
+    k = np.fft.fftfreq(resolution, d=1.0 / resolution)
+    return tuple(np.meshgrid(*(k,) * dim, indexing="ij"))
 
 
 def torus_delta(a, b):

@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commutators import (bilinear_decomposition_batch, commutator_apply,
-                          commutator_parts_batch, fractional_commutator_decomposition,
-                          h1b_characterizations, make_qb_atom, molecule_norm,
-                          subbilinear_envelope)
-from .core import DyadicCube, SampledFunction, sup_norm, sup_norms
+                          commutator_parts_batch, h1b_characterizations, make_qb_atom,
+                          molecule_norm, subbilinear_envelope)
+from .core import DyadicCube, SampledFunction, sup_norms
 from .errors import UsageError
 from .hlf import atomic_write
-from .norms import hardy_norm, hardy_square_batch, lp_norm
+from .norms import hardy_norm, hardy_square_batch, lp_norm, weak_lp_quasinorm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_ratio, p_delta,
                         pdelta_composition_check, riesz_operator, wavelet_matrix)
@@ -35,8 +34,7 @@ from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical
                       random_cube, random_function, random_h1_tree,
                       truncated_log, two_sided_atom)
 from .sublinear import grand_maximal, lusin_area
-from .wavelets import (analyze_batch, build_basis, default_coarse_level, synthesize,
-                       synthesize_batch)
+from .wavelets import analyze_batch, build_basis, default_coarse_level, synthesize_batch
 
 SCHEMA_VERSION = "1"
 
@@ -116,6 +114,10 @@ class ExperimentConfig:
                 raise UsageError(f"resolutions must be powers of two, got {n}")
         if self.sample_count < 1:
             raise UsageError("sample_count must be >= 1")
+        unknown = set(self.tolerances) - set(_DEFAULT_TOLERANCES)
+        if unknown:
+            raise UsageError(f"unknown tolerance names {sorted(unknown, key=str)}; valid "
+                             f"names: {', '.join(_DEFAULT_TOLERANCES)}")
         return self
 
     def tol(self, key: str) -> float:
@@ -203,11 +205,16 @@ def run_suite(config: ExperimentConfig) -> ExperimentReport:
 # suites
 # ---------------------------------------------------------------------------
 
-def _drift(values) -> float:
-    vals = [v for v in values if v > 0]
-    if len(vals) < 2:
-        return 1.0
-    return max(vals) / min(vals)
+def _drift_gate(cfg: ExperimentConfig, series: dict) -> tuple[dict, bool]:
+    """The drift of each named series of fitted values, max / min over its
+    positive values (1.0 with fewer than two), and the gate: every value is
+    finite and every drift is below the drift cap."""
+    drifts = {}
+    for name, values in series.items():
+        vals = [v for v in values if v > 0]
+        drifts[name] = max(vals) / min(vals) if len(vals) > 1 else 1.0
+    finite = all(math.isfinite(v) for values in series.values() for v in values)
+    return drifts, finite and all(d < cfg.tol("drift_factor") for d in drifts.values())
 
 
 def _case_rngs(cfg: ExperimentConfig, ri: int) -> list:
@@ -295,28 +302,31 @@ def parse_operator(spec: str, dim: int, resolution: int):
                      "hilbert, riesz<j>, ifrac:<alpha>, maximal or lusin)")
 
 
+def _commutator_stack(cfg: ExperimentConfig, ri: int, T, dim: int, basis, j0: int,
+                      N: int):
+    """The commutator identity on every case at resolution index `ri`: the
+    stack f, its decomposition [b,T]f = R + T(S(f,b)), and each case's
+    residual relative to 1 + sup |[b,T]f|."""
+    ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
+    f = synthesize_batch(ft, basis, j0, dim)
+    dec = bilinear_decomposition_batch(b, T, f, basis, j0, dim)
+    return f, dec, (dec.residual_inf / (1.0 + sup_norms(dec.commutator, dim))).tolist()
+
+
 def _suite_commutator_identity(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
     tol = cfg.tol("identity_rel")
     dim = 2 if cfg.operator.startswith("riesz") else cfg.dim
     cases = []
-    ok = True
-    worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
         T = parse_operator(cfg.operator, dim, N)
-        ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
-        f = synthesize_batch(ft, basis, j0, dim)
-        dec = bilinear_decomposition_batch(b, T, f, basis, j0, dim)
-        sizes = sup_norms(dec.commutator, dim)
-        for ci in range(cfg.sample_count):
-            rel = float(dec.residual_inf[ci]) / (1.0 + float(sizes[ci]))
-            good = rel <= tol
-            ok &= good
-            worst = max(worst, rel)
-            cases.append({"resolution": N, "case": ci, "operator": cfg.operator,
-                          "residual_rel": rel, "ok": good})
-    return cases, {"max_residual_rel": worst, "tolerance": tol}, ok
+        _, _, rels = _commutator_stack(cfg, ri, T, dim, basis, j0, N)
+        cases += [{"resolution": N, "case": ci, "operator": cfg.operator,
+                   "residual_rel": rel, "ok": rel <= tol} for ci, rel in enumerate(rels)]
+    worst = max([0.0] + [case["residual_rel"] for case in cases])
+    return (cases, {"max_residual_rel": worst, "tolerance": tol},
+            all(case["ok"] for case in cases))
 
 
 def _suite_sandwich(cfg: ExperimentConfig):
@@ -326,13 +336,13 @@ def _suite_sandwich(cfg: ExperimentConfig):
     ok = True
     worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
-        J = int(N).bit_length() - 1
         T = parse_operator(cfg.operator, cfg.dim, N)
-        for ci, rng in enumerate(_case_rngs(cfg, ri)):
-            f = synthesize(random_h1_tree(rng, cfg.dim, j0, J), basis)
-            b = random_bmo(rng, cfg.dim, N)
-            env = subbilinear_envelope(b, T, f, basis, j0,
-                                       slack_scale=cfg.tol("sandwich_slack"))
+        ft, b = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
+        f = synthesize_batch(ft, basis, j0, cfg.dim)
+        # the pointwise path runs once per point of b, so one case at a time
+        for ci in range(cfg.sample_count):
+            env = subbilinear_envelope(SampledFunction(b[ci]), T, SampledFunction(f[ci]),
+                                       basis, j0, slack_scale=cfg.tol("sandwich_slack"))
             ok &= env.sandwich_ok
             worst = max(worst, env.max_violation)
             cases.append({"resolution": N, "case": ci, "operator": cfg.operator,
@@ -344,7 +354,7 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
     dim = cfg.dim
-    H = hilbert_operator() if dim == 1 else riesz_operator(0, 2)
+    H = riesz_operator(0, dim)
     H_adjoint = H.adjoint()
 
     def h1_square(values):
@@ -383,13 +393,10 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
                            b_samples=5, seed=cfg.root_seed + ri, dim=dim,
                            resolution=N)
         fits[N] = dict(sups, kclass_hilbert=kh, kclass_lusin=ks)
-    drift_cap = cfg.tol("drift_factor")
-    drifts = {k: _drift([fits[N][k] for N in cfg.resolutions])
-              for k in next(iter(fits.values()))}
-    finite = all(math.isfinite(v) for per in fits.values() for v in per.values())
-    passed = finite and all(d < drift_cap for d in drifts.values())
+    drifts, passed = _drift_gate(cfg, {k: [fits[N][k] for N in cfg.resolutions]
+                                       for k in next(iter(fits.values()))})
     summary = {"fitted": {str(N): fits[N] for N in cfg.resolutions},
-               "drifts": drifts, "drift_cap": drift_cap}
+               "drifts": drifts, "drift_cap": cfg.tol("drift_factor")}
     return cases, summary, passed
 
 
@@ -415,18 +422,14 @@ def _suite_h1b_equivalence(cfg: ExperimentConfig):
                           "norm_over_bmo": rep.norm})
         bands = {k: (max(v) / max(min(v), 1e-300)) for k, v in ratios.items()}
         per_res[N] = {"bands": bands, "fitted_C": fitted_C}
-    drift_cap = cfg.tol("drift_factor")
-    band_drifts = {k: _drift([per_res[N]["bands"][k] for N in cfg.resolutions])
-                   for k in ("square_over_riesz", "square_over_T", "riesz_over_T")}
-    c_drift = _drift([per_res[N]["fitted_C"] for N in cfg.resolutions])
-    finite = all(math.isfinite(x) for per in per_res.values()
-                 for x in [per["fitted_C"], *per["bands"].values()])
-    passed = finite and c_drift < drift_cap and all(d < drift_cap
-                                                    for d in band_drifts.values())
+    band_drifts, bands_ok = _drift_gate(
+        cfg, {k: [per_res[N]["bands"][k] for N in cfg.resolutions]
+              for k in ("square_over_riesz", "square_over_T", "riesz_over_T")})
+    c_drift, c_ok = _drift_gate(
+        cfg, {"fitted_C_drift": [per_res[N]["fitted_C"] for N in cfg.resolutions]})
     summary = {"per_resolution": {str(N): per_res[N] for N in cfg.resolutions},
-               "band_drifts": band_drifts, "fitted_C_drift": c_drift,
-               "drift_cap": drift_cap}
-    return cases, summary, passed
+               "band_drifts": band_drifts, **c_drift, "drift_cap": cfg.tol("drift_factor")}
+    return cases, summary, bands_ok and c_ok
 
 
 def _suite_unboundedness_probe(cfg: ExperimentConfig):
@@ -469,7 +472,6 @@ def _pdelta_reference(I: DyadicCube, I2: DyadicCube, delta: float) -> float:
 def _suite_almost_diagonal(cfg: ExperimentConfig):
     cases = []
     tolerance = cfg.tol("pdelta_match")
-    drift_cap = cfg.tol("drift_factor")
     rng = derive_rng(cfg.root_seed, 0)
     cubes = [random_cube(rng, cfg.dim, 2, 7) for _ in range(2000)]
     levels = np.array([I.level for I in cubes])
@@ -484,8 +486,7 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
                                          dim=cfg.dim, seed=cfg.root_seed)
     comp_wide = pdelta_composition_check(range(2, 8), 1.0, cfg.sample_count,
                                          dim=cfg.dim, seed=cfg.root_seed)
-    comp_drift = _drift([comp_base, comp_wide])
-    comp_ok = math.isfinite(comp_wide) and comp_drift < drift_cap
+    comp_drift, comp_ok = _drift_gate(cfg, {"composition_drift": [comp_base, comp_wide]})
     cases.append({"part": "composition_base", "value": comp_base, "ok": True})
     cases.append({"part": "composition_widened", "value": comp_wide, "ok": comp_ok})
 
@@ -497,13 +498,12 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
         wavelet_matrix(H, basis, range(2, J - 1), 1, N), 1.0).fitted_C
     fit_wide = almost_diagonal_envelope_fit(
         wavelet_matrix(H, basis, range(2, J), 1, N), 1.0).fitted_C
-    fit_drift = _drift([fit_base, fit_wide])
-    fit_ok = math.isfinite(fit_wide) and fit_drift < drift_cap
+    fit_drift, fit_ok = _drift_gate(cfg, {"envelope_drift": [fit_base, fit_wide]})
     cases.append({"part": "envelope_base", "value": fit_base, "ok": True})
     cases.append({"part": "envelope_widened", "value": fit_wide, "ok": fit_ok})
 
-    summary = {"pdelta_worst_match": worst, "composition_drift": comp_drift,
-               "envelope_drift": fit_drift, "drift_cap": drift_cap}
+    summary = {"pdelta_worst_match": worst, **comp_drift, **fit_drift,
+               "drift_cap": cfg.tol("drift_factor")}
     return cases, summary, match_ok and comp_ok and fit_ok
 
 
@@ -529,14 +529,11 @@ def _suite_molecule(cfg: ExperimentConfig):
                 cases.append({"resolution": N, "case": ci,
                               "part": "shifted_image", "value": ratio})
         per_res[N] = fitted_comm
-    drift_cap = cfg.tol("drift_factor")
-    drift = _drift(list(per_res.values()))
-    finite = math.isfinite(fitted_atoms) and all(math.isfinite(v)
-                                                 for v in per_res.values())
+    drift, ok = _drift_gate(cfg, {"shifted_drift": list(per_res.values())})
     summary = {"fitted_atoms": fitted_atoms,
                "fitted_shifted": {str(N): per_res[N] for N in per_res},
-               "shifted_drift": drift, "drift_cap": drift_cap}
-    return cases, summary, finite and drift < drift_cap
+               **drift, "drift_cap": cfg.tol("drift_factor")}
+    return cases, summary, ok and math.isfinite(fitted_atoms)
 
 
 def _suite_fractional(cfg: ExperimentConfig):
@@ -544,31 +541,27 @@ def _suite_fractional(cfg: ExperimentConfig):
     j0 = cfg.j0(basis)
     tol = cfg.tol("identity_rel")
     alpha = 0.5
+    p = cfg.dim / (cfg.dim - alpha)  # the critical exponent n / (n - alpha)
+    T = fractional_integral_operator(alpha, cfg.dim)
     cases = []
-    ok = True
     sups = {}
     for ri, N in enumerate(cfg.resolutions):
-        J = int(N).bit_length() - 1
+        f, dec, rels = _commutator_stack(cfg, ri, T, cfg.dim, basis, j0, N)
+        detail, coarse = hardy_square_batch(f, basis, j0, cfg.dim)
         sup_ratio = 0.0
-        for ci, rng in enumerate(_case_rngs(cfg, ri)):
-            f = synthesize(random_h1_tree(rng, cfg.dim, j0, J), basis)
-            b = random_bmo(rng, cfg.dim, N)
-            dec, rep = fractional_commutator_decomposition(b, f, alpha, basis, j0)
-            rel = dec.residual_inf / (1.0 + sup_norm(dec.commutator))
-            h1 = hardy_norm(f, "H1_square", basis, j0)
-            ratio = rep.remainder_lp / max(h1, 1e-300)
+        for ci, rel in enumerate(rels):
+            h1 = float(detail[ci]) + float(coarse[ci])
+            ratio = lp_norm(SampledFunction(dec.R_part[ci]), p) / max(h1, 1e-300)
             sup_ratio = max(sup_ratio, ratio)
-            good = rel <= tol
-            ok &= good
             cases.append({"resolution": N, "case": ci, "residual_rel": rel,
-                          "weak_quasinorm": rep.weak_quasinorm,
-                          "remainder_ratio": ratio, "ok": good})
+                          "weak_quasinorm": weak_lp_quasinorm(
+                              SampledFunction(dec.commutator[ci]), p),
+                          "remainder_ratio": ratio, "ok": rel <= tol})
         sups[N] = sup_ratio
-    drift = _drift(list(sups.values()))
-    passed = ok and drift < cfg.tol("drift_factor")
+    drift, drift_ok = _drift_gate(cfg, {"remainder_drift": list(sups.values())})
     summary = {"alpha": alpha, "remainder_sups": {str(N): sups[N] for N in sups},
-               "remainder_drift": drift, "tolerance": tol}
-    return cases, summary, passed
+               **drift, "tolerance": tol}
+    return cases, summary, drift_ok and all(case["ok"] for case in cases)
 
 
 _SUITE_FUNCS = {

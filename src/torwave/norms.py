@@ -14,6 +14,7 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field, grid_level
 from .errors import ConfigurationError, DomainError
+from .sublinear import maximal_function
 from .wavelets import (WaveletBasis, analyze_batch, coarse_projection_batch,
                        default_coarse_level, square_function_batch)
 
@@ -179,7 +180,7 @@ def hardy_square_parts(f: SampledFunction, basis: WaveletBasis,
 
 
 def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
-               coarse_level: int | None = None, maximal=None) -> float:
+               coarse_level: int | None = None) -> float:
     """Hardy-scale estimators: wavelet square function, grand/local maximal
     function L1 norms, and the log-weighted maximal quasinorm."""
     if mode not in HARDY_MODES:
@@ -189,12 +190,11 @@ def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
             raise ConfigurationError("H1_square needs a wavelet basis")
         detail, coarse = hardy_square_parts(f, basis, coarse_level)
         return detail + coarse
-    from .sublinear import maximal_function  # local import to avoid a cycle
     if mode == "H1_maximal":
-        return lp_norm(maximal_function(f, local=False, operator=maximal), 1.0)
+        return lp_norm(maximal_function(f, local=False), 1.0)
     if mode == "h1":
-        return lp_norm(maximal_function(f, local=True, operator=maximal), 1.0)
-    return llog_quasinorm(maximal_function(f, local=False, operator=maximal))
+        return lp_norm(maximal_function(f, local=True), 1.0)
+    return llog_quasinorm(maximal_function(f, local=False))
 
 
 def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = None,

@@ -17,24 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, grid_level, torus_delta
+from .core import DyadicCube, SampledFunction, frequency_grid, grid_level, torus_delta
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
                      ShapeError)
+from .samples import random_bmo, random_classical_atom, random_cube
 from .wavelets import (CoefficientTree, WaveletBasis, analyze_batch, band_index,
                        detail_cubes, mother_wavelet, sigma_set)
 
 MATRIX_ENTRY_FLOOR = 1e-14
-
-
-@lru_cache(maxsize=64)
-def frequency_grid(dim: int, resolution: int) -> tuple[np.ndarray, ...]:
-    """Integer FFT frequencies per axis, meshgridded to the full shape."""
-    k = np.fft.fftfreq(resolution, d=1.0 / resolution)
-    return tuple(np.meshgrid(*(k,) * dim, indexing="ij"))
 
 
 class MultiplierOperator:
@@ -311,7 +304,6 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
     """Max over sampled cube pairs of sum_I'' p(I,I'')p(I',I'') / p(I,I')."""
     if len(levels) == 0:
         raise DomainError("empty level range")
-    from .samples import random_cube  # late to avoid cycle
     rng = np.random.default_rng(seed)
     mids = [np.indices((1 << j,) * dim).reshape(dim, -1).T for j in levels]
     mids = (np.repeat(levels, [len(k) for k in mids]), np.concatenate(mids))
@@ -334,7 +326,6 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
 def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
                   resolution: int = 512) -> float:
     """sup of ||(b - b_Q) T a||_L1 over random atoms a on Q and unit-BMO b."""
-    from .samples import random_classical_atom, random_bmo  # late to avoid cycle
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(atoms):

@@ -47,13 +47,6 @@ class ProductBatch:
     coarse: np.ndarray
     residual_inf: np.ndarray
 
-    @classmethod
-    def of(cls, parts: ProductDecomposition) -> "ProductBatch":
-        """One case as a stack of batch shape ()."""
-        return cls(*(part.values for part in (parts.pi1, parts.pi2, parts.pi3,
-                                              parts.pi4, parts.coarse)),
-                   np.float64(parts.residual_inf))
-
     def case(self, index=()) -> ProductDecomposition:
         parts = (self.pi1, self.pi2, self.pi3, self.pi4, self.coarse)
         return ProductDecomposition(*(SampledFunction(part[index]) for part in parts),

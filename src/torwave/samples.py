@@ -11,10 +11,9 @@ import math
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field
+from .core import DyadicCube, SampledFunction, distance_field, frequency_grid
 from .errors import DegeneracyError, DomainError
 from .norms import oscillation_norm_batch
-from .operators import frequency_grid
 from .wavelets import CoefficientTree, band_index, sigma_set
 
 

@@ -23,9 +23,8 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampledFunction
+from .core import SampledFunction, frequency_grid
 from .errors import ConfigurationError, DomainError, ShapeError
-from .operators import frequency_grid
 
 _BUMP_SHAPES = ((0.5, 2), (0.75, 3), (1.0, 4))  # (width, polynomial power)
 
@@ -458,15 +457,11 @@ def lusin_area(dim: int, resolution: int) -> LusinArea:
     return LusinArea(dim, resolution)
 
 
-def maximal_function(f: SampledFunction, local: bool = False,
-                     operator: GrandMaximal | None = None) -> SampledFunction:
+def maximal_function(f: SampledFunction, local: bool = False) -> SampledFunction:
     """Grand maximal function of f (sup restricted to scales < 1 when local)."""
-    op = operator if operator is not None else grand_maximal(f.dim, f.resolution)
-    return op.apply(f, local=local)
+    return grand_maximal(f.dim, f.resolution).apply(f, local=local)
 
 
-def lusin_area_integral(f: SampledFunction,
-                        operator: LusinArea | None = None) -> SampledFunction:
+def lusin_area_integral(f: SampledFunction) -> SampledFunction:
     """Lusin area integral of f over the default cone quadrature."""
-    op = operator if operator is not None else lusin_area(f.dim, f.resolution)
-    return op.apply(f)
+    return lusin_area(f.dim, f.resolution).apply(f)

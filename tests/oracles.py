@@ -18,10 +18,10 @@ import numpy as np
 
 from torwave import (CoefficientTree, DyadicCube, PdeltaEnvelope, SampledFunction,
                      analyze, sampled_wavelet, synthesize)
-from torwave.core import torus_delta
+from torwave.core import frequency_grid, torus_delta
 from torwave.errors import ConfigurationError, DomainError, ShapeError
 from torwave.norms import OSCILLATION_MODES
-from torwave.operators import MATRIX_ENTRY_FLOOR, frequency_grid
+from torwave.operators import MATRIX_ENTRY_FLOOR
 from torwave.samples import random_cube, truncated_log
 from torwave.wavelets import band_index, coeff_index, detail_cubes, mother_wavelet, sigma_set
 

@@ -6,12 +6,12 @@ from torwave import (CancellationError, ContractError, DegeneracyError, DomainEr
                      DyadicCube, HypothesisError, MultiplierOperator,
                      SampledFunction, analyze, antisymmetric_paraproduct,
                      atomic_decompose, bilinear_decomposition, commutator_apply,
-                     commutator_parts, paraproducts,
-                     fractional_commutator_decomposition, fractional_integral_operator,
+                     commutator_parts_batch, fractional_integral_operator,
                      h1b_characterizations, hilbert_operator, identity_operator,
-                     lp_norm, make_qb_atom, molecule_norm, subbilinear_envelope,
-                     sup_norm, synthesize, validate_atom, validate_psi_atom,
-                     wavelet_matrix, wavelet_square_function)
+                     lp_norm, make_qb_atom, molecule_norm, paraproducts_batch,
+                     subbilinear_envelope, sup_norm, synthesize, validate_atom,
+                     validate_psi_atom, wavelet_matrix, wavelet_square_function,
+                     weak_lp_quasinorm)
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
                              random_function, random_h1_tree, random_psi_atom)
 from torwave.sublinear import grand_maximal, lusin_area
@@ -68,11 +68,11 @@ def test_wavelet_matrix_is_no_operator_on_sampled_functions(haar, db4):
     # AttributeError from a missing `apply`
     mat = wavelet_matrix(hilbert_operator(), haar, range(2, 4), 1, 64)
     f, b = _pair(6, N=64, basis=db4)
-    parts = paraproducts(analyze(f, db4, 2), analyze(b, db4, 2), db4)
+    parts = paraproducts_batch(analyze(f, db4, 2).coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
     with pytest.raises(ContractError, match="apply_tree"):
         commutator_apply(b, mat, f)
     with pytest.raises(ContractError, match="apply_tree"):
-        commutator_parts(b, mat, f, parts)
+        commutator_parts_batch(b.values, mat, f.values, parts)
     with pytest.raises(ContractError, match="apply_tree"):
         bilinear_decomposition(b, mat, f, db4, 2)
 
@@ -111,9 +111,10 @@ def test_commutator_parts_from_tree_paraproducts(db4):
     ft = random_h1_tree(rng, 1, 2, 9)
     f = synthesize(ft, db4)
     b = random_bmo(rng, 1, 512)
-    parts = paraproducts(ft, analyze(b, db4, 2), db4)
+    batch = paraproducts_batch(ft.coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
+    parts = batch.case()
     H = hilbert_operator()
-    dec = commutator_parts(b, H, f, parts)
+    dec = commutator_parts_batch(b.values, H, f.values, batch).case()
     remainder = (b * H.apply(f) - H.apply(parts.pi2) - H.apply(parts.coarse)
                  - H.apply(parts.pi1 + parts.pi4))
     assert_bitwise_equal(dec.R_part.values, remainder.values)
@@ -365,33 +366,36 @@ def test_antisymmetric_rejects_noncancelling_operator(db4):
 
 # -- fractional commutators -------------------------------------------------------------------
 
+# The fractional integral of order 1/2 in dim 1 goes through the same decomposition
+# as any linear T; its reports are taken at the critical exponent n / (n - alpha) = 2.
+
 def test_fractional_identity_and_reports(db4):
+    T = fractional_integral_operator(0.5, 1)
     for i in range(5):
         rng = derive_rng(51, i)
         tree, _ = random_psi_atom(rng, 1, 2, 9)
         f = synthesize(tree, db4)
         b = random_bmo(rng, 1, 512)
-        dec, rep = fractional_commutator_decomposition(b, f, 0.5, db4, 2)
-        comm = commutator_apply(b, fractional_integral_operator(0.5, 1), f)
+        dec = bilinear_decomposition(b, T, f, db4, 2)
+        comm = commutator_apply(b, T, f)
         assert dec.residual_inf <= 1e-8 * (1.0 + sup_norm(comm))
-        assert rep.exponent == 2.0
-        assert 0.0 <= rep.weak_quasinorm < np.inf
-        assert 0.0 <= rep.remainder_lp < np.inf
+        assert 0.0 <= weak_lp_quasinorm(dec.commutator, 2.0) < np.inf
+        assert 0.0 <= lp_norm(dec.R_part, 2.0) < np.inf
 
 
 def test_fractional_constant_b(db4):
     f, _ = _pair(11, basis=db4)
     b = SampledFunction(np.full(512, 1.0))
-    dec, rep = fractional_commutator_decomposition(b, f, 0.5, db4, 2)
+    dec = bilinear_decomposition(b, fractional_integral_operator(0.5, 1), f, db4, 2)
     assert sup_norm(dec.R_part) < 1e-10
     assert sup_norm(dec.S_image) < 1e-10
-    assert rep.weak_quasinorm < 1e-10
+    assert weak_lp_quasinorm(dec.commutator, 2.0) < 1e-10
 
 
 def test_fractional_alpha_domain(db4):
     f, b = _pair(12, N=256, basis=db4)
     with pytest.raises(DomainError):
-        fractional_commutator_decomposition(b, f, 1.5, db4, 2)
+        bilinear_decomposition(b, fractional_integral_operator(1.5, 1), f, db4, 2)
 
 
 @pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])

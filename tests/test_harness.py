@@ -12,11 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from torwave import (CSV_SCHEMAS, CoefficientTree, ContractError, DyadicCube,
                      ExperimentConfig, ExperimentReport, FileFormatError,
-                     TorwaveError, UsageError, build_basis, emit_report,
-                     grand_maximal, lusin_area, parse_operator, parse_report,
-                     read_hlf, run_suite, synthesize, write_hlf)
+                     TorwaveError, UsageError, bilinear_decomposition, build_basis,
+                     emit_report, fractional_integral_operator, grand_maximal, hardy_norm,
+                     lp_norm, lusin_area, parse_operator, parse_report, read_hlf,
+                     run_suite, sup_norm, synthesize, weak_lp_quasinorm, write_hlf)
 from torwave.cli import main as cli_main
-from torwave.samples import random_function
+from torwave.samples import derive_rng, random_bmo, random_function, random_h1_tree
 import torwave
 import torwave.harness as harness
 
@@ -37,6 +38,16 @@ def test_config_validation():
         ExperimentConfig(suite="reconstruction", sample_count=0).validate()
     with pytest.raises(UsageError, match="unknown config fields"):
         ExperimentConfig.from_dict({"suite": "reconstruction", "bogus": 1})
+
+
+def test_unknown_tolerance_name_is_a_usage_error(tmp_path, capsys):
+    # a misspelled name must not leave the suite running at the default tolerance
+    with pytest.raises(UsageError, match=r"unknown tolerance names \['identiy_rel'\]"):
+        ExperimentConfig.from_dict({"suite": "product_identity",
+                                    "tolerances": {"identiy_rel": 1e-3}})
+    assert cli_main(["run", "--config", _write_config(
+        tmp_path, tolerances={"identiy_rel": 1e-30})]) == 2
+    assert "identity_rel" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("fields", [
@@ -166,6 +177,25 @@ def test_sandwich_2d(operator):
     rep = run_suite(cfg)
     assert len(rep.cases) == 6
     assert rep.passed, rep.summary
+
+
+@pytest.mark.parametrize("dim, p", [(1, 2.0), (2, 4.0 / 3.0)])
+def test_fractional_records_replay_through_the_library(dim, p):
+    # case 0 of the stacked suite equals the one-case composition of the library,
+    # with both quasinorms at the critical exponent n / (n - alpha), alpha = 1/2
+    cfg = ExperimentConfig(suite="fractional", resolutions=[32], basis_order=2, dim=dim,
+                           sample_count=2, root_seed=3)
+    case = run_suite(cfg).cases[0]
+    basis = cfg.basis()
+    j0 = cfg.j0(basis)
+    rng = derive_rng(3, 0, 0)
+    f = synthesize(random_h1_tree(rng, dim, j0, 5), basis)
+    b = random_bmo(rng, dim, 32)
+    dec = bilinear_decomposition(b, fractional_integral_operator(0.5, dim), f, basis, j0)
+    assert case["residual_rel"] == dec.residual_inf / (1.0 + sup_norm(dec.commutator))
+    assert case["weak_quasinorm"] == weak_lp_quasinorm(dec.commutator, p)
+    assert case["remainder_ratio"] == \
+        lp_norm(dec.R_part, p) / hardy_norm(f, "H1_square", basis, j0)
 
 
 def test_resolution_too_small_for_basis_propagates():
@@ -431,6 +461,8 @@ BATCHED = {
     "commutator_identity-riesz1": dict(suite="commutator_identity", resolutions=[16, 32],
                                        operator="riesz1", basis_order=2),
     "boundedness_sweep": dict(resolutions=[64, 128]),
+    "sandwich": dict(resolutions=[64], operator="maximal"),
+    "fractional": dict(resolutions=[64, 128]),
 }
 
 

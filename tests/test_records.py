@@ -73,6 +73,14 @@ GOLDEN = {
         dict(suite="sandwich", resolutions=[128], operator="lusin", sample_count=3,
              root_seed=62),
         "91fb2426713e767b8a147cc7746e9334f194f8cf01632c2e45296e3ba2c7bbd5"),
+    "sandwich-maximal-2d": (
+        dict(suite="sandwich", resolutions=[16, 32], operator="maximal", basis_order=2,
+             dim=2, sample_count=2, root_seed=63),
+        "b01456b24a694a4b05c3cea0a5e34f1c8abe6640b4ade6674f92955d18b4e3f9"),
+    "sandwich-lusin-2d": (
+        dict(suite="sandwich", resolutions=[16, 32], operator="lusin", basis_order=2,
+             dim=2, sample_count=2, root_seed=64),
+        "f4d55e88aa7e9e484f13408be82d13a5d39e160105edab6a8360ba25ba1075c3"),
     "h1b_equivalence": (
         dict(suite="h1b_equivalence", resolutions=[64, 128], sample_count=2, root_seed=71),
         "c42709dcf02bcc34c950fc9d5cafdb11c96a0ca732f43768f2e8d62c98373fb9"),
@@ -86,6 +94,10 @@ GOLDEN = {
     "fractional": (
         dict(suite="fractional", resolutions=[64, 128], sample_count=3, root_seed=101),
         "357909554bcadd168b801bb2ab6e33eb22d9c228805c5f3f9dc2ddeee740ffc6"),
+    "fractional-2d": (
+        dict(suite="fractional", resolutions=[16, 32], basis_order=2, dim=2,
+             sample_count=3, root_seed=102),
+        "f54b6038efb3237b3cc177a4312bf7fffdde9695e9f00102c4bf76403e45ed4f"),
 }
 
 
