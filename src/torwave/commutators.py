@@ -129,6 +129,7 @@ class SubbilinearEnvelope:
     R_env: SampledFunction
     sandwich_ok: bool
     max_violation: float
+    slack: float
     commutator_abs: SampledFunction
     s_image_abs: SampledFunction
 
@@ -155,7 +156,8 @@ def subbilinear_envelope(b: SampledFunction, T, f: SampledFunction,
     upper_gap = comm_abs.values - (r_env.values + ts_abs.values)
     lower_gap = (ts_abs.values - r_env.values) - comm_abs.values
     violation = max(float(upper_gap.max()), float(lower_gap.max()), 0.0)
-    return SubbilinearEnvelope(r_env, violation <= slack, violation, comm_abs, ts_abs)
+    return SubbilinearEnvelope(r_env, violation <= slack, violation, slack, comm_abs,
+                               ts_abs)
 
 
 # ---------------------------------------------------------------------------

@@ -44,12 +44,6 @@ class DyadicCube:
     def center(self) -> tuple[float, ...]:
         return tuple((k + 0.5) * self.side for k in self.offset)
 
-    def ancestor(self, level: int) -> "DyadicCube":
-        if level > self.level:
-            raise DomainError("ancestor level must be <= cube level")
-        shift = self.level - level
-        return DyadicCube(self.dim, level, tuple(k >> shift for k in self.offset))
-
     def grid_slices(self, resolution: int) -> tuple[slice, ...]:
         """Index slices selecting this cube's cells on a 2^J grid."""
         step = resolution >> self.level

@@ -1,11 +1,11 @@
 """Seeded experiment suites with deterministic, canonically serialized reports.
 
-Each suite realizes one verification criterion: identity suites are hard
-gates at fixed tolerances, boundedness suites fit sup-ratio constants and
-require them to drift by less than a factor of two when the resolution
-doubles, and the unboundedness probe passes on growth instead.  Reports are
-reproducible byte for byte from (config, root_seed); wall time is recorded
-outside the deterministic records.
+Each suite realizes one verification criterion and returns its cases, a summary
+and its gates; `run_suite` alone turns them into the verdict.  Identity suites
+gate at fixed tolerances, boundedness suites require fitted sup-ratio constants
+to drift by less than a factor of two when the resolution doubles, and the
+unboundedness probe gates on growth.  Reports are reproducible byte for byte
+from (config, root_seed); wall time is recorded outside the deterministic records.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import gt, le, lt
+from pathlib import Path
 
 import numpy as np
 
@@ -37,10 +39,6 @@ from .sublinear import grand_maximal, lusin_area
 from .wavelets import analyze_batch, build_basis, default_coarse_level, synthesize_batch
 
 SCHEMA_VERSION = "1"
-
-SUITES = ("reconstruction", "product_identity", "commutator_identity", "sandwich",
-          "boundedness_sweep", "h1b_equivalence", "unboundedness_probe",
-          "almost_diagonal", "molecule", "fractional")
 
 _DEFAULT_TOLERANCES = {
     "reconstruction_rel": 1e-10,
@@ -130,16 +128,6 @@ class ExperimentConfig:
         return self.coarse_level if self.coarse_level is not None \
             else default_coarse_level(basis)
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite, "resolutions": list(self.resolutions),
-            "basis_family": self.basis_family, "basis_order": self.basis_order,
-            "sample_count": self.sample_count, "root_seed": self.root_seed,
-            "tolerances": dict(self.tolerances), "output_path": self.output_path,
-            "dim": self.dim, "coarse_level": self.coarse_level,
-            "operator": self.operator,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
@@ -170,7 +158,7 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
-    """Deterministic per-case records and the summary that decides pass/fail."""
+    """Deterministic per-case records, the summary with gate margins, the verdict."""
 
     suite: str
     config: dict
@@ -180,41 +168,66 @@ class ExperimentReport:
     wall_time: float
     schema_version: str = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return {"suite": self.suite, "schema_version": self.schema_version,
-                "config": self.config, "cases": self.cases,
-                "summary": self.summary, "passed": self.passed,
-                "wall_time": self.wall_time}
+
+@dataclass(frozen=True)
+class Gate:
+    """The pass condition `measured sense bound` of a suite: sense "<" or "<="
+    is an upper bound, ">" is growth.  A non-finite measured value never holds.
+    The margin is bound / measured (measured / bound for growth), or None when
+    that ratio is not a finite number."""
+
+    name: str
+    measured: float
+    bound: float
+    sense: str
+
+    def holds(self) -> bool:
+        sense = {"<": lt, "<=": le, ">": gt}[self.sense]
+        return math.isfinite(self.measured) and sense(self.measured, self.bound)
+
+    def margin(self) -> float | None:
+        num, den = (self.measured, self.bound) if self.sense == ">" \
+            else (self.bound, self.measured)
+        ratio = num / den if den else math.nan
+        return ratio if math.isfinite(ratio) else None
 
 
 def run_suite(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the configured suite; deterministic given the root seed."""
+    """Execute the configured suite; deterministic given the root seed.  It passes
+    when it ran a case, every case's `ok` holds and every gate holds."""
     config.validate()
     start = time.perf_counter()
-    cases, summary, passed = _SUITE_FUNCS[config.suite](config)
+    cases, summary, gates = _SUITE_FUNCS[config.suite](config)
+    summary = dict(summary, margins={gate.name: gate.margin() for gate in gates})
     if not cases:
-        passed = False
-        summary = dict(summary, vacuous="no cases executed")
+        summary["vacuous"] = "no cases executed"
+    passed = bool(cases) and all(case.get("ok", True) for case in cases) \
+        and all(gate.holds() for gate in gates)
     return ExperimentReport(
-        suite=config.suite, config=config.to_dict(), cases=cases,
-        summary=summary, passed=bool(passed),
-        wall_time=time.perf_counter() - start)
+        suite=config.suite, config=dict(asdict(config), resolutions=list(config.resolutions)),
+        cases=cases, summary=summary, passed=passed, wall_time=time.perf_counter() - start)
 
 
 # ---------------------------------------------------------------------------
 # suites
 # ---------------------------------------------------------------------------
 
-def _drift_gate(cfg: ExperimentConfig, series: dict) -> tuple[dict, bool]:
+def _sup(values) -> float:
+    """max(0, *values), NaN when a value is NaN (the builtin max skips a NaN)."""
+    return float(np.max([0.0, *values]))
+
+
+def _drift_gate(cfg: ExperimentConfig, series: dict) -> tuple[dict, list]:
     """The drift of each named series of fitted values, max / min over its
-    positive values (1.0 with fewer than two), and the gate: every value is
-    finite and every drift is below the drift cap."""
+    positive values (1.0 with fewer than two, NaN when a value is not
+    finite), and one gate per series: its drift is below the drift cap."""
     drifts = {}
     for name, values in series.items():
         vals = [v for v in values if v > 0]
-        drifts[name] = max(vals) / min(vals) if len(vals) > 1 else 1.0
-    finite = all(math.isfinite(v) for values in series.values() for v in values)
-    return drifts, finite and all(d < cfg.tol("drift_factor") for d in drifts.values())
+        drift = max(vals) / min(vals) if len(vals) > 1 else 1.0
+        drifts[name] = drift if all(map(math.isfinite, values)) else math.nan
+    return drifts, [Gate(name, drift, cfg.tol("drift_factor"), "<")
+                    for name, drift in drifts.items()]
 
 
 def _case_rngs(cfg: ExperimentConfig, ri: int) -> list:
@@ -228,7 +241,6 @@ def _suite_reconstruction(cfg: ExperimentConfig):
     j0 = cfg.j0(basis)
     tol = cfg.tol("reconstruction_rel")
     cases = []
-    worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
         f = np.stack([random_function(rng, cfg.dim, N, kind="white").values
                       for rng in _case_rngs(cfg, ri)])
@@ -236,10 +248,11 @@ def _suite_reconstruction(cfg: ExperimentConfig):
         errors, sizes = sup_norms(g - f, cfg.dim), sup_norms(f, cfg.dim)
         for ci in range(cfg.sample_count):
             rel = float(errors[ci]) / max(float(sizes[ci]), 1e-300)
-            worst = max(worst, rel)
             cases.append({"resolution": N, "case": ci, "residual_rel": rel,
                           "ok": rel <= tol})
-    return cases, {"max_residual_rel": worst, "tolerance": tol}, worst <= tol
+    worst = _sup([case["residual_rel"] for case in cases])
+    return (cases, {"max_residual_rel": worst, "tolerance": tol},
+            [Gate("max_residual_rel", worst, tol, "<=")])
 
 
 def _tree_and_bmo(cfg: ExperimentConfig, ri: int, dim: int, j0: int, N: int):
@@ -256,8 +269,6 @@ def _suite_product_identity(cfg: ExperimentConfig):
     j0 = cfg.j0(basis)
     tol = cfg.tol("identity_rel")
     cases = []
-    ok = True
-    worst = 0.0
     for ri, N in enumerate(cfg.resolutions):
         ft, g = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
         parts = paraproducts_batch(ft, analyze_batch(g, basis, j0, cfg.dim), basis, j0,
@@ -266,13 +277,12 @@ def _suite_product_identity(cfg: ExperimentConfig):
         for ci in range(cfg.sample_count):
             residual = float(parts.residual_inf[ci])
             bound = tol * (1.0 + float(fg_sup[ci]))
-            good = residual <= bound
-            ok &= good
-            worst = max(worst, residual / bound)
             cases.append({"resolution": N, "case": ci,
                           "residual_inf": residual, "bound": bound,
-                          "ok": good})
-    return cases, {"worst_residual_over_bound": worst, "tolerance": tol}, ok
+                          "ok": residual <= bound})
+    worst = _sup([c["residual_inf"] / c["bound"] for c in cases])
+    return (cases, {"worst_residual_over_bound": worst, "tolerance": tol},
+            [Gate("worst_residual_over_bound", worst, 1.0, "<=")])
 
 
 def parse_operator(spec: str, dim: int, resolution: int):
@@ -324,17 +334,16 @@ def _suite_commutator_identity(cfg: ExperimentConfig):
         _, _, rels = _commutator_stack(cfg, ri, T, dim, basis, j0, N)
         cases += [{"resolution": N, "case": ci, "operator": cfg.operator,
                    "residual_rel": rel, "ok": rel <= tol} for ci, rel in enumerate(rels)]
-    worst = max([0.0] + [case["residual_rel"] for case in cases])
+    worst = _sup([case["residual_rel"] for case in cases])
     return (cases, {"max_residual_rel": worst, "tolerance": tol},
-            all(case["ok"] for case in cases))
+            [Gate("max_residual_rel", worst, tol, "<=")])
 
 
 def _suite_sandwich(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
     cases = []
-    ok = True
-    worst = 0.0
+    over_slack = []
     for ri, N in enumerate(cfg.resolutions):
         T = parse_operator(cfg.operator, cfg.dim, N)
         ft, b = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
@@ -343,11 +352,13 @@ def _suite_sandwich(cfg: ExperimentConfig):
         for ci in range(cfg.sample_count):
             env = subbilinear_envelope(SampledFunction(b[ci]), T, SampledFunction(f[ci]),
                                        basis, j0, slack_scale=cfg.tol("sandwich_slack"))
-            ok &= env.sandwich_ok
-            worst = max(worst, env.max_violation)
+            over_slack.append(env.max_violation / env.slack if env.slack
+                              else 0.0 if env.sandwich_ok else math.inf)
             cases.append({"resolution": N, "case": ci, "operator": cfg.operator,
                           "max_violation": env.max_violation, "ok": env.sandwich_ok})
-    return cases, {"max_violation": worst}, ok
+    worst = _sup([case["max_violation"] for case in cases])
+    return (cases, {"max_violation": worst},
+            [Gate("max_violation_over_slack", _sup(over_slack), 1.0, "<=")])
 
 
 def _suite_boundedness_sweep(cfg: ExperimentConfig):
@@ -365,8 +376,6 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
     cases = []
     fits = {}
     for ri, N in enumerate(cfg.resolutions):
-        sups = {"ratio_s": 0.0, "ratio_remainder": 0.0, "ratio_pi4": 0.0,
-                "ratio_antisym": 0.0}
         ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
         f = synthesize_batch(ft, basis, j0, dim)
         bt = analyze_batch(b, basis, j0, dim)
@@ -376,28 +385,28 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
             - s_operator_batch(ft, analyze_batch(H_adjoint.apply(b), basis, j0, dim), basis,
                                j0, dim)
         h1, h1_pi4, h1_antis = map(h1_square, (f, parts.pi4, antis))
+        rows = []
         for ci in range(cfg.sample_count):
             base = max(float(h1[ci]) * 1.0, 1e-300)  # b has unit oscillation norm
-            row = {
+            rows.append({
                 "ratio_s": lp_norm(SampledFunction(parts.pi3[ci] * -1.0), 1.0) / base,
                 "ratio_remainder": lp_norm(SampledFunction(remainder[ci]), 1.0) / base,
                 "ratio_pi4": float(h1_pi4[ci]) / base,
                 "ratio_antisym": float(h1_antis[ci]) / base,
-            }
-            for k, v in row.items():
-                sups[k] = max(sups[k], v)
-            cases.append({"resolution": N, "case": ci, **row})
+            })
+            cases.append({"resolution": N, "case": ci, **rows[-1]})
+        sups = {k: _sup([row[k] for row in rows]) for k in rows[0]}
         kh = k_class_ratio(H, atoms=max(cfg.sample_count // 5, 4), b_samples=5,
                            seed=cfg.root_seed + ri, dim=dim, resolution=N)
         ks = k_class_ratio(lusin_area(dim, N), atoms=max(cfg.sample_count // 5, 4),
                            b_samples=5, seed=cfg.root_seed + ri, dim=dim,
                            resolution=N)
         fits[N] = dict(sups, kclass_hilbert=kh, kclass_lusin=ks)
-    drifts, passed = _drift_gate(cfg, {k: [fits[N][k] for N in cfg.resolutions]
-                                       for k in next(iter(fits.values()))})
+    drifts, gates = _drift_gate(cfg, {k: [fits[N][k] for N in cfg.resolutions]
+                                      for k in next(iter(fits.values()))})
     summary = {"fitted": {str(N): fits[N] for N in cfg.resolutions},
                "drifts": drifts, "drift_cap": cfg.tol("drift_factor")}
-    return cases, summary, passed
+    return cases, summary, gates
 
 
 def _suite_h1b_equivalence(cfg: ExperimentConfig):
@@ -408,7 +417,7 @@ def _suite_h1b_equivalence(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         J = int(N).bit_length() - 1
         ratios = {"square_over_riesz": [], "square_over_T": [], "riesz_over_T": []}
-        fitted_C = 0.0
+        norms = []
         for ci, rng in enumerate(_case_rngs(cfg, ri)):
             b = random_bmo(rng, cfg.dim, N)
             Q = random_cube(rng, cfg.dim, j0, J - 2)
@@ -416,20 +425,19 @@ def _suite_h1b_equivalence(cfg: ExperimentConfig):
             rep = h1b_characterizations(a, b, basis, j0)
             for key, val in rep.ratios().items():
                 ratios[key].append(val)
-            fitted_C = max(fitted_C, rep.norm)  # b has unit oscillation norm
+            norms.append(rep.norm)  # b has unit oscillation norm
             cases.append({"resolution": N, "case": ci, "v_square": rep.v_square,
                           "v_riesz": rep.v_riesz, "v_T": rep.v_T,
                           "norm_over_bmo": rep.norm})
-        bands = {k: (max(v) / max(min(v), 1e-300)) for k, v in ratios.items()}
-        per_res[N] = {"bands": bands, "fitted_C": fitted_C}
-    band_drifts, bands_ok = _drift_gate(
-        cfg, {k: [per_res[N]["bands"][k] for N in cfg.resolutions]
-              for k in ("square_over_riesz", "square_over_T", "riesz_over_T")})
-    c_drift, c_ok = _drift_gate(
-        cfg, {"fitted_C_drift": [per_res[N]["fitted_C"] for N in cfg.resolutions]})
+        bands = {k: (_sup(v) / max(min(v), 1e-300)) for k, v in ratios.items()}
+        per_res[N] = {"bands": bands, "fitted_C": _sup(norms)}
+    drifts, gates = _drift_gate(cfg, {
+        **{k: [per_res[N]["bands"][k] for N in cfg.resolutions] for k in ratios},
+        "fitted_C_drift": [per_res[N]["fitted_C"] for N in cfg.resolutions]})
     summary = {"per_resolution": {str(N): per_res[N] for N in cfg.resolutions},
-               "band_drifts": band_drifts, **c_drift, "drift_cap": cfg.tol("drift_factor")}
-    return cases, summary, bands_ok and c_ok
+               "fitted_C_drift": drifts.pop("fitted_C_drift"), "band_drifts": drifts,
+               "drift_cap": cfg.tol("drift_factor")}
+    return cases, summary, gates
 
 
 def _suite_unboundedness_probe(cfg: ExperimentConfig):
@@ -437,7 +445,7 @@ def _suite_unboundedness_probe(cfg: ExperimentConfig):
     j0 = cfg.j0(basis)
     H = hilbert_operator()
     cases = []
-    all_increasing = True
+    steps = []  # r[i+1] / r[i] along shrinking widths; > 1 exactly when r[i] < r[i+1]
     for ri, N in enumerate(cfg.resolutions):
         b = truncated_log(1, N, (0.5,))
         ratios = []
@@ -449,8 +457,9 @@ def _suite_unboundedness_probe(cfg: ExperimentConfig):
             ratios.append(ratio)
             cases.append({"resolution": N, "case": e, "width": width,
                           "ratio": ratio})
-        all_increasing &= all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
-    return cases, {"pass_is_growth": True, "monotone": all_increasing}, all_increasing
+        steps += [r1 / r0 for r0, r1 in zip(ratios, ratios[1:])]
+    growth = Gate("min_step_ratio", float(np.min(steps)), 1.0, ">")
+    return cases, {"pass_is_growth": True, "monotone": growth.measured > 1.0}, [growth]
 
 
 def _pdelta_reference(I: DyadicCube, I2: DyadicCube, delta: float) -> float:
@@ -470,25 +479,18 @@ def _pdelta_reference(I: DyadicCube, I2: DyadicCube, delta: float) -> float:
 
 
 def _suite_almost_diagonal(cfg: ExperimentConfig):
-    cases = []
-    tolerance = cfg.tol("pdelta_match")
     rng = derive_rng(cfg.root_seed, 0)
     cubes = [random_cube(rng, cfg.dim, 2, 7) for _ in range(2000)]
     levels = np.array([I.level for I in cubes])
     offsets = np.array([I.offset for I in cubes])
     profile = p_delta(levels[0::2], offsets[0::2], levels[1::2], offsets[1::2], 1.0)
-    worst = max([0.0] + [abs(p - _pdelta_reference(I, I2, 1.0)) for p, I, I2
-                         in zip(profile.tolist(), cubes[0::2], cubes[1::2])])
-    match_ok = worst <= tolerance
-    cases.append({"part": "pdelta_match", "value": worst, "ok": match_ok})
+    worst = _sup([abs(p - _pdelta_reference(I, I2, 1.0)) for p, I, I2
+                  in zip(profile.tolist(), cubes[0::2], cubes[1::2])])
 
     comp_base = pdelta_composition_check(range(2, 7), 1.0, cfg.sample_count,
                                          dim=cfg.dim, seed=cfg.root_seed)
     comp_wide = pdelta_composition_check(range(2, 8), 1.0, cfg.sample_count,
                                          dim=cfg.dim, seed=cfg.root_seed)
-    comp_drift, comp_ok = _drift_gate(cfg, {"composition_drift": [comp_base, comp_wide]})
-    cases.append({"part": "composition_base", "value": comp_base, "ok": True})
-    cases.append({"part": "composition_widened", "value": comp_wide, "ok": comp_ok})
 
     basis = cfg.basis()
     N = max(cfg.resolutions)
@@ -498,26 +500,27 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
         wavelet_matrix(H, basis, range(2, J - 1), 1, N), 1.0).fitted_C
     fit_wide = almost_diagonal_envelope_fit(
         wavelet_matrix(H, basis, range(2, J), 1, N), 1.0).fitted_C
-    fit_drift, fit_ok = _drift_gate(cfg, {"envelope_drift": [fit_base, fit_wide]})
-    cases.append({"part": "envelope_base", "value": fit_base, "ok": True})
-    cases.append({"part": "envelope_widened", "value": fit_wide, "ok": fit_ok})
-
-    summary = {"pdelta_worst_match": worst, **comp_drift, **fit_drift,
-               "drift_cap": cfg.tol("drift_factor")}
-    return cases, summary, match_ok and comp_ok and fit_ok
+    match = Gate("pdelta_worst_match", worst, cfg.tol("pdelta_match"), "<=")
+    drifts, (comp, fit) = _drift_gate(cfg, {"composition_drift": [comp_base, comp_wide],
+                                             "envelope_drift": [fit_base, fit_wide]})
+    cases = [{"part": "pdelta_match", "value": worst, "ok": match.holds()},
+             {"part": "composition_base", "value": comp_base, "ok": True},
+             {"part": "composition_widened", "value": comp_wide, "ok": comp.holds()},
+             {"part": "envelope_base", "value": fit_base, "ok": True},
+             {"part": "envelope_widened", "value": fit_wide, "ok": fit.holds()}]
+    summary = {"pdelta_worst_match": worst, **drifts, "drift_cap": cfg.tol("drift_factor")}
+    return cases, summary, [match, comp, fit]
 
 
 def _suite_molecule(cfg: ExperimentConfig):
     H = hilbert_operator()
     cases = []
-    fitted_atoms = 0.0
     per_res = {}
     for ri, N in enumerate(cfg.resolutions):
-        fitted_comm = 0.0
+        shifted = []
         for ci, rng in enumerate(_case_rngs(cfg, ri)):
             a, Q = random_classical_atom(rng, cfg.dim, N)
             val = molecule_norm(a, 0.25, Q.center)
-            fitted_atoms = max(fitted_atoms, val)
             cases.append({"resolution": N, "case": ci, "part": "atom", "value": val})
             if cfg.dim == 1:
                 b = random_bmo(rng, 1, N)
@@ -525,15 +528,17 @@ def _suite_molecule(cfg: ExperimentConfig):
                 g = SampledFunction((b.values - b_Q) * H.apply(a).values)
                 g = g - g.mean()
                 ratio = molecule_norm(g, 0.25, Q.center)  # unit-BMO b
-                fitted_comm = max(fitted_comm, ratio)
+                shifted.append(ratio)
                 cases.append({"resolution": N, "case": ci,
                               "part": "shifted_image", "value": ratio})
-        per_res[N] = fitted_comm
-    drift, ok = _drift_gate(cfg, {"shifted_drift": list(per_res.values())})
+        per_res[N] = _sup(shifted)
+    drift, gates = _drift_gate(cfg, {"shifted_drift": list(per_res.values())})
+    fitted_atoms = _sup([c["value"] for c in cases if c["part"] == "atom"])
     summary = {"fitted_atoms": fitted_atoms,
                "fitted_shifted": {str(N): per_res[N] for N in per_res},
                **drift, "drift_cap": cfg.tol("drift_factor")}
-    return cases, summary, ok and math.isfinite(fitted_atoms)
+    # the atom seminorm has no bound here; its gate only demands a finite value
+    return cases, summary, gates + [Gate("fitted_atoms", fitted_atoms, math.inf, "<")]
 
 
 def _suite_fractional(cfg: ExperimentConfig):
@@ -548,20 +553,20 @@ def _suite_fractional(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         f, dec, rels = _commutator_stack(cfg, ri, T, cfg.dim, basis, j0, N)
         detail, coarse = hardy_square_batch(f, basis, j0, cfg.dim)
-        sup_ratio = 0.0
+        ratios = []
         for ci, rel in enumerate(rels):
             h1 = float(detail[ci]) + float(coarse[ci])
-            ratio = lp_norm(SampledFunction(dec.R_part[ci]), p) / max(h1, 1e-300)
-            sup_ratio = max(sup_ratio, ratio)
+            ratios.append(lp_norm(SampledFunction(dec.R_part[ci]), p) / max(h1, 1e-300))
             cases.append({"resolution": N, "case": ci, "residual_rel": rel,
                           "weak_quasinorm": weak_lp_quasinorm(
                               SampledFunction(dec.commutator[ci]), p),
-                          "remainder_ratio": ratio, "ok": rel <= tol})
-        sups[N] = sup_ratio
-    drift, drift_ok = _drift_gate(cfg, {"remainder_drift": list(sups.values())})
+                          "remainder_ratio": ratios[-1], "ok": rel <= tol})
+        sups[N] = _sup(ratios)
+    drift, gates = _drift_gate(cfg, {"remainder_drift": list(sups.values())})
     summary = {"alpha": alpha, "remainder_sups": {str(N): sups[N] for N in sups},
                **drift, "tolerance": tol}
-    return cases, summary, drift_ok and all(case["ok"] for case in cases)
+    worst = _sup([case["residual_rel"] for case in cases])
+    return cases, summary, gates + [Gate("max_residual_rel", worst, tol, "<=")]
 
 
 _SUITE_FUNCS = {
@@ -576,6 +581,7 @@ _SUITE_FUNCS = {
     "molecule": _suite_molecule,
     "fractional": _suite_fractional,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +597,8 @@ def _canonical_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            return json.dumps(float(obj))  # NaN, Infinity, -Infinity: json.loads reads them
         s = "%.17g" % float(obj)
         if not any(c in s for c in ".eE") and s.lstrip("-").isdigit():
             s += ".0"
@@ -615,11 +623,9 @@ def _canonical_json(obj, indent: int = 0) -> str:
 def emit_report(report: ExperimentReport, format: str = "json", path=None) -> str:
     """Serialize a report canonically (sorted keys, fixed float format) to `path`."""
     if format == "json":
-        text = _canonical_json(report.to_dict()) + "\n"
+        text = _canonical_json(asdict(report)) + "\n"
     elif format == "csv":
-        cols = CSV_SCHEMAS.get(report.suite)
-        if cols is None:
-            cols = sorted({k for case in report.cases for k in case})
+        cols = CSV_SCHEMAS.get(report.suite) or sorted({k for case in report.cases for k in case})
         lines = [f"# schema_version={report.schema_version} suite={report.suite}",
                  ",".join(cols)]
         for case in report.cases:
@@ -643,13 +649,15 @@ def _csv_cell(v) -> str:
 
 
 def parse_report(source: str) -> ExperimentReport:
-    """Rebuild a report from its canonical JSON text (or a path to it)."""
-    if os.path.exists(source):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = json.loads(source)
-    return ExperimentReport(
-        suite=data["suite"], config=data["config"], cases=data["cases"],
-        summary=data["summary"], passed=data["passed"],
-        wall_time=data["wall_time"], schema_version=data.get("schema_version", "?"))
+    """Rebuild a report from its canonical JSON text (or a path to it); text
+    that is not a report raises UsageError."""
+    is_path = os.path.exists(source)
+    try:
+        text = Path(source).read_text() if is_path else source
+        report = ExperimentReport(**{"schema_version": "?", **json.loads(text)})
+        if not all(isinstance(case, dict) for case in report.cases):
+            raise TypeError("cases is not a list of objects")
+        return report
+    except (ValueError, TypeError) as exc:
+        what = f"report file {source}" if is_path else f"report text {source[:40]!r}"
+        raise UsageError(f"{what} is not a torwave report: {exc!r}") from None

@@ -460,8 +460,3 @@ def lusin_area(dim: int, resolution: int) -> LusinArea:
 def maximal_function(f: SampledFunction, local: bool = False) -> SampledFunction:
     """Grand maximal function of f (sup restricted to scales < 1 when local)."""
     return grand_maximal(f.dim, f.resolution).apply(f, local=local)
-
-
-def lusin_area_integral(f: SampledFunction) -> SampledFunction:
-    """Lusin area integral of f over the default cone quadrature."""
-    return lusin_area(f.dim, f.resolution).apply(f)

@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import math
 import os
 import re
 import struct
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torwave import (CSV_SCHEMAS, CoefficientTree, ContractError, DyadicCube,
-                     ExperimentConfig, ExperimentReport, FileFormatError,
+                     ExperimentConfig, ExperimentReport, FileFormatError, Gate,
                      TorwaveError, UsageError, bilinear_decomposition, build_basis,
                      emit_report, fractional_integral_operator, grand_maximal, hardy_norm,
                      lp_norm, lusin_area, parse_operator, parse_report, read_hlf,
@@ -217,10 +218,54 @@ def test_cli_seed_override(tmp_path):
 
 def test_vacuous_suite_fails(monkeypatch):
     monkeypatch.setitem(harness._SUITE_FUNCS, "reconstruction",
-                        lambda cfg: ([], {}, True))
+                        lambda cfg: ([], {}, []))
     rep = run_suite(ExperimentConfig(suite="reconstruction"))
     assert not rep.passed
     assert "vacuous" in rep.summary
+
+
+@pytest.mark.parametrize("gate, holds, margin", [
+    (Gate("g", math.nan, 1.0, "<="), False, None),  # NaN never holds
+    (Gate("g", math.inf, 1.0, "<"), False, 0.0),
+    (Gate("g", 0.0, 1e-14, "<="), True, None),  # exact: bound / 0 is no number
+    (Gate("g", 0.5, 2.0, "<"), True, 4.0),
+    (Gate("g", 2.0, 2.0, "<"), False, 1.0),
+    (Gate("g", 2.0, 2.0, "<="), True, 1.0),
+    (Gate("g", 1.25, 1.0, ">"), True, 1.25),  # growth: measured / bound
+    (Gate("g", 1.0, 1.0, ">"), False, 1.0),
+    (Gate("g", 0.5, 1.0, ">"), False, 0.5),
+    (Gate("g", math.nan, 1.0, ">"), False, None),
+])
+def test_gate_verdict_and_margin(gate, holds, margin):
+    assert gate.holds() is holds
+    assert gate.margin() == margin
+
+
+def test_nan_case_fails_the_suite(monkeypatch):
+    # a NaN residual must not vanish into a running max and leave the suite passing
+    synthesize_batch = harness.synthesize_batch
+    monkeypatch.setattr(harness, "synthesize_batch",
+                        lambda *args: synthesize_batch(*args) * np.nan)
+    rep = run_suite(ExperimentConfig(suite="reconstruction", resolutions=[64],
+                                     sample_count=2))
+    assert not rep.passed
+    assert not any(case["ok"] for case in rep.cases)
+    assert math.isnan(rep.summary["max_residual_rel"])
+    assert rep.summary["margins"] == {"max_residual_rel": None}
+    back = parse_report(emit_report(rep))
+    assert math.isnan(back.summary["max_residual_rel"]) and not back.passed
+
+
+def test_margins_are_recorded_and_printed(tmp_path, capsys):
+    rep = run_suite(ExperimentConfig(suite="unboundedness_probe", resolutions=[256],
+                                     sample_count=1))
+    ratios = [case["ratio"] for case in rep.cases]
+    assert rep.summary["margins"] == {
+        "min_step_ratio": min(r1 / r0 for r0, r1 in zip(ratios, ratios[1:]))}
+    assert cli_main(["run", "--config", _write_config(tmp_path)]) == 0
+    verdict = capsys.readouterr().out.splitlines()[0]
+    assert verdict.startswith("[PASS] suite=product_identity cases=2 min_margin=")
+    assert "(worst_residual_over_bound)" in verdict
 
 
 def test_empty_report_is_valid_json():
@@ -231,21 +276,44 @@ def test_empty_report_is_valid_json():
 
 
 def test_json_round_trip_of_reports():
+    reports = []
     for seed in range(10):
         rng = np.random.default_rng(seed)
         cases = [{"resolution": 128, "case": i,
                   "value": float(rng.standard_normal()),
                   "ok": bool(rng.random() < 0.5)} for i in range(4)]
-        rep = ExperimentReport(
+        reports.append(ExperimentReport(
             suite="reconstruction", config={"root_seed": seed}, cases=cases,
             summary={"max": float(rng.standard_normal()), "n": int(seed)},
-            passed=True, wall_time=float(rng.random()))
+            passed=True, wall_time=float(rng.random())))
+    # non-finite values are written as the NaN / Infinity tokens json.loads reads
+    reports.append(ExperimentReport(
+        suite="molecule", config={}, cases=[{"value": math.inf}, {"value": -math.inf}],
+        summary={"max": math.inf, "margins": {"g": None}}, passed=False, wall_time=0.0))
+    for rep in reports:
         back = parse_report(emit_report(rep))
         assert back.cases == rep.cases
         assert back.summary == rep.summary
         assert back.config == rep.config
         assert back.passed == rep.passed
         assert back.wall_time == rep.wall_time
+
+
+_REPORT = '"config": {}, "summary": {}, "passed": true, "wall_time": 0'
+
+
+@pytest.mark.parametrize("text", ['{"suite": "x"}', "not json", "[1, 2]", '"report"',
+                                  '{"suite": "x", "bogus": 1}',
+                                  '{"suite": "x", "cases": 5, %s}' % _REPORT,
+                                  '{"suite": "x", "cases": [1], %s}' % _REPORT])
+def test_malformed_report_is_a_usage_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(UsageError, match=re.escape(str(path))):
+        parse_report(str(path))
+    assert cli_main(["report", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_canonical_json_is_sorted_and_fixed_format():

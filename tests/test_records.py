@@ -3,14 +3,17 @@ configs of every suite.
 
 The digest covers `emit_report(report)` with `wall_time` set to 0, so it
 pins every recorded number to the last bit, the sign of zero included, as
-well as every summary, margin and verdict.  Some of these small configs fail
-their statistical drift gate; that verdict is part of the pinned bytes too.
+well as every summary, gate margin (`summary["margins"]`) and verdict.  Some
+of these small configs fail their statistical drift gate; that verdict is
+part of the pinned bytes too.
 A change that moves a record on purpose updates the digest here and says by
 how much in CHANGES.md.
 """
 
 import dataclasses
 import hashlib
+import json
+import math
 
 import pytest
 
@@ -21,93 +24,97 @@ GOLDEN = {
     "reconstruction-haar": (
         dict(suite="reconstruction", resolutions=[32, 256], basis_family="haar",
              basis_order=1, sample_count=6, root_seed=11),
-        "5941e7118eac62a18cfe1a8dbca79a417f6653eacbdb57535d425a0b7deb6359"),
+        "5509e78a2c2ec2af3e60acb6a234d292c5907446aab0ec1fcf5311fec91f980f"),
     "reconstruction-db8": (
         dict(suite="reconstruction", resolutions=[64, 256], basis_order=8, sample_count=6,
              root_seed=12),
-        "f6df56a7c3101d0b33d605490ad81a6e561446f0e66615d431a2c0f75cbc635f"),
+        "071148df35ce4e4115b58a3950e786e316c971105d4c0b13ed646446c898cc96"),
     "reconstruction-2d": (
         dict(suite="reconstruction", resolutions=[16, 64], basis_order=2, dim=2,
              sample_count=3, root_seed=13),
-        "7d75a662f0a1f85c947efe3e1bffeacc7756e8c278fb85f92cb1b2e7e533b33f"),
+        "a6b3d6e947930889ca963f4e9551aa585cc1ea3362848e2c4c6afc4f23ea5c80"),
     "product_identity": (
         dict(suite="product_identity", resolutions=[128, 256], sample_count=6,
              root_seed=21),
-        "de2516d06bb769c569b3d7a06e5d67c9262c8b95cbd516640b1c705f7b72c946"),
+        "da4cd1f89feaf0bfbedd7d038803fb4bde2498d12b3bb8c8f694bd5f039c98ea"),
     "product_identity-haar-j3": (
         dict(suite="product_identity", resolutions=[64, 128], basis_family="haar",
              basis_order=1, coarse_level=3, sample_count=6, root_seed=23),
-        "297900c2316dc88bf8740feb1a79c06e699425e272e8f2e316730f1acf0d7676"),
+        "ec36e31f565f92f304f3d46f65d3daee16720deb4646f318424c0e14ce4a0a9c"),
     "product_identity-2d": (
         dict(suite="product_identity", resolutions=[16, 32], basis_order=2, dim=2,
              sample_count=3, root_seed=22),
-        "97e3bb6e25c7da4e0ec2807b859fcd69e8d7a2d5e81fcacd9b3a419caa757ac5"),
+        "57f043ac4b6b4138fa3d800ed36c336731103c8e41c80db4598d3e9ec5f6a488"),
     "commutator_identity-hilbert": (
         dict(suite="commutator_identity", resolutions=[128, 256], operator="hilbert",
              sample_count=6, root_seed=31),
-        "facc47f1693d6d9d02e364340c05ad5fe981d8992c6ad4932f9b81ce033dfa90"),
+        "930efba8a00edef697ca41b4b0a4be9d066466d26da279d0f30c078740036591"),
     "commutator_identity-ifrac": (
         dict(suite="commutator_identity", resolutions=[128, 256], operator="ifrac:0.5",
              sample_count=6, root_seed=32),
-        "c016bbe52b27ea5d18c1b07f2fc197ad0b0aabba1acab81c4c2333f715f946ac"),
+        "bc8b006e3ce8be117edd69a814c56b225c67819b0a431678d3436a0f6e979903"),
     "commutator_identity-riesz1": (
         dict(suite="commutator_identity", resolutions=[32, 64], operator="riesz1", dim=2,
              sample_count=2, root_seed=33),
-        "b551c67c86ee3876248b942bb9a1483e153061da3db4fcb1dc3cecb40e158168"),
+        "6d9ecd67e67834dfdbffc483cecb9b55b7d21a87ab0d1735e73b48265a47778e"),
     "boundedness_sweep": (
         dict(suite="boundedness_sweep", resolutions=[128, 256], sample_count=6,
              root_seed=41),
-        "c273bc34409bb59ab0f5474f2b421f687316c3d005ae7af91be81211f7c6b5b5"),
+        "39f05787da200c3a3d79a641e04ee30a875c92d733ac1e0d24e55126d34a50ed"),
     "boundedness_sweep-2d": (
         dict(suite="boundedness_sweep", resolutions=[16, 32], basis_order=2, dim=2,
              sample_count=2, root_seed=42),
-        "5237106532321d17c91b35357f35e3e47ae9b8eba58bf2e5ca11686b8809201f"),
+        "dff5cf8689c172ca1e67957df9d5e9673a346ed89af5469411303160c39c358b"),
     "almost_diagonal": (
         dict(suite="almost_diagonal", resolutions=[128], sample_count=4, root_seed=51),
-        "4e2142f588cd616c7c18c9a24e4e8e134cca4d5291e670f1f4888a151374869a"),
+        "dac3a7da9e05103b9194dd83f83da7109a83984520616d6d823d12688b799948"),
     "sandwich-maximal": (
         dict(suite="sandwich", resolutions=[128], operator="maximal", sample_count=3,
              root_seed=61),
-        "baec37d118933f742d78e69e5ebb58fcdbe11bb8b5954d78586c0f3dc12deb19"),
+        "07821dd6ca43759c5cb4868f57b85d82fd68c7bea05872d278fd1d259ce5d831"),
     "sandwich-lusin": (
         dict(suite="sandwich", resolutions=[128], operator="lusin", sample_count=3,
              root_seed=62),
-        "91fb2426713e767b8a147cc7746e9334f194f8cf01632c2e45296e3ba2c7bbd5"),
+        "45960ee19074d177fe4c040be82384fd09b340d325b362daa6850558d583b4ce"),
     "sandwich-maximal-2d": (
         dict(suite="sandwich", resolutions=[16, 32], operator="maximal", basis_order=2,
              dim=2, sample_count=2, root_seed=63),
-        "b01456b24a694a4b05c3cea0a5e34f1c8abe6640b4ade6674f92955d18b4e3f9"),
+        "13202751988ac95cd1d6f2811c9cce93b8e65a599d35a443dba58c67e10f1bf8"),
     "sandwich-lusin-2d": (
         dict(suite="sandwich", resolutions=[16, 32], operator="lusin", basis_order=2,
              dim=2, sample_count=2, root_seed=64),
-        "f4d55e88aa7e9e484f13408be82d13a5d39e160105edab6a8360ba25ba1075c3"),
+        "b0c6118b68345612152e4a723e3a0eec4d6a3ee5273ee9f9e450982ad75dd063"),
     "h1b_equivalence": (
         dict(suite="h1b_equivalence", resolutions=[64, 128], sample_count=2, root_seed=71),
-        "c42709dcf02bcc34c950fc9d5cafdb11c96a0ca732f43768f2e8d62c98373fb9"),
+        "6a34c1751cf11452b9c6a3bbdab9172b9ec53b5f42cb6435931b3052e8c5a3f1"),
     "unboundedness_probe": (
         dict(suite="unboundedness_probe", resolutions=[256, 512], sample_count=1,
              root_seed=81),
-        "2f033fb0d42e4cd168daca61ea5791a61a87891e2d2db3e3d15d2c09fe7ec4c2"),
+        "aea8f710fbdd09be5255a1ad2f1d45eeb216f8761c68ec48ecd196c0f2ed51ef"),
     "molecule": (
         dict(suite="molecule", resolutions=[64, 128], sample_count=3, root_seed=91),
-        "c7b5dc37a38b2a4334bd9f2f3ec778418ad062ae5cc2157fdff9dfc56c19d2a6"),
+        "c52aed9e1f81854406b702bb4916ba15c49bad030a16fff69a28025ed9d092bc"),
     "fractional": (
         dict(suite="fractional", resolutions=[64, 128], sample_count=3, root_seed=101),
-        "357909554bcadd168b801bb2ab6e33eb22d9c228805c5f3f9dc2ddeee740ffc6"),
+        "94a5ad9491bdc20151bddf624af159f3e829342208e82fa0bb7b12495bb2f10e"),
     "fractional-2d": (
         dict(suite="fractional", resolutions=[16, 32], basis_order=2, dim=2,
              sample_count=3, root_seed=102),
-        "f54b6038efb3237b3cc177a4312bf7fffdde9695e9f00102c4bf76403e45ed4f"),
+        "a85ddfddd50fb248fe6ee7f476d22c5db040bfee64ef3c3b9217cb00d6236400"),
 }
 
 
-def record_digest(config: dict) -> str:
-    report = run_suite(ExperimentConfig.from_dict(config))
-    text = emit_report(dataclasses.replace(report, wall_time=0.0))
-    return hashlib.sha256(text.encode()).hexdigest()
+def _no_constant(token):
+    raise AssertionError(f"the report holds {token}, which is not plain JSON")
 
 
 @pytest.mark.parametrize("name", GOLDEN)
 def test_records_are_byte_identical(name):
     config, digest = GOLDEN[name]
-    assert record_digest(config) == digest
+    report = run_suite(ExperimentConfig.from_dict(config))
+    text = emit_report(dataclasses.replace(report, wall_time=0.0))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # every gate has a finite margin or null, and no NaN or Infinity is written
+    margins = report.summary["margins"]
+    assert margins and all(m is None or math.isfinite(m) for m in margins.values())
+    json.loads(text, parse_constant=_no_constant)

@@ -6,7 +6,7 @@ import pytest
 from oracles import assert_bitwise_equal, pointwise_commutator_naive
 from torwave import (ConfigurationError, DomainError, GrandMaximal, LusinArea,
                      SampledFunction, distance_field, grand_maximal, lusin_area,
-                     lusin_area_integral, maximal_function)
+                     maximal_function)
 from torwave.samples import derive_rng, random_bmo, random_function, two_sided_atom
 from torwave.sublinear import _BUMP_SHAPES, _bump, _bump_amplitude
 
@@ -105,7 +105,7 @@ def test_lusin_atom_decay_slope():
     # tail of the area integral of a small atom decays like distance^-(n+1)
     N, r = 2048, 2.0 ** -6
     a = two_sided_atom(N, r, 0.5)
-    S = lusin_area_integral(a)
+    S = lusin_area(1, N).apply(a)
     d = distance_field(1, N, (0.5 + r,))  # atom support starts at the edge
     mask = (d > 4 * r) & (d < 0.25)
     slope = np.polyfit(np.log(d[mask]), np.log(S.values[mask] + 1e-300), 1)[0]
