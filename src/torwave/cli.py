@@ -7,6 +7,7 @@ or configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,7 +18,7 @@ from .harness import ExperimentConfig, emit_report, parse_report, run_suite
 from .hlf import read_hlf, write_hlf
 from .norms import norm_report, validate_atom
 from .samples import derive_rng, random_psi_atom
-from .wavelets import analyze, build_basis, synthesize, validate_psi_atom
+from .wavelets import analyze, build_basis, default_coarse_level, synthesize, validate_psi_atom
 
 
 def _int(text: str, what: str) -> int:
@@ -68,7 +69,7 @@ def _cmd_norms(args) -> int:
         print(f"{r.space:<{width}}  {r.value:>24.17g}  {r.method}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
+            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
         print(f"norm reports written to {args.out}")
     return 0
 
@@ -121,7 +122,7 @@ def _cmd_atoms(args) -> int:
     elif args.kind == "psi":
         basis = _parse_basis(args.basis) if args.basis else build_basis("daubechies", 4)
         rng = derive_rng(args.seed)
-        j0 = 2 if args.coarse_level is None else args.coarse_level
+        j0 = default_coarse_level(basis, args.coarse_level)
         tree, R = random_psi_atom(rng, len(offset), j0, N.bit_length() - 1)
         atom = synthesize(tree, basis)
         check = validate_psi_atom(tree, R)

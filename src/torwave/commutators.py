@@ -16,14 +16,15 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field, sup_norm, sup_norms
 from .errors import (CancellationError, ConfigurationError, ContractError,
-                     DegeneracyError, DomainError, HypothesisError, ShapeError)
+                     DegeneracyError, DomainError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm
 from .operators import require_linear, riesz_operator
-from .paraproducts import ProductBatch, paraproducts, paraproducts_batch, s_operator
+from .paraproducts import ProductBatch, paraproducts_batch, s_operator
+from .samples import cube_profile
 from .sublinear import grand_maximal
 from .wavelets import (CoefficientTree, WaveletBasis, analyze, analyze_batch,
-                       coarse_projection, coeff_index, default_coarse_level, sigma_set,
-                       wavelet_square_function)
+                       coarse_projection_batch, coeff_index, default_coarse_level,
+                       sigma_set, wavelet_square_function)
 
 # cost guard for per-evaluation-point commutators; raise these knowingly
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
@@ -101,16 +102,21 @@ def commutator_parts_batch(b, T, f, parts: ProductBatch) -> CommutatorBatch:
     return CommutatorBatch(r_part, s_image, comm, sup_norms(comm - r_part - s_image, T.dim))
 
 
-def bilinear_decomposition_batch(b, T, f, basis: WaveletBasis, coarse_level: int | None,
-                                 dim: int) -> CommutatorBatch:
-    """`bilinear_decomposition` of every case of the stacks b and f; f and b
-    are analyzed together."""
-    b, f = np.asarray(b, dtype=float), np.asarray(f, dtype=float)
+def _fb_split(f, b, basis: WaveletBasis, coarse_level: int | None, dim: int) -> ProductBatch:
+    """The paraproducts of (f, b) of every case of the stacks f and b, which
+    are analyzed together as the one stack [f, b]."""
+    f, b = np.asarray(f, dtype=float), np.asarray(b, dtype=float)
     if b.shape != f.shape:
         raise ShapeError("b and f live on different grids")
-    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    j0 = default_coarse_level(basis, coarse_level)
     ft, bt = analyze_batch(np.stack([f, b]), basis, j0, dim)
-    return commutator_parts_batch(b, T, f, paraproducts_batch(ft, bt, basis, j0, dim))
+    return paraproducts_batch(ft, bt, basis, j0, dim)
+
+
+def bilinear_decomposition_batch(b, T, f, basis: WaveletBasis, coarse_level: int | None,
+                                 dim: int) -> CommutatorBatch:
+    """`bilinear_decomposition` of every case of the stacks b and f."""
+    return commutator_parts_batch(b, T, f, _fb_split(f, b, basis, coarse_level, dim))
 
 
 def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
@@ -143,9 +149,7 @@ def subbilinear_envelope(b: SampledFunction, T, f: SampledFunction,
     both inequalities are checked at every grid point with a roundoff slack.
     """
     comm_abs = abs(commutator_apply(b, T, f, sublinear=True))
-    ft = analyze(f, basis, coarse_level)
-    bt = analyze(b, basis, coarse_level)
-    parts = paraproducts(ft, bt, basis)
+    parts = _fb_split(f.values, b.values, basis, coarse_level, f.dim).case()
     shifted_h = parts.pi2 + parts.coarse
     term1 = T.pointwise_shifted(b, f, shifted_h)
     term2 = abs(T.apply(parts.pi1))
@@ -164,34 +168,15 @@ def subbilinear_envelope(b: SampledFunction, T, f: SampledFunction,
 # atoms with extra cancellation against b
 # ---------------------------------------------------------------------------
 
-def make_qb_atom(Q: DyadicCube, b: SampledFunction, q: float, seed: int,
-                 max_retries: int = 10) -> SampledFunction:
+def make_qb_atom(Q: DyadicCube, b: SampledFunction, q: float, seed: int) -> SampledFunction:
     """Random profile on Q orthogonalized against {1, b} in L2(Q), sized to
     the atom budget |Q|^(1/q - 1)."""
     if not q > 1:
         raise DomainError(f"q must lie in (1, inf], got {q}")
-    rng = np.random.default_rng(seed)
-    N = b.resolution
-    sl = Q.grid_slices(N)
-    bq = b.values[sl]
-    b_centered = bq - bq.mean()
-    b_norm2 = float((b_centered ** 2).sum())
-    for _ in range(max_retries):
-        prof = rng.standard_normal(bq.shape)
-        prof = prof - prof.mean()
-        if b_norm2 > 1e-24:
-            prof = prof - (float((prof * b_centered).sum()) / b_norm2) * b_centered
-            prof = prof - prof.mean()
-        scale_ref = float(np.abs(prof).max())
-        if scale_ref < 1e-9:
-            continue
-        vals = np.zeros((N,) * b.dim)
-        vals[sl] = prof
-        a = SampledFunction(vals)
-        size = lp_norm(a, q)
-        budget = Q.measure ** (1.0 / q - 1.0) if not math.isinf(q) else 1.0 / Q.measure
-        return SampledFunction(a.values * (budget / size))
-    raise DegeneracyError("q,b-atom orthogonalization degenerated after retries")
+    a = SampledFunction(cube_profile(np.random.default_rng(seed), Q, b.resolution,
+                                     against=b.values))
+    budget = Q.measure ** (1.0 / q - 1.0) if not math.isinf(q) else 1.0 / Q.measure
+    return SampledFunction(a.values * (budget / lp_norm(a, q)))
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +211,6 @@ class H1bReport:
             "riesz_over_T": rz / max(vt, eps),
         }
 
-    def to_dict(self) -> dict:
-        return {"v_maximal": self.v_maximal, "v_square": self.v_square,
-                "v_riesz": self.v_riesz, "v_T": self.v_T,
-                "base": self.base, "norm": self.norm}
-
 
 def h1b_characterizations(f: SampledFunction, b: SampledFunction,
                           basis: WaveletBasis, coarse_level: int | None = None,
@@ -240,7 +220,7 @@ def h1b_characterizations(f: SampledFunction, b: SampledFunction,
     if b_bmo <= 1e-12:
         raise DomainError("b is constant; the commutator space is undefined")
     maximal = grand_maximal(f.dim, f.resolution)
-    comm_max = maximal.pointwise_shifted(b, f, b * f)
+    comm_max = commutator_apply(b, maximal, f, sublinear=True)
     v_maximal = lp_norm(comm_max, 1.0)
     ft = analyze(f, basis, coarse_level)
     bt = analyze(b, basis, coarse_level)
@@ -264,10 +244,10 @@ def h1b_characterizations(f: SampledFunction, b: SampledFunction,
 
 @dataclass(frozen=True)
 class AtomicDecomposition:
-    """Finite atomic decomposition with its level-set bookkeeping."""
+    """Finite atomic decomposition: (lambda, packet, cube) triples, the sum of
+    the weights, and the coarse part that the atoms leave out."""
 
     atoms: tuple
-    level_sets: dict
     sum_abs_lambda: float
     coarse_flagged: bool
     coarse_l1: float
@@ -309,7 +289,8 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     W = wavelet_square_function(f).values
     N = f.resolution
     detail_l1 = float(np.abs(W).mean())
-    coarse_l1 = float(np.abs(coarse_projection(f, basis)).mean())
+    coarse_l1 = float(np.abs(coarse_projection_batch(f.coeffs, basis, f.coarse_level,
+                                                     f.dim)).mean())
     coarse_flagged = coarse_l1 > 1e-8 * (1.0 + detail_l1)
 
     medians = {lev: _lower_medians(W, lev) for lev in range(0, f.finest_level)}
@@ -333,7 +314,6 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
             assignments.setdefault(k, []).append((j, off))
 
     atoms = []
-    level_sets = {}
     for k in sorted(assignments):
         threshold = 2.0 ** k
         # maximal dyadic cubes whose lower median exceeds the threshold
@@ -371,17 +351,15 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
             lam = math.sqrt(energy) * R.measure ** 0.5
             packet = CoefficientTree(packet, f.coarse_level) * (1.0 / lam)
             atoms.append((lam, packet, R))
-            level_sets.setdefault(k, []).append(
-                {"cube": R.key(), "members": len(members)})
 
     return AtomicDecomposition(
-        atoms=tuple(atoms), level_sets=level_sets,
+        atoms=tuple(atoms),
         sum_abs_lambda=float(sum(lam for lam, _, _ in atoms)),
         coarse_flagged=coarse_flagged, coarse_l1=coarse_l1)
 
 
 # ---------------------------------------------------------------------------
-# molecules and antisymmetric paraproducts
+# molecules
 # ---------------------------------------------------------------------------
 
 def molecule_norm(g: SampledFunction, epsilon: float, y0) -> float:
@@ -395,27 +373,3 @@ def molecule_norm(g: SampledFunction, epsilon: float, y0) -> float:
     dist = distance_field(g.dim, g.resolution, y0)
     weighted = SampledFunction(g.values * dist ** (2.0 * g.dim * epsilon))
     return math.sqrt(lp_norm(g, q) * lp_norm(weighted, q))
-
-
-def antisymmetric_paraproduct(f: SampledFunction, g: SampledFunction, T,
-                              basis: WaveletBasis,
-                              coarse_level: int | None = None):
-    """Diagonal paraproduct of (Tf, g) minus that of (f, T*g), with its
-    square-function Hardy estimate.  Requires T to annihilate constants on
-    both sides, checked numerically."""
-    ones = SampledFunction(np.ones_like(f.values))
-    T_adj = T.adjoint()
-    if sup_norm(T.apply(ones)) > 1e-10 or sup_norm(T_adj.apply(ones)) > 1e-10:
-        raise HypothesisError(f"{getattr(T, 'name', 'T')} does not annihilate constants")
-    Tf = T.apply(f)
-    Tg = T_adj.apply(g)
-    zero_sum = abs((Tf * g - f * Tg).integral())
-    scale = 1.0 + lp_norm(f, 2.0) * lp_norm(g, 2.0)
-    if zero_sum > 1e-10 * scale:
-        raise HypothesisError(f"adjoint zero-sum identity violated by {zero_sum:.3g}")
-    ft = analyze(f, basis, coarse_level)
-    gt = analyze(g, basis, coarse_level)
-    P = s_operator(analyze(Tf, basis, coarse_level), gt, basis) \
-        - s_operator(ft, analyze(Tg, basis, coarse_level), basis)
-    return P, hardy_norm(P, "H1_square", basis, coarse_level)
-

@@ -29,10 +29,6 @@ class DegeneracyError(TorwaveError):
     """Random construction degenerated repeatedly (e.g. atom orthogonalization)."""
 
 
-class HypothesisError(TorwaveError):
-    """An operator fails a numerically checked hypothesis (e.g. annihilating constants)."""
-
-
 class ContractError(TorwaveError):
     """Operation invoked outside its contract (e.g. sublinear operator where linear is required)."""
 

@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 from operator import gt, le, lt
@@ -29,8 +30,8 @@ from .errors import UsageError
 from .hlf import atomic_write
 from .norms import hardy_norm, hardy_square_batch, lp_norm, weak_lp_quasinorm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
-                        hilbert_operator, identity_operator, k_class_ratio, p_delta,
-                        pdelta_composition_check, riesz_operator, wavelet_matrix)
+                        hilbert_operator, identity_operator, k_class_image, k_class_ratio,
+                        p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .paraproducts import paraproducts_batch, s_operator_batch
 from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
                       random_cube, random_function, random_h1_tree,
@@ -97,8 +98,10 @@ class ExperimentConfig:
             "basis_order": _is_int(self.basis_order),
             "sample_count": _is_int(self.sample_count),
             "root_seed": _is_int(self.root_seed) and self.root_seed >= 0,
+            # a finite float >= 0: NaN or a negative bound fails a gate, inf switches it off
             "tolerances": isinstance(self.tolerances, dict)
-            and all(isinstance(v, numbers.Real) for v in self.tolerances.values()),
+            and all(isinstance(v, numbers.Real) and 0 <= v <= sys.float_info.max
+                    for v in self.tolerances.values()),
             "output_path": self.output_path is None or isinstance(self.output_path, str),
             "dim": _is_int(self.dim) and self.dim in (1, 2),
             "coarse_level": self.coarse_level is None or _is_int(self.coarse_level),
@@ -125,8 +128,7 @@ class ExperimentConfig:
         return build_basis(self.basis_family, self.basis_order)
 
     def j0(self, basis) -> int:
-        return self.coarse_level if self.coarse_level is not None \
-            else default_coarse_level(basis)
+        return default_coarse_level(basis, self.coarse_level)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -523,9 +525,7 @@ def _suite_molecule(cfg: ExperimentConfig):
             val = molecule_norm(a, 0.25, Q.center)
             cases.append({"resolution": N, "case": ci, "part": "atom", "value": val})
             if cfg.dim == 1:
-                b = random_bmo(rng, 1, N)
-                b_Q = float(b.values[Q.grid_slices(N)].mean())
-                g = SampledFunction((b.values - b_Q) * H.apply(a).values)
+                g = k_class_image(random_bmo(rng, 1, N), Q, H.apply(a))
                 g = g - g.mean()
                 ratio = molecule_norm(g, 0.25, Q.center)  # unit-BMO b
                 shifted.append(ratio)

@@ -8,7 +8,7 @@ local oscillation space degenerates here (recorded in the report method).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class NormReport:
     value: float
     method: str
     resolution: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _finite_input(value: float, f: SampledFunction, what: str) -> float:
@@ -156,9 +153,11 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
 
 def hardy_square_batch(values, basis: WaveletBasis, coarse_level: int | None,
                        dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """`hardy_square_parts` of every grid on the trailing axes of `values`,
-    as two arrays of the leading shape; the L1 means are taken per case."""
-    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    """(detail, coarse) L1 masses of the square-function Hardy estimator of every
+    grid on the trailing axes of `values`, as two arrays of the leading shape.
+    The coarse part is the L1 norm of the sampled coarse scaling projection; a
+    genuinely cancellative input has a negligible coarse part."""
+    j0 = default_coarse_level(basis, coarse_level)
     coeffs = analyze_batch(values, basis, j0, dim)
     grids = coeffs.shape[coeffs.ndim - dim:]
     square = square_function_batch(coeffs, j0, dim).reshape((-1,) + grids)
@@ -166,17 +165,6 @@ def hardy_square_batch(values, basis: WaveletBasis, coarse_level: int | None,
     batch = coeffs.shape[:coeffs.ndim - dim]
     return (np.reshape([lp_norm(SampledFunction(w), 1.0) for w in square], batch),
             np.reshape([float(np.abs(p).mean()) for p in coarse], batch))
-
-
-def hardy_square_parts(f: SampledFunction, basis: WaveletBasis,
-                       coarse_level: int | None = None) -> tuple[float, float]:
-    """(detail, coarse) L1 masses of the square-function Hardy estimator.
-
-    The coarse part is the L1 norm of the sampled coarse scaling projection;
-    a genuinely cancellative input has a negligible coarse part.
-    """
-    detail, coarse = hardy_square_batch(f.values, basis, coarse_level, f.dim)
-    return float(detail), float(coarse)
 
 
 def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
@@ -188,7 +176,7 @@ def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
     if mode == "H1_square":
         if basis is None:
             raise ConfigurationError("H1_square needs a wavelet basis")
-        detail, coarse = hardy_square_parts(f, basis, coarse_level)
+        detail, coarse = map(float, hardy_square_batch(f.values, basis, coarse_level, f.dim))
         return detail + coarse
     if mode == "H1_maximal":
         return lp_norm(maximal_function(f, local=False), 1.0)
@@ -219,7 +207,7 @@ def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = Non
         return NormReport(space, oscillation_norm(f, space), method, N)
     if space in HARDY_MODES:
         if space == "H1_square":
-            detail, coarse = hardy_square_parts(f, basis, coarse_level)
+            detail, coarse = map(float, hardy_square_batch(f.values, basis, coarse_level, f.dim))
             method = f"wavelet-square/{basis.family}{basis.order}"
             if coarse > 1e-8 * (1.0 + detail):
                 method += f"[coarse part {coarse:.3g} flagged]"

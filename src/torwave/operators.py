@@ -323,6 +323,12 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
 # membership-style ratio experiment for operators acting on atoms
 # ---------------------------------------------------------------------------
 
+def k_class_image(b: SampledFunction, Q: DyadicCube, Ta: SampledFunction) -> SampledFunction:
+    """(b - b_Q) T a, where b_Q is the mean of b on the cube Q."""
+    b_Q = float(b.values[Q.grid_slices(b.resolution)].mean())
+    return SampledFunction((b.values - b_Q) * Ta.values)
+
+
 def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
                   resolution: int = 512) -> float:
     """sup of ||(b - b_Q) T a||_L1 over random atoms a on Q and unit-BMO b."""
@@ -332,8 +338,6 @@ def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
         a, Q = random_classical_atom(rng, dim, resolution)
         Ta = T.apply(a)
         for _ in range(b_samples):
-            b = random_bmo(rng, dim, resolution)
-            b_Q = float(b.values[Q.grid_slices(resolution)].mean())
-            val = float((np.abs((b.values - b_Q) * Ta.values)).mean())
-            worst = max(worst, val)
+            image = k_class_image(random_bmo(rng, dim, resolution), Q, Ta)
+            worst = max(worst, float(np.abs(image.values).mean()))
     return worst

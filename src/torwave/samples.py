@@ -105,10 +105,9 @@ def random_h1_tree(rng, dim: int, coarse_level: int, finest_level: int,
     return _psi_atom_sum(rng, dim, coarse_level, finest_level, n_atoms, True)[0]
 
 
-def truncated_log(dim: int, resolution: int, center, floor: float | None = None) -> SampledFunction:
+def truncated_log(dim: int, resolution: int, center) -> SampledFunction:
     """Logarithm of the distance to `center`, truncated at the grid scale."""
-    eps = 1.0 / resolution if floor is None else floor
-    return SampledFunction(-np.log(distance_field(dim, resolution, center) + eps))
+    return SampledFunction(-np.log(distance_field(dim, resolution, center) + 1.0 / resolution))
 
 
 def _raw_bmo(rng, dim: int, resolution: int) -> np.ndarray:
@@ -164,23 +163,39 @@ def _lacunary(rng, dim, resolution):
     return vals
 
 
+def cube_profile(rng, Q: DyadicCube, N: int, against=None) -> np.ndarray:
+    """Centred white noise on the cube Q of the (N,)*dim grid, zero elsewhere.
+
+    Given an (N,)*dim array `against`, the profile is also made orthogonal to
+    it on Q: the centred `against` is projected out and the rest centred again.
+    A draw whose max is below 1e-9 is redrawn, up to 10 times in all.
+    """
+    vals = np.zeros((N,) * Q.dim)
+    sl = Q.grid_slices(N)
+    if against is not None:
+        w = against[sl] - against[sl].mean()
+        w_norm2 = float((w ** 2).sum())
+    for _ in range(10):
+        prof = rng.standard_normal(vals[sl].shape)
+        prof = prof - prof.mean()
+        if against is not None and w_norm2 > 1e-24:
+            prof = prof - (float((prof * w).sum()) / w_norm2) * w
+            prof = prof - prof.mean()
+        if np.abs(prof).max() >= 1e-9:
+            vals[sl] = prof
+            return vals
+    raise DegeneracyError("cube profile degenerated in 10 draws")
+
+
 def random_classical_atom(rng, dim: int, resolution: int,
                           level_low: int = 2, level_high: int | None = None):
     """Mean-zero L2-normalized bump supported on a random cube; returns (a, Q)."""
     J = int(resolution).bit_length() - 1
     hi = J - 2 if level_high is None else level_high
     Q = random_cube(rng, dim, level_low, hi)
-    for _ in range(10):
-        vals = np.zeros((resolution,) * dim)
-        sl = Q.grid_slices(resolution)
-        block = rng.standard_normal(vals[sl].shape)
-        block -= block.mean()
-        if np.abs(block).max() > 1e-9:
-            vals[sl] = block
-            f = SampledFunction(vals)
-            norm = math.sqrt((f.values ** 2).mean())
-            return SampledFunction(f.values * (Q.measure ** -0.5 / norm)), Q
-    raise DegeneracyError("classical atom draw degenerated repeatedly")
+    vals = cube_profile(rng, Q, resolution)
+    norm = math.sqrt((vals ** 2).mean())
+    return SampledFunction(vals * (Q.measure ** -0.5 / norm)), Q
 
 
 def two_sided_atom(resolution: int, width: float, edge: float = 0.5) -> SampledFunction:

@@ -23,7 +23,7 @@ wrap-padded copy.  Synthesis (`_up`) never forms the zero-stuffed upsampled
 array: output entry 2k+r meets only the taps m = r (mod 2), so each pair of
 taps reads one view of a circularly pre-padded copy.  `projection_stack`
 carries every P_j f up a scaling-only ladder, because the detail channel of
-that ladder is exactly zero; `coarse_projection` carries P_{j0} f alone.
+that ladder is exactly zero; `coarse_projection_batch` carries P_{j0} f alone.
 All of them add their terms in the order of the plain per-tap circular
 convolution (tap by tap, scaling before detail), so they agree with it to
 the last bit; `tests/oracles.py` keeps that convolution as the reference.
@@ -39,7 +39,7 @@ cases (values or Mallat-layout coefficient arrays) through each step at
 once.  Every step is elementwise across the leading axes, so case i of a
 batched result equals the result for case i alone, bit for bit.  The
 `SampledFunction` / `CoefficientTree` functions (`analyze`, `synthesize`,
-`scaling_cascade`, ...) are these loops at batch shape ().
+`projection_stack`, ...) are these loops at batch shape ().
 """
 from __future__ import annotations
 
@@ -230,8 +230,9 @@ def min_coarse_level(basis: WaveletBasis) -> int:
     return max(0, (L - 1).bit_length() - 1)
 
 
-def default_coarse_level(basis: WaveletBasis) -> int:
-    return max(2, min_coarse_level(basis))
+def default_coarse_level(basis: WaveletBasis, coarse_level: int | None = None) -> int:
+    """`coarse_level` if one is given, else max(2, `min_coarse_level(basis)`)."""
+    return max(2, min_coarse_level(basis)) if coarse_level is None else coarse_level
 
 
 def sigma_set(dim: int) -> tuple[tuple[int, ...], ...]:
@@ -482,7 +483,7 @@ def analyze_batch(values, basis: WaveletBasis, coarse_level: int | None,
     trailing axes of `values`."""
     values = np.asarray(values, dtype=float)
     J = grid_level(values.shape, dim)
-    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    j0 = default_coarse_level(basis, coarse_level)
     _require_valid_levels(basis, j0, J)
     work = values * float(1 << J) ** (-dim / 2.0)
     for j in range(J - 1, j0 - 1, -1):
@@ -496,7 +497,7 @@ def analyze_batch(values, basis: WaveletBasis, coarse_level: int | None,
 def analyze(f: SampledFunction, basis: WaveletBasis,
             coarse_level: int | None = None) -> CoefficientTree:
     """Decompose a sampled function into its coefficient tree."""
-    j0 = default_coarse_level(basis) if coarse_level is None else coarse_level
+    j0 = default_coarse_level(basis, coarse_level)
     return CoefficientTree(analyze_batch(f.values, basis, j0, f.dim), j0)
 
 
@@ -514,11 +515,6 @@ def _cascade(coeffs: np.ndarray, basis: WaveletBasis, coarse_level: int,
             s = _up(halves, basis.filter_rows, axis)
         work[_corner(j + 1, dim)] = out[j + 1] = s
     return out
-
-
-def scaling_cascade(tree: CoefficientTree, basis: WaveletBasis) -> dict:
-    """Scaling coefficient arrays at every level j0..J (J entry reproduces f)."""
-    return _cascade(tree.coeffs, basis, tree.coarse_level, tree.dim)
 
 
 def synthesize_batch(coeffs, basis: WaveletBasis, coarse_level: int,
@@ -576,11 +572,6 @@ def coarse_projection_batch(coeffs, basis: WaveletBasis, coarse_level: int,
     for _ in range(coarse_level, J):
         row = _ladder_step(row, dim, basis)
     return row * float(1 << J) ** (dim / 2.0)
-
-
-def coarse_projection(tree: CoefficientTree, basis: WaveletBasis) -> np.ndarray:
-    """P_{j0} f alone, equal to `projection_stack(tree, basis)[j0]` bit for bit."""
-    return coarse_projection_batch(tree.coeffs, basis, tree.coarse_level, tree.dim)
 
 
 @lru_cache(maxsize=512)

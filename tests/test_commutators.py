@@ -3,15 +3,13 @@ import pytest
 
 from oracles import assert_bitwise_equal
 from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
-                     DyadicCube, HypothesisError, MultiplierOperator,
-                     SampledFunction, analyze, antisymmetric_paraproduct,
+                     DyadicCube, MultiplierOperator, SampledFunction, analyze,
                      atomic_decompose, bilinear_decomposition, commutator_apply,
                      commutator_parts_batch, fractional_integral_operator,
-                     h1b_characterizations, hilbert_operator, identity_operator,
-                     lp_norm, make_qb_atom, molecule_norm, paraproducts_batch,
-                     subbilinear_envelope, sup_norm, synthesize, validate_atom,
-                     validate_psi_atom, wavelet_matrix, wavelet_square_function,
-                     weak_lp_quasinorm)
+                     h1b_characterizations, hilbert_operator, lp_norm, make_qb_atom,
+                     molecule_norm, paraproducts_batch, subbilinear_envelope, sup_norm,
+                     synthesize, validate_atom, validate_psi_atom, wavelet_matrix,
+                     wavelet_square_function, weak_lp_quasinorm)
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
                              random_function, random_h1_tree, random_psi_atom)
 from torwave.sublinear import grand_maximal, lusin_area
@@ -339,14 +337,6 @@ def test_molecule_of_shifted_image(db4):
 
 # -- antisymmetric paraproducts ------------------------------------------------------------
 
-def test_antisymmetric_constant_second_factor(db4):
-    f, _ = _pair(9, N=256, basis=db4)
-    g = SampledFunction(np.full(256, 3.0))
-    P, est = antisymmetric_paraproduct(f, g, hilbert_operator(), db4, 2)
-    assert sup_norm(P) < 1e-10
-    assert est < 1e-9
-
-
 def test_antisymmetric_zero_sum_hypothesis(db4):
     H = hilbert_operator()
     for i in range(20):
@@ -356,12 +346,6 @@ def test_antisymmetric_zero_sum_hypothesis(db4):
         Tf = H.apply(f)
         Tg = H.adjoint().apply(g)
         assert abs((Tf * g - f * Tg).integral()) <= 1e-10
-
-
-def test_antisymmetric_rejects_noncancelling_operator(db4):
-    f, b = _pair(10, N=256, basis=db4)
-    with pytest.raises(HypothesisError):
-        antisymmetric_paraproduct(f, b, identity_operator(1), db4, 2)
 
 
 # -- fractional commutators -------------------------------------------------------------------

@@ -3,7 +3,7 @@
 
 `_down` reads strided views of one wrap-padded copy, `_up` computes each
 output phase from the taps of matching parity, and `projection_stack` and
-`coarse_projection` climb a scaling-only ladder.  They keep the oracles'
+`coarse_projection_batch` climb a scaling-only ladder.  They keep the oracles'
 order of adds, so every array must be identical down to the sign of zero and
 the NaN payload.
 """
@@ -14,14 +14,13 @@ import pytest
 import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CoefficientTree, SampledFunction, analyze, analyze_batch, build_basis,
-                     coarse_projection, coarse_projection_batch, commutator_parts_batch,
-                     hardy_square_batch, hardy_square_parts,
+                     coarse_projection_batch, commutator_parts_batch, hardy_square_batch,
                      hilbert_operator, paraproducts, paraproducts_batch, parse_operator,
                      projection_batch, projection_stack, riesz_operator, s_operator,
                      s_operator_batch, square_function_batch, synthesize, synthesize_batch,
                      wavelet_square_function)
 from torwave.wavelets import (_cascade, _down, _up, band_index, default_coarse_level,
-                              min_coarse_level, scaling_cascade, sigma_set)
+                              min_coarse_level, sigma_set)
 
 BASES = {"haar": ("haar", 1), "db2": ("daubechies", 2), "db4": ("daubechies", 4),
          "db8": ("daubechies", 8), "db10": ("daubechies", 10)}
@@ -82,7 +81,8 @@ def test_filter_bank_matches_roll_steps(name, shape, j0, kind):
 
     tree = _tree(kind, rng, dim, j0, J)
     assert_bitwise_equal(synthesize(tree, basis).values, oracles.roll_synthesize(tree, basis))
-    for new, old in [(scaling_cascade(tree, basis), oracles.roll_scaling_cascade(tree, basis)),
+    cascade = _cascade(tree.coeffs, basis, tree.coarse_level, tree.dim)
+    for new, old in [(cascade, oracles.roll_scaling_cascade(tree, basis)),
                      (projection_stack(tree, basis), oracles.roll_projection_stack(tree, basis))]:
         assert new.keys() == old.keys()
         for j in old:
@@ -98,7 +98,8 @@ def test_coarse_projection_is_the_bottom_of_the_stack(name, shape, j0, kind):
     dim, J = len(shape), shape[0].bit_length() - 1
     tree = _tree(kind, np.random.default_rng([J, dim, j0, KINDS.index(kind), 1]),
                  dim, j0, J)
-    assert_bitwise_equal(coarse_projection(tree, basis), projection_stack(tree, basis)[j0])
+    assert_bitwise_equal(coarse_projection_batch(tree.coeffs, basis, j0, dim),
+                         projection_stack(tree, basis)[j0])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sums
@@ -172,7 +173,7 @@ def test_batched_filter_bank_equals_its_rows(name, dim, N):
         assert_bitwise_equal(coeffs[i], analyze(SampledFunction(values[i]), basis, j0).coeffs)
         tree = CoefficientTree(trees[i], j0)
         assert_bitwise_equal(synthesized[i], synthesize(tree, basis).values)
-        single = scaling_cascade(tree, basis)
+        single = _cascade(trees[i], basis, j0, dim)
         assert cascade.keys() == single.keys()
         for j in single:
             assert_bitwise_equal(cascade[j][i], single[j])
@@ -180,7 +181,7 @@ def test_batched_filter_bank_equals_its_rows(name, dim, N):
         assert projections.keys() == single.keys()
         for j in single:
             assert_bitwise_equal(projections[j][i], single[j])
-        assert_bitwise_equal(coarse[i], coarse_projection(tree, basis))
+        assert_bitwise_equal(coarse[i], coarse_projection_batch(trees[i], basis, j0, dim))
         assert_bitwise_equal(square[i], wavelet_square_function(tree).values)
 
 
@@ -191,7 +192,7 @@ def test_batched_hardy_estimate_equals_its_rows(name, dim, N):
     j0 = min_coarse_level(basis)
     detail, coarse = hardy_square_batch(values, basis, j0, dim)
     for i in np.ndindex(LEAD):
-        single = hardy_square_parts(SampledFunction(values[i]), basis, j0)
+        single = hardy_square_batch(values[i], basis, j0, dim)
         assert_bitwise_equal(np.array([detail[i], coarse[i]]), np.array(single))
 
 

@@ -51,6 +51,19 @@ def test_unknown_tolerance_name_is_a_usage_error(tmp_path, capsys):
     assert "identity_rel" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [math.nan, -1.0, math.inf, 10 ** 400],
+                         ids=["nan", "negative", "inf", "beyond-float"])
+def test_tolerance_is_a_finite_number_at_least_zero(tmp_path, capsys, value):
+    # NaN and a negative bound fail every case, inf switches the gate off, and
+    # an integer beyond the float range cannot be read as a bound at all
+    with pytest.raises(UsageError, match="bad config value tolerances"):
+        ExperimentConfig.from_dict({"suite": "product_identity",
+                                    "tolerances": {"identity_rel": value}})
+    assert cli_main(["run", "--config", _write_config(
+        tmp_path, tolerances={"identity_rel": value})]) == 2
+    assert capsys.readouterr().err.startswith("error: bad config value tolerances")
+
+
 @pytest.mark.parametrize("fields", [
     {"resolutions": "abc"}, {"resolutions": [256.0]}, {"resolutions": 256},
     {"resolutions": [True]}, {"sample_count": "3"}, {"sample_count": 2.5},
@@ -491,6 +504,14 @@ def test_cli_bad_arguments_exit_2(tmp_path, rng, capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists()
+
+
+def test_cli_psi_atom_takes_the_default_coarse_level_of_its_basis(tmp_path):
+    # db8's 16 taps wrap on a step from level 2; its default coarse level is 3
+    out = tmp_path / "psi.hlf1"
+    assert cli_main(["atoms", "--kind", "psi", "--basis", "daubechies:8",
+                     "--resolution", "256", "--out", str(out)]) == 0
+    assert read_hlf(str(out)).resolution == 256
 
 
 def test_cli_atoms_and_report_roundtrip(tmp_path, rng, capsys):

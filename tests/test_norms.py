@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import oracles
 from oracles import assert_bitwise_equal
 from torwave import (ConfigurationError, DomainError, DyadicCube,
                      SampledFunction, build_basis, distance_field, hardy_norm,
-                     hardy_square_parts, llog_quasinorm, lp_norm, norm_report,
+                     hardy_square_batch, llog_quasinorm, lp_norm, norm_report,
                      oscillation_norm, oscillation_norm_batch, synthesize,
                      validate_atom, weak_lp_quasinorm)
 from torwave.errors import ShapeError
@@ -207,7 +208,7 @@ def test_psi_atoms_have_unit_square_norm_and_stable_cross_band(db4):
 
 def test_square_norm_flags_coarse_part(db4):
     f = SampledFunction(np.full(256, 3.0))
-    detail, coarse = hardy_square_parts(f, db4, 2)
+    detail, coarse = hardy_square_batch(f.values, db4, 2, 1)
     assert detail < 1e-12
     assert abs(coarse - 3.0) < 1e-12
     rep = norm_report(f, "H1_square", db4, 2)
@@ -241,7 +242,7 @@ def test_validate_atom_clauses(db4):
 def test_norm_report_serialization(db4, rng):
     f = random_function(rng, 1, 128)
     rep = norm_report(f, "Lp:2")
-    d = rep.to_dict()
+    d = dataclasses.asdict(rep)
     assert d["space"] == "Lp:2" and d["resolution"] == 128
     rep = norm_report(f, "bmo")
     assert "whole torus" in rep.method
