@@ -6,30 +6,27 @@ from .core import (DyadicCube, SampledFunction, constant, distance_field, inner,
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, FileFormatError, ResolutionError,
                      ShapeError, TorwaveError, UsageError)
-from .wavelets import (CoefficientTree, PsiAtomCheck, WaveletBasis, analyze, analyze_batch,
-                       build_basis, coarse_projection_batch, default_coarse_level,
-                       min_coarse_level, projection_batch, projection_stack, sampled_wavelet,
-                       square_function_batch, synthesize, synthesize_batch,
-                       validate_psi_atom, wavelet_square_function)
+from .wavelets import (CoefficientTree, PsiAtomCheck, WaveletBasis, analyze, build_basis,
+                       coarse_projection, default_coarse_level, min_coarse_level,
+                       projection_stack, sampled_wavelet, synthesize, validate_psi_atom,
+                       wavelet_square_function)
 from .paraproducts import (ProductBatch, ProductDecomposition, diagonal_coefficient_sum,
-                           paraproducts, paraproducts_batch, s_operator, s_operator_batch,
-                           shift_invariance_check)
+                           paraproducts, s_operator, shift_invariance_check)
 from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperator,
                         almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_image, k_class_ratio,
                         p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area, maximal_function
-from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square_batch, llog_quasinorm,
-                    lp_norm, norm_report, oscillation_norm, oscillation_norm_batch,
-                    validate_atom, weak_lp_quasinorm)
+from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square, llog_quasinorm, lp_norm,
+                    norm_report, oscillation_norm, validate_atom, weak_lp_quasinorm)
 from .commutators import (AtomicDecomposition, CommutatorBatch, CommutatorDecomposition,
                           H1bReport, SubbilinearEnvelope, atomic_decompose,
-                          bilinear_decomposition, bilinear_decomposition_batch,
-                          commutator_apply, commutator_parts_batch, h1b_characterizations,
-                          make_qb_atom, molecule_norm, subbilinear_envelope)
-from .samples import (cube_profile, derive_rng, random_bmo, random_bmo_batch,
-                      random_classical_atom, random_cube, random_function, random_h1_tree,
-                      random_psi_atom, random_tree, truncated_log, two_sided_atom)
+                          bilinear_decomposition, commutator_apply, commutator_parts,
+                          h1b_characterizations, make_qb_atom, molecule_norm,
+                          subbilinear_envelope)
+from .samples import (cube_profile, derive_rng, random_bmo, random_classical_atom,
+                      random_cube, random_function, random_h1_tree, random_psi_atom,
+                      random_tree, truncated_log, two_sided_atom)
 from .hlf import read_hlf, write_hlf
 from .harness import (CSV_SCHEMAS, SUITES, ExperimentConfig, ExperimentReport, Gate,
                       emit_report, parse_operator, parse_report, run_suite)

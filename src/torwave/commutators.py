@@ -19,12 +19,11 @@ from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm
 from .operators import require_linear, riesz_operator
-from .paraproducts import ProductBatch, paraproducts_batch, s_operator
+from .paraproducts import ProductBatch, paraproducts, s_operator
 from .samples import cube_profile
 from .sublinear import grand_maximal
-from .wavelets import (CoefficientTree, WaveletBasis, analyze, analyze_batch,
-                       coarse_projection_batch, coeff_index, default_coarse_level,
-                       sigma_set, wavelet_square_function)
+from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection, coeff_index,
+                       default_coarse_level, sigma_set, wavelet_square_function)
 
 # cost guard for per-evaluation-point commutators; raise these knowingly
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
@@ -80,7 +79,7 @@ class CommutatorBatch:
             SampledFunction(self.commutator[index]), float(self.residual_inf[index]))
 
 
-def commutator_parts_batch(b, T, f, parts: ProductBatch) -> CommutatorBatch:
+def commutator_parts(b, T, f, parts: ProductBatch) -> CommutatorBatch:
     """[b,T]f = b T f - T(b f) of every case of the stacks b and f, split by
     the paraproducts `parts` of (f, b).
 
@@ -109,23 +108,21 @@ def _fb_split(f, b, basis: WaveletBasis, coarse_level: int | None, dim: int) -> 
     if b.shape != f.shape:
         raise ShapeError("b and f live on different grids")
     j0 = default_coarse_level(basis, coarse_level)
-    ft, bt = analyze_batch(np.stack([f, b]), basis, j0, dim)
-    return paraproducts_batch(ft, bt, basis, j0, dim)
+    ft, bt = analyze(np.stack([f, b]), basis, j0, dim)
+    return paraproducts(ft, bt, basis, j0, dim)
 
 
-def bilinear_decomposition_batch(b, T, f, basis: WaveletBasis, coarse_level: int | None,
-                                 dim: int) -> CommutatorBatch:
-    """`bilinear_decomposition` of every case of the stacks b and f."""
-    return commutator_parts_batch(b, T, f, _fb_split(f, b, basis, coarse_level, dim))
-
-
-def bilinear_decomposition(b: SampledFunction, T, f: SampledFunction,
-                           basis: WaveletBasis,
-                           coarse_level: int | None = None) -> CommutatorDecomposition:
+def bilinear_decomposition(b, T, f, basis: WaveletBasis, coarse_level: int | None = None,
+                           dim: int | None = None):
     """Split [b,T]f into a remainder plus T of the diagonal paraproduct of
-    the analyzed f and b; see `commutator_parts_batch`."""
-    return bilinear_decomposition_batch(b.values, T, f.values, basis, coarse_level,
-                                        f.dim).case()
+    the analyzed f and b; see `commutator_parts`.  A `CommutatorDecomposition`
+    for two SampledFunctions, a `CommutatorBatch` for two stacks of grids on
+    their trailing `dim` axes."""
+    single = isinstance(f, SampledFunction)
+    if single:
+        b, f, dim = b.values, f.values, f.dim
+    batch = commutator_parts(b, T, f, _fb_split(f, b, basis, coarse_level, dim))
+    return batch.case() if single else batch
 
 
 @dataclass(frozen=True)
@@ -289,8 +286,7 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     W = wavelet_square_function(f).values
     N = f.resolution
     detail_l1 = float(np.abs(W).mean())
-    coarse_l1 = float(np.abs(coarse_projection_batch(f.coeffs, basis, f.coarse_level,
-                                                     f.dim)).mean())
+    coarse_l1 = float(np.abs(coarse_projection(f.coeffs, basis, f.coarse_level, f.dim)).mean())
     coarse_flagged = coarse_l1 > 1e-8 * (1.0 + detail_l1)
 
     medians = {lev: _lower_medians(W, lev) for lev in range(0, f.finest_level)}

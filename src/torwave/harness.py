@@ -22,22 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .commutators import (bilinear_decomposition_batch, commutator_apply,
-                          commutator_parts_batch, h1b_characterizations, make_qb_atom,
-                          molecule_norm, subbilinear_envelope)
+from .commutators import (bilinear_decomposition, commutator_apply, commutator_parts,
+                          h1b_characterizations, make_qb_atom, molecule_norm,
+                          subbilinear_envelope)
 from .core import DyadicCube, SampledFunction, sup_norms
 from .errors import UsageError
 from .hlf import atomic_write
-from .norms import hardy_norm, hardy_square_batch, lp_norm, weak_lp_quasinorm
+from .norms import hardy_norm, hardy_square, lp_norm, weak_lp_quasinorm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_image, k_class_ratio,
                         p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
-from .paraproducts import paraproducts_batch, s_operator_batch
-from .samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
-                      random_cube, random_function, random_h1_tree,
-                      truncated_log, two_sided_atom)
+from .paraproducts import paraproducts, s_operator
+from .samples import (derive_rng, random_bmo, random_classical_atom, random_cube,
+                      random_function, random_h1_tree, truncated_log, two_sided_atom)
 from .sublinear import grand_maximal, lusin_area
-from .wavelets import analyze_batch, build_basis, default_coarse_level, synthesize_batch
+from .wavelets import analyze, build_basis, default_coarse_level, synthesize
 
 SCHEMA_VERSION = "1"
 
@@ -246,7 +245,7 @@ def _suite_reconstruction(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         f = np.stack([random_function(rng, cfg.dim, N, kind="white").values
                       for rng in _case_rngs(cfg, ri)])
-        g = synthesize_batch(analyze_batch(f, basis, j0, cfg.dim), basis, j0, cfg.dim)
+        g = synthesize(analyze(f, basis, j0, cfg.dim), basis, j0, cfg.dim)
         errors, sizes = sup_norms(g - f, cfg.dim), sup_norms(f, cfg.dim)
         for ci in range(cfg.sample_count):
             rel = float(errors[ci]) / max(float(sizes[ci]), 1e-300)
@@ -263,7 +262,7 @@ def _tree_and_bmo(cfg: ExperimentConfig, ri: int, dim: int, j0: int, N: int):
     rngs = _case_rngs(cfg, ri)
     J = int(N).bit_length() - 1
     return (np.stack([random_h1_tree(rng, dim, j0, J).coeffs for rng in rngs]),
-            random_bmo_batch(rngs, dim, N))
+            random_bmo(rngs, dim, N))
 
 
 def _suite_product_identity(cfg: ExperimentConfig):
@@ -273,9 +272,8 @@ def _suite_product_identity(cfg: ExperimentConfig):
     cases = []
     for ri, N in enumerate(cfg.resolutions):
         ft, g = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
-        parts = paraproducts_batch(ft, analyze_batch(g, basis, j0, cfg.dim), basis, j0,
-                                   cfg.dim)
-        fg_sup = sup_norms(synthesize_batch(ft, basis, j0, cfg.dim) * g, cfg.dim)
+        parts = paraproducts(ft, analyze(g, basis, j0, cfg.dim), basis, j0, cfg.dim)
+        fg_sup = sup_norms(synthesize(ft, basis, j0, cfg.dim) * g, cfg.dim)
         for ci in range(cfg.sample_count):
             residual = float(parts.residual_inf[ci])
             bound = tol * (1.0 + float(fg_sup[ci]))
@@ -320,8 +318,8 @@ def _commutator_stack(cfg: ExperimentConfig, ri: int, T, dim: int, basis, j0: in
     stack f, its decomposition [b,T]f = R + T(S(f,b)), and each case's
     residual relative to 1 + sup |[b,T]f|."""
     ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
-    f = synthesize_batch(ft, basis, j0, dim)
-    dec = bilinear_decomposition_batch(b, T, f, basis, j0, dim)
+    f = synthesize(ft, basis, j0, dim)
+    dec = bilinear_decomposition(b, T, f, basis, j0, dim)
     return f, dec, (dec.residual_inf / (1.0 + sup_norms(dec.commutator, dim))).tolist()
 
 
@@ -349,7 +347,7 @@ def _suite_sandwich(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         T = parse_operator(cfg.operator, cfg.dim, N)
         ft, b = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
-        f = synthesize_batch(ft, basis, j0, cfg.dim)
+        f = synthesize(ft, basis, j0, cfg.dim)
         # the pointwise path runs once per point of b, so one case at a time
         for ci in range(cfg.sample_count):
             env = subbilinear_envelope(SampledFunction(b[ci]), T, SampledFunction(f[ci]),
@@ -372,20 +370,19 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
 
     def h1_square(values):
         """hardy_norm(., "H1_square") of every case: detail + coarse mass."""
-        detail, coarse = hardy_square_batch(values, basis, j0, dim)
+        detail, coarse = hardy_square(values, basis, j0, dim)
         return detail + coarse
 
     cases = []
     fits = {}
     for ri, N in enumerate(cfg.resolutions):
         ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
-        f = synthesize_batch(ft, basis, j0, dim)
-        bt = analyze_batch(b, basis, j0, dim)
-        parts = paraproducts_batch(ft, bt, basis, j0, dim)
-        remainder = commutator_parts_batch(b, H, f, parts).R_part
-        antis = s_operator_batch(analyze_batch(H.apply(f), basis, j0, dim), bt, basis, j0, dim) \
-            - s_operator_batch(ft, analyze_batch(H_adjoint.apply(b), basis, j0, dim), basis,
-                               j0, dim)
+        f = synthesize(ft, basis, j0, dim)
+        bt = analyze(b, basis, j0, dim)
+        parts = paraproducts(ft, bt, basis, j0, dim)
+        remainder = commutator_parts(b, H, f, parts).R_part
+        antis = s_operator(analyze(H.apply(f), basis, j0, dim), bt, basis, j0, dim) \
+            - s_operator(ft, analyze(H_adjoint.apply(b), basis, j0, dim), basis, j0, dim)
         h1, h1_pi4, h1_antis = map(h1_square, (f, parts.pi4, antis))
         rows = []
         for ci in range(cfg.sample_count):
@@ -552,7 +549,7 @@ def _suite_fractional(cfg: ExperimentConfig):
     sups = {}
     for ri, N in enumerate(cfg.resolutions):
         f, dec, rels = _commutator_stack(cfg, ri, T, cfg.dim, basis, j0, N)
-        detail, coarse = hardy_square_batch(f, basis, j0, cfg.dim)
+        detail, coarse = hardy_square(f, basis, j0, cfg.dim)
         ratios = []
         for ci, rel in enumerate(rels):
             h1 = float(detail[ci]) + float(coarse[ci])

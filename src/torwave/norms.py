@@ -15,8 +15,8 @@ import numpy as np
 from .core import DyadicCube, SampledFunction, distance_field, grid_level
 from .errors import ConfigurationError, DomainError
 from .sublinear import maximal_function
-from .wavelets import (WaveletBasis, analyze_batch, coarse_projection_batch,
-                       default_coarse_level, square_function_batch)
+from .wavelets import (WaveletBasis, analyze, coarse_projection, default_coarse_level,
+                       wavelet_square_function)
 
 OSCILLATION_MODES = ("BMO", "BMOplus", "bmo", "BMOlog")
 HARDY_MODES = ("H1_square", "H1_maximal", "h1", "Hlog")
@@ -78,12 +78,16 @@ def _level_oscillations(values: np.ndarray, level: int, dim: int) -> np.ndarray:
     return np.add.reduce(np.abs(blocks - means), axis=inside) / step ** dim
 
 
-def oscillation_norm_batch(values, dim: int, mode: str = "BMO") -> np.ndarray:
-    """`oscillation_norm` of every grid on the trailing `dim` axes of
-    `values`, as an array of the leading shape."""
+def oscillation_norm(f, mode: str = "BMO", dim: int | None = None):
+    """Dyadic-cube mean-oscillation norms: BMO, BMO with anchored average,
+    the local variant, and the logarithmically weighted variant.  For an
+    array, the norm of every grid on its trailing `dim` axes, as an array of
+    the leading shape."""
     if mode not in OSCILLATION_MODES:
         raise ConfigurationError(f"unknown oscillation mode {mode!r}")
-    v = np.asarray(values, dtype=float)
+    single = isinstance(f, SampledFunction)
+    v = f.values if single else np.asarray(f, dtype=float)
+    dim = f.dim if single else dim
     J = grid_level(v.shape, dim)
     # a NaN oscillation would drop out of the running max below and read as 0
     if not np.isfinite(v).all():
@@ -103,13 +107,7 @@ def oscillation_norm_batch(values, dim: int, mode: str = "BMO") -> np.ndarray:
     elif mode == "bmo":
         # the only torus cube of measure >= 1 is the whole domain
         sup += np.abs(v).mean(axis=grid)
-    return sup
-
-
-def oscillation_norm(f: SampledFunction, mode: str = "BMO") -> float:
-    """Dyadic-cube mean-oscillation norms: BMO, BMO with anchored average,
-    the local variant, and the logarithmically weighted variant."""
-    return float(oscillation_norm_batch(f.values, f.dim, mode))
+    return float(sup) if single else sup
 
 
 def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -> float:
@@ -151,17 +149,19 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
     return 0.5 * (lo + hi) * top
 
 
-def hardy_square_batch(values, basis: WaveletBasis, coarse_level: int | None,
-                       dim: int) -> tuple[np.ndarray, np.ndarray]:
+def hardy_square(values, basis: WaveletBasis | None, coarse_level: int | None,
+                 dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(detail, coarse) L1 masses of the square-function Hardy estimator of every
     grid on the trailing axes of `values`, as two arrays of the leading shape.
     The coarse part is the L1 norm of the sampled coarse scaling projection; a
     genuinely cancellative input has a negligible coarse part."""
+    if basis is None:
+        raise ConfigurationError("H1_square needs a wavelet basis")
     j0 = default_coarse_level(basis, coarse_level)
-    coeffs = analyze_batch(values, basis, j0, dim)
+    coeffs = analyze(values, basis, j0, dim)
     grids = coeffs.shape[coeffs.ndim - dim:]
-    square = square_function_batch(coeffs, j0, dim).reshape((-1,) + grids)
-    coarse = coarse_projection_batch(coeffs, basis, j0, dim).reshape((-1,) + grids)
+    square = wavelet_square_function(coeffs, j0, dim).reshape((-1,) + grids)
+    coarse = coarse_projection(coeffs, basis, j0, dim).reshape((-1,) + grids)
     batch = coeffs.shape[:coeffs.ndim - dim]
     return (np.reshape([lp_norm(SampledFunction(w), 1.0) for w in square], batch),
             np.reshape([float(np.abs(p).mean()) for p in coarse], batch))
@@ -174,9 +174,7 @@ def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
     if mode not in HARDY_MODES:
         raise ConfigurationError(f"unknown hardy mode {mode!r}")
     if mode == "H1_square":
-        if basis is None:
-            raise ConfigurationError("H1_square needs a wavelet basis")
-        detail, coarse = map(float, hardy_square_batch(f.values, basis, coarse_level, f.dim))
+        detail, coarse = map(float, hardy_square(f.values, basis, coarse_level, f.dim))
         return detail + coarse
     if mode == "H1_maximal":
         return lp_norm(maximal_function(f, local=False), 1.0)
@@ -207,7 +205,7 @@ def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = Non
         return NormReport(space, oscillation_norm(f, space), method, N)
     if space in HARDY_MODES:
         if space == "H1_square":
-            detail, coarse = map(float, hardy_square_batch(f.values, basis, coarse_level, f.dim))
+            detail, coarse = map(float, hardy_square(f.values, basis, coarse_level, f.dim))
             method = f"wavelet-square/{basis.family}{basis.order}"
             if coarse > 1e-8 * (1.0 + detail):
                 method += f"[coarse part {coarse:.3g} flagged]"

@@ -24,7 +24,7 @@ from .core import DyadicCube, SampledFunction, frequency_grid, grid_level, torus
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
                      ShapeError)
 from .samples import random_bmo, random_classical_atom, random_cube
-from .wavelets import (CoefficientTree, WaveletBasis, analyze_batch, band_index,
+from .wavelets import (CoefficientTree, WaveletBasis, _circular_shifts, analyze, band_index,
                        detail_cubes, mother_wavelet, sigma_set)
 
 MATRIX_ENTRY_FLOOR = 1e-14
@@ -199,22 +199,12 @@ class WaveletMatrixOperator:
                 f"..{self.levels.stop - 1}, nnz={self.values.size})")
 
 
-def _circular_shifts(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Stack of `base` rolled by each row of the (count, dim) cell counts
-    `shifts`, as `np.roll` would, gathered in one indexing step."""
-    count, dim = shifts.shape
-    n = base.shape[0]
-    at = tuple(((np.arange(n) - shifts[:, a, None]) % n).reshape(
-        (count,) + (1,) * a + (n,) + (1,) * (dim - 1 - a)) for a in range(dim))
-    return base[at]
-
-
 def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
                    resolution: int) -> WaveletMatrixOperator:
     """Assemble grid inner products of op applied to every basis wavelet.
 
     The wavelets of the level range form one stack, which goes through
-    `op.apply` and `analyze_batch` once.  Entries below 1e-14 are dropped to
+    `op.apply` and `analyze` once.  Entries below 1e-14 are dropped to
     keep the table sparse.
     """
     require_linear(op, f"{getattr(op, 'name', 'op')} is not linear; a wavelet matrix "
@@ -231,7 +221,7 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
         _circular_shifts(mother_wavelet(basis, dim, J, j, s),
                          np.indices((1 << j,) * dim).reshape(dim, -1).T << (J - j))
         for j in levels for s in sigma_set(dim)])
-    coeffs = analyze_batch(op.apply(psi), basis, levels.start, dim)
+    coeffs = analyze(op.apply(psi), basis, levels.start, dim)
     block = coeffs[(slice(None),) + np.unravel_index(index, flat.shape)]
     rows, cols = np.nonzero(np.abs(block) >= MATRIX_ENTRY_FLOOR)
     return WaveletMatrixOperator(getattr(op, "name", "op"), dim, levels,

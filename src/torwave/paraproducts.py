@@ -16,7 +16,7 @@ import numpy as np
 from .core import SampledFunction, grid_level, sup_norm, sup_norms
 from .errors import ShapeError
 from .wavelets import (CoefficientTree, WaveletBasis, band_index, mother_wavelet,
-                       projection_batch, same_layout, sigma_set)
+                       projection_stack, same_layout, sigma_set)
 
 
 @dataclass(frozen=True)
@@ -83,54 +83,52 @@ def _diagonal_layer(fc: np.ndarray, gc: np.ndarray, basis: WaveletBasis, level: 
     return out
 
 
-def paraproducts_batch(fc, gc, basis: WaveletBasis, coarse_level: int,
-                       dim: int) -> ProductBatch:
-    """`paraproducts` of every pair of coefficient arrays on the trailing
-    axes of `fc` and `gc`."""
-    fc, gc = np.asarray(fc, dtype=float), np.asarray(gc, dtype=float)
+def _pair(f, g, coarse_level: int | None, dim: int | None) -> tuple:
+    """(f coefficients, g coefficients, coarse level, dim, single) of two
+    trees of one layout, or of two stacks of coefficient arrays of one shape
+    with the given level and dim."""
+    if isinstance(f, CoefficientTree):
+        same_layout(f, g)
+        return f.coeffs, g.coeffs, f.coarse_level, f.dim, True
+    fc, gc = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     if fc.shape != gc.shape:
         raise ShapeError("tree layouts do not match")
-    Pf = projection_batch(fc, basis, coarse_level, dim)
-    Pg = projection_batch(gc, basis, coarse_level, dim)
+    return fc, gc, coarse_level, dim, False
+
+
+def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
+                 dim: int | None = None):
+    """Split the pointwise product of the synthesized inputs into its four
+    bilinear parts plus the coarse-scale remainder: a `ProductDecomposition`
+    for two trees, a `ProductBatch` for two stacks of coefficient arrays with
+    their coarse level and dim."""
+    fc, gc, j0, dim, single = _pair(f, g, coarse_level, dim)
+    Pf = projection_stack(fc, basis, j0, dim)
+    Pg = projection_stack(gc, basis, j0, dim)
     J = max(Pf)
     pi1, pi2, pi3, pi4 = (np.zeros(fc.shape) for _ in range(4))
-    for j in range(coarse_level, J):
+    for j in range(j0, J):
         Qf, Qg = Pf[j + 1] - Pf[j], Pg[j + 1] - Pg[j]
         pi1 += Pf[j] * Qg
         pi2 += Qf * Pg[j]
         diag = _diagonal_layer(fc, gc, basis, j, dim)
         pi3 += diag
         pi4 += Qf * Qg - diag
-    coarse = Pf[coarse_level] * Pg[coarse_level]
+    coarse = Pf[j0] * Pg[j0]
     residual = Pf[J] * Pg[J] - (pi1 + pi2 + pi3 + pi4 + coarse)
-    return ProductBatch(pi1, pi2, pi3, pi4, coarse, sup_norms(residual, dim))
+    batch = ProductBatch(pi1, pi2, pi3, pi4, coarse, sup_norms(residual, dim))
+    return batch.case() if single else batch
 
 
-def paraproducts(f: CoefficientTree, g: CoefficientTree,
-                 basis: WaveletBasis) -> ProductDecomposition:
-    """Split the pointwise product of the synthesized inputs into its four
-    bilinear parts plus the coarse-scale remainder."""
-    same_layout(f, g)
-    return paraproducts_batch(f.coeffs, g.coeffs, basis, f.coarse_level, f.dim).case()
-
-
-def s_operator_batch(fc, gc, basis: WaveletBasis, coarse_level: int,
-                     dim: int) -> np.ndarray:
-    """`s_operator` of every pair of coefficient arrays in the stacks."""
-    fc, gc = np.asarray(fc, dtype=float), np.asarray(gc, dtype=float)
-    if fc.shape != gc.shape:
-        raise ShapeError("tree layouts do not match")
+def s_operator(f, g, basis: WaveletBasis, coarse_level: int | None = None,
+               dim: int | None = None):
+    """Negated diagonal part: same code path as the pi3 layer, sign flipped.
+    A `SampledFunction` for two trees, an array for two stacks."""
+    fc, gc, j0, dim, single = _pair(f, g, coarse_level, dim)
     acc = np.zeros(fc.shape)
-    for j in range(coarse_level, grid_level(fc.shape, dim)):
+    for j in range(j0, grid_level(fc.shape, dim)):
         acc += _diagonal_layer(fc, gc, basis, j, dim)
-    return -acc
-
-
-def s_operator(f: CoefficientTree, g: CoefficientTree,
-               basis: WaveletBasis) -> SampledFunction:
-    """Negated diagonal part: same code path as the pi3 layer, sign flipped."""
-    same_layout(f, g)
-    return SampledFunction(s_operator_batch(f.coeffs, g.coeffs, basis, f.coarse_level, f.dim))
+    return SampledFunction(-acc) if single else -acc
 
 
 def diagonal_coefficient_sum(f: CoefficientTree, g: CoefficientTree) -> float:

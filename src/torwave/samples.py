@@ -13,7 +13,7 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field, frequency_grid
 from .errors import DegeneracyError, DomainError
-from .norms import oscillation_norm_batch
+from .norms import oscillation_norm
 from .wavelets import CoefficientTree, band_index, sigma_set
 
 
@@ -129,21 +129,24 @@ def _raw_bmo(rng, dim: int, resolution: int) -> np.ndarray:
     return SampledFunction(vals - vals.mean()).values
 
 
-def random_bmo_batch(rngs, dim: int, resolution: int) -> np.ndarray:
-    """`random_bmo` of each generator in the list `rngs`, stacked, bit for bit:
+def random_bmo(rng, dim: int, resolution: int):
+    """Random oscillation sample normalized to unit dyadic BMO norm.
+
+    Given a list of generators, the sample of each, stacked, bit for bit:
     one norm call for the stack, then a row of norm below 1e-12 is redrawn
-    from its own generator, which leaves the other streams untouched."""
-    raw = np.stack([_raw_bmo(rng, dim, resolution) for rng in rngs])
-    norms = oscillation_norm_batch(raw, dim, "BMO")
-    for i in np.flatnonzero(norms < 1e-12):
-        raw[i] = random_bmo_batch(rngs[i:i + 1], dim, resolution)[0]
-        norms[i] = 1.0
-    return raw / norms.reshape(norms.shape + (1,) * dim)
-
-
-def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
-    """Random oscillation sample normalized to unit dyadic BMO norm."""
-    return SampledFunction(random_bmo_batch([rng], dim, resolution)[0])
+    from its own generator until it is not, which leaves the other streams
+    untouched.
+    """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else rng
+    raw = np.stack([_raw_bmo(r, dim, resolution) for r in rngs])
+    norms = oscillation_norm(raw, "BMO", dim)
+    for i, r in enumerate(rngs):
+        while norms[i] < 1e-12:
+            raw[i] = _raw_bmo(r, dim, resolution)
+            norms[i] = oscillation_norm(raw[i:i + 1], "BMO", dim)[0]
+    out = raw / norms.reshape(norms.shape + (1,) * dim)
+    return SampledFunction(out[0]) if single else out
 
 
 def _fourier_one_over_k(rng, dim, resolution):

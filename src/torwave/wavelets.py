@@ -23,7 +23,7 @@ wrap-padded copy.  Synthesis (`_up`) never forms the zero-stuffed upsampled
 array: output entry 2k+r meets only the taps m = r (mod 2), so each pair of
 taps reads one view of a circularly pre-padded copy.  `projection_stack`
 carries every P_j f up a scaling-only ladder, because the detail channel of
-that ladder is exactly zero; `coarse_projection_batch` carries P_{j0} f alone.
+that ladder is exactly zero; `coarse_projection` carries P_{j0} f alone.
 All of them add their terms in the order of the plain per-tap circular
 convolution (tap by tap, scaling before detail), so they agree with it to
 the last bit; `tests/oracles.py` keeps that convolution as the reference.
@@ -33,13 +33,14 @@ sign of zero, which the JSON case records carry.
 
 Leading batch axis: every loop acts on the trailing `dim` axes of an array
 with any leading shape, and the steps take their axis counted from the end.
-`analyze_batch`, `synthesize_batch`, `projection_batch`,
-`coarse_projection_batch` and `square_function_batch` push a whole stack of
-cases (values or Mallat-layout coefficient arrays) through each step at
-once.  Every step is elementwise across the leading axes, so case i of a
-batched result equals the result for case i alone, bit for bit.  The
-`SampledFunction` / `CoefficientTree` functions (`analyze`, `synthesize`,
-`projection_stack`, ...) are these loops at batch shape ().
+Each layer has one name.  `analyze` takes a `SampledFunction` and returns a
+`CoefficientTree`; `synthesize`, `projection_stack` and
+`wavelet_square_function` take a tree.  Given instead an array plus `dim`
+(and, for coefficient arrays, the coarse level), each pushes the whole
+stack of cases through every step at once and returns arrays, as
+`MultiplierOperator.apply` does; `coarse_projection` takes the stack only.
+Every step is elementwise across the leading axes, so case i of a stacked
+result equals the result for case i alone, bit for bit.
 """
 from __future__ import annotations
 
@@ -477,11 +478,13 @@ def _corner(level: int, dim: int) -> tuple:
     return (Ellipsis,) + band_index(level, (0,) * dim)
 
 
-def analyze_batch(values, basis: WaveletBasis, coarse_level: int | None,
-                  dim: int) -> np.ndarray:
-    """Coefficient arrays (Mallat's layout) of every (N,)*dim grid on the
-    trailing axes of `values`."""
-    values = np.asarray(values, dtype=float)
+def analyze(f, basis: WaveletBasis, coarse_level: int | None = None, dim: int | None = None):
+    """Decompose a sampled function into its coefficient tree; for an array,
+    the coefficient arrays (Mallat's layout) of every (N,)*dim grid on its
+    trailing axes, returned as an array."""
+    single = isinstance(f, SampledFunction)
+    values = f.values if single else np.asarray(f, dtype=float)
+    dim = f.dim if single else dim
     J = grid_level(values.shape, dim)
     j0 = default_coarse_level(basis, coarse_level)
     _require_valid_levels(basis, j0, J)
@@ -491,14 +494,15 @@ def analyze_batch(values, basis: WaveletBasis, coarse_level: int | None,
         for axis in range(-dim, 0):
             # the low channel fills the first half of the axis, the high the second
             np.concatenate(_down(corner, basis.filter_rows, axis), axis=axis, out=corner)
-    return work
+    return CoefficientTree(work, j0) if single else work
 
 
-def analyze(f: SampledFunction, basis: WaveletBasis,
-            coarse_level: int | None = None) -> CoefficientTree:
-    """Decompose a sampled function into its coefficient tree."""
-    j0 = default_coarse_level(basis, coarse_level)
-    return CoefficientTree(analyze_batch(f.values, basis, j0, f.dim), j0)
+def _coefficients(tree, coarse_level: int | None, dim: int | None) -> tuple:
+    """(coefficient array, coarse level, dim, single) of a CoefficientTree,
+    or of a stack of coefficient arrays with the given level and dim."""
+    if isinstance(tree, CoefficientTree):
+        return tree.coeffs, tree.coarse_level, tree.dim, True
+    return np.asarray(tree, dtype=float), _integral_level(coarse_level), dim, False
 
 
 def _cascade(coeffs: np.ndarray, basis: WaveletBasis, coarse_level: int,
@@ -517,17 +521,15 @@ def _cascade(coeffs: np.ndarray, basis: WaveletBasis, coarse_level: int,
     return out
 
 
-def synthesize_batch(coeffs, basis: WaveletBasis, coarse_level: int,
-                     dim: int) -> np.ndarray:
-    """Sampled functions of every coefficient array on the trailing axes."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def synthesize(tree, basis: WaveletBasis, coarse_level: int | None = None,
+               dim: int | None = None):
+    """Reconstruct the sampled function from its coefficient tree; for a stack
+    of coefficient arrays with their coarse level and dim, the sampled
+    functions of every one, returned as an array."""
+    coeffs, j0, dim, single = _coefficients(tree, coarse_level, dim)
     J = grid_level(coeffs.shape, dim)
-    return _cascade(coeffs, basis, coarse_level, dim)[J] * float(1 << J) ** (dim / 2.0)
-
-
-def synthesize(tree: CoefficientTree, basis: WaveletBasis) -> SampledFunction:
-    """Reconstruct the sampled function from its coefficient tree."""
-    return SampledFunction(synthesize_batch(tree.coeffs, basis, tree.coarse_level, tree.dim))
+    values = _cascade(coeffs, basis, j0, dim)[J] * float(1 << J) ** (dim / 2.0)
+    return SampledFunction(values) if single else values
 
 
 def _ladder_step(stack: np.ndarray, dim: int, basis: WaveletBasis) -> np.ndarray:
@@ -538,31 +540,28 @@ def _ladder_step(stack: np.ndarray, dim: int, basis: WaveletBasis) -> np.ndarray
     return stack
 
 
-def projection_batch(coeffs, basis: WaveletBasis, coarse_level: int, dim: int) -> dict:
-    """Sampled scaling-space projections P_j f of every case, j = j0..J."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    cascade = _cascade(coeffs, basis, coarse_level, dim)
-    J = max(cascade)
-    # row i carries P_{j0+i} up the scaling-only ladder, all levels at once
-    stack = cascade[coarse_level][None]
-    for j in range(coarse_level, J):
-        stack = np.concatenate([_ladder_step(stack, dim, basis), cascade[j + 1][None]])
-    stack *= float(1 << J) ** (dim / 2.0)
-    return dict(zip(range(coarse_level, J + 1), stack))
-
-
-def projection_stack(tree: CoefficientTree, basis: WaveletBasis) -> dict:
-    """Sampled scaling-space projections P_j f for j = j0..J.
+def projection_stack(tree, basis: WaveletBasis, coarse_level: int | None = None,
+                     dim: int | None = None) -> dict:
+    """Sampled scaling-space projections P_j f for j = j0..J, as arrays; for
+    a stack of coefficient arrays, those of every case on the leading axes.
 
     P_J f equals the synthesized function exactly; successive differences
     P_{j+1}f - P_j f are the sampled detail layers.
     """
-    return projection_batch(tree.coeffs, basis, tree.coarse_level, tree.dim)
+    coeffs, j0, dim, _ = _coefficients(tree, coarse_level, dim)
+    cascade = _cascade(coeffs, basis, j0, dim)
+    J = max(cascade)
+    # row i carries P_{j0+i} up the scaling-only ladder, all levels at once
+    stack = cascade[j0][None]
+    for j in range(j0, J):
+        stack = np.concatenate([_ladder_step(stack, dim, basis), cascade[j + 1][None]])
+    stack *= float(1 << J) ** (dim / 2.0)
+    return dict(zip(range(j0, J + 1), stack))
 
 
-def coarse_projection_batch(coeffs, basis: WaveletBasis, coarse_level: int,
-                            dim: int) -> np.ndarray:
-    """P_{j0} f of every case alone, equal to `projection_batch(...)[j0]` bit
+def coarse_projection(coeffs, basis: WaveletBasis, coarse_level: int,
+                      dim: int) -> np.ndarray:
+    """P_{j0} f of every case alone, equal to `projection_stack(...)[j0]` bit
     for bit: the coarse scaling arrays carried up the same ladder, with no
     synthesis cascade."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -589,11 +588,21 @@ def mother_wavelet(basis: WaveletBasis, dim: int, finest_level: int, level: int,
     return vals
 
 
+def _circular_shifts(base: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Stack of `base` rolled by each row of the (count, dim) cell counts
+    `shifts`, as `np.roll` would, gathered in one indexing step."""
+    count, dim = shifts.shape
+    n = base.shape[0]
+    at = tuple(((np.arange(n) - shifts[:, a, None]) % n).reshape(
+        (count,) + (1,) * a + (n,) + (1,) * (dim - 1 - a)) for a in range(dim))
+    return base[at]
+
+
 def sampled_wavelet(basis: WaveletBasis, finest_level: int, cube: DyadicCube,
                     sigma: tuple) -> np.ndarray:
     base = mother_wavelet(basis, cube.dim, finest_level, cube.level, tuple(sigma))
-    shift = tuple(k * ((1 << finest_level) >> cube.level) for k in cube.offset)
-    return np.roll(base, shift, axis=tuple(range(cube.dim)))
+    shift = [k * ((1 << finest_level) >> cube.level) for k in cube.offset]
+    return _circular_shifts(base, np.array([shift]))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,20 +616,18 @@ def _expand(arr: np.ndarray, factor: int, dim: int) -> np.ndarray:
     return arr
 
 
-def square_function_batch(coeffs, coarse_level: int, dim: int) -> np.ndarray:
-    """`wavelet_square_function` of every coefficient array on the trailing axes."""
-    coeffs = np.asarray(coeffs, dtype=float)
+def wavelet_square_function(tree, coarse_level: int | None = None, dim: int | None = None):
+    """Pointwise l2 aggregate of detail coefficients weighted by 1/|I| on each
+    cube; for a stack of coefficient arrays with their coarse level and dim,
+    that of every one, returned as an array."""
+    coeffs, j0, dim, single = _coefficients(tree, coarse_level, dim)
     J = grid_level(coeffs.shape, dim)
     acc = np.zeros(coeffs.shape)
-    for j in range(coarse_level, J):
+    for j in range(j0, J):
         sq = sum(coeffs[(Ellipsis,) + band_index(j, s)] ** 2 for s in sigma_set(dim))
         acc += _expand(sq, 1 << (J - j), dim) * 2.0 ** (j * dim)
-    return np.sqrt(acc)
-
-
-def wavelet_square_function(tree: CoefficientTree) -> SampledFunction:
-    """Pointwise l2 aggregate of detail coefficients weighted by 1/|I| on each cube."""
-    return SampledFunction(square_function_batch(tree.coeffs, tree.coarse_level, tree.dim))
+    out = np.sqrt(acc)
+    return SampledFunction(out) if single else out
 
 
 @dataclass(frozen=True)

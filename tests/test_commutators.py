@@ -5,9 +5,9 @@ from oracles import assert_bitwise_equal
 from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
                      DyadicCube, MultiplierOperator, SampledFunction, analyze,
                      atomic_decompose, bilinear_decomposition, commutator_apply,
-                     commutator_parts_batch, fractional_integral_operator,
+                     commutator_parts, fractional_integral_operator,
                      h1b_characterizations, hilbert_operator, lp_norm, make_qb_atom,
-                     molecule_norm, paraproducts_batch, subbilinear_envelope, sup_norm,
+                     molecule_norm, paraproducts, subbilinear_envelope, sup_norm,
                      synthesize, validate_atom, validate_psi_atom, wavelet_matrix,
                      wavelet_square_function, weak_lp_quasinorm)
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
@@ -66,11 +66,11 @@ def test_wavelet_matrix_is_no_operator_on_sampled_functions(haar, db4):
     # AttributeError from a missing `apply`
     mat = wavelet_matrix(hilbert_operator(), haar, range(2, 4), 1, 64)
     f, b = _pair(6, N=64, basis=db4)
-    parts = paraproducts_batch(analyze(f, db4, 2).coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
+    parts = paraproducts(analyze(f, db4, 2).coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
     with pytest.raises(ContractError, match="apply_tree"):
         commutator_apply(b, mat, f)
     with pytest.raises(ContractError, match="apply_tree"):
-        commutator_parts_batch(b.values, mat, f.values, parts)
+        commutator_parts(b.values, mat, f.values, parts)
     with pytest.raises(ContractError, match="apply_tree"):
         bilinear_decomposition(b, mat, f, db4, 2)
 
@@ -109,10 +109,10 @@ def test_commutator_parts_from_tree_paraproducts(db4):
     ft = random_h1_tree(rng, 1, 2, 9)
     f = synthesize(ft, db4)
     b = random_bmo(rng, 1, 512)
-    batch = paraproducts_batch(ft.coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
+    batch = paraproducts(ft.coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
     parts = batch.case()
     H = hilbert_operator()
-    dec = commutator_parts_batch(b.values, H, f.values, batch).case()
+    dec = commutator_parts(b.values, H, f.values, batch).case()
     remainder = (b * H.apply(f) - H.apply(parts.pi2) - H.apply(parts.coarse)
                  - H.apply(parts.pi1 + parts.pi4))
     assert_bitwise_equal(dec.R_part.values, remainder.values)

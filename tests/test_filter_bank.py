@@ -3,7 +3,7 @@
 
 `_down` reads strided views of one wrap-padded copy, `_up` computes each
 output phase from the taps of matching parity, and `projection_stack` and
-`coarse_projection_batch` climb a scaling-only ladder.  They keep the oracles'
+`coarse_projection` climb a scaling-only ladder.  They keep the oracles'
 order of adds, so every array must be identical down to the sign of zero and
 the NaN payload.
 """
@@ -13,12 +13,10 @@ import pytest
 
 import oracles
 from oracles import assert_bitwise_equal
-from torwave import (CoefficientTree, SampledFunction, analyze, analyze_batch, build_basis,
-                     coarse_projection_batch, commutator_parts_batch, hardy_square_batch,
-                     hilbert_operator, paraproducts, paraproducts_batch, parse_operator,
-                     projection_batch, projection_stack, riesz_operator, s_operator,
-                     s_operator_batch, square_function_batch, synthesize, synthesize_batch,
-                     wavelet_square_function)
+from torwave import (CoefficientTree, SampledFunction, analyze, build_basis,
+                     coarse_projection, commutator_parts, hardy_square, hilbert_operator,
+                     paraproducts, parse_operator, projection_stack, riesz_operator,
+                     s_operator, synthesize, wavelet_square_function)
 from torwave.wavelets import (_cascade, _down, _up, band_index, default_coarse_level,
                               min_coarse_level, sigma_set)
 
@@ -98,7 +96,7 @@ def test_coarse_projection_is_the_bottom_of_the_stack(name, shape, j0, kind):
     dim, J = len(shape), shape[0].bit_length() - 1
     tree = _tree(kind, np.random.default_rng([J, dim, j0, KINDS.index(kind), 1]),
                  dim, j0, J)
-    assert_bitwise_equal(coarse_projection_batch(tree.coeffs, basis, j0, dim),
+    assert_bitwise_equal(coarse_projection(tree.coeffs, basis, j0, dim),
                          projection_stack(tree, basis)[j0])
 
 
@@ -162,13 +160,13 @@ def test_batched_filter_bank_equals_its_rows(name, dim, N):
     rng = np.random.default_rng([N, dim, len(basis.scaling_filter)])
 
     values = _stack(rng, (N,) * dim)
-    coeffs = analyze_batch(values, basis, j0, dim)
+    coeffs = analyze(values, basis, j0, dim)
     trees = _tree_stack(rng, dim, j0, J)
-    synthesized = synthesize_batch(trees, basis, j0, dim)
+    synthesized = synthesize(trees, basis, j0, dim)
     cascade = _cascade(trees, basis, j0, dim)
-    projections = projection_batch(trees, basis, j0, dim)
-    coarse = coarse_projection_batch(trees, basis, j0, dim)
-    square = square_function_batch(trees, j0, dim)
+    projections = projection_stack(trees, basis, j0, dim)
+    coarse = coarse_projection(trees, basis, j0, dim)
+    square = wavelet_square_function(trees, j0, dim)
     for i in np.ndindex(LEAD):
         assert_bitwise_equal(coeffs[i], analyze(SampledFunction(values[i]), basis, j0).coeffs)
         tree = CoefficientTree(trees[i], j0)
@@ -181,7 +179,7 @@ def test_batched_filter_bank_equals_its_rows(name, dim, N):
         assert projections.keys() == single.keys()
         for j in single:
             assert_bitwise_equal(projections[j][i], single[j])
-        assert_bitwise_equal(coarse[i], coarse_projection_batch(trees[i], basis, j0, dim))
+        assert_bitwise_equal(coarse[i], coarse_projection(trees[i], basis, j0, dim))
         assert_bitwise_equal(square[i], wavelet_square_function(tree).values)
 
 
@@ -190,9 +188,9 @@ def test_batched_hardy_estimate_equals_its_rows(name, dim, N):
     basis = _basis(name)
     values = _stack(np.random.default_rng([N, dim, 7]), (N,) * dim)
     j0 = min_coarse_level(basis)
-    detail, coarse = hardy_square_batch(values, basis, j0, dim)
+    detail, coarse = hardy_square(values, basis, j0, dim)
     for i in np.ndindex(LEAD):
-        single = hardy_square_batch(values[i], basis, j0, dim)
+        single = hardy_square(values[i], basis, j0, dim)
         assert_bitwise_equal(np.array([detail[i], coarse[i]]), np.array(single))
 
 
@@ -219,12 +217,12 @@ def test_batched_paraproducts_equal_their_rows(name, dim, N):
     scaling = gc[1, 2][band_index(j0, (0,) * dim)].copy()
     gc[1, 2] = 0.0
     gc[1, 2][band_index(j0, (0,) * dim)] = scaling
-    batch = paraproducts_batch(fc, gc, basis, j0, dim)
-    diagonal = s_operator_batch(fc, gc, basis, j0, dim)
+    batch = paraproducts(fc, gc, basis, j0, dim)
+    diagonal = s_operator(fc, gc, basis, j0, dim)
     T = hilbert_operator() if dim == 1 else riesz_operator(1, 2)
     b = _stack(rng, (N,) * dim)
-    f = synthesize_batch(fc, basis, j0, dim)
-    commutator = commutator_parts_batch(b, T, f, batch)
+    f = synthesize(fc, basis, j0, dim)
+    commutator = commutator_parts(b, T, f, batch)
     for i in np.ndindex(LEAD):
         f_tree, g_tree = CoefficientTree(fc[i], j0), CoefficientTree(gc[i], j0)
         single = paraproducts(f_tree, g_tree, basis)
@@ -232,7 +230,6 @@ def test_batched_paraproducts_equal_their_rows(name, dim, N):
             assert_bitwise_equal(getattr(batch, part)[i], getattr(single, part).values)
         assert_bitwise_equal(batch.residual_inf[i], np.float64(single.residual_inf))
         assert_bitwise_equal(diagonal[i], s_operator(f_tree, g_tree, basis).values)
-        row = commutator_parts_batch(b[i], T, f[i], paraproducts_batch(fc[i], gc[i], basis,
-                                                                         j0, dim))
+        row = commutator_parts(b[i], T, f[i], paraproducts(fc[i], gc[i], basis, j0, dim))
         for part in ("R_part", "S_image", "commutator", "residual_inf"):
             assert_bitwise_equal(getattr(commutator, part)[i], getattr(row, part))

@@ -256,9 +256,9 @@ def test_gate_verdict_and_margin(gate, holds, margin):
 
 def test_nan_case_fails_the_suite(monkeypatch):
     # a NaN residual must not vanish into a running max and leave the suite passing
-    synthesize_batch = harness.synthesize_batch
-    monkeypatch.setattr(harness, "synthesize_batch",
-                        lambda *args: synthesize_batch(*args) * np.nan)
+    synthesize = harness.synthesize
+    monkeypatch.setattr(harness, "synthesize",
+                        lambda *args: synthesize(*args) * np.nan)
     rep = run_suite(ExperimentConfig(suite="reconstruction", resolutions=[64],
                                      sample_count=2))
     assert not rep.passed

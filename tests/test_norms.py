@@ -9,8 +9,8 @@ import oracles
 from oracles import assert_bitwise_equal
 from torwave import (ConfigurationError, DomainError, DyadicCube,
                      SampledFunction, build_basis, distance_field, hardy_norm,
-                     hardy_square_batch, llog_quasinorm, lp_norm, norm_report,
-                     oscillation_norm, oscillation_norm_batch, synthesize,
+                     hardy_square, llog_quasinorm, lp_norm, norm_report,
+                     oscillation_norm, synthesize,
                      validate_atom, weak_lp_quasinorm)
 from torwave.errors import ShapeError
 from torwave.norms import OSCILLATION_MODES
@@ -186,6 +186,11 @@ def test_hardy_orderings(db4, rng):
 def test_hardy_square_mode_needs_basis():
     with pytest.raises(ConfigurationError):
         hardy_norm(SampledFunction(np.zeros(64)), "H1_square")
+    # the check lives in `hardy_square`, so every caller gets the typed error
+    with pytest.raises(ConfigurationError, match="needs a wavelet basis"):
+        norm_report(SampledFunction(np.ones(64)), "H1_square")
+    with pytest.raises(ConfigurationError, match="needs a wavelet basis"):
+        hardy_square(np.ones((3, 64)), None, None, 1)
 
 
 def test_psi_atoms_have_unit_square_norm_and_stable_cross_band(db4):
@@ -208,7 +213,7 @@ def test_psi_atoms_have_unit_square_norm_and_stable_cross_band(db4):
 
 def test_square_norm_flags_coarse_part(db4):
     f = SampledFunction(np.full(256, 3.0))
-    detail, coarse = hardy_square_batch(f.values, db4, 2, 1)
+    detail, coarse = hardy_square(f.values, db4, 2, 1)
     assert detail < 1e-12
     assert abs(coarse - 3.0) < 1e-12
     rep = norm_report(f, "H1_square", db4, 2)
@@ -276,7 +281,7 @@ def _oscillation_stack(seed: int, batch: tuple, dim: int, N: int) -> np.ndarray:
 @pytest.mark.parametrize("dim, N", [(1, 2), (1, 256), (2, 2), (2, 32)])
 def test_stacked_oscillation_norm_rows_equal_one_row_calls(mode, dim, N):
     stack = _oscillation_stack(11, (2, 3), dim, N)
-    got = oscillation_norm_batch(stack, dim, mode)
+    got = oscillation_norm(stack, mode, dim)
     assert got.shape == (2, 3)
     for idx in np.ndindex(2, 3):
         row = SampledFunction(stack[idx])
@@ -291,7 +296,7 @@ def test_stacked_oscillation_norm_rows_equal_one_row_calls(mode, dim, N):
 def test_stacked_oscillation_norm_over_stack_sizes(mode, count, grid, seed):
     dim, N = grid
     stack = _oscillation_stack(seed, (count,), dim, N)
-    got = oscillation_norm_batch(stack, dim, mode)
+    got = oscillation_norm(stack, mode, dim)
     assert got.shape == (count,)
     for i in range(count):
         assert_bitwise_equal(got[i], np.float64(
@@ -305,11 +310,11 @@ def test_stack_with_one_non_finite_row_is_a_domain_error(bad, mode, dim):
     stack = _oscillation_stack(12, (4,), dim, 16)
     stack[2].flat[5] = bad
     with pytest.raises(DomainError, match="non-finite"):
-        oscillation_norm_batch(stack, dim, mode)
+        oscillation_norm(stack, mode, dim)
 
 
 def test_stacked_oscillation_norm_checks_mode_and_grid():
     with pytest.raises(ConfigurationError):
-        oscillation_norm_batch(np.zeros((2, 8)), 1, "BMO2")
+        oscillation_norm(np.zeros((2, 8)), "BMO2", 1)
     with pytest.raises(ShapeError):
-        oscillation_norm_batch(np.zeros((2, 8, 4)), 2)
+        oscillation_norm(np.zeros((2, 8, 4)), dim=2)

@@ -7,9 +7,8 @@ from torwave import (DomainError, ExperimentConfig, SampledFunction, lp_norm,
                      oscillation_norm, validate_psi_atom)
 import torwave.samples as samples
 from torwave.harness import _tree_and_bmo
-from torwave.samples import (derive_rng, random_bmo, random_bmo_batch, random_classical_atom,
-                             random_function, random_h1_tree, random_psi_atom,
-                             truncated_log, two_sided_atom)
+from torwave.samples import (derive_rng, random_bmo, random_classical_atom, random_function,
+                             random_h1_tree, random_psi_atom, truncated_log, two_sided_atom)
 
 
 def test_derive_rng_is_splittable_and_deterministic():
@@ -118,9 +117,9 @@ def _constant_once(draw, targets, calls):
 
 @pytest.mark.parametrize("dim, N", [(1, 256), (2, 32)])
 def test_degenerate_draw_is_redrawn_from_its_own_stream(monkeypatch, dim, N):
-    """A sample of norm < 1e-12 is redrawn after the stack's norms are taken;
-    every row, and every generator's state after it, equals the one-case
-    recursion that redraws at once."""
+    """A sample of norm < 1e-12 is redrawn after the stack's norms are taken,
+    by a loop in the one `random_bmo` call; every row, and every generator's
+    state after it, equals the one-case recursion that redraws at once."""
     count, bad = 5, (1, 3)
     rngs = [derive_rng(8, ci) for ci in range(count)]
     want_rngs = [derive_rng(8, ci) for ci in range(count)]
@@ -129,7 +128,12 @@ def test_degenerate_draw_is_redrawn_from_its_own_stream(monkeypatch, dim, N):
         samples._raw_bmo, {id(rngs[i]) for i in bad}, calls))
     monkeypatch.setattr(oracles, "bmo_values", _constant_once(
         oracles.bmo_values, {id(want_rngs[i]) for i in bad}, want_calls))
-    got = random_bmo_batch(rngs, dim, N)
+    real, entered = samples.random_bmo, []
+    monkeypatch.setattr(samples, "random_bmo",
+                        lambda *args: entered.append(args) or real(*args))
+    got = samples.random_bmo(rngs, dim, N)
+    # the redraws loop inside the one call; the stack never recurses
+    assert len(entered) == 1
     for ci in range(count):
         assert_bitwise_equal(got[ci], oracles.random_bmo(want_rngs[ci], dim, N).values)
         assert rngs[ci].bit_generator.state == want_rngs[ci].bit_generator.state

@@ -10,9 +10,9 @@ from torwave import (CoefficientTree, ConfigurationError, DomainError, DyadicCub
                      sampled_wavelet, synthesize, validate_psi_atom,
                      wavelet_square_function)
 from torwave.samples import derive_rng, random_psi_atom, random_tree
-from torwave.wavelets import band_index, sigma_set
+from torwave.wavelets import band_index, mother_wavelet, sigma_set
 
-from oracles import literal_detail_coefficients
+from oracles import assert_bitwise_equal, literal_detail_coefficients
 
 ALL_BASES = [("haar", 1), ("daubechies", 2), ("daubechies", 4),
              ("daubechies", 8), ("daubechies", 10)]
@@ -134,6 +134,18 @@ def test_orthonormality_random_pairs(db4, rng):
             assert abs(ip) < 1e-8
         seen.add(((j, k), (j2, k2)))
     assert len(seen) > 50
+
+
+@pytest.mark.parametrize("dim,J,level", [(1, 6, 3), (2, 4, 2)])
+def test_sampled_wavelet_is_the_rolled_mother_wavelet(db4, dim, J, level):
+    # the shift is a gather, so it must give np.roll's bytes
+    for sigma in sigma_set(dim):
+        base = mother_wavelet(db4, dim, J, level, sigma)
+        for offset in np.ndindex((1 << level,) * dim):
+            shift = tuple(k << (J - level) for k in offset)
+            assert_bitwise_equal(
+                sampled_wavelet(db4, J, DyadicCube(dim, level, offset), sigma),
+                np.roll(base, shift, axis=tuple(range(dim))))
 
 
 def test_square_function_single_coefficient():
