@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import SampledFunction, grid_level, sup_norm, sup_norms
 from .errors import ShapeError
-from .wavelets import (CoefficientTree, WaveletBasis, band_index, mother_wavelet,
-                       projection_stack, same_layout, sigma_set)
+from .wavelets import (CoefficientTree, WaveletBasis, _require_valid_levels, band_index,
+                       mother_wavelet, projection_stack, same_layout, sigma_set)
 
 
 @dataclass(frozen=True)
@@ -83,16 +83,17 @@ def _diagonal_layer(fc: np.ndarray, gc: np.ndarray, basis: WaveletBasis, level: 
     return out
 
 
-def _pair(f, g, coarse_level: int | None, dim: int | None) -> tuple:
+def _pair(f, g, basis: WaveletBasis, coarse_level: int | None, dim: int | None) -> tuple:
     """(f coefficients, g coefficients, coarse level, dim, single) of two
     trees of one layout, or of two stacks of coefficient arrays of one shape
-    with the given level and dim."""
+    with the given level and dim, which must be valid levels for `basis`."""
     if isinstance(f, CoefficientTree):
         same_layout(f, g)
         return f.coeffs, g.coeffs, f.coarse_level, f.dim, True
     fc, gc = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
     if fc.shape != gc.shape:
         raise ShapeError("tree layouts do not match")
+    _require_valid_levels(basis, coarse_level, grid_level(fc.shape, dim))
     return fc, gc, coarse_level, dim, False
 
 
@@ -102,7 +103,7 @@ def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
     bilinear parts plus the coarse-scale remainder: a `ProductDecomposition`
     for two trees, a `ProductBatch` for two stacks of coefficient arrays with
     their coarse level and dim."""
-    fc, gc, j0, dim, single = _pair(f, g, coarse_level, dim)
+    fc, gc, j0, dim, single = _pair(f, g, basis, coarse_level, dim)
     Pf = projection_stack(fc, basis, j0, dim)
     Pg = projection_stack(gc, basis, j0, dim)
     J = max(Pf)
@@ -124,7 +125,7 @@ def s_operator(f, g, basis: WaveletBasis, coarse_level: int | None = None,
                dim: int | None = None):
     """Negated diagonal part: same code path as the pi3 layer, sign flipped.
     A `SampledFunction` for two trees, an array for two stacks."""
-    fc, gc, j0, dim, single = _pair(f, g, coarse_level, dim)
+    fc, gc, j0, dim, single = _pair(f, g, basis, coarse_level, dim)
     acc = np.zeros(fc.shape)
     for j in range(j0, grid_level(fc.shape, dim)):
         acc += _diagonal_layer(fc, gc, basis, j, dim)

@@ -61,16 +61,6 @@ def _bump_amplitude(width: float, power: int, dim: int) -> float:
     return float(0.999 * ratio.min())
 
 
-def _bump_mass(width: float, power: int, dim: int) -> float:
-    """Integral of the normalized bump over the plane/line."""
-    amp = _bump_amplitude(width, power, dim)
-    u = np.linspace(0.0, width, 20001)
-    vals = amp * _bump(u, width, power)
-    if dim == 1:
-        return float(2.0 * np.trapezoid(vals, u))
-    return float(2.0 * math.pi * np.trapezoid(vals * u, u))
-
-
 def _window_radius(t: float, resolution: int) -> int:
     return min(int(t * resolution), resolution // 2)
 
@@ -311,7 +301,6 @@ class GrandMaximal(_GridOperator):
         self._kernel_scales = tuple(t for _, t, _ in rows)
         self._radii = np.array([r for r, _, _ in rows])
         self._local_rows = sum(t < 1.0 for t in self._kernel_scales)
-        self.dictionary_mass = max(_bump_mass(w, p, dim) for w, p in _BUMP_SHAPES)
 
     def _sampled_kernel(self, width, power, amp, t):
         """Periodized dilation t^-n phi(./t) sampled on the grid."""

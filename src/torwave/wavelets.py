@@ -55,52 +55,55 @@ import numpy as np
 from .core import DyadicCube, SampledFunction, grid_level
 from .errors import ConfigurationError, DomainError, ResolutionError, ShapeError
 
-# Detail (high-pass) filters for the standard minimum-phase Daubechies family,
-# order = number of vanishing moments, filter length 2*order.
-_DETAIL_TAPS = {
-    1: [-0.7071067811865476, 0.7071067811865476],
-    2: [-0.48296291314469025, 0.836516303737469, -0.22414386804185735,
-        -0.12940952255092145],
-    3: [-0.3326705529509569, 0.8068915093133388, -0.4598775021193313,
-        -0.13501102001039084, 0.08544127388224149, 0.035226291882100656],
-    4: [-0.23037781330885523, 0.7148465705525415, -0.6308807679295904,
-        -0.02798376941698385, 0.18703481171888114, 0.030841381835986965,
-        -0.032883011666982945, -0.010597401784997278],
-    5: [-0.160102397974125, 0.6038292697974729, -0.7243085284385744,
-        0.13842814590110342, 0.24229488706619015, -0.03224486958502952,
-        -0.07757149384006515, -0.006241490213011705, 0.012580751999015526,
-        0.003335725285001549],
-    6: [-0.11154074335008017, 0.4946238903983854, -0.7511339080215775,
-        0.3152503517092432, 0.22626469396516913, -0.12976686756709563,
-        -0.09750160558707936, 0.02752286553001629, 0.031582039318031156,
-        0.0005538422009938016, -0.004777257511010651, -0.00107730108499558],
-    7: [-0.07785205408506236, 0.39653931948230575, -0.7291320908465551,
-        0.4697822874053586, 0.14390600392910627, -0.22403618499416572,
-        -0.07130921926705004, 0.0806126091510659, 0.03802993693503463,
-        -0.01657454163101562, -0.012550998556013784, 0.00042957797300470274,
-        0.0018016407039998328, 0.0003537138000010399],
-    8: [-0.05441584224308161, 0.3128715909144659, -0.6756307362980128,
-        0.5853546836548691, 0.015829105256023893, -0.2840155429624281,
-        -0.00047248457399797254, 0.128747426620186, 0.01736930100202211,
-        -0.04408825393106472, -0.013981027917015516, 0.008746094047015655,
-        0.00487035299301066, -0.0003917403729959771, -0.0006754494059985568,
-        -0.00011747678400228192],
-    9: [-0.03807794736316728, 0.24383467463766728, -0.6048231236767786,
-        0.6572880780366389, -0.13319738582208895, -0.29327378327258685,
-        0.09684078322087904, 0.14854074933476008, -0.030725681478322865,
-        -0.06763282905952399, -0.00025094711499193845, 0.022361662123515244,
-        0.004723204757894831, -0.004281503681904723, -0.0018476468829611268,
-        0.00023038576399541288, 0.0002519631889981789, 3.9347319995026124e-05],
-    10: [-0.026670057900950818, 0.18817680007762133, -0.5272011889309198,
-         0.6884590394525921, -0.2811723436604265, -0.24984642432648865,
-         0.19594627437659665, 0.12736934033574265, -0.09305736460380659,
-         -0.07139414716586077, 0.02945753682194567, 0.03321267405893324,
-         -0.0036065535669883944, -0.010733175482979604, -0.0013953517469940798,
-         0.00199240529499085, 0.0006858566950046825, -0.0001164668549943862,
-         -9.358867000108985e-05, -1.326420300235487e-05],
+# Scaling (low-pass) taps of the minimum-phase Daubechies family, order =
+# number of vanishing moments, filter length 2*order, polished to machine
+# precision: the even-shift orthonormality, the sum sqrt(2) and the discrete
+# moments of the detail taps hold to <= 4.4e-16 (tests/test_wavelets.py).
+# As constants, they do not depend on the BLAS kernel the CPU selects.
+_SCALING_TAPS = {
+    1: [0.7071067811865476, 0.7071067811865476],
+    2: [0.48296291314453416, 0.8365163037378079, 0.2241438680420135,
+        -0.1294095225512603],
+    3: [0.3326705529500825, 0.8068915093110925, 0.4598775021184917,
+        -0.13501102001025456, -0.08544127388202664, 0.035226291885709526],
+    4: [0.2303778133088969, 0.714846570552916, 0.6308807679298584,
+        -0.027983769416860253, -0.18703481171909286, 0.03084138183556082,
+        0.03288301166688523, -0.010597401785069011],
+    5: [0.16010239797419298, 0.6038292697971895, 0.724308528437773,
+        0.13842814590132066, -0.24229488706638208, -0.03224486958463805,
+        0.07757149384004557, -0.006241490212798364, -0.012580751999081855,
+        0.0033357252854737895],
+    6: [0.11154074335009447, 0.4946238903984117, 0.7511339080210933,
+        0.3152503517092668, -0.22626469396541846, -0.12976686756730643,
+        0.0975016055873241, 0.02752286553032642, -0.0315820393174944,
+        0.000553842201158225, 0.004777257510948719, -0.0010773010853090735],
+    7: [0.07785205408493726, 0.39653931948167304, 0.7291320908461155,
+        0.4697822874055672, -0.14390600392825456, -0.22403618499411507,
+        0.07130921926668711, 0.08061260915125426, -0.03802993693500639,
+        -0.016574541630739275, 0.012550998556124222, 0.0004295779729313661,
+        -0.001801640704055585, 0.00035371379997603796],
+    8: [0.054415842242832295, 0.3128715909132092, 0.6756307362963321,
+        0.5853546836555539, -0.015829105254222063, -0.28401554296210085,
+        0.0004724845725597416, 0.1287474266210915, -0.01736930100125685,
+        -0.044088253931274544, 0.013981027917336998, 0.008746094047599616,
+        -0.004870352993502658, -0.0003917403734036186, 0.0006754494064681083,
+        -0.00011747678412760204],
+    9: [0.038077947363794114, 0.2438346746120607, 0.6048231236891916,
+        0.6572880780516157, 0.13319738582699175, -0.2932737832788624,
+        -0.09684078322486422, 0.14854074933825615, 0.03072568148081534,
+        -0.06763282906197143, 0.0002509471141023678, 0.022361662124311846,
+        -0.00472320475763606, -0.004281503682752867, 0.0018476468831226476,
+        0.00023038576356928674, -0.0002519631889699873, 3.934732032044474e-05],
+    10: [0.026670057906063187, 0.18817680010579782, 0.5272011889747475,
+         0.6884590394449654, 0.28117234358366855, -0.24984642436262613,
+         -0.19594627433026085, 0.12736934035744346, 0.09305736457402632,
+         -0.07139414717188487, -0.029457536806937842, 0.03321267405763827,
+         0.003606553562092271, -0.010733175481389133, 0.0013953517477493147,
+         0.001992405294558307, -0.0006858566948960868, -0.00011646685506382642,
+         9.35886702953101e-05, -1.3264202891661344e-05],
 }
 
-MAX_DAUBECHIES_ORDER = max(_DETAIL_TAPS)
+MAX_DAUBECHIES_ORDER = max(_SCALING_TAPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,60 +140,19 @@ class WaveletBasis:
         return f"WaveletBasis({self.family}, order={self.order})"
 
 
-def _constraint_residuals(h: np.ndarray, order: int) -> np.ndarray:
-    """Defining equations of the order-p Daubechies scaling taps (zero at solution)."""
-    L = len(h)
-    rows = [np.dot(h[: L - s], h[s:]) - (1.0 if s == 0 else 0.0)
-            for s in range(0, L, 2)]
-    rows.append(h.sum() - math.sqrt(2.0))
-    g = ((-1.0) ** np.arange(L)) * h[::-1]
-    k = np.arange(L) / L
-    rows.extend(np.dot(k ** p, g) for p in range(order))
-    return np.array(rows)
-
-
-def _refine_taps(h: np.ndarray, order: int) -> np.ndarray:
-    """Polish tabulated taps to machine precision by Gauss-Newton on the constraints."""
-    h = h.astype(float).copy()
-    for _ in range(4):
-        res = _constraint_residuals(h, order)
-        if np.max(np.abs(res)) < 1e-15:
-            break
-        jac = np.empty((len(res), len(h)))
-        eps = 1e-7
-        for i in range(len(h)):
-            bump = np.zeros_like(h)
-            bump[i] = eps
-            jac[:, i] = (_constraint_residuals(h + bump, order)
-                         - _constraint_residuals(h - bump, order)) / (2 * eps)
-        h -= np.linalg.lstsq(jac, res, rcond=None)[0]
-    return h
-
-
-_REFINED_SCALING_TAPS: dict[int, np.ndarray] = {}
-
-
-def _scaling_taps(order: int) -> np.ndarray:
-    if order not in _REFINED_SCALING_TAPS:
-        raw = np.array([(-1.0) ** (i + 1) * v
-                        for i, v in enumerate(_DETAIL_TAPS[order])])
-        _REFINED_SCALING_TAPS[order] = _refine_taps(raw, order)
-    return _REFINED_SCALING_TAPS[order]
-
-
 def build_basis(family: str, order: int) -> WaveletBasis:
     """Construct a haar or daubechies(order) basis and check its filter identities."""
     if family == "haar":
         if order != 1:
             raise ConfigurationError(f"haar admits only order 1, got order={order}")
     elif family == "daubechies":
-        if order not in _DETAIL_TAPS:
+        if order not in _SCALING_TAPS:
             raise ConfigurationError(
                 f"daubechies order must be in 1..{MAX_DAUBECHIES_ORDER}, got {order}")
     else:
         raise ConfigurationError(f"unsupported wavelet family {family!r}")
 
-    h = _scaling_taps(1 if family == "haar" else order)
+    h = np.array(_SCALING_TAPS[1 if family == "haar" else order])
     L = len(h)
     g = np.array([(-1.0) ** m * h[L - 1 - m] for m in range(L)])
 

@@ -87,6 +87,21 @@ def literal_detail_coefficients(f_vals, basis, j0):
     return out
 
 
+def daubechies_residuals(h: np.ndarray, g: np.ndarray, order: int) -> np.ndarray:
+    """The defining equations of the order-p Daubechies taps, zero at the
+    exact taps: the even-shift orthonormality of the scaling taps `h`, their
+    sum sqrt(2), the quadrature-mirror relation g[m] = (-1)^m h[L-1-m], and
+    the discrete moments 0..p-1 of the detail taps `g` on the grid k/L."""
+    h, g = np.asarray(h, dtype=float), np.asarray(g, dtype=float)
+    L = len(h)
+    rows = [(h[: L - s] * h[s:]).sum() - (s == 0) for s in range(0, L, 2)]
+    rows.append(h.sum() - math.sqrt(2.0))
+    rows.extend((-1.0) ** np.arange(L) * h[::-1] - g)
+    k = np.arange(L) / L
+    rows.extend((k ** p * g).sum() for p in range(order))
+    return np.array(rows)
+
+
 def assert_bitwise_equal(actual, expected):
     """Equal shape, dtype and bytes: unlike `assert_array_equal`, this tells
     -0.0 from 0.0 and one NaN payload from another."""

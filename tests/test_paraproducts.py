@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from torwave import (CoefficientTree, DyadicCube, SampledFunction, ShapeError,
-                     analyze, diagonal_coefficient_sum, paraproducts, s_operator,
-                     sampled_wavelet, shift_invariance_check, sup_norm, synthesize)
+from torwave import (CoefficientTree, DyadicCube, ResolutionError, SampledFunction,
+                     ShapeError, analyze, diagonal_coefficient_sum, paraproducts,
+                     s_operator, sampled_wavelet, shift_invariance_check, sup_norm,
+                     synthesize)
 from torwave.samples import derive_rng, random_bmo, random_h1_tree
 
 from oracles import literal_paraproducts
@@ -151,3 +152,11 @@ def test_mismatched_layouts_rejected(db4, rng):
     gt = random_h1_tree(rng, 1, 3, 8)
     with pytest.raises(ShapeError):
         paraproducts(ft, gt, db4)
+
+
+@pytest.mark.parametrize("layer", [paraproducts, s_operator])
+@pytest.mark.parametrize("level", [None, 2.5, -1, 0, 6])
+def test_stack_without_a_valid_coarse_level_rejected(db2, layer, level):
+    # no level, a fraction, out of 0..J-1, and a level db2's filter wraps on
+    with pytest.raises(ResolutionError):
+        layer(np.zeros((2, 64)), np.zeros((2, 64)), db2, level, dim=1)

@@ -1,18 +1,23 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import torwave
 from torwave import (CoefficientTree, ConfigurationError, DomainError, DyadicCube,
                      ResolutionError, SampledFunction, ShapeError, analyze, build_basis,
                      default_coarse_level, hardy_norm, lp_norm, min_coarse_level,
                      sampled_wavelet, synthesize, validate_psi_atom,
                      wavelet_square_function)
 from torwave.samples import derive_rng, random_psi_atom, random_tree
-from torwave.wavelets import band_index, mother_wavelet, sigma_set
+from torwave.wavelets import MAX_DAUBECHIES_ORDER, band_index, mother_wavelet, sigma_set
 
-from oracles import assert_bitwise_equal, literal_detail_coefficients
+from oracles import assert_bitwise_equal, daubechies_residuals, literal_detail_coefficients
 
 ALL_BASES = [("haar", 1), ("daubechies", 2), ("daubechies", 4),
              ("daubechies", 8), ("daubechies", 10)]
@@ -45,6 +50,36 @@ def test_filter_invariants(family, order):
     if order >= 2:
         assert abs(np.dot(np.arange(L), g)) < 1e-10
     assert b.support_factor >= 1.0
+
+
+@pytest.mark.parametrize("order", range(1, MAX_DAUBECHIES_ORDER + 1))
+def test_tabulated_taps_solve_the_defining_equations(order):
+    b = build_basis("daubechies", order)
+    assert len(b.scaling_filter) == 2 * order
+    residuals = daubechies_residuals(b.scaling_filter, b.detail_filter, order)
+    assert np.abs(residuals).max() <= 1e-15
+
+
+TAP_BYTES = """
+import sys
+from torwave import build_basis
+taps = [build_basis("daubechies", o).filter_rows for o in range(1, int(sys.argv[1]) + 1)]
+sys.stdout.write(b"".join(t.tobytes() for t in taps).hex())
+"""
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_taps_do_not_depend_on_the_blas_kernel(coretype):
+    # OpenBLAS picks its kernels from the CPU unless OPENBLAS_CORETYPE names one
+    src = str(Path(torwave.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", TAP_BYTES, str(MAX_DAUBECHIES_ORDER)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    here = [build_basis("daubechies", o).filter_rows
+            for o in range(1, MAX_DAUBECHIES_ORDER + 1)]
+    assert done.stdout == b"".join(t.tobytes() for t in here).hex()
 
 
 def test_bad_configurations():
