@@ -10,8 +10,8 @@ from .wavelets import (CoefficientTree, PsiAtomCheck, WaveletBasis, analyze, bui
                        coarse_projection, default_coarse_level, min_coarse_level,
                        projection_stack, sampled_wavelet, synthesize, validate_psi_atom,
                        wavelet_square_function)
-from .paraproducts import (ProductBatch, ProductDecomposition, diagonal_coefficient_sum,
-                           paraproducts, s_operator, shift_invariance_check)
+from .paraproducts import (ProductDecomposition, diagonal_coefficient_sum, paraproducts,
+                           s_operator, shift_invariance_check)
 from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperator,
                         almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_image, k_class_ratio,
@@ -19,11 +19,10 @@ from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperato
 from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area, maximal_function
 from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square, llog_quasinorm, lp_norm,
                     norm_report, oscillation_norm, validate_atom, weak_lp_quasinorm)
-from .commutators import (AtomicDecomposition, CommutatorBatch, CommutatorDecomposition,
-                          H1bReport, SubbilinearEnvelope, atomic_decompose,
-                          bilinear_decomposition, commutator_apply, commutator_parts,
-                          h1b_characterizations, make_qb_atom, molecule_norm,
-                          subbilinear_envelope)
+from .commutators import (AtomicDecomposition, CommutatorDecomposition, H1bReport,
+                          SubbilinearEnvelope, atomic_decompose, bilinear_decomposition,
+                          commutator_apply, commutator_parts, h1b_characterizations,
+                          make_qb_atom, molecule_norm, subbilinear_envelope)
 from .samples import (cube_profile, derive_rng, random_bmo, random_classical_atom,
                       random_cube, random_function, random_h1_tree, random_psi_atom,
                       random_tree, truncated_log, two_sided_atom)

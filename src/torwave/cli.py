@@ -76,7 +76,7 @@ def _cmd_norms(args) -> int:
 
 def _atom_triplets(tree) -> str:
     lines = []
-    for cube, sigma, value in tree.iter_details(threshold=0.0):
+    for cube, sigma, value in tree.iter_details():
         lines.append(f"{cube.key()}:s{''.join(map(str, sigma))} {value:.17g}")
     return "\n".join(lines)
 
@@ -113,13 +113,16 @@ def _cmd_atoms(args) -> int:
         if not args.b_file:
             raise UsageError("qb atoms need --b-file")
         b = read_hlf(args.b_file)
-        Q = DyadicCube(b.dim, args.level, offset)
+        Q = DyadicCube(b.dim, 3 if args.level is None else args.level, offset)
         atom = make_qb_atom(Q, b, args.q, args.seed)
         check = validate_atom(atom, Q, args.q, b)
         print(check.describe())
         print(f"integral: {atom.integral():.3e}  weighted: {(atom * b).integral():.3e}")
         ok = bool(check)
     elif args.kind == "psi":
+        if args.level is not None or any(offset):
+            raise UsageError("psi atoms draw their cube at random: give no --level, "
+                             "and --offset only as zeros, one per axis")
         basis = _parse_basis(args.basis) if args.basis else build_basis("daubechies", 4)
         rng = derive_rng(args.seed)
         j0 = default_coarse_level(basis, args.coarse_level)
@@ -179,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_atoms = sub.add_parser("atoms", help="generate and validate atoms")
     p_atoms.add_argument("--kind", choices=("qb", "psi"), required=True)
     p_atoms.add_argument("--resolution", type=int, default=512)
-    p_atoms.add_argument("--level", type=int, default=3)
-    p_atoms.add_argument("--offset", default="0", help="comma separated offsets")
+    p_atoms.add_argument("--level", type=int, help="cube level (qb atoms; default 3)")
+    p_atoms.add_argument("--offset", default="0",
+                         help="comma separated offsets (psi atoms: zeros, one per axis)")
     p_atoms.add_argument("--q", type=float, default=2.0)
     p_atoms.add_argument("--b-file", dest="b_file", help="HLF1 file with b (qb atoms)")
     p_atoms.add_argument("--basis", help="family:order (psi atoms)")

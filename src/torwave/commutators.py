@@ -19,7 +19,7 @@ from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm
 from .operators import require_linear, riesz_operator
-from .paraproducts import ProductBatch, paraproducts, s_operator
+from .paraproducts import ProductDecomposition, paraproducts, s_operator
 from .samples import cube_profile
 from .sublinear import grand_maximal
 from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection, coeff_index,
@@ -29,9 +29,13 @@ from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
 
 
-def commutator_apply(b: SampledFunction, T, f: SampledFunction,
-                     sublinear: bool = False) -> SampledFunction:
-    """Commutator of multiplication by b with T.
+def _require_pointwise(T) -> None:
+    if not hasattr(T, "pointwise_shifted"):
+        raise ContractError(f"{getattr(T, 'name', 'T')} has no pointwise_shifted path")
+
+
+def commutator_apply(b: SampledFunction, T, f: SampledFunction) -> SampledFunction:
+    """Commutator of multiplication by b with T, in the form `T.is_linear` picks.
 
     Linear form: b T(f) - T(b f).  Sublinear form: the per-evaluation-point
     value of T applied to (b(x) - b(.)) f(.), evaluated exactly through the
@@ -39,49 +43,33 @@ def commutator_apply(b: SampledFunction, T, f: SampledFunction,
     """
     if b.values.shape != f.values.shape:
         raise ShapeError("b and f live on different grids")
-    if not sublinear:
-        require_linear(T, "T is not linear; call with sublinear=True")
+    if getattr(T, "is_linear", False):
+        require_linear(T, "T is not linear")
         return b * T.apply(f) - T.apply(b * f)
     cap = POINTWISE_RESOLUTION_CAP.get(f.dim, 0)
     if f.resolution > cap:
         raise ConfigurationError(
             f"pointwise commutator at N={f.resolution} (dim {f.dim}) exceeds the "
             f"default cap {cap}; raise POINTWISE_RESOLUTION_CAP to proceed")
-    if not hasattr(T, "pointwise_shifted"):
-        raise ContractError(f"{getattr(T, 'name', 'T')} has no pointwise_shifted path")
+    _require_pointwise(T)
     return T.pointwise_shifted(b, f, b * f)
 
 
 @dataclass(frozen=True)
 class CommutatorDecomposition:
     """Remainder part, image of the diagonal part under T, the commutator
-    itself, and the residual of the identity."""
+    itself, and the residual of the identity: `SampledFunction`s and a float
+    for one case, or arrays whose leading axes index the cases of a stack."""
 
-    R_part: SampledFunction
-    S_image: SampledFunction
-    commutator: SampledFunction
-    residual_inf: float
-
-
-@dataclass(frozen=True)
-class CommutatorBatch:
-    """`CommutatorDecomposition` of a stack of cases: arrays whose leading
-    axes index the cases, `residual_inf` an array of the leading shape."""
-
-    R_part: np.ndarray
-    S_image: np.ndarray
-    commutator: np.ndarray
-    residual_inf: np.ndarray
-
-    def case(self, index=()) -> CommutatorDecomposition:
-        return CommutatorDecomposition(
-            SampledFunction(self.R_part[index]), SampledFunction(self.S_image[index]),
-            SampledFunction(self.commutator[index]), float(self.residual_inf[index]))
+    R_part: SampledFunction | np.ndarray
+    S_image: SampledFunction | np.ndarray
+    commutator: SampledFunction | np.ndarray
+    residual_inf: float | np.ndarray
 
 
-def commutator_parts(b, T, f, parts: ProductBatch) -> CommutatorBatch:
+def commutator_parts(b, T, f, parts: ProductDecomposition) -> CommutatorDecomposition:
     """[b,T]f = b T f - T(b f) of every case of the stacks b and f, split by
-    the paraproducts `parts` of (f, b).
+    the stacked paraproducts `parts` of (f, b).
 
     The remainder is b T f - T(pi2) - T(coarse) - T(pi1 + pi4); together with
     T(S(f,b)) = T(-pi3) it reproduces the commutator up to the paraproduct
@@ -98,10 +86,12 @@ def commutator_parts(b, T, f, parts: ProductBatch) -> CommutatorBatch:
     b_Tf = b * Tf
     r_part = b_Tf - T_pi2 - T_coarse - T_pi14
     comm = b_Tf - T_bf
-    return CommutatorBatch(r_part, s_image, comm, sup_norms(comm - r_part - s_image, T.dim))
+    return CommutatorDecomposition(r_part, s_image, comm,
+                                   sup_norms(comm - r_part - s_image, T.dim))
 
 
-def _fb_split(f, b, basis: WaveletBasis, coarse_level: int | None, dim: int) -> ProductBatch:
+def _fb_split(f, b, basis: WaveletBasis, coarse_level: int | None,
+              dim: int) -> ProductDecomposition:
     """The paraproducts of (f, b) of every case of the stacks f and b, which
     are analyzed together as the one stack [f, b]."""
     f, b = np.asarray(f, dtype=float), np.asarray(b, dtype=float)
@@ -116,13 +106,16 @@ def bilinear_decomposition(b, T, f, basis: WaveletBasis, coarse_level: int | Non
                            dim: int | None = None):
     """Split [b,T]f into a remainder plus T of the diagonal paraproduct of
     the analyzed f and b; see `commutator_parts`.  A `CommutatorDecomposition`
-    for two SampledFunctions, a `CommutatorBatch` for two stacks of grids on
-    their trailing `dim` axes."""
+    of one case for two SampledFunctions, or of every case for two stacks of
+    grids on their trailing `dim` axes."""
     single = isinstance(f, SampledFunction)
     if single:
         b, f, dim = b.values, f.values, f.dim
-    batch = commutator_parts(b, T, f, _fb_split(f, b, basis, coarse_level, dim))
-    return batch.case() if single else batch
+    dec = commutator_parts(b, T, f, _fb_split(f, b, basis, coarse_level, dim))
+    if single:
+        fields = dec.R_part, dec.S_image, dec.commutator
+        dec = CommutatorDecomposition(*map(SampledFunction, fields), float(dec.residual_inf))
+    return dec
 
 
 @dataclass(frozen=True)
@@ -145,14 +138,13 @@ def subbilinear_envelope(b: SampledFunction, T, f: SampledFunction,
     The envelope is |T(b(x)f - pi2 - coarse)(x)| + |T(pi1)(x)| + |T(pi4)(x)|;
     both inequalities are checked at every grid point with a roundoff slack.
     """
-    comm_abs = abs(commutator_apply(b, T, f, sublinear=True))
-    parts = _fb_split(f.values, b.values, basis, coarse_level, f.dim).case()
-    shifted_h = parts.pi2 + parts.coarse
-    term1 = T.pointwise_shifted(b, f, shifted_h)
-    term2 = abs(T.apply(parts.pi1))
-    term3 = abs(T.apply(parts.pi4))
-    r_env = term1 + term2 + term3
-    ts_abs = abs(T.apply(-1.0 * parts.pi3))
+    _require_pointwise(T)
+    comm_abs = abs(commutator_apply(b, T, f))
+    parts = _fb_split(f.values, b.values, basis, coarse_level, f.dim)
+    pi1, pi2, pi3, pi4, coarse = map(SampledFunction, (parts.pi1, parts.pi2, parts.pi3,
+                                                       parts.pi4, parts.coarse))
+    r_env = T.pointwise_shifted(b, f, pi2 + coarse) + abs(T.apply(pi1)) + abs(T.apply(pi4))
+    ts_abs = abs(T.apply(-1.0 * pi3))
     slack = slack_scale * (1.0 + sup_norm(comm_abs) + sup_norm(r_env))
     upper_gap = comm_abs.values - (r_env.values + ts_abs.values)
     lower_gap = (ts_abs.values - r_env.values) - comm_abs.values
@@ -217,20 +209,14 @@ def h1b_characterizations(f: SampledFunction, b: SampledFunction,
     if b_bmo <= 1e-12:
         raise DomainError("b is constant; the commutator space is undefined")
     maximal = grand_maximal(f.dim, f.resolution)
-    comm_max = commutator_apply(b, maximal, f, sublinear=True)
-    v_maximal = lp_norm(comm_max, 1.0)
+    v_maximal = lp_norm(commutator_apply(b, maximal, f), 1.0)
     ft = analyze(f, basis, coarse_level)
     bt = analyze(b, basis, coarse_level)
     sfb = s_operator(ft, bt, basis)
     v_square = hardy_norm(sfb, "H1_square", basis, coarse_level)
     riesz_ops = [riesz_operator(a, f.dim) for a in range(f.dim)]
     v_riesz = sum(lp_norm(commutator_apply(b, op, f), 1.0) for op in riesz_ops)
-    if T is None or T is maximal:
-        v_T = v_maximal
-    elif getattr(T, "is_linear", False):
-        v_T = lp_norm(commutator_apply(b, T, f), 1.0)
-    else:
-        v_T = lp_norm(commutator_apply(b, T, f, sublinear=True), 1.0)
+    v_T = v_maximal if T is None or T is maximal else lp_norm(commutator_apply(b, T, f), 1.0)
     base = hardy_norm(f, "H1_square", basis, coarse_level) * b_bmo
     return H1bReport(v_maximal, v_square, v_riesz, v_T, base, base + v_maximal)
 

@@ -133,12 +133,6 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise UsageError(f"a config is a JSON object, got {type(d).__name__}")
-        d = dict(d)
-        if "basis" in d:
-            basis = d.pop("basis")
-            if not isinstance(basis, (list, tuple)) or len(basis) != 2:
-                raise UsageError(f"basis must be a [family, order] pair, got {basis!r}")
-            d["basis_family"], d["basis_order"] = basis
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore
         unknown = set(d) - known
         if unknown:

@@ -110,14 +110,14 @@ def oscillation_norm(f, mode: str = "BMO", dim: int | None = None):
     return float(sup) if single else sup
 
 
-def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -> float:
+def llog_quasinorm(f: SampledFunction) -> float:
     """Luxemburg-type quasinorm with the weight log(e+|x|) + log(e+|f|/lambda).
 
-    Found by bisection on lambda; the defining integral at the returned value
-    lies within `tol` of 1 unless f is identically zero.  The integral depends
-    on |f| / lambda only, so lambda scales with |f|: the bisection runs on
-    |f| / max|f|, whose mean can neither overflow nor underflow, and the
-    result is scaled back.
+    Found by bisection on lambda, at most 200 steps; the defining integral at
+    the returned value lies within 1e-6 of 1 unless f is identically zero.
+    The integral depends on |f| / lambda only, so lambda scales with |f|: the
+    bisection runs on |f| / max|f|, whose mean can neither overflow nor
+    underflow, and the result is scaled back.
     """
     a = np.abs(f.values)
     if not a.any():
@@ -137,10 +137,10 @@ def llog_quasinorm(f: SampledFunction, tol: float = 1e-6, max_iter: int = 200) -
     lo = hi / 2.0
     while integral(lo) < 1.0:
         lo /= 2.0
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = integral(mid)
-        if abs(val - 1.0) <= tol:
+        if abs(val - 1.0) <= 1e-6:
             return mid * top
         if val > 1.0:
             lo = mid

@@ -21,36 +21,19 @@ from .wavelets import (CoefficientTree, WaveletBasis, _require_valid_levels, ban
 
 @dataclass(frozen=True)
 class ProductDecomposition:
-    """The four bilinear parts, the coarse remainder, and the identity residual."""
+    """The four bilinear parts, the coarse remainder, and the identity
+    residual: `SampledFunction`s and a float for one case, or arrays whose
+    leading axes index the cases of a stack."""
 
-    pi1: SampledFunction
-    pi2: SampledFunction
-    pi3: SampledFunction
-    pi4: SampledFunction
-    coarse: SampledFunction
-    residual_inf: float
+    pi1: SampledFunction | np.ndarray
+    pi2: SampledFunction | np.ndarray
+    pi3: SampledFunction | np.ndarray
+    pi4: SampledFunction | np.ndarray
+    coarse: SampledFunction | np.ndarray
+    residual_inf: float | np.ndarray
 
-    def parts_sum(self) -> SampledFunction:
+    def parts_sum(self):
         return self.pi1 + self.pi2 + self.pi3 + self.pi4 + self.coarse
-
-
-@dataclass(frozen=True)
-class ProductBatch:
-    """`ProductDecomposition` of a stack of cases: every part is an array
-    whose leading axes index the cases, `residual_inf` an array of the
-    leading shape."""
-
-    pi1: np.ndarray
-    pi2: np.ndarray
-    pi3: np.ndarray
-    pi4: np.ndarray
-    coarse: np.ndarray
-    residual_inf: np.ndarray
-
-    def case(self, index=()) -> ProductDecomposition:
-        parts = (self.pi1, self.pi2, self.pi3, self.pi4, self.coarse)
-        return ProductDecomposition(*(SampledFunction(part[index]) for part in parts),
-                                    float(self.residual_inf[index]))
 
 
 def _diagonal_layer(fc: np.ndarray, gc: np.ndarray, basis: WaveletBasis, level: int,
@@ -87,6 +70,8 @@ def _pair(f, g, basis: WaveletBasis, coarse_level: int | None, dim: int | None) 
     """(f coefficients, g coefficients, coarse level, dim, single) of two
     trees of one layout, or of two stacks of coefficient arrays of one shape
     with the given level and dim, which must be valid levels for `basis`."""
+    if isinstance(f, CoefficientTree) != isinstance(g, CoefficientTree):
+        raise ShapeError("a tree pairs only with a tree, and a stack only with a stack")
     if isinstance(f, CoefficientTree):
         same_layout(f, g)
         return f.coeffs, g.coeffs, f.coarse_level, f.dim, True
@@ -100,9 +85,9 @@ def _pair(f, g, basis: WaveletBasis, coarse_level: int | None, dim: int | None) 
 def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
                  dim: int | None = None):
     """Split the pointwise product of the synthesized inputs into its four
-    bilinear parts plus the coarse-scale remainder: a `ProductDecomposition`
-    for two trees, a `ProductBatch` for two stacks of coefficient arrays with
-    their coarse level and dim."""
+    bilinear parts plus the coarse-scale remainder, as a `ProductDecomposition`
+    of one case for two trees, or of every case for two stacks of coefficient
+    arrays with their coarse level and dim."""
     fc, gc, j0, dim, single = _pair(f, g, basis, coarse_level, dim)
     Pf = projection_stack(fc, basis, j0, dim)
     Pg = projection_stack(gc, basis, j0, dim)
@@ -116,9 +101,11 @@ def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
         pi3 += diag
         pi4 += Qf * Qg - diag
     coarse = Pf[j0] * Pg[j0]
-    residual = Pf[J] * Pg[J] - (pi1 + pi2 + pi3 + pi4 + coarse)
-    batch = ProductBatch(pi1, pi2, pi3, pi4, coarse, sup_norms(residual, dim))
-    return batch.case() if single else batch
+    residual = sup_norms(Pf[J] * Pg[J] - (pi1 + pi2 + pi3 + pi4 + coarse), dim)
+    parts = (pi1, pi2, pi3, pi4, coarse)
+    if single:
+        return ProductDecomposition(*map(SampledFunction, parts), float(residual))
+    return ProductDecomposition(*parts, residual)
 
 
 def s_operator(f, g, basis: WaveletBasis, coarse_level: int | None = None,

@@ -50,14 +50,13 @@ def random_function(rng, dim: int, resolution: int, kind: str = "smooth",
     return SampledFunction(vals)
 
 
-def random_tree(rng, dim: int, coarse_level: int, finest_level: int,
-                decay: float = 0.5) -> CoefficientTree:
-    """Random coefficient tree with level-decaying detail energy."""
+def random_tree(rng, dim: int, coarse_level: int, finest_level: int) -> CoefficientTree:
+    """Random coefficient tree whose detail amplitudes halve per level."""
     coeffs = np.array(CoefficientTree.zeros(dim, coarse_level, finest_level).coeffs)
     for j in range(coarse_level, finest_level):
         for s in sigma_set(dim):
             coeffs[band_index(j, s)] = rng.standard_normal((1 << j,) * dim) \
-                * decay ** (j - coarse_level)
+                * 0.5 ** (j - coarse_level)
     coeffs[band_index(coarse_level, (0,) * dim)] = \
         rng.standard_normal((1 << coarse_level,) * dim)
     return CoefficientTree(coeffs, coarse_level)
@@ -190,12 +189,11 @@ def cube_profile(rng, Q: DyadicCube, N: int, against=None) -> np.ndarray:
     raise DegeneracyError("cube profile degenerated in 10 draws")
 
 
-def random_classical_atom(rng, dim: int, resolution: int,
-                          level_low: int = 2, level_high: int | None = None):
-    """Mean-zero L2-normalized bump supported on a random cube; returns (a, Q)."""
+def random_classical_atom(rng, dim: int, resolution: int):
+    """Mean-zero L2-normalized bump supported on a random cube of level 2 to
+    J - 2; returns (a, Q)."""
     J = int(resolution).bit_length() - 1
-    hi = J - 2 if level_high is None else level_high
-    Q = random_cube(rng, dim, level_low, hi)
+    Q = random_cube(rng, dim, 2, J - 2)
     vals = cube_profile(rng, Q, resolution)
     norm = math.sqrt((vals ** 2).mean())
     return SampledFunction(vals * (Q.measure ** -0.5 / norm)), Q

@@ -282,9 +282,9 @@ class GrandMaximal(_GridOperator):
     here require (constants are fitted, never assumed).
     """
 
-    def __init__(self, dim: int, resolution: int, scales=None):
+    def __init__(self, dim: int, resolution: int):
         super().__init__(dim, resolution)
-        self.scales = tuple(scales) if scales is not None else default_scales(resolution)
+        self.scales = default_scales(resolution)
         if not self.scales:
             raise ConfigurationError("empty scale grid for the maximal operator")
         self.name = "grand_maximal"
@@ -370,10 +370,10 @@ class LusinArea(_GridOperator):
     |grad u|^2, so the operator is an exact L2 norm of linear fields.
     """
 
-    def __init__(self, dim: int, resolution: int, scales=None):
+    def __init__(self, dim: int, resolution: int):
         super().__init__(dim, resolution)
-        self.scales = tuple(scales) if scales is not None else default_scales(
-            resolution, top_exponent=-1, bottom_exponent=-13, min_cells=1)
+        self.scales = default_scales(resolution, top_exponent=-1, bottom_exponent=-13,
+                                     min_cells=1)
         if not self.scales:
             raise ConfigurationError("empty height grid for the area integral")
         self.name = "lusin_area"

@@ -366,12 +366,12 @@ class CoefficientTree:
     def detail(self, cube: DyadicCube, sigma: tuple) -> float:
         return float(self.band(cube.level, sigma)[cube.offset])
 
-    def iter_details(self, threshold: float = 0.0):
-        """Yield (cube, sigma, value) with |value| > threshold, in fixed order."""
+    def iter_details(self):
+        """Yield (cube, sigma, value) of every nonzero detail, in fixed order."""
         for j in self.levels():
             for s in sigma_set(self.dim):
                 arr = self.band(j, s)
-                for idx in np.argwhere(np.abs(arr) > threshold):
+                for idx in np.argwhere(np.abs(arr) > 0.0):
                     off = tuple(int(i) for i in idx)
                     yield DyadicCube(self.dim, j, off), s, float(arr[off])
 
@@ -619,9 +619,9 @@ class PsiAtomCheck:
         return "psi-atom violations: " + "; ".join(parts)
 
 
-def validate_psi_atom(tree: CoefficientTree, R: DyadicCube,
-                      tol: float = 1e-10) -> PsiAtomCheck:
-    """Check that a tree is a unit-budget wavelet packet supported inside R."""
+def validate_psi_atom(tree: CoefficientTree, R: DyadicCube) -> PsiAtomCheck:
+    """Check that a tree is a unit-budget wavelet packet supported inside R,
+    with a relative slack of 1e-10 on the budget."""
     if R.level < 0 or R.dim != tree.dim:
         raise ShapeError("cube dimension does not match the tree")
     l2 = math.sqrt(tree.detail_energy())
@@ -636,7 +636,7 @@ def validate_psi_atom(tree: CoefficientTree, R: DyadicCube,
                 hit &= ~inside
             for idx in np.argwhere(hit):
                 bad.append(DyadicCube(tree.dim, j, tuple(int(i) for i in idx)))
-    budget = R.measure ** -0.5 * (1.0 + tol)
+    budget = R.measure ** -0.5 * (1.0 + 1e-10)
     ok = (not bad) and scaling_max <= zero_tol and l2 <= budget
     return PsiAtomCheck(ok, l2, budget, tuple(bad), 0.0 if scaling_max <= zero_tol else scaling_max)
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ def test_constant_symbol_vanishes(db4):
     H = hilbert_operator()
     assert sup_norm(commutator_apply(b, H, f)) < 1e-12
     M = grand_maximal(1, 512)
-    assert sup_norm(commutator_apply(b, M, f, sublinear=True)) < 1e-12
+    assert sup_norm(commutator_apply(b, M, f)) < 1e-12
 
 
 def test_linearity_in_f(db4):
@@ -55,10 +57,11 @@ def test_frequency_domain_oracle():
     np.testing.assert_allclose(out.values, -0.5, atol=1e-12)
 
 
-def test_sublinear_flag_contract(db4):
-    f, b = _pair(3, basis=db4)
-    with pytest.raises(ContractError):
-        commutator_apply(b, grand_maximal(1, 512), f)
+def test_sublinear_operator_takes_the_pointwise_form(db4):
+    f, b = _pair(3, N=64, basis=db4)
+    for M in (grand_maximal(1, 64), lusin_area(1, 64)):
+        assert_bitwise_equal(commutator_apply(b, M, f).values,
+                             M.pointwise_shifted(b, f, b * f).values)
 
 
 def test_wavelet_matrix_is_no_operator_on_sampled_functions(haar, db4):
@@ -79,7 +82,7 @@ def test_sublinear_form_needs_the_pointwise_path(db4):
     # the literal per-point evaluation lives in tests/oracles.py, not in the library
     f, b = _pair(3, N=64, basis=db4)
     with pytest.raises(ContractError, match="pointwise_shifted"):
-        commutator_apply(b, hilbert_operator(), f, sublinear=True)
+        commutator_apply(b, SimpleNamespace(name="opaque", is_linear=False), f)
     with pytest.raises(ContractError, match="pointwise_shifted"):
         subbilinear_envelope(b, hilbert_operator(), f, db4, 2)
 
@@ -109,16 +112,15 @@ def test_commutator_parts_from_tree_paraproducts(db4):
     ft = random_h1_tree(rng, 1, 2, 9)
     f = synthesize(ft, db4)
     b = random_bmo(rng, 1, 512)
-    batch = paraproducts(ft.coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
-    parts = batch.case()
+    parts = paraproducts(ft.coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
     H = hilbert_operator()
-    dec = commutator_parts(b.values, H, f.values, batch).case()
-    remainder = (b * H.apply(f) - H.apply(parts.pi2) - H.apply(parts.coarse)
+    dec = commutator_parts(b.values, H, f.values, parts)
+    remainder = (b.values * H.apply(f.values) - H.apply(parts.pi2) - H.apply(parts.coarse)
                  - H.apply(parts.pi1 + parts.pi4))
-    assert_bitwise_equal(dec.R_part.values, remainder.values)
-    assert_bitwise_equal(dec.S_image.values, H.apply(-1.0 * parts.pi3).values)
-    assert_bitwise_equal(dec.commutator.values, commutator_apply(b, H, f).values)
-    assert dec.residual_inf <= 1e-8 * (1.0 + sup_norm(dec.commutator))
+    assert_bitwise_equal(dec.R_part, remainder)
+    assert_bitwise_equal(dec.S_image, H.apply(-1.0 * parts.pi3))
+    assert_bitwise_equal(dec.commutator, commutator_apply(b, H, f).values)
+    assert dec.residual_inf <= 1e-8 * (1.0 + np.abs(dec.commutator).max())
 
 
 def test_bilinear_decomposition_applies_T_once_per_input(db4, monkeypatch):

@@ -13,7 +13,8 @@ import pytest
 
 import oracles
 from oracles import assert_bitwise_equal
-from torwave import (CoefficientTree, SampledFunction, analyze, build_basis,
+from torwave import (CoefficientTree, CommutatorDecomposition, ProductDecomposition,
+                     SampledFunction, analyze, bilinear_decomposition, build_basis,
                      coarse_projection, commutator_parts, hardy_square, hilbert_operator,
                      paraproducts, parse_operator, projection_stack, riesz_operator,
                      s_operator, synthesize, wavelet_square_function)
@@ -223,6 +224,11 @@ def test_batched_paraproducts_equal_their_rows(name, dim, N):
     b = _stack(rng, (N,) * dim)
     f = synthesize(fc, basis, j0, dim)
     commutator = commutator_parts(b, T, f, batch)
+    decomposition = bilinear_decomposition(b, T, f, basis, j0, dim)
+    # a stack gets the one-case result types, with array fields
+    assert type(batch) is ProductDecomposition
+    assert type(commutator) is type(decomposition) is CommutatorDecomposition
+    assert batch.residual_inf.shape == decomposition.residual_inf.shape == LEAD
     for i in np.ndindex(LEAD):
         f_tree, g_tree = CoefficientTree(fc[i], j0), CoefficientTree(gc[i], j0)
         single = paraproducts(f_tree, g_tree, basis)
@@ -233,3 +239,8 @@ def test_batched_paraproducts_equal_their_rows(name, dim, N):
         row = commutator_parts(b[i], T, f[i], paraproducts(fc[i], gc[i], basis, j0, dim))
         for part in ("R_part", "S_image", "commutator", "residual_inf"):
             assert_bitwise_equal(getattr(commutator, part)[i], getattr(row, part))
+        case = bilinear_decomposition(SampledFunction(b[i]), T, SampledFunction(f[i]),
+                                      basis, j0)
+        for part in ("R_part", "S_image", "commutator"):
+            assert_bitwise_equal(getattr(decomposition, part)[i], getattr(case, part).values)
+        assert_bitwise_equal(decomposition.residual_inf[i], np.float64(case.residual_inf))

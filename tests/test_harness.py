@@ -67,14 +67,22 @@ def test_tolerance_is_a_finite_number_at_least_zero(tmp_path, capsys, value):
 @pytest.mark.parametrize("fields", [
     {"resolutions": "abc"}, {"resolutions": [256.0]}, {"resolutions": 256},
     {"resolutions": [True]}, {"sample_count": "3"}, {"sample_count": 2.5},
-    {"root_seed": None}, {"root_seed": -1}, {"basis": "daubechies"}, {"basis": ["daubechies"]},
-    {"basis": ["daubechies", 4, 1]}, {"basis": ["daubechies", "4"]},
-    {"basis_family": 4}, {"dim": 3}, {"dim": 0}, {"dim": 1.0}, {"dim": "2"},
-    {"coarse_level": "2"}, {"operator": 5}, {"tolerances": []},
+    {"root_seed": None}, {"root_seed": -1}, {"basis_family": 4}, {"dim": 3}, {"dim": 0},
+    {"dim": 1.0}, {"dim": "2"}, {"coarse_level": "2"}, {"operator": 5}, {"tolerances": []},
     {"tolerances": {"identity_rel": "x"}}, {"output_path": 7},
 ], ids=lambda fields: json.dumps(fields))
 def test_badly_typed_config_is_a_usage_error(fields):
-    with pytest.raises(UsageError, match="bad config value|basis must be"):
+    with pytest.raises(UsageError, match="bad config value"):
+        ExperimentConfig.from_dict({"suite": "reconstruction", **fields})
+
+
+@pytest.mark.parametrize("fields", [
+    {"basis": "daubechies"}, {"basis": ["daubechies"]}, {"basis": ["daubechies", 4, 1]},
+    {"basis": ["daubechies", "4"]},
+], ids=lambda fields: json.dumps(fields))
+def test_basis_is_no_config_field(fields):
+    # the basis is named by basis_family and basis_order only
+    with pytest.raises(UsageError, match="unknown config fields"):
         ExperimentConfig.from_dict({"suite": "reconstruction", **fields})
 
 
@@ -488,13 +496,16 @@ def test_cli_norms_and_decompose(tmp_path, rng, capsys):
     ["atoms", "--kind", "psi", "--resolution", "4"],  # no level below the coarse one
     ["atoms", "--kind", "psi", "--coarse-level", "0"],  # db4 wraps at level 0
     ["atoms", "--kind", "psi", "--basis", "daubechies:x"],
+    ["atoms", "--kind", "psi", "--level", "5", "--offset", "3", "--resolution", "256"],
+    ["atoms", "--kind", "psi", "--level", "3"],
+    ["atoms", "--kind", "psi", "--offset", "0,1"],
     ["norms", "--input", "{b}", "--space", "Lp:2", "--basis", "daubechies:x"],
     ["norms", "--input", "{b}", "--space", "Lp:abc"],
     ["norms", "--input", "{b}", "--space", "weakLp:nan"],
     ["decompose", "--input", "{b}", "--basis", "daubechies:x"],
 ], ids=["psi-seed", "qb-seed", "offset", "resolution", "coarse-resolution",
-        "coarse-level-0", "atoms-basis", "norms-basis", "norms-exponent", "norms-nan",
-        "decompose-basis"])
+        "coarse-level-0", "atoms-basis", "psi-level-offset", "psi-level", "psi-offset",
+        "norms-basis", "norms-exponent", "norms-nan", "decompose-basis"])
 def test_cli_bad_arguments_exit_2(tmp_path, rng, capsys, argv):
     b = tmp_path / "b.hlf1"
     write_hlf(str(b), random_function(rng, 1, 256))

@@ -160,3 +160,12 @@ def test_stack_without_a_valid_coarse_level_rejected(db2, layer, level):
     # no level, a fraction, out of 0..J-1, and a level db2's filter wraps on
     with pytest.raises(ResolutionError):
         layer(np.zeros((2, 64)), np.zeros((2, 64)), db2, level, dim=1)
+
+
+@pytest.mark.parametrize("layer", [paraproducts, s_operator])
+def test_tree_paired_with_an_array_rejected(db2, layer):
+    tree = analyze(SampledFunction(np.zeros(64)), db2, 2)
+    with pytest.raises(ShapeError, match="pairs only with"):
+        layer(tree, np.zeros(64), db2, 2, 1)
+    with pytest.raises(ShapeError, match="pairs only with"):
+        layer(np.zeros(64), tree, db2, 2, 1)
