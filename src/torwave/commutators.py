@@ -164,7 +164,7 @@ def make_qb_atom(Q: DyadicCube, b: SampledFunction, q: float, seed: int) -> Samp
         raise DomainError(f"q must lie in (1, inf], got {q}")
     a = SampledFunction(cube_profile(np.random.default_rng(seed), Q, b.resolution,
                                      against=b.values))
-    budget = Q.measure ** (1.0 / q - 1.0) if not math.isinf(q) else 1.0 / Q.measure
+    budget = Q.measure ** (1.0 / q - 1.0)
     return SampledFunction(a.values * (budget / lp_norm(a, q)))
 
 
@@ -270,12 +270,11 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     unit-budget packet; the weights are the removed normalizations.
     """
     W = wavelet_square_function(f).values
-    N = f.resolution
     detail_l1 = float(np.abs(W).mean())
     coarse_l1 = float(np.abs(coarse_projection(f.coeffs, basis, f.coarse_level, f.dim)).mean())
     coarse_flagged = coarse_l1 > 1e-8 * (1.0 + detail_l1)
 
-    medians = {lev: _lower_medians(W, lev) for lev in range(0, f.finest_level)}
+    medians = [_lower_medians(W, lev) for lev in range(0, f.finest_level)]
 
     # threshold index per coefficient cube: largest k with 2^k < lower median
     assignments = {}   # k -> list[(level, offset)]
@@ -298,30 +297,15 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     atoms = []
     for k in sorted(assignments):
         threshold = 2.0 ** k
-        # maximal dyadic cubes whose lower median exceeds the threshold
-        label = -np.ones((N,) * f.dim, dtype=np.int64)
-        roots = []
-        anc = np.zeros((1,) * f.dim, dtype=bool)
-        for lev in range(0, f.finest_level):
-            qual = medians[lev] > threshold
-            maximal = qual & ~anc
-            for idx in np.argwhere(maximal):
-                off = tuple(int(i) for i in idx)
-                cube = DyadicCube(f.dim, lev, off)
-                label[cube.grid_slices(N)] = len(roots)
-                roots.append(cube)
-            grown = anc | qual
-            for axis in range(f.dim):
-                grown = np.repeat(grown, 2, axis=axis)
-            anc = grown
+        # each cube's maximal dyadic cube: its coarsest ancestor (or itself,
+        # which passes) whose lower median exceeds the threshold
         groups = {}
-        for (j, off) in assignments[k]:
-            cell = tuple(o * (N >> j) for o in off)
-            root_id = int(label[cell])
-            groups.setdefault(root_id, []).append((j, off))
-        for root_id in sorted(groups):
-            R = roots[root_id]
-            members = groups[root_id]
+        for j, off in assignments[k]:
+            ancestors = ((lev, tuple(o >> (j - lev) for o in off)) for lev in range(j + 1))
+            root = next((lev, anc) for lev, anc in ancestors if medians[lev][anc] > threshold)
+            groups.setdefault(root, []).append((j, off))
+        for (level, offset), members in sorted(groups.items()):
+            R = DyadicCube(f.dim, level, offset)
             energy = 0.0
             packet = np.zeros_like(f.coeffs)
             for (j, off) in members:

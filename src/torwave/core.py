@@ -10,6 +10,12 @@ import numpy as np
 from .errors import DomainError, ShapeError
 
 
+def check_dim(dim: int) -> None:
+    """DomainError unless `dim` is 1 or 2, the dimensions torwave supports."""
+    if dim not in (1, 2):
+        raise DomainError(f"dim must be 1 or 2, got {dim}")
+
+
 @dataclass(frozen=True)
 class DyadicCube:
     """Dyadic cube of side 2**-level identified by per-axis integer offsets."""
@@ -19,8 +25,7 @@ class DyadicCube:
     offset: tuple[int, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise DomainError(f"dim must be 1 or 2, got {self.dim}")
+        check_dim(self.dim)
         if self.level < 0:
             raise DomainError(f"level must be >= 0, got {self.level}")
         off = tuple(int(k) for k in self.offset)
@@ -133,13 +138,24 @@ class SampledFunction:
 def grid_level(shape: tuple, dim: int) -> int:
     """J of an array shape whose trailing `dim` axes are an (N,)*dim grid
     with N = 2^J; any leading (batch) axes are allowed."""
-    if dim not in (1, 2):
-        raise DomainError(f"dim must be 1 or 2, got {dim}")
+    check_dim(dim)
     n = shape[-1] if shape else 0
     if n < 1 or n & (n - 1) or tuple(shape[len(shape) - dim:]) != (n,) * dim:
         raise ShapeError(f"array of shape {tuple(shape)} does not end in an (N,)*{dim} "
                          f"grid with N a power of two")
     return n.bit_length() - 1
+
+
+def _along(axis: int, index) -> tuple:
+    """Index tuple applying `index` on the negative `axis` and taking
+    everything elsewhere."""
+    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
+
+
+def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
+    """`a` extended circularly by `before` leading and `after` trailing entries."""
+    n = a.shape[axis]
+    return np.take(a, np.arange(-before, n + after) % n, axis=axis)
 
 
 def zeros(dim: int, resolution: int) -> SampledFunction:

@@ -250,13 +250,13 @@ def _suite_reconstruction(cfg: ExperimentConfig):
             [Gate("max_residual_rel", worst, tol, "<=")])
 
 
-def _tree_and_bmo(cfg: ExperimentConfig, ri: int, dim: int, j0: int, N: int):
+def _tree_and_bmo(cfg: ExperimentConfig, ri: int, j0: int, N: int):
     """Draw of the product and commutator suites, case index leading: per case an
     H^1 coefficient array, then a unit-BMO sample, normalized once per stack."""
     rngs = _case_rngs(cfg, ri)
     J = int(N).bit_length() - 1
-    return (np.stack([random_h1_tree(rng, dim, j0, J).coeffs for rng in rngs]),
-            random_bmo(rngs, dim, N))
+    return (np.stack([random_h1_tree(rng, cfg.dim, j0, J).coeffs for rng in rngs]),
+            random_bmo(rngs, cfg.dim, N))
 
 
 def _suite_product_identity(cfg: ExperimentConfig):
@@ -265,7 +265,7 @@ def _suite_product_identity(cfg: ExperimentConfig):
     tol = cfg.tol("identity_rel")
     cases = []
     for ri, N in enumerate(cfg.resolutions):
-        ft, g = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
+        ft, g = _tree_and_bmo(cfg, ri, j0, N)
         parts = paraproducts(ft, analyze(g, basis, j0, cfg.dim), basis, j0, cfg.dim)
         fg_sup = sup_norms(synthesize(ft, basis, j0, cfg.dim) * g, cfg.dim)
         for ci in range(cfg.sample_count):
@@ -306,26 +306,24 @@ def parse_operator(spec: str, dim: int, resolution: int):
                      "hilbert, riesz<j>, ifrac:<alpha>, maximal or lusin)")
 
 
-def _commutator_stack(cfg: ExperimentConfig, ri: int, T, dim: int, basis, j0: int,
-                      N: int):
+def _commutator_stack(cfg: ExperimentConfig, ri: int, T, basis, j0: int, N: int):
     """The commutator identity on every case at resolution index `ri`: the
     stack f, its decomposition [b,T]f = R + T(S(f,b)), and each case's
     residual relative to 1 + sup |[b,T]f|."""
-    ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
-    f = synthesize(ft, basis, j0, dim)
-    dec = bilinear_decomposition(b, T, f, basis, j0, dim)
-    return f, dec, (dec.residual_inf / (1.0 + sup_norms(dec.commutator, dim))).tolist()
+    ft, b = _tree_and_bmo(cfg, ri, j0, N)
+    f = synthesize(ft, basis, j0, cfg.dim)
+    dec = bilinear_decomposition(b, T, f, basis, j0, cfg.dim)
+    return f, dec, (dec.residual_inf / (1.0 + sup_norms(dec.commutator, cfg.dim))).tolist()
 
 
 def _suite_commutator_identity(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
     tol = cfg.tol("identity_rel")
-    dim = 2 if cfg.operator.startswith("riesz") else cfg.dim
     cases = []
     for ri, N in enumerate(cfg.resolutions):
-        T = parse_operator(cfg.operator, dim, N)
-        _, _, rels = _commutator_stack(cfg, ri, T, dim, basis, j0, N)
+        T = parse_operator(cfg.operator, cfg.dim, N)
+        _, _, rels = _commutator_stack(cfg, ri, T, basis, j0, N)
         cases += [{"resolution": N, "case": ci, "operator": cfg.operator,
                    "residual_rel": rel, "ok": rel <= tol} for ci, rel in enumerate(rels)]
     worst = _sup([case["residual_rel"] for case in cases])
@@ -340,7 +338,7 @@ def _suite_sandwich(cfg: ExperimentConfig):
     over_slack = []
     for ri, N in enumerate(cfg.resolutions):
         T = parse_operator(cfg.operator, cfg.dim, N)
-        ft, b = _tree_and_bmo(cfg, ri, cfg.dim, j0, N)
+        ft, b = _tree_and_bmo(cfg, ri, j0, N)
         f = synthesize(ft, basis, j0, cfg.dim)
         # the pointwise path runs once per point of b, so one case at a time
         for ci in range(cfg.sample_count):
@@ -361,23 +359,19 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
     dim = cfg.dim
     H = riesz_operator(0, dim)
     H_adjoint = H.adjoint()
-
-    def h1_square(values):
-        """hardy_norm(., "H1_square") of every case: detail + coarse mass."""
-        detail, coarse = hardy_square(values, basis, j0, dim)
-        return detail + coarse
-
     cases = []
     fits = {}
     for ri, N in enumerate(cfg.resolutions):
-        ft, b = _tree_and_bmo(cfg, ri, dim, j0, N)
+        ft, b = _tree_and_bmo(cfg, ri, j0, N)
         f = synthesize(ft, basis, j0, dim)
         bt = analyze(b, basis, j0, dim)
         parts = paraproducts(ft, bt, basis, j0, dim)
         remainder = commutator_parts(b, H, f, parts).R_part
         antis = s_operator(analyze(H.apply(f), basis, j0, dim), bt, basis, j0, dim) \
             - s_operator(ft, analyze(H_adjoint.apply(b), basis, j0, dim), basis, j0, dim)
-        h1, h1_pi4, h1_antis = map(h1_square, (f, parts.pi4, antis))
+        # hardy_norm(., "H1_square") of every case: detail + coarse mass
+        h1, h1_pi4, h1_antis = (np.add(*hardy_square(v, basis, j0, dim))
+                                for v in (f, parts.pi4, antis))
         rows = []
         for ci in range(cfg.sample_count):
             base = max(float(h1[ci]) * 1.0, 1e-300)  # b has unit oscillation norm
@@ -542,12 +536,11 @@ def _suite_fractional(cfg: ExperimentConfig):
     cases = []
     sups = {}
     for ri, N in enumerate(cfg.resolutions):
-        f, dec, rels = _commutator_stack(cfg, ri, T, cfg.dim, basis, j0, N)
-        detail, coarse = hardy_square(f, basis, j0, cfg.dim)
+        f, dec, rels = _commutator_stack(cfg, ri, T, basis, j0, N)
+        h1 = np.add(*hardy_square(f, basis, j0, cfg.dim))
         ratios = []
         for ci, rel in enumerate(rels):
-            h1 = float(detail[ci]) + float(coarse[ci])
-            ratios.append(lp_norm(SampledFunction(dec.R_part[ci]), p) / max(h1, 1e-300))
+            ratios.append(lp_norm(SampledFunction(dec.R_part[ci]), p) / max(float(h1[ci]), 1e-300))
             cases.append({"resolution": N, "case": ci, "residual_rel": rel,
                           "weak_quasinorm": weak_lp_quasinorm(
                               SampledFunction(dec.commutator[ci]), p),

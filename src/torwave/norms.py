@@ -97,10 +97,10 @@ def oscillation_norm(f, mode: str = "BMO", dim: int | None = None):
     for level in range(0, J + 1):
         osc = _level_oscillations(v, level, dim)
         if mode == "BMOlog":
-            axis = (np.arange(1 << level) + 0.5) * 2.0 ** (-level)  # cube centers
-            dist = sum(np.minimum(c % 1.0, 1.0 - c % 1.0) ** 2
-                       for c in np.meshgrid(*(axis,) * dim, indexing="ij"))
-            osc = osc * (level * math.log(2.0) + np.log(math.e + np.sqrt(dist)))
+            # the centre (k + 1/2) / 2^level of cube k lies as far from 0 as
+            # grid point k / 2^level does from -1 / 2^(level + 1)
+            dist = distance_field(dim, 1 << level, (-0.5 / (1 << level),) * dim)
+            osc = osc * (level * math.log(2.0) + np.log(math.e + dist))
         sup = np.maximum(sup, osc.max(axis=grid))
     if mode == "BMOplus":
         sup += np.abs(v.mean(axis=grid))
@@ -244,7 +244,7 @@ def validate_atom(f: SampledFunction, Q: DyadicCube, q: float,
     outside[Q.grid_slices(f.resolution)] = 0.0
     support_leak = float(np.max(np.abs(outside)))
     size = lp_norm(f, q)
-    budget = Q.measure ** (1.0 / q - 1.0) if not math.isinf(q) else 1.0 / Q.measure
+    budget = Q.measure ** (1.0 / q - 1.0)
     mean_abs = abs(f.integral())
     wmean = abs((f * b).integral()) if b is not None else None
     failed = ""

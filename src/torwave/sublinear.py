@@ -23,7 +23,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampledFunction, frequency_grid
+from .core import SampledFunction, _along, _wrap, check_dim, frequency_grid
 from .errors import ConfigurationError, DomainError, ShapeError
 
 _BUMP_SHAPES = ((0.5, 2), (0.75, 3), (1.0, 4))  # (width, polynomial power)
@@ -65,13 +65,9 @@ def _window_radius(t: float, resolution: int) -> int:
     return min(int(t * resolution), resolution // 2)
 
 
-def _axis_slice(ndim: int, axis: int, start: int, stop: int) -> tuple:
-    return tuple(slice(start, stop) if i == axis else slice(None) for i in range(ndim))
-
-
-def _wrap_pad(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    return np.pad(a, [(radius, radius) if i == axis else (0, 0) for i in range(a.ndim)],
-                  mode="wrap")
+def _shifted(padded: np.ndarray, n: int, axis: int) -> np.ndarray:
+    """View whose entry s is `padded` from s to s + n along the negative `axis`."""
+    return np.moveaxis(sliding_window_view(padded, n, axis=axis), (axis - 1, -1), (0, axis))
 
 
 def _axis_window_max(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
@@ -81,14 +77,13 @@ def _axis_window_max(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
         return np.broadcast_to(a.max(axis=axis, keepdims=True), a.shape).copy()
     # doubling table: after the loop m[i] is the max over padded[i : i + span],
     # and two overlapping runs of length span cover each window of `length`
-    m = _wrap_pad(a, radius, axis)
+    m = _wrap(a, radius, radius, axis)
     span = 1
     while 2 * span <= length:
-        m = np.maximum(m[_axis_slice(a.ndim, axis, 0, -span)],
-                       m[_axis_slice(a.ndim, axis, span, None)])
+        m = np.maximum(m[_along(axis, slice(0, -span))], m[_along(axis, slice(span, None))])
         span *= 2
-    return np.maximum(m[_axis_slice(a.ndim, axis, 0, n)],
-                      m[_axis_slice(a.ndim, axis, length - span, length - span + n)])
+    return np.maximum(m[_along(axis, slice(0, n))],
+                      m[_along(axis, slice(length - span, length - span + n))])
 
 
 def window_max(a: np.ndarray, radius: int, dim: int | None = None) -> np.ndarray:
@@ -96,7 +91,7 @@ def window_max(a: np.ndarray, radius: int, dim: int | None = None) -> np.ndarray
     trailing `dim` axes of `a` (all by default): O(log radius) array maxima
     per axis, exact since max is idempotent and overlapping runs change nothing."""
     out = a
-    for axis in range(a.ndim - (a.ndim if dim is None else dim), a.ndim):
+    for axis in range(-(a.ndim if dim is None else dim), 0):
         out = _axis_window_max(out, radius, axis)
     return out
 
@@ -114,11 +109,8 @@ def window_mean(a: np.ndarray, radius, dim: int | None = None) -> np.ndarray:
     out = a if np.ndim(radius) else a[None]
     top = int(radii[0])
     rows = np.searchsorted(-radii, -np.arange(1, top + 1), side="right").tolist()
-    for axis in range(out.ndim - (a.ndim if dim is None else dim), out.ndim):
-        n = out.shape[axis]
-        # shifted[s] = the padded copy from s to s + n along axis
-        shifted = np.moveaxis(sliding_window_view(_wrap_pad(out, top, axis), n, axis=axis),
-                              (axis, -1), (0, axis + 1))
+    for axis in range(-(a.ndim if dim is None else dim), 0):
+        shifted = _shifted(_wrap(out, top, top, axis), out.shape[axis], axis)
         out = out.copy()
         for d, m in enumerate(rows, 1):
             out[:m] += shifted[top - d, :m]
@@ -208,6 +200,21 @@ def _hull_candidates(a: np.ndarray, h: np.ndarray, b: np.ndarray) -> np.ndarray:
     return order[~inside]
 
 
+def _block_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray) -> None:
+    """out = max(out, max over i of |b A[i] - H[i]| reduced to the shape of
+    `out`), with the terms i in blocks of at most `_SUP_BUFFER_ELEMENTS`
+    elements (one term at least)."""
+    shape = np.broadcast_shapes(b.shape, A.shape[1:])
+    block = max(1, _SUP_BUFFER_ELEMENTS // math.prod(shape))
+    buf = np.empty((min(block, len(A)),) + shape)
+    for start in range(0, len(A), block):
+        cand = buf[:min(block, len(A) - start)]
+        np.multiply(b, A[start:start + block], out=cand)
+        np.subtract(cand, H[start:start + block], out=cand)
+        np.abs(cand, out=cand)
+        np.maximum(out, np.maximum.reduce(cand.reshape((-1,) + out.shape)), out=out)
+
+
 def _torus_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray) -> None:
     """out = max(out, max over all points y of |b A(y) - H(y)|), over hull
     candidates: the cloud (the union of the rows of stacked A, H) is filtered
@@ -219,40 +226,24 @@ def _torus_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray) -> 
                            for start in range(0, a.size, _HULL_CHUNK)])
     if a.size > _HULL_CHUNK:
         keep = keep[_hull_candidates(a[keep], h[keep], b)]
-    a, h = a[keep, None], h[keep, None]
-    flat_out, flat_b = out.reshape(-1), b.reshape(-1)
-    block = max(1, _SUP_BUFFER_ELEMENTS // b.size)
-    buf = np.empty((min(block, a.size), b.size))
-    for start in range(0, a.size, block):
-        cand = buf[:min(block, a.size - start)]
-        np.multiply(flat_b, a[start:start + block], out=cand)
-        np.subtract(cand, h[start:start + block], out=cand)
-        np.abs(cand, out=cand)
-        np.maximum(flat_out, np.maximum.reduce(cand, axis=0), out=flat_out)
+    points = (-1,) + (1,) * b.ndim
+    _block_sup(out, b, a[keep].reshape(points), h[keep].reshape(points))
 
 
 def _window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
                 radius: int) -> None:
     """out = max(out, max over the rows of A, H and the box window at x of
-    |b(x) A(y) - H(y)|): the window's shifts are views of circularly padded
-    copies of A and H, and shifts along the last axis go in blocks."""
-    n, span = b.shape[0], 2 * radius + 1
-    width = [(0, 0)] * (A.ndim - b.ndim) + [(radius, radius)] * b.ndim
-    Ap = np.pad(A, width, mode="wrap")
-    Hp = np.pad(H, width, mode="wrap")
-    block = max(1, min(span, _SUP_BUFFER_ELEMENTS // A.size))
-    buf = np.empty((block,) + A.shape)
-    for lead in product(range(span), repeat=b.ndim - 1):
+    |b(x) A(y) - H(y)|): the window's shifts are views (`_shifted`) of copies
+    of A and H padded circularly on every grid axis."""
+    n = b.shape[0]
+    pads = []
+    for F in (A, H):
+        for axis in range(-b.ndim, 0):
+            F = _wrap(F, radius, radius, axis)
+        pads.append(F)
+    for lead in product(range(2 * radius + 1), repeat=b.ndim - 1):
         rows = (Ellipsis, *(slice(k, k + n) for k in lead), slice(None))
-        # shifted[k][..., j] = padded[rows][..., k + j]
-        A_shifted = np.moveaxis(sliding_window_view(Ap[rows], n, axis=-1), -2, 0)
-        H_shifted = np.moveaxis(sliding_window_view(Hp[rows], n, axis=-1), -2, 0)
-        for start in range(0, span, block):
-            cand = buf[:min(block, span - start)]
-            np.multiply(b, A_shifted[start:start + block], out=cand)
-            np.subtract(cand, H_shifted[start:start + block], out=cand)
-            np.abs(cand, out=cand)
-            np.maximum(out, np.maximum.reduce(cand.reshape((-1,) + b.shape)), out=out)
+        _block_sup(out, b, *(_shifted(F[rows], n, -1) for F in pads))
 
 
 class _GridOperator:
@@ -261,8 +252,7 @@ class _GridOperator:
     is_linear = False
 
     def __init__(self, dim: int, resolution: int):
-        if dim not in (1, 2):
-            raise DomainError(f"dim must be 1 or 2, got {dim}")
+        check_dim(dim)
         self.dim, self.resolution = dim, resolution
         self._axes = tuple(range(-dim, 0))
 
@@ -382,8 +372,6 @@ class LusinArea(_GridOperator):
         # (height t, window radius r, weight t^(1-n) * dt * window measure)
         self._heights = [(t, r, t ** (1 - dim) * (t / 2.0) * ((2 * r + 1) / resolution) ** dim)
                          for t, r in ((t, _window_radius(t, resolution)) for t in self.scales)]
-        # the heights in non-increasing window radius: the rows of one sweep
-        self._sweep = sorted(range(len(self.scales)), key=lambda i: -self._heights[i][1])
 
     def _gradient_multipliers(self, t: float):
         pois = np.exp(-2.0 * math.pi * t * self._knorm)
@@ -393,13 +381,13 @@ class LusinArea(_GridOperator):
 
     def _height_dots(self, values: np.ndarray, pairs) -> np.ndarray:
         """dots[q, row] = sum over k of grad_k(values[i]) * grad_k(values[j])
-        at the row-th height of the sweep, for pairs[q] = (i, j); the gradient
-        fields of every input come from one inverse FFT per height."""
+        at the row-th height, for pairs[q] = (i, j); the gradient fields of
+        every input come from one inverse FFT per height."""
         spectra = np.fft.fftn(values, axes=self._axes)
         dots = np.zeros((len(pairs), len(self.scales)) + values.shape[1:])
         grads = np.empty((len(values), self.dim + 1) + values.shape[1:], dtype=complex)
-        for row, i in enumerate(self._sweep):
-            for k, mult in enumerate(self._gradient_multipliers(self.scales[i])):
+        for row, t in enumerate(self.scales):
+            for k, mult in enumerate(self._gradient_multipliers(t)):
                 np.multiply(spectra, mult, out=grads[:, k])
             np.fft.ifftn(grads, axes=self._axes, out=grads)
             for k in range(self.dim + 1):
@@ -410,14 +398,15 @@ class LusinArea(_GridOperator):
     def _cone_quadratics(self, values: np.ndarray, pairs) -> list:
         """Cone quadrature of the product of the gradient fields of values[i]
         and values[j], per pair (i, j): all heights' window means in one
-        sweep, one quadrature at a time, then w * mean added in height order."""
-        radii = [self._heights[i][1] for i in self._sweep]
+        sweep (the heights come in non-increasing window radius), one
+        quadrature at a time, then w * mean added in height order."""
+        radii = [r for _, r, _ in self._heights]
         quadratics = []
         for dot in self._height_dots(values, pairs):
             means = window_mean(dot, radii, self.dim)
             quadratics.append(np.zeros(values.shape[1:]))
-            for (_, _, w), row in zip(self._heights, np.argsort(self._sweep)):
-                quadratics[-1] += w * means[row]
+            for (_, _, w), mean in zip(self._heights, means):
+                quadratics[-1] += w * mean
             del means
         return quadratics
 

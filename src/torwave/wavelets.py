@@ -52,8 +52,8 @@ from itertools import product
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, grid_level
-from .errors import ConfigurationError, DomainError, ResolutionError, ShapeError
+from .core import DyadicCube, SampledFunction, _along, _wrap, check_dim, grid_level
+from .errors import ConfigurationError, ResolutionError, ShapeError
 
 # Scaling (low-pass) taps of the minimum-phase Daubechies family, order =
 # number of vanishing moments, filter length 2*order, polished to machine
@@ -200,26 +200,13 @@ def default_coarse_level(basis: WaveletBasis, coarse_level: int | None = None) -
 
 def sigma_set(dim: int) -> tuple[tuple[int, ...], ...]:
     """Detail orientations: all 0/1 tuples of length dim except all zeros."""
-    if dim not in (1, 2):
-        raise DomainError(f"dim must be 1 or 2, got {dim}")
+    check_dim(dim)
     return tuple(product((0, 1), repeat=dim))[1:]
 
 
 # ---------------------------------------------------------------------------
 # circular filter-bank steps
 # ---------------------------------------------------------------------------
-
-def _along(axis: int, index) -> tuple:
-    """Index tuple applying `index` on the negative `axis` and taking
-    everything elsewhere."""
-    return (Ellipsis, index) + (slice(None),) * (-axis - 1)
-
-
-def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
-    """`a` extended circularly by `before` leading and `after` trailing entries."""
-    n = a.shape[axis]
-    return np.take(a, np.arange(-before, n + after) % n, axis=axis)
-
 
 def _down(a: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
     """Circular convolution with each row of `taps` along the negative
@@ -303,7 +290,7 @@ class CoefficientTree:
 
     def __init__(self, coeffs, coarse_level: int):
         coeffs = np.array(coeffs, dtype=float)
-        sigma_set(coeffs.ndim)  # DomainError unless dim is 1 or 2
+        check_dim(coeffs.ndim)
         n = coeffs.shape[0]
         if n < 1 or n & (n - 1) or coeffs.shape != (n,) * coeffs.ndim:
             raise ShapeError(f"coefficient array has shape {coeffs.shape}, "

@@ -6,9 +6,10 @@ Only usable at small resolutions.  The filter-bank steps and the window
 kernels after them take one `np.roll` per tap or shift, the sublinear
 operators one kernel or height at a time, the envelope machinery keys
 wavelet-matrix entries by cube pairs and evaluates `p_delta` one pair at a
-time, and the samplers draw one case at a time, one coefficient tree per
-atom and one norm call per BMO sample; the production code must match them
-bit for bit.
+time, the samplers draw one case at a time, one coefficient tree per atom
+and one norm call per BMO sample, and the atomic decomposition finds each
+atom's cube through a grid of cube labels; the production code must match
+them bit for bit.
 """
 
 import math
@@ -16,8 +17,10 @@ from itertools import product
 
 import numpy as np
 
-from torwave import (CoefficientTree, DyadicCube, PdeltaEnvelope, SampledFunction,
-                     analyze, sampled_wavelet, synthesize)
+from torwave import (AtomicDecomposition, CoefficientTree, DyadicCube, PdeltaEnvelope,
+                     SampledFunction, analyze, coarse_projection, sampled_wavelet, synthesize,
+                     wavelet_square_function)
+from torwave.commutators import _lower_medians
 from torwave.core import frequency_grid, torus_delta
 from torwave.errors import ConfigurationError, DomainError, ShapeError
 from torwave.norms import OSCILLATION_MODES
@@ -585,3 +588,59 @@ def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
     if norm < 1e-12:
         return random_bmo(rng, dim, resolution)
     return SampledFunction(f.values / norm)
+
+
+# -- atomic decomposition, one cube label array per threshold -----------------
+
+def atomic_decompose(f: CoefficientTree, basis) -> AtomicDecomposition:
+    """Atoms of `f` grouped by labelling, for every threshold, each grid cell
+    with the maximal dyadic cube over it whose lower median passes; the cubes
+    are listed level by level, skipping those under a passing ancestor."""
+    W = wavelet_square_function(f).values
+    N = f.resolution
+    detail_l1 = float(np.abs(W).mean())
+    coarse_l1 = float(np.abs(coarse_projection(f.coeffs, basis, f.coarse_level, f.dim)).mean())
+    medians = {lev: _lower_medians(W, lev) for lev in range(0, f.finest_level)}
+    assignments = {}
+    for j in f.levels():
+        occupied = np.zeros((1 << j,) * f.dim, dtype=bool)
+        for s in sigma_set(f.dim):
+            occupied |= f.band(j, s) != 0.0
+        for idx in np.argwhere(occupied):
+            off = tuple(int(i) for i in idx)
+            med = float(medians[j][off])
+            k = int(math.floor(math.log2(med)))
+            if 2.0 ** k >= med:
+                k -= 1
+            assignments.setdefault(k, []).append((j, off))
+    atoms = []
+    for k in sorted(assignments):
+        threshold = 2.0 ** k
+        label = -np.ones((N,) * f.dim, dtype=np.int64)
+        roots = []
+        anc = np.zeros((1,) * f.dim, dtype=bool)
+        for lev in range(0, f.finest_level):
+            qual = medians[lev] > threshold
+            for idx in np.argwhere(qual & ~anc):
+                cube = DyadicCube(f.dim, lev, tuple(int(i) for i in idx))
+                label[cube.grid_slices(N)] = len(roots)
+                roots.append(cube)
+            anc = anc | qual
+            for axis in range(f.dim):
+                anc = np.repeat(anc, 2, axis=axis)
+        groups = {}
+        for j, off in assignments[k]:
+            groups.setdefault(int(label[tuple(o * (N >> j) for o in off)]), []).append((j, off))
+        for root_id in sorted(groups):
+            R = roots[root_id]
+            energy = 0.0
+            packet = np.zeros_like(f.coeffs)
+            for j, off in groups[root_id]:
+                for s in sigma_set(f.dim):
+                    at = coeff_index(DyadicCube(f.dim, j, off), s)
+                    v = packet[at] = f.coeffs[at]
+                    energy += v * v
+            lam = math.sqrt(energy) * R.measure ** 0.5
+            atoms.append((lam, CoefficientTree(packet, f.coarse_level) * (1.0 / lam), R))
+    return AtomicDecomposition(tuple(atoms), float(sum(lam for lam, _, _ in atoms)),
+                               coarse_l1 > 1e-8 * (1.0 + detail_l1), coarse_l1)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
                      DyadicCube, MultiplierOperator, SampledFunction, analyze,
@@ -15,7 +16,7 @@ from torwave import (CancellationError, ContractError, DegeneracyError, DomainEr
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
                              random_function, random_h1_tree, random_psi_atom)
 from torwave.sublinear import grand_maximal, lusin_area
-from torwave.wavelets import CoefficientTree
+from torwave.wavelets import CoefficientTree, build_basis
 
 
 def _pair(seed, N=512, dim=1, j0=2, basis=None):
@@ -292,6 +293,29 @@ def test_atomic_decompose_reconstruction_and_validity(db4):
         assert all(validate_psi_atom(t, R) for _, t, R in deco.atoms)
         assert deco.sum_abs_lambda <= 4.0 * lp_norm(wavelet_square_function(tree), 1.0)
         assert not deco.coarse_flagged
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+@pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("kind", ["h1", "psi", "white"])
+def test_atomic_decompose_matches_label_oracle(order, dim, J, kind):
+    basis = build_basis("haar" if order == 1 else "daubechies", order)
+    for seed in range(8):
+        rng = derive_rng(48, order, dim, seed)
+        if kind == "h1":
+            tree = random_h1_tree(rng, dim, 2, J)
+        elif kind == "psi":
+            tree, _ = random_psi_atom(rng, dim, 2, J)
+        else:
+            tree = analyze(random_function(rng, dim, 1 << J, kind="white"), basis, 2)
+        deco, want = atomic_decompose(tree, basis), oracles.atomic_decompose(tree, basis)
+        assert [R.key() for _, _, R in deco.atoms] == [R.key() for _, _, R in want.atoms]
+        assert_bitwise_equal([lam for lam, _, _ in deco.atoms], [lam for lam, _, _ in want.atoms])
+        for (_, got, _), (_, ref, _) in zip(deco.atoms, want.atoms):
+            assert_bitwise_equal(got.coeffs, ref.coeffs)
+        assert_bitwise_equal(deco.sum_abs_lambda, want.sum_abs_lambda)
+        assert_bitwise_equal(deco.coarse_l1, want.coarse_l1)
+        assert deco.coarse_flagged == want.coarse_flagged
 
 
 def test_atomic_decompose_flags_coarse_part(db4):

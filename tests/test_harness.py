@@ -147,13 +147,23 @@ def test_parse_operator_rejects_other_specs(spec, dim):
 @pytest.mark.parametrize("suite,operator", [
     ("commutator_identity", "rieszx"), ("commutator_identity", "riesz0"),
     ("commutator_identity", "ifrac:abc"), ("commutator_identity", "maximal"),
-    ("sandwich", "hilbert"), ("sandwich", "max"),
+    ("commutator_identity", "riesz2"), ("sandwich", "hilbert"), ("sandwich", "max"),
 ])
 def test_suites_reject_unusable_operators(suite, operator):
     cfg = ExperimentConfig(suite=suite, resolutions=[64], sample_count=1,
                            operator=operator)
     with pytest.raises((UsageError, ContractError)):
         run_suite(cfg)
+
+
+def test_commutator_identity_runs_riesz1_in_the_config_dim():
+    # in one dimension the first Riesz transform is the Hilbert transform
+    def residuals(operator):
+        report = run_suite(ExperimentConfig(suite="commutator_identity", resolutions=[64, 128],
+                                            sample_count=3, root_seed=5, operator=operator))
+        return [case["residual_rel"] for case in report.cases]
+
+    assert residuals("riesz1") == residuals("hilbert")
 
 
 def _perfbench_module(name):
@@ -559,7 +569,7 @@ BATCHED = {
     "product_identity": dict(resolutions=[64, 128]),
     "commutator_identity": dict(resolutions=[64, 128], operator="ifrac:0.5"),
     "commutator_identity-riesz1": dict(suite="commutator_identity", resolutions=[16, 32],
-                                       operator="riesz1", basis_order=2),
+                                       operator="riesz1", dim=2, basis_order=2),
     "boundedness_sweep": dict(resolutions=[64, 128]),
     "sandwich": dict(resolutions=[64], operator="maximal"),
     "fractional": dict(resolutions=[64, 128]),

@@ -74,7 +74,7 @@ def test_stacked_draws_equal_the_per_case_oracles(dim, resolutions, root_seed):
     cfg = ExperimentConfig("product_identity", resolutions=resolutions,
                            sample_count=count, root_seed=root_seed, dim=dim)
     for ri, N in enumerate(resolutions):
-        trees, bmo = _tree_and_bmo(cfg, ri, dim, 2, N)
+        trees, bmo = _tree_and_bmo(cfg, ri, 2, N)
         assert trees.shape == bmo.shape == (count,) + (N,) * dim
         for ci in range(count):
             rng = derive_rng(root_seed, ri, ci)
@@ -158,7 +158,7 @@ def test_degenerate_draw_in_the_suite_draw(monkeypatch):
         return np.zeros(resolution) if len(calls) == 3 else real(rng, dim, resolution)
 
     monkeypatch.setattr(samples, "_raw_bmo", zero_once)
-    trees, bmo = _tree_and_bmo(cfg, 0, 1, 2, 128)
+    trees, bmo = _tree_and_bmo(cfg, 0, 2, 128)
     assert len(calls) == 5 and calls[2] is calls[4]
     for ci in range(4):
         rng = derive_rng(3, 0, ci)

@@ -67,6 +67,13 @@ def test_unsupported_dimension_rejected(cls, dim):
         cls(dim, 8)
 
 
+def test_lusin_heights_come_in_non_increasing_radius():
+    # window_mean sweeps the heights in their stored order, which needs this
+    for J in range(1, 15):
+        radii = [r for _, r, _ in LusinArea(1, 1 << J)._heights]
+        assert radii == sorted(radii, reverse=True), J
+
+
 def test_sampled_kernel_single_formula_keeps_1d_bits():
     # sqrt(fl(y^2)) = |y| in binary64, so the dimension-free radius
     # reproduces the former 1-D kernel, sum of bumps at |x + m| / t
