@@ -8,10 +8,13 @@ application per grid point.  Each call makes one pass over the dictionary:
 kernel spectra sit in one read-only stack sorted by window radius, fields come
 from one inverse FFT per input and radius (per height for the area integral),
 and the full-torus windows of a radius share one convex hull, of the union of
-their point clouds; the other windows of a radius, and every height's window
-mean, are read from one circularly padded stack.  Every window sup or sum
-reproduces the kernel-by-kernel, shift-by-shift result bit for bit, so the
-subadditivity used by the sandwich estimates is exact.
+their point clouds.  The other windows of a radius, and every height's window
+mean, are read from one circularly padded stack: a 1-D window sup sweeps all
+its shifts, and a 2-D one skips every window row whose bound, from segment
+maxima of the fields, cannot raise the running sup, which holds the smaller
+radii's sups first.  Every window sup or sum reproduces the kernel-by-kernel,
+shift-by-shift result bit for bit, so the subadditivity used by the sandwich
+estimates is exact.
 """
 
 from __future__ import annotations
@@ -123,6 +126,7 @@ def window_mean(a: np.ndarray, radius, dim: int | None = None) -> np.ndarray:
 _SUP_BUFFER_ELEMENTS = 1 << 15  # bounds the candidate blocks of the window sups
 _HULL_CHUNK = 1 << 13  # bounds the points one hull filter sorts at a time
 _SMALL_SEGMENT = 64  # quickhull hands segments this small to the monotone chain
+_DENSE_ROW_SHARE = 0.5  # a 2-D window row kept at more of a block's points is swept densely
 
 
 def _monotone_chain(xs: list, ys: list) -> list:
@@ -230,20 +234,100 @@ def _torus_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray) -> 
     _block_sup(out, b, a[keep].reshape(points), h[keep].reshape(points))
 
 
+def _finite_or_nan(a: np.ndarray) -> np.ndarray:
+    """`a` with every infinite entry NaN, so that no bound it enters prunes."""
+    return np.where(np.isinf(a), np.nan, a)
+
+
+def _take_rows(part: np.ndarray, b: np.ndarray, pads: list, segments: list, top: int,
+               live: np.ndarray) -> None:
+    """part = max(part, the sup over window row l at point c, for every c, l
+    with live[c, l]), where part and b are the grid lines from `top` on,
+    points c index them flattened, `pads` are A and H padded on both grid
+    axes with the kernel axis last, and segments[i][line, column] is the
+    row segment of pads[i] from that line and column on.  A row live at
+    more than `_DENSE_ROW_SHARE` of the points is swept densely
+    (`_block_sup`); the other (c, l) pairs are gathered, one contiguous
+    segment each, and both gathered fields fill at most
+    `_SUP_BUFFER_ELEMENTS`."""
+    (rows, n), (lines, _, terms) = part.shape, segments[0].shape
+    width = lines - n + 1
+    dense = np.flatnonzero(live.sum(axis=0) > _DENSE_ROW_SHARE * part.size)
+    if dense.size:
+        live = live.copy()
+        live[:, dense] = False
+        # [k, row, shift] is the lines' k-th field at that window offset
+        windows = [sliding_window_view(np.moveaxis(F[top:top + rows + width - 1], -1, 0).copy(),
+                                       (rows, n), axis=(-2, -1)) for F in pads]
+        for row in dense.tolist():
+            _block_sup(part, b, *(W[:, row].swapaxes(0, 1) for W in windows))
+    flat, bflat, pairs = part.reshape(-1), b.reshape(-1), np.flatnonzero(live)
+    block = max(1, _SUP_BUFFER_ELEMENTS // (2 * terms))
+    for start in range(0, pairs.size, block):
+        point, row = np.divmod(pairs[start:start + block], width)
+        line, col = np.divmod(point, n)
+        cand, h = (S[top + line + row, col] for S in segments)
+        np.multiply(bflat[point, None], cand, out=cand)
+        np.subtract(cand, h, out=cand)
+        np.abs(cand, out=cand)
+        sups = np.maximum.reduce(cand, axis=1)
+        del cand, h  # before the next gather
+        np.maximum.at(flat, point, sups)
+
+
 def _window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
                 radius: int) -> None:
     """out = max(out, max over the rows of A, H and the box window at x of
-    |b(x) A(y) - H(y)|): the window's shifts are views (`_shifted`) of copies
-    of A and H padded circularly on every grid axis."""
-    n = b.shape[0]
-    pads = []
-    for F in (A, H):
-        for axis in range(-b.ndim, 0):
-            F = _wrap(F, radius, radius, axis)
-        pads.append(F)
-    for lead in product(range(2 * radius + 1), repeat=b.ndim - 1):
-        rows = (Ellipsis, *(slice(k, k + n) for k in lead), slice(None))
-        _block_sup(out, b, *(_shifted(F[rows], n, -1) for F in pads))
+    |b(x) A(y) - H(y)|), from copies of A and H padded circularly on every
+    grid axis.
+
+    In 1-D the window is one segment, and every shift is a view (`_shifted`).
+    In 2-D the window at x is 2r+1 rows, each one segment along the last
+    axis.  Row l at x is bounded by U = fl(fl(|b(x)| WA) + WH), where WA and
+    WH are the segment maxima of max_k |A_k| and max_k |H_k|: rounding is
+    monotone and odd, so every computed |fl(b a) - h| in the row, which is
+    fl(|fl(b a) - h|) with |fl(b a) - h| <= fl(|b| WA) + WH, is at most U.
+    Max is exact, so a row with U <= out cannot change a bit.  Infinite
+    data or b could put a NaN (inf - inf, 0 * inf) under an infinite U, so
+    there U is NaN and the row is kept.  The points go in blocks of whole
+    lines whose bounds fill at most `_SUP_BUFFER_ELEMENTS`.  In a block,
+    each point first takes its row of largest bound, then every row whose
+    bound still exceeds out there (`_take_rows`).
+    """
+    n, width = b.shape[0], 2 * radius + 1
+    if b.ndim == 1:
+        _block_sup(out, b, *(_shifted(_wrap(F, radius, radius, -1), n, -1) for F in (A, H)))
+        return
+    kernels = len(A)
+    pads = [_wrap(_wrap(np.moveaxis(F, 0, -1), radius, radius, -3), radius, radius, -2)
+            for F in (A, H)]
+    segments = [sliding_window_view(F.reshape(len(F), -1), width * kernels, axis=-1)[:, ::kernels]
+                for F in pads]
+    size = _finite_or_nan(np.abs(b))[..., None]
+    wa, wh = (_axis_window_max(_finite_or_nan(np.abs(F).max(axis=0)), radius, -1) for F in (A, H))
+    # [x0, x1, l]: WA (WH) of window row l at x
+    wa, wh = (np.moveaxis(_shifted(_wrap(W, radius, radius, -2), n, -2), 0, -1) for W in (wa, wh))
+    lines = max(1, _SUP_BUFFER_ELEMENTS // (width * n))
+    buffer = np.empty(width * min(lines, n) * n)  # the bounds of every block in turn
+    for top in range(0, n, lines):
+        part = out[top:top + lines].copy()  # contiguous, for `flat` and `_take_rows`
+        rows = len(part)
+        flat = part.reshape(-1)
+        # bound[c, l]: the bound of window row l at point c of the lines
+        bound = np.multiply(size[top:top + rows], wa[top:top + rows],
+                            out=buffer[:rows * n * width].reshape(rows, n, width))
+        bound += wh[top:top + rows]
+        bound = bound.reshape(-1, width)
+        # each point first takes its row of largest bound (a NaN bound counts as largest)
+        first = bound.argmax(axis=1)
+        at = np.flatnonzero(~(np.take_along_axis(bound, first[:, None], 1)[:, 0] <= flat))
+        taken = np.zeros(bound.shape, dtype=bool)
+        taken[at, first[at]] = True
+        _take_rows(part, b[top:top + rows], pads, segments, top, taken)
+        live = ~(bound <= flat[:, None])
+        live[taken] = False
+        _take_rows(part, b[top:top + rows], pads, segments, top, live)
+        out[top:top + rows] = part
 
 
 class _GridOperator:
@@ -338,8 +422,10 @@ class GrandMaximal(_GridOperator):
         one.  A window with 2r+1 >= N covers the torus, so the sup is the
         support function of the union of the clouds {(A(y), H(y))} in the
         directions +-(b(x), -1), evaluated over the hull vertices plus every
-        point within a roundoff margin of the hull (`_hull_candidates`); a
-        smaller window loops over its shifts (`_window_sup`).
+        point within a roundoff margin of the hull (`_hull_candidates`).  A
+        smaller window goes to `_window_sup`: in 1-D it takes every shift,
+        and in 2-D it takes only the window rows whose bound exceeds the
+        running sup, which the radii, in ascending order, raise first.
         """
         self._check(f, b, h)
         bv = b.values

@@ -243,6 +243,18 @@ def window_mean(a: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
+def window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
+               radius: int) -> np.ndarray:
+    """max(out, max over k and the box window at x of |b(x) A_k(y) - H_k(y)|)
+    on a 2-D stack, one `np.roll` per shift and kernel."""
+    out = out.copy()
+    for d0, d1 in product(range(-radius, radius + 1), repeat=2):
+        for a, h in zip(A, H):
+            cand = np.abs(b * np.roll(a, (-d0, -d1), (0, 1)) - np.roll(h, (-d0, -d1), (0, 1)))
+            np.maximum(out, cand, out=out)
+    return out
+
+
 # -- sublinear operators, one kernel or height at a time ---------------------
 
 def _kernel_fields(op, F, local):
@@ -287,10 +299,7 @@ def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
                 cand = np.abs(bv * np.roll(A, -d) - np.roll(Hh, -d))
                 np.maximum(out, cand, out=out)
         else:
-            for d0, d1 in product(range(-r, r + 1), repeat=2):
-                cand = np.abs(bv * np.roll(A, (-d0, -d1), (0, 1))
-                              - np.roll(Hh, (-d0, -d1), (0, 1)))
-                np.maximum(out, cand, out=out)
+            out = window_sup(out, bv, A[None], Hh[None], r)
     return SampledFunction(out)
 
 

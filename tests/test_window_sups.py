@@ -1,14 +1,18 @@
 """The window kernels of `sublinear` against the shift-loop oracles, bit for bit.
 
-`pointwise_shifted` takes full-torus windows through a convex hull and the
-other windows through padded views; `window_max` uses a doubling max and
-`window_mean` padded views.  All of them must reproduce the one-`np.roll`-
-per-shift loops in `oracles` exactly, degenerate point clouds included, down
-to the sign of zero that the JSON records carry.  The operators run one
-pass over stacked kernels and heights; they must reproduce the one-kernel,
-one-height loops in `oracles` exactly too.
+`pointwise_shifted` takes full-torus windows through a convex hull.  Its
+other windows are padded views in 1-D; in 2-D they skip every window row
+whose bound cannot raise the running sup, gather the rows left at each
+point, and sweep a row densely where it is left at most points.
+`window_max` uses a doubling max and `window_mean` padded views.  All of
+them must reproduce the one-`np.roll`-per-shift loops in `oracles` exactly,
+degenerate point clouds, tied bounds, subnormal, overflowing and
+non-finite data included, down to the sign of zero that the JSON records
+carry.  The operators run one pass over stacked kernels and heights; they
+must reproduce the one-kernel, one-height loops in `oracles` exactly too.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +26,7 @@ from torwave import SampledFunction, grand_maximal, lusin_area
 from torwave.errors import DomainError
 from torwave.samples import derive_rng, random_bmo, random_function
 from torwave import sublinear
-from torwave.sublinear import _torus_sup, window_max, window_mean
+from torwave.sublinear import _torus_sup, _window_sup, window_max, window_mean
 
 GRIDS = [(1, 64), (1, 256), (1, 512), (2, 16), (2, 32), (2, 64)]
 
@@ -119,7 +123,7 @@ KINDS = ["zero", "constant", "small_int", "random"]
 
 
 @settings(deadline=None, max_examples=60)
-@given(data=st.data(), grid=st.sampled_from([(1, 8), (1, 32), (2, 4), (2, 8)]),
+@given(data=st.data(), grid=st.sampled_from([(1, 8), (1, 32), (2, 4), (2, 8), (2, 16)]),
        f_kind=st.sampled_from(KINDS), b_kind=st.sampled_from(KINDS[1:]),
        h_kind=st.sampled_from(["b*f", *KINDS]))
 def test_pointwise_shifted_degenerate_clouds(data, grid, f_kind, b_kind, h_kind):
@@ -208,3 +212,80 @@ def test_pointwise_shifted_non_finite_b_local(dim, N, bad):
     for local in (False, True):
         assert_bitwise_equal(op.pointwise_shifted(b, f, h, local).values,
                              oracles.pointwise_shifted(op, b, f, h, local).values)
+
+
+SUP_N = 16  # 2-D partial radii 1..7
+# (module constant, value): as set, one line and one pair per block, every
+# kept row swept densely, no row swept densely
+SUP_VARIANTS = [("_DENSE_ROW_SHARE", sublinear._DENSE_ROW_SHARE), ("_SUP_BUFFER_ELEMENTS", 64),
+                ("_DENSE_ROW_SHARE", 0.0), ("_DENSE_ROW_SHARE", np.inf)]
+
+
+def _sup_fields(kind, scale, b_scale, rng):
+    """(b, A, H) of one 2-D family: three kernels on an SUP_N grid."""
+    shape = (3, SUP_N, SUP_N)
+    if kind == "ties":  # constant fields: every row's bound ties at every point
+        A, H = (np.broadcast_to(rng.integers(-3, 4, (3, 1, 1)), shape) for _ in range(2))
+        b = np.full(shape[1:], rng.integers(-3, 4))
+    elif kind == "integers":  # exact duplicates and tied maximizers
+        A, H = rng.integers(-3, 4, (2,) + shape)
+        b = rng.integers(-4, 5, shape[1:])
+    else:
+        A, H = rng.standard_normal((2,) + shape)
+        b = rng.standard_normal(shape[1:])
+    return b * b_scale, A * scale, H * scale
+
+
+def _assert_window_sup_matches(b, A, H):
+    for radius in (1, 3, 7):
+        for out in (np.zeros_like(b), oracles.window_sup(np.zeros_like(b), b, A, H, 0)):
+            expected = oracles.window_sup(out, b, A, H, radius)
+            for variant in SUP_VARIANTS:
+                got = out.copy()
+                with mock.patch.object(sublinear, *variant):
+                    _window_sup(got, b, A, H, radius)
+                assert_bitwise_equal(got, expected)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow to inf
+@pytest.mark.parametrize("kind", ["ties", "integers", "normal"])
+@pytest.mark.parametrize("scale,b_scale", [(1.0, 1.0), (1e-3, 1.0), (1e7, 1.0), (1e-310, 1.0),
+                                           (1e-310, 1e-310), (1e300, 1e300)],
+                         ids=["1", "1e-3", "1e7", "subnormal", "underflow", "overflow"])
+def test_window_sup_matches_shift_loop(kind, scale, b_scale):
+    # 2-D partial windows from a zero and from a running sup, with blocks of
+    # one line and one pair, and with every or no kept row swept densely;
+    # at 1e-310 the products are subnormal or zero, at 1e300 they overflow
+    # and the row bound is inf
+    b, A, H = _sup_fields(kind, scale, b_scale, np.random.default_rng(17))
+    _assert_window_sup_matches(b, A, H)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf, 0 * inf
+@pytest.mark.parametrize("kind", ["integers", "normal"])
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["b", "A", "H"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_window_sup_non_finite(kind, where, bad):
+    fields = list(_sup_fields(kind, 1.0, 1.0, np.random.default_rng(18)))
+    fields[where] = fields[where].copy()
+    fields[where].flat[[5, 77, fields[where].size - 1]] = bad
+    if where:  # the same points of H (A) as well, so that inf - inf occurs
+        fields[3 - where] = fields[3 - where].copy()
+        fields[3 - where].flat[5] = bad
+    _assert_window_sup_matches(*fields)
+
+
+def test_pointwise_shifted_memory_is_bounded():
+    # the row bounds and gathered rows go in blocks of `_SUP_BUFFER_ELEMENTS`;
+    # one whole-grid bound array alone would take 8.1 MiB here
+    N = 128
+    rng = derive_rng(95, 2, N)
+    f, b, h = random_function(rng, 2, N), random_bmo(rng, 2, N), random_function(rng, 2, N)
+    op = grand_maximal(2, N)
+    tracemalloc.start()
+    try:
+        op.pointwise_shifted(b, f, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20, peak / 2 ** 20
