@@ -153,8 +153,16 @@ def _along(axis: int, index) -> tuple:
 
 
 def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
-    """`a` extended circularly by `before` leading and `after` trailing entries."""
+    """`a` extended circularly by `before` leading and `after` trailing entries.
+
+    A pad of at most n entries on each side is two slices of `a` concatenated
+    around it; only a longer pad, which wraps more than once, takes the
+    modular index gather.
+    """
     n = a.shape[axis]
+    if before <= n and after <= n:
+        return np.concatenate((a[_along(axis, slice(n - before, n))], a,
+                               a[_along(axis, slice(0, after))]), axis=axis)
     return np.take(a, np.arange(-before, n + after) % n, axis=axis)
 
 

@@ -235,14 +235,26 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
 def p_delta(level, offset, level2, offset2, delta: float):
     """Scale-and-distance decay profile between dyadic cubes given by broadcast
     arrays of levels and per-axis offsets (last axis), with the geodesic torus
-    metric between the cube centers; a float for one pair of cubes."""
+    metric between the cube centers; a float for one pair of cubes.
+
+    The two powers go through libm `pow` once per distinct value, not once
+    per entry: the level gap takes a handful of values and the distance
+    ratio a few hundred even on tens of thousands of cube pairs, so each
+    power is taken on the sorted distinct values (`np.unique`) and gathered
+    back.  Every entry gets the same operations on the same value as an
+    entrywise loop, so the result is bitwise the same."""
     offset, offset2 = np.asarray(offset), np.asarray(offset2)
-    if offset.shape[-1:] != offset2.shape[-1:]:
+    if offset.ndim == 0 or offset2.ndim == 0 or offset.shape[-1:] != offset2.shape[-1:]:
         raise ShapeError("cubes of different dimensions")
     if not 0.0 < delta <= 1.0:
         raise DomainError(f"delta must lie in (0, 1], got {delta}")
     n = offset.shape[-1]
     j, j2 = np.asarray(level), np.asarray(level2)
+    try:
+        np.broadcast_shapes(j.shape, j2.shape, offset.shape[:-1], offset2.shape[:-1])
+    except ValueError:
+        raise ShapeError(f"cube arrays of shapes {j.shape}, {offset.shape}, {j2.shape} and "
+                         f"{offset2.shape} do not broadcast") from None
     if (any(a.dtype.kind not in "iu" for a in (j, j2, offset, offset2))
             or np.any(j < 0) or np.any(j2 < 0)):
         raise DomainError("cubes need integer offsets and integer levels >= 0")
@@ -250,10 +262,22 @@ def p_delta(level, offset, level2, offset2, delta: float):
     sides = side + side2
     d = torus_delta((offset + 0.5) * side[..., None], (offset2 + 0.5) * side2[..., None])
     ratio = sides / (sides + np.sqrt(np.sum(d ** 2, axis=-1)))
+    del side, side2, sides, d  # np.unique below needs room for a few copies of ratio
     gap = np.abs(j - j2)
     power = np.frompyfunc(pow, 2, 1)  # on Python floats, as the module docstring says
-    scale = np.asarray(power(2.0, -gap * (delta / 2.0 + n / 2.0)), float) / (1.0 + gap ** 2)
-    return (scale * np.asarray(power(ratio, n + delta / 2.0), float))[()]
+    scale = _per_distinct(gap, lambda g: np.asarray(
+        power(2.0, -g * (delta / 2.0 + n / 2.0)), float) / (1.0 + g ** 2))
+    decay = _per_distinct(ratio, lambda r: np.asarray(power(r, n + delta / 2.0), float))
+    return (scale * decay)[()]
+
+
+def _per_distinct(x: np.ndarray, f):
+    """`f(x)` for an elementwise `f`, evaluated once on the distinct values of
+    `x` and gathered back to its shape; a 0-d `x` goes to `f` as it is."""
+    if x.ndim == 0:
+        return f(x)
+    values, at = np.unique(x, return_inverse=True)
+    return f(values)[at.reshape(x.shape)]
 
 
 @dataclass(frozen=True)
@@ -294,6 +318,8 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
     """Max over sampled cube pairs of sum_I'' p(I,I'')p(I',I'') / p(I,I')."""
     if len(levels) == 0:
         raise DomainError("empty level range")
+    if levels.start < 0:
+        raise DomainError(f"levels must be >= 0, got {levels}")
     rng = np.random.default_rng(seed)
     mids = [np.indices((1 << j,) * dim).reshape(dim, -1).T for j in levels]
     mids = (np.repeat(levels, [len(k) for k in mids]), np.concatenate(mids))
@@ -327,7 +353,8 @@ def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
     for _ in range(atoms):
         a, Q = random_classical_atom(rng, dim, resolution)
         Ta = T.apply(a)
-        for _ in range(b_samples):
-            image = k_class_image(random_bmo(rng, dim, resolution), Q, Ta)
+        # one stack of b_samples draws, equal to that many one-row draws from rng
+        for b in random_bmo([rng] * b_samples, dim, resolution):
+            image = k_class_image(SampledFunction(b), Q, Ta)
             worst = max(worst, float(np.abs(image.values).mean()))
     return worst

@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field, frequency_grid
-from .errors import DegeneracyError, DomainError
+from .core import DyadicCube, SampledFunction, check_dim, distance_field, frequency_grid
+from .errors import DegeneracyError, DomainError, ResolutionError
 from .norms import oscillation_norm
 from .wavelets import CoefficientTree, band_index, sigma_set
 
@@ -131,19 +131,43 @@ def _raw_bmo(rng, dim: int, resolution: int) -> np.ndarray:
 def random_bmo(rng, dim: int, resolution: int):
     """Random oscillation sample normalized to unit dyadic BMO norm.
 
-    Given a list of generators, the sample of each, stacked, bit for bit:
-    one norm call for the stack, then a row of norm below 1e-12 is redrawn
-    from its own generator until it is not, which leaves the other streams
-    untouched.
+    Given a list of generators, the sample of each, stacked, bit for bit: one
+    raw draw per entry, one norm call for the stack, then a row of norm below
+    1e-12 is redrawn from its own generator, up to 10 draws in all, after
+    which DegeneracyError is raised.  A generator may appear more than once:
+    `[rng] * k` gives the same rows as k one-row calls on `rng`, in order.
+    For that, the generator's state after each raw draw is kept; a row
+    redrawn goes back to the state its last draw left, and every later row
+    of the same generator is drawn again after it.  An empty list gives an
+    empty (0, N, ...) stack.
     """
     single = isinstance(rng, np.random.Generator)
-    rngs = [rng] if single else rng
-    raw = np.stack([_raw_bmo(r, dim, resolution) for r in rngs])
+    rngs = [rng] if single else list(rng)
+    if not rngs:
+        check_dim(dim)
+        return np.empty((0,) + (resolution,) * dim)
+    raw, after = [], []
+    for r in rngs:
+        raw.append(_raw_bmo(r, dim, resolution))
+        after.append(r.bit_generator.state)
+    raw = np.stack(raw)
     norms = oscillation_norm(raw, "BMO", dim)
     for i, r in enumerate(rngs):
+        draws = 1
         while norms[i] < 1e-12:
+            if draws == 10:
+                raise DegeneracyError("BMO sample degenerated in 10 draws")
+            r.bit_generator.state = after[i]
             raw[i] = _raw_bmo(r, dim, resolution)
+            after[i] = r.bit_generator.state
             norms[i] = oscillation_norm(raw[i:i + 1], "BMO", dim)[0]
+            draws += 1
+        later = [k for k in range(i + 1, len(rngs)) if rngs[k] is r]
+        if draws > 1 and later:
+            for k in later:
+                raw[k] = _raw_bmo(r, dim, resolution)
+                after[k] = r.bit_generator.state
+            norms[later] = oscillation_norm(raw[later], "BMO", dim)
     out = raw / norms.reshape(norms.shape + (1,) * dim)
     return SampledFunction(out[0]) if single else out
 
@@ -193,6 +217,8 @@ def random_classical_atom(rng, dim: int, resolution: int):
     """Mean-zero L2-normalized bump supported on a random cube of level 2 to
     J - 2; returns (a, Q)."""
     J = int(resolution).bit_length() - 1
+    if J < 4:
+        raise ResolutionError(f"a classical atom needs N >= 16, got N = {resolution}")
     Q = random_cube(rng, dim, 2, J - 2)
     vals = cube_profile(rng, Q, resolution)
     norm = math.sqrt((vals ** 2).mean())

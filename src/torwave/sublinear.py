@@ -93,6 +93,8 @@ def window_max(a: np.ndarray, radius: int, dim: int | None = None) -> np.ndarray
     """Max over the circular box window of per-axis radius `radius` on the
     trailing `dim` axes of `a` (all by default): O(log radius) array maxima
     per axis, exact since max is idempotent and overlapping runs change nothing."""
+    if radius < 0:
+        raise DomainError(f"window radius must be >= 0, got {radius}")
     out = a
     for axis in range(-(a.ndim if dim is None else dim), 0):
         out = _axis_window_max(out, radius, axis)
@@ -107,6 +109,8 @@ def window_mean(a: np.ndarray, radius, dim: int | None = None) -> np.ndarray:
     the rows still short of their radius taking a prefix, so the rounding
     depends neither on the window's position nor on the other rows."""
     radii = np.atleast_1d(radius)
+    if np.any(radii < 0):
+        raise DomainError(f"window radius must be >= 0, got {radius}")
     if np.any(radii[1:] > radii[:-1]):
         raise DomainError("per-row window radii must be non-increasing")
     out = a if np.ndim(radius) else a[None]

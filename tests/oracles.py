@@ -18,14 +18,14 @@ from itertools import product
 import numpy as np
 
 from torwave import (AtomicDecomposition, CoefficientTree, DyadicCube, PdeltaEnvelope,
-                     SampledFunction, analyze, coarse_projection, sampled_wavelet, synthesize,
+                     SampledFunction, analyze, k_class_image, coarse_projection, sampled_wavelet, synthesize,
                      wavelet_square_function)
 from torwave.commutators import _lower_medians
 from torwave.core import frequency_grid, torus_delta
 from torwave.errors import ConfigurationError, DomainError, ShapeError
 from torwave.norms import OSCILLATION_MODES
 from torwave.operators import MATRIX_ENTRY_FLOOR
-from torwave.samples import random_cube, truncated_log
+from torwave.samples import random_classical_atom, random_cube, truncated_log
 from torwave.wavelets import band_index, coeff_index, detail_cubes, mother_wavelet, sigma_set
 
 
@@ -597,6 +597,20 @@ def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
     if norm < 1e-12:
         return random_bmo(rng, dim, resolution)
     return SampledFunction(f.values / norm)
+
+
+def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
+                  resolution: int = 512) -> float:
+    """`operators.k_class_ratio` with one `random_bmo` call per BMO sample."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(atoms):
+        a, Q = random_classical_atom(rng, dim, resolution)
+        Ta = T.apply(a)
+        for _ in range(b_samples):
+            image = k_class_image(random_bmo(rng, dim, resolution), Q, Ta)
+            worst = max(worst, float(np.abs(image.values).mean()))
+    return worst
 
 
 # -- atomic decomposition, one cube label array per threshold -----------------

@@ -1,8 +1,9 @@
 """The polyphase filter bank of `wavelets` against the per-tap roll steps in
 `oracles`, byte for byte, and every batched layer against its own rows.
 
-`_down` reads strided views of one wrap-padded copy, `_up` computes each
-output phase from the taps of matching parity, and `projection_stack` and
+`_down` reads strided views of one wrap-padded copy, `_up` sums each output
+phase as one contiguous accumulator over the taps of matching parity and
+interleaves the two phases once, and `projection_stack` and
 `coarse_projection` climb a scaling-only ladder.  They keep the oracles'
 order of adds, so every array must be identical down to the sign of zero and
 the NaN payload.
@@ -18,8 +19,9 @@ from torwave import (CoefficientTree, CommutatorDecomposition, ProductDecomposit
                      coarse_projection, commutator_parts, hardy_square, hilbert_operator,
                      paraproducts, parse_operator, projection_stack, riesz_operator,
                      s_operator, synthesize, wavelet_square_function)
-from torwave.wavelets import (_cascade, _down, _up, band_index, default_coarse_level,
-                              min_coarse_level, sigma_set)
+from torwave.core import _wrap
+from torwave.wavelets import (MAX_DAUBECHIES_ORDER, _cascade, _down, _up, band_index,
+                              default_coarse_level, min_coarse_level, sigma_set)
 
 BASES = {"haar": ("haar", 1), "db2": ("daubechies", 2), "db4": ("daubechies", 4),
          "db8": ("daubechies", 8), "db10": ("daubechies", 10)}
@@ -129,6 +131,53 @@ def test_kernels_on_non_finite_and_integer_input(name, shape, axis, bad):
     down = _down(ints, basis.filter_rows, axis)
     assert_bitwise_equal(down[0], oracles._down(ints, h, axis))
     assert_bitwise_equal(down[1], oracles._down(ints, g, axis))
+
+
+# -- the phase-major `_up` and the circular pad --------------------------------
+#
+# One case and stacks with leading shape (2, 3), along the one axis of a 1-D
+# grid and along both axes of a 2-D one.  An axis of 8 is shorter than the
+# longer filters, so their pad wraps more than once.
+
+UP_LAYOUTS = [((), (32,), -1), ((), (8, 16), -1), ((), (16, 8), -2),
+              ((2, 3), (32,), -1), ((2, 3), (8, 16), -1), ((2, 3), (16, 8), -2)]
+
+
+@pytest.mark.parametrize("lead,shape,axis", UP_LAYOUTS,
+                         ids=[f"{len(lead)}lead-{len(shape)}d-axis{axis}"
+                              for lead, shape, axis in UP_LAYOUTS])
+@pytest.mark.parametrize("order", range(1, MAX_DAUBECHIES_ORDER + 1))
+def test_up_matches_the_zero_stuffed_oracle(order, lead, shape, axis):
+    basis = build_basis("daubechies", order)
+    h, g = basis.scaling_filter, basis.detail_filter
+    rng = np.random.default_rng(order)
+    sparse = rng.choice([0.0, -0.0], (2,) + lead + shape)
+    sparse.flat[[0, -1]] = [1.5, -2.0]
+    for lo, hi in [(_values(kind, rng, lead + shape), _values(kind, rng, lead + shape))
+                   for kind in KINDS] + [tuple(sparse)]:
+        both = _up((lo, hi), basis.filter_rows, axis)
+        assert_bitwise_equal(both, oracles._up_pair(lo, hi, h, g, axis))
+        assert_bitwise_equal(_up((lo,), basis.filter_rows, axis),
+                             oracles._up_pair(lo, np.zeros_like(lo), h, g, axis))
+    # the signed zeros away from the two nonzero inputs sum to +0.0
+    zeros = both[both == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()
+
+
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+@pytest.mark.parametrize("n", [1, 5, 8])
+@pytest.mark.parametrize("axis", [-1, -2])
+def test_wrap_equals_the_modular_gather(lead, n, axis):
+    """Pads of at most n entries are concatenated slices, longer ones a
+    gather; both must give `np.take`'s bytes, -0.0 and a NaN payload kept."""
+    shape = lead + ((n, 3) if axis == -2 else (3, n))
+    a = np.random.default_rng(n).standard_normal(shape)
+    a.flat[::4] = -0.0
+    a.view(np.uint64).flat[1] = 0x7FF8000000000123
+    for before, after in [(0, 0), (0, n), (n, 0), (n, n), (1, 0), (0, 1),
+                          (n + 1, 0), (0, n + 1), (2 * n + 3, 3 * n + 1)]:
+        want = np.take(a, np.arange(-before, n + after) % n, axis=axis)
+        assert_bitwise_equal(_wrap(a, before, after, axis), want)
 
 
 # -- the leading batch axis ---------------------------------------------------

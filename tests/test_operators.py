@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainError,
-                     ShapeError, MultiplierOperator, SampledFunction,
+                     ResolutionError, ShapeError, MultiplierOperator, SampledFunction,
                      almost_diagonal_envelope_fit, analyze, fractional_integral_operator,
                      grand_maximal, hilbert_operator,
                      identity_operator, inner, k_class_ratio, p_delta,
@@ -13,6 +13,8 @@ from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainE
                      wavelet_matrix)
 from torwave.operators import WaveletMatrixOperator
 from torwave.samples import derive_rng, random_bmo, random_classical_atom, random_cube, random_h1_tree
+
+import oracles
 
 
 def test_hilbert_on_cosine():
@@ -217,6 +219,28 @@ def test_k_class_other_members_finite():
     val = k_class_ratio(riesz_operator(0, 2), atoms=3, b_samples=2, seed=2,
                         dim=2, resolution=64)
     assert 0.0 < val < np.inf
+
+
+@pytest.mark.parametrize("make, dim, N", [(hilbert_operator, 1, 256),
+                                          (lambda: riesz_operator(0, 2), 2, 32)])
+def test_k_class_ratio_equals_one_row_draws(make, dim, N):
+    """Each atom's BMO samples are one stack of `[rng] * b_samples`, equal
+    to that many one-row draws bit for bit."""
+    got = k_class_ratio(make(), atoms=3, b_samples=4, seed=6, dim=dim, resolution=N)
+    assert got == oracles.k_class_ratio(make(), atoms=3, b_samples=4, seed=6, dim=dim,
+                                        resolution=N)
+
+
+def test_typed_errors_of_the_envelope_and_k_class_family():
+    with pytest.raises(ShapeError):  # (2,) and (3,) cube arrays do not broadcast
+        p_delta(np.array([1, 2]), np.array([[0], [1]]), np.array([1, 2, 3]),
+                np.array([[0], [1], [2]]), 0.5)
+    with pytest.raises(ShapeError):  # offsets need a per-axis last axis
+        p_delta(1, 0, 1, 0, 0.5)
+    with pytest.raises(DomainError):  # a negative level
+        pdelta_composition_check(range(-1, 3), 1.0, 2)
+    with pytest.raises(ResolutionError):  # classical atoms need N >= 16
+        k_class_ratio(hilbert_operator(), 2, 2, 1, 1, 8)
 
 
 def test_matrix_transpose_swaps_keys(haar):

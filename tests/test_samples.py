@@ -3,8 +3,8 @@ import pytest
 
 import oracles
 from oracles import assert_bitwise_equal
-from torwave import (DomainError, ExperimentConfig, SampledFunction, lp_norm,
-                     oscillation_norm, validate_psi_atom)
+from torwave import (DegeneracyError, DomainError, ExperimentConfig, ResolutionError,
+                     SampledFunction, lp_norm, oscillation_norm, validate_psi_atom)
 import torwave.samples as samples
 from torwave.harness import _tree_and_bmo
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom, random_function,
@@ -164,6 +164,82 @@ def test_degenerate_draw_in_the_suite_draw(monkeypatch):
         rng = derive_rng(3, 0, ci)
         assert_bitwise_equal(trees[ci], oracles.random_h1_tree(rng, 1, 2, 7).coeffs)
         assert_bitwise_equal(bmo[ci], oracles.random_bmo(rng, 1, 128).values)
+
+
+def _constant_from(draw, poisoned, hits):
+    """`draw`, except that a draw starting from a PCG64 state in `poisoned`
+    consumes its real draw, is logged in `hits` and returns a constant field,
+    of BMO norm 0."""
+    def patched(rng, dim, resolution):
+        start = rng.bit_generator.state["state"]["state"]
+        vals = draw(rng, dim, resolution)
+        if start not in poisoned:
+            return vals
+        hits.append(start)
+        return np.full_like(vals, 3.0)
+    return patched
+
+
+# (generator of each row, stream positions of each generator's degenerate
+# draws).  With one generator, positions 0, 4 and 8 make rows 0, 3 and 6 of
+# 7 degenerate (each bad draw pushes the later rows one position on), and
+# positions 3 and 4 make row 3 degenerate twice.
+REPEATED = [((0,) * 7, {}), ((0,) * 7, {0: [0]}), ((0,) * 7, {0: [3]}),
+            ((0,) * 7, {0: [6]}), ((0,) * 7, {0: [0, 4, 8]}), ((0,) * 7, {0: [3, 4]}),
+            ((0, 1, 0, 0, 1), {0: [0, 2], 1: [1]})]
+
+
+@pytest.mark.parametrize("owners, bad", REPEATED,
+                         ids=[f"{len(set(o))}gen-bad{sorted(b.items())}" for o, b in REPEATED])
+@pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])
+def test_repeated_generators_equal_one_row_calls(monkeypatch, owners, bad, dim, N):
+    """`random_bmo([rng] * k)` gives the rows, and leaves the generator in the
+    state, of k one-row calls on `rng`, degenerate draws included: a bad row
+    is redrawn from the state its draw left, and the later rows of its
+    generator are drawn again after it."""
+    real = samples._raw_bmo
+    poisoned = set()
+    for g, positions in bad.items():
+        walk = derive_rng(40, g)
+        for pos in range(max(positions) + 1):
+            if pos in positions:
+                poisoned.add(walk.bit_generator.state["state"]["state"])
+            real(walk, dim, N)
+    hits = []
+    monkeypatch.setattr(samples, "_raw_bmo", _constant_from(real, poisoned, hits))
+    monkeypatch.setattr(oracles, "bmo_values",
+                        _constant_from(oracles.bmo_values, poisoned, hits))
+    gens = [derive_rng(40, g) for g in range(max(owners) + 1)]
+    got = random_bmo([gens[g] for g in owners], dim, N)
+    assert set(hits) == poisoned
+    for reference in (lambda r: random_bmo(r, dim, N), lambda r: oracles.random_bmo(r, dim, N)):
+        want_gens = [derive_rng(40, g) for g in range(max(owners) + 1)]
+        for row, g in zip(got, owners):
+            assert_bitwise_equal(row, reference(want_gens[g]).values)
+        assert ([r.bit_generator.state for r in gens]
+                == [r.bit_generator.state for r in want_gens])
+
+
+def test_degenerate_draws_stop_after_ten():
+    """Every BMO sample on one grid point has norm 0: the draw raises after
+    10 draws instead of redrawing forever, and an empty list draws nothing."""
+    rng, walk = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(DegeneracyError):
+        random_bmo(rng, 1, 1)
+    for _ in range(10):
+        samples._raw_bmo(walk, 1, 1)
+    assert rng.bit_generator.state == walk.bit_generator.state
+    with pytest.raises(DegeneracyError):
+        random_bmo([np.random.default_rng(1)] * 3, 2, 1)
+    assert random_bmo([], 1, 64).shape == (0, 64)
+    assert random_bmo([], 2, 16).shape == (0, 16, 16)
+
+
+def test_classical_atom_needs_sixteen_points():
+    with pytest.raises(ResolutionError):
+        random_classical_atom(np.random.default_rng(0), 1, 8)
+    a, Q = random_classical_atom(np.random.default_rng(0), 1, 16)
+    assert Q.level == 2
 
 
 def test_smooth_random_function_equals_the_uncached_spectrum():

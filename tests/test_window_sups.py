@@ -61,6 +61,15 @@ def test_stacked_window_kernels_match_per_row(dim, N):
         window_mean(stack, mixed[::-1], dim)
 
 
+def test_negative_window_radius_is_a_domain_error():
+    with pytest.raises(DomainError):
+        window_mean(np.arange(8.0), -1)
+    with pytest.raises(DomainError):  # one radius per row
+        window_mean(np.ones((2, 8)), [2, -1], 1)
+    with pytest.raises(DomainError):
+        window_max(np.arange(8.0), -1)
+
+
 @pytest.mark.parametrize("dim,N", GRIDS)
 def test_operator_apply_matches_per_kernel_loop(dim, N):
     rng = derive_rng(92, dim, N)
