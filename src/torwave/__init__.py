@@ -16,7 +16,7 @@ from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperato
                         almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_image, k_class_ratio,
                         p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
-from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area, maximal_function
+from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area
 from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square, llog_quasinorm, lp_norm,
                     norm_report, oscillation_norm, validate_atom, weak_lp_quasinorm)
 from .commutators import (AtomicDecomposition, CommutatorDecomposition, H1bReport,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field, sup_norm, sup_norms
+from .core import DyadicCube, SampledFunction, distance_field, sup_norm
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm
@@ -23,7 +23,8 @@ from .paraproducts import ProductDecomposition, paraproducts, s_operator
 from .samples import cube_profile
 from .sublinear import grand_maximal
 from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection, coeff_index,
-                       default_coarse_level, sigma_set, wavelet_square_function)
+                       default_coarse_level, detail_cubes, detail_positions, sigma_set,
+                       wavelet_square_function)
 
 # cost guard for per-evaluation-point commutators; raise these knowingly
 POINTWISE_RESOLUTION_CAP = {1: 4096, 2: 256}
@@ -87,7 +88,7 @@ def commutator_parts(b, T, f, parts: ProductDecomposition) -> CommutatorDecompos
     r_part = b_Tf - T_pi2 - T_coarse - T_pi14
     comm = b_Tf - T_bf
     return CommutatorDecomposition(r_part, s_image, comm,
-                                   sup_norms(comm - r_part - s_image, T.dim))
+                                   sup_norm(comm - r_part - s_image, T.dim))
 
 
 def _fb_split(f, b, basis: WaveletBasis, coarse_level: int | None,
@@ -278,21 +279,19 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
 
     # threshold index per coefficient cube: largest k with 2^k < lower median
     assignments = {}   # k -> list[(level, offset)]
-    for j in f.levels():
-        occupied = np.zeros((1 << j,) * f.dim, dtype=bool)
-        for s in sigma_set(f.dim):
-            occupied |= f.band(j, s) != 0.0
-        for idx in np.argwhere(occupied):
-            off = tuple(int(i) for i in idx)
-            med = float(medians[j][off])
-            if not med > 0.0:
-                raise DegeneracyError(
-                    f"square function underflows to {med} on the cube of the nonzero "
-                    f"coefficient at level {j}, offset {off}")
-            k = int(math.floor(math.log2(med)))
-            if 2.0 ** k >= med:
-                k -= 1
-            assignments.setdefault(k, []).append((j, off))
+    at = detail_positions(f.levels(), f.dim)
+    level, _, offset = detail_cubes(at[f.coeffs.take(at) != 0.0], f.coeffs.shape)
+    # each cube with a nonzero coefficient once, by level, then offset in raster order
+    for j, off in sorted(set(zip(level.tolist(), map(tuple, offset.tolist())))):
+        med = float(medians[j][off])
+        if not med > 0.0:
+            raise DegeneracyError(
+                f"square function underflows to {med} on the cube of the nonzero "
+                f"coefficient at level {j}, offset {off}")
+        k = int(math.floor(math.log2(med)))
+        if 2.0 ** k >= med:
+            k -= 1
+        assignments.setdefault(k, []).append((j, off))
 
     atoms = []
     for k in sorted(assignments):

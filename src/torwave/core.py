@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,10 +27,14 @@ class DyadicCube:
 
     def __post_init__(self):
         check_dim(self.dim)
+        try:  # integers only; numpy integers pass
+            object.__setattr__(self, "level", operator.index(self.level))
+            object.__setattr__(self, "offset", off := tuple(map(operator.index, self.offset)))
+        except TypeError:
+            raise DomainError(f"cube level and offsets must be integers, got "
+                              f"{self.level!r}, {self.offset!r}") from None
         if self.level < 0:
             raise DomainError(f"level must be >= 0, got {self.level}")
-        off = tuple(int(k) for k in self.offset)
-        object.__setattr__(self, "offset", off)
         if len(off) != self.dim:
             raise ShapeError(f"offset {off} has {len(off)} entries, dim is {self.dim}")
         top = 1 << self.level
@@ -196,6 +201,8 @@ def torus_delta(a, b):
 def distance_field(dim: int, resolution: int, center) -> np.ndarray:
     """Grid array of torus distances from each grid point to `center`."""
     c = np.atleast_1d(np.asarray(center, dtype=float))
+    if c.shape != (dim,):
+        raise ShapeError(f"center {center!r} needs {dim} entries")
     coords = grid_coordinates(dim, resolution)
     sq = np.zeros((resolution,) * dim)
     for axis in range(dim):
@@ -210,11 +217,12 @@ def inner(f: SampledFunction, g: SampledFunction) -> float:
     return float((f.values * g.values).mean())
 
 
-def sup_norm(f: SampledFunction) -> float:
-    return float(np.max(np.abs(f.values)))
-
-
-def sup_norms(values: np.ndarray, dim: int) -> np.ndarray:
-    """`sup_norm` of every grid on the trailing `dim` axes, as an array of
-    the leading shape (a max, so no summation order is involved)."""
-    return np.abs(values).reshape(values.shape[:values.ndim - dim] + (-1,)).max(axis=-1)
+def sup_norm(f, dim: int | None = None):
+    """Largest |value| of a `SampledFunction`; for an array, that of every
+    grid on its trailing `dim` axes, as an array of the leading shape (a
+    max, so no summation order is involved)."""
+    if isinstance(f, SampledFunction):
+        return float(np.max(np.abs(f.values)))
+    values = np.abs(f)
+    J = grid_level(values.shape, dim)
+    return values.reshape(values.shape[:values.ndim - dim] + (1 << J * dim,)).max(axis=-1)

@@ -25,7 +25,7 @@ import numpy as np
 from .commutators import (bilinear_decomposition, commutator_apply, commutator_parts,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)
-from .core import DyadicCube, SampledFunction, sup_norms
+from .core import DyadicCube, SampledFunction, sup_norm
 from .errors import UsageError
 from .hlf import atomic_write
 from .norms import hardy_norm, hardy_square, lp_norm, weak_lp_quasinorm
@@ -240,7 +240,7 @@ def _suite_reconstruction(cfg: ExperimentConfig):
         f = np.stack([random_function(rng, cfg.dim, N, kind="white").values
                       for rng in _case_rngs(cfg, ri)])
         g = synthesize(analyze(f, basis, j0, cfg.dim), basis, j0, cfg.dim)
-        errors, sizes = sup_norms(g - f, cfg.dim), sup_norms(f, cfg.dim)
+        errors, sizes = sup_norm(g - f, cfg.dim), sup_norm(f, cfg.dim)
         for ci in range(cfg.sample_count):
             rel = float(errors[ci]) / max(float(sizes[ci]), 1e-300)
             cases.append({"resolution": N, "case": ci, "residual_rel": rel,
@@ -267,7 +267,7 @@ def _suite_product_identity(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         ft, g = _tree_and_bmo(cfg, ri, j0, N)
         parts = paraproducts(ft, analyze(g, basis, j0, cfg.dim), basis, j0, cfg.dim)
-        fg_sup = sup_norms(synthesize(ft, basis, j0, cfg.dim) * g, cfg.dim)
+        fg_sup = sup_norm(synthesize(ft, basis, j0, cfg.dim) * g, cfg.dim)
         for ci in range(cfg.sample_count):
             residual = float(parts.residual_inf[ci])
             bound = tol * (1.0 + float(fg_sup[ci]))
@@ -313,7 +313,7 @@ def _commutator_stack(cfg: ExperimentConfig, ri: int, T, basis, j0: int, N: int)
     ft, b = _tree_and_bmo(cfg, ri, j0, N)
     f = synthesize(ft, basis, j0, cfg.dim)
     dec = bilinear_decomposition(b, T, f, basis, j0, cfg.dim)
-    return f, dec, (dec.residual_inf / (1.0 + sup_norms(dec.commutator, cfg.dim))).tolist()
+    return f, dec, (dec.residual_inf / (1.0 + sup_norm(dec.commutator, cfg.dim))).tolist()
 
 
 def _suite_commutator_identity(cfg: ExperimentConfig):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, distance_field, grid_level
 from .errors import ConfigurationError, DomainError
-from .sublinear import maximal_function
+from .sublinear import grand_maximal
 from .wavelets import (WaveletBasis, analyze, coarse_projection, default_coarse_level,
                        wavelet_square_function)
 
@@ -176,11 +176,8 @@ def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
     if mode == "H1_square":
         detail, coarse = map(float, hardy_square(f.values, basis, coarse_level, f.dim))
         return detail + coarse
-    if mode == "H1_maximal":
-        return lp_norm(maximal_function(f, local=False), 1.0)
-    if mode == "h1":
-        return lp_norm(maximal_function(f, local=True), 1.0)
-    return llog_quasinorm(maximal_function(f, local=False))
+    M = grand_maximal(f.dim, f.resolution).apply(f, local=mode == "h1")
+    return llog_quasinorm(M) if mode == "Hlog" else lp_norm(M, 1.0)
 
 
 def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = None,

@@ -24,8 +24,8 @@ from .core import DyadicCube, SampledFunction, frequency_grid, grid_level, torus
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
                      ShapeError)
 from .samples import random_bmo, random_classical_atom, random_cube
-from .wavelets import (CoefficientTree, WaveletBasis, _circular_shifts, analyze, band_index,
-                       detail_cubes, mother_wavelet, sigma_set)
+from .wavelets import (CoefficientTree, WaveletBasis, _circular_shifts, analyze,
+                       detail_cubes, detail_positions, mother_wavelet, sigma_set)
 
 MATRIX_ENTRY_FLOOR = 1e-14
 
@@ -212,9 +212,7 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
     J = int(resolution).bit_length() - 1
     if levels.stop > J or levels.start < 0 or len(levels) == 0:
         raise ResolutionError(f"level range {levels} incompatible with resolution {resolution}")
-    flat = np.arange(1 << (levels.stop * dim)).reshape((1 << levels.stop,) * dim)
-    index = np.concatenate([flat[band_index(j, s)].ravel()
-                            for j in levels for s in sigma_set(dim)])
+    index = detail_positions(levels, dim)
     # the wavelets of one band, cube offsets in raster order as in `index`:
     # the mother wavelet rolled by offset * N / 2^j cells, as `sampled_wavelet` does
     psi = np.concatenate([
@@ -222,7 +220,7 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
                          np.indices((1 << j,) * dim).reshape(dim, -1).T << (J - j))
         for j in levels for s in sigma_set(dim)])
     coeffs = analyze(op.apply(psi), basis, levels.start, dim)
-    block = coeffs[(slice(None),) + np.unravel_index(index, flat.shape)]
+    block = coeffs[(slice(None),) + np.unravel_index(index, (1 << levels.stop,) * dim)]
     rows, cols = np.nonzero(np.abs(block) >= MATRIX_ENTRY_FLOOR)
     return WaveletMatrixOperator(getattr(op, "name", "op"), dim, levels,
                                  index[rows], index[cols], block[rows, cols])

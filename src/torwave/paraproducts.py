@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SampledFunction, grid_level, sup_norm, sup_norms
+from .core import SampledFunction, grid_level, sup_norm
 from .errors import ShapeError
 from .wavelets import (CoefficientTree, WaveletBasis, _require_valid_levels, band_index,
                        mother_wavelet, projection_stack, same_layout, sigma_set)
@@ -101,7 +101,7 @@ def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
         pi3 += diag
         pi4 += Qf * Qg - diag
     coarse = Pf[j0] * Pg[j0]
-    residual = sup_norms(Pf[J] * Pg[J] - (pi1 + pi2 + pi3 + pi4 + coarse), dim)
+    residual = sup_norm(Pf[J] * Pg[J] - (pi1 + pi2 + pi3 + pi4 + coarse), dim)
     parts = (pi1, pi2, pi3, pi4, coarse)
     if single:
         return ProductDecomposition(*map(SampledFunction, parts), float(residual))

@@ -63,6 +63,8 @@ def random_tree(rng, dim: int, coarse_level: int, finest_level: int) -> Coeffici
 
 
 def random_cube(rng, dim: int, level_low: int, level_high: int) -> DyadicCube:
+    if level_low > level_high:
+        raise ResolutionError(f"no cube level from {level_low} up to {level_high}")
     level = int(rng.integers(level_low, level_high + 1))
     offset = tuple(int(rng.integers(0, 1 << level)) for _ in range(dim))
     return DyadicCube(dim, level, offset)
@@ -228,15 +230,15 @@ def random_classical_atom(rng, dim: int, resolution: int):
 def two_sided_atom(resolution: int, width: float, edge: float = 0.5) -> SampledFunction:
     """Two-block mean-zero infinity-atom of total width `width` starting at `edge`.
 
-    The two oppositely signed blocks sit on one side of `edge`; paired with a
-    logarithm singular at `edge` the atom keeps a nonzero weighted integral,
-    which symmetric placement would cancel by parity.
+    The two oppositely signed blocks sit circularly on one side of `edge`;
+    paired with a logarithm singular at `edge` the atom keeps a nonzero
+    weighted integral, which symmetric placement would cancel by parity.
+    DomainError for a width below the grid scale, or above 1 (blocks overlap).
     """
-    half = int(round(width * resolution / 2.0))
+    half = int(round(width * resolution / 2.0)) if width <= 1.0 else 0
     if half < 1:
-        raise DomainError(f"width {width} below the grid scale")
-    c = int(round(edge * resolution))
+        raise DomainError(f"width {width} is below the grid scale or above 1")
+    at = (int(round(edge * resolution)) + np.arange(2 * half)) % resolution
     vals = np.zeros(resolution)
-    vals[c:c + half] = 1.0
-    vals[c + half:c + 2 * half] = -1.0
+    vals[at] = np.repeat([1.0, -1.0], half)
     return SampledFunction(vals / width)

@@ -390,16 +390,11 @@ class GrandMaximal(_GridOperator):
             out += _bump(np.sqrt(functools.reduce(np.add.outer, square)) / t, width, power)
         return amp * out / t ** dim
 
-    def _scale_set(self, local: bool):
-        ts = [t for t in self.scales if (t < 1.0 if local else True)]
-        if not ts:
-            raise ConfigurationError("no scales under 1 available for the local variant")
-        return ts
-
     def _field_groups(self, values: np.ndarray, local: bool):
         """(radius, fields) per window-radius group: fields[i][k] is values[i]
         convolved with the group's k-th kernel, one inverse FFT per input."""
-        self._scale_set(local)
+        if local and not self._local_rows:
+            raise ConfigurationError("no scales under 1 available for the local variant")
         spectra = np.fft.fftn(values, axes=self._axes)
         radii = self._radii[:self._local_rows if local else None]
         starts = np.flatnonzero(np.diff(radii, prepend=-1)).tolist()
@@ -523,8 +518,3 @@ def grand_maximal(dim: int, resolution: int) -> GrandMaximal:
 @functools.cache
 def lusin_area(dim: int, resolution: int) -> LusinArea:
     return LusinArea(dim, resolution)
-
-
-def maximal_function(f: SampledFunction, local: bool = False) -> SampledFunction:
-    """Grand maximal function of f (sup restricted to scales < 1 when local)."""
-    return grand_maximal(f.dim, f.resolution).apply(f, local=local)

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -280,6 +280,14 @@ def coeff_index(cube: DyadicCube, sigma) -> tuple:
     return tuple((s << cube.level) + k for s, k in zip(sigma, cube.offset))
 
 
+def detail_positions(levels: range, dim: int) -> np.ndarray:
+    """Flat positions of every detail coefficient of `levels` in a
+    (2^levels.stop,)*dim coefficient array, band by band: levels ascending,
+    sigma in `sigma_set` order, and the offsets of a band in raster order."""
+    flat = np.arange(1 << (levels.stop * dim)).reshape((1 << levels.stop,) * dim)
+    return np.concatenate([flat[band_index(j, s)].ravel() for j in levels for s in sigma_set(dim)])
+
+
 def detail_cubes(flat, shape: tuple) -> tuple:
     """(level, sigma, offset) arrays of the detail coefficients at flat
     positions of a coefficient array of `shape`, inverting `coeff_index`: on
@@ -365,13 +373,12 @@ class CoefficientTree:
         return float(self.band(cube.level, sigma)[cube.offset])
 
     def iter_details(self):
-        """Yield (cube, sigma, value) of every nonzero detail, in fixed order."""
-        for j in self.levels():
-            for s in sigma_set(self.dim):
-                arr = self.band(j, s)
-                for idx in np.argwhere(np.abs(arr) > 0.0):
-                    off = tuple(int(i) for i in idx)
-                    yield DyadicCube(self.dim, j, off), s, float(arr[off])
+        """Yield (cube, sigma, value) of every nonzero detail, in `detail_positions` order."""
+        at = detail_positions(self.levels(), self.dim)
+        at = at[np.abs(self.coeffs.take(at)) > 0.0]
+        cubes = (a.tolist() for a in detail_cubes(at, self.coeffs.shape))
+        for j, s, k, v in zip(*cubes, self.coeffs.take(at).tolist()):
+            yield DyadicCube(self.dim, j, tuple(k)), tuple(s), v
 
     def energy(self) -> float:
         total = float(np.sum(self.scaling ** 2))
@@ -625,24 +632,13 @@ def validate_psi_atom(tree: CoefficientTree, R: DyadicCube) -> PsiAtomCheck:
     l2 = math.sqrt(tree.detail_energy())
     zero_tol = 1e-12 * (1.0 + l2)
     scaling_max = float(np.max(np.abs(tree.scaling))) if tree.scaling.size else 0.0
-    bad = []
-    for j in tree.levels():
-        inside = _inside_mask(tree.dim, j, R)
-        for s in sigma_set(tree.dim):
-            hit = np.abs(tree.band(j, s)) > zero_tol
-            if inside is not None:
-                hit &= ~inside
-            for idx in np.argwhere(hit):
-                bad.append(DyadicCube(tree.dim, j, tuple(int(i) for i in idx)))
+    at = detail_positions(tree.levels(), tree.dim)
+    level, _, offset = detail_cubes(at[np.abs(tree.coeffs.take(at)) > zero_tol], tree.coeffs.shape)
+    # a cube lies in R iff it is at least as fine and R is its ancestor
+    outside = (level < R.level) | np.any(
+        offset >> np.maximum(level - R.level, 0)[:, None] != R.offset, axis=-1)
+    bad = [DyadicCube(tree.dim, j, tuple(k))
+           for j, k in zip(level[outside].tolist(), offset[outside].tolist())]
     budget = R.measure ** -0.5 * (1.0 + 1e-10)
     ok = (not bad) and scaling_max <= zero_tol and l2 <= budget
     return PsiAtomCheck(ok, l2, budget, tuple(bad), 0.0 if scaling_max <= zero_tol else scaling_max)
-
-
-def _inside_mask(dim: int, level: int, R: DyadicCube):
-    """Boolean array over level-`level` offsets marking cubes contained in R."""
-    if level < R.level:
-        return np.zeros((1 << level,) * dim, dtype=bool)
-    shift = level - R.level
-    axes = [(np.arange(1 << level) >> shift) == k for k in R.offset]
-    return reduce(np.logical_and.outer, axes)

@@ -7,11 +7,12 @@ kernels after them take one `np.roll` per tap or shift, the sublinear
 operators one kernel or height at a time, the envelope machinery keys
 wavelet-matrix entries by cube pairs and evaluates `p_delta` one pair at a
 time, the samplers draw one case at a time, one coefficient tree per atom
-and one norm call per BMO sample, and the atomic decomposition finds each
-atom's cube through a grid of cube labels; the production code must match
-them bit for bit.
+and one norm call per BMO sample, the atomic decomposition finds each
+atom's cube through a grid of cube labels, and the cube lists of a tree are
+scanned band by band; the production code must match them bit for bit.
 """
 
+import functools
 import math
 from itertools import product
 
@@ -269,7 +270,8 @@ def maximal_apply(op, f: SampledFunction, local: bool = False) -> SampledFunctio
     """`GrandMaximal.apply` one kernel at a time, with the shift-loop `window_max`."""
     from torwave.sublinear import _window_radius
     op._check(f)
-    op._scale_set(local)
+    if local and not op._local_rows:
+        raise ConfigurationError("no scales under 1 available for the local variant")
     out = np.zeros_like(f.values)
     for t, u in _kernel_fields(op, np.fft.fftn(f.values), local):
         np.maximum(out, window_max(np.abs(u), _window_radius(t, op.resolution)), out=out)
@@ -287,7 +289,8 @@ def pointwise_shifted(self, b: SampledFunction, f: SampledFunction,
     self._check(f)
     if b.values.shape != f.values.shape or h.values.shape != f.values.shape:
         raise ShapeError("mismatched resolutions")
-    self._scale_set(local)
+    if local and not self._local_rows:
+        raise ConfigurationError("no scales under 1 available for the local variant")
     F = np.fft.fftn(f.values)
     H = np.fft.fftn(h.values)
     bv = b.values
@@ -667,3 +670,36 @@ def atomic_decompose(f: CoefficientTree, basis) -> AtomicDecomposition:
             atoms.append((lam, CoefficientTree(packet, f.coarse_level) * (1.0 / lam), R))
     return AtomicDecomposition(tuple(atoms), float(sum(lam for lam, _, _ in atoms)),
                                coarse_l1 > 1e-8 * (1.0 + detail_l1), coarse_l1)
+
+
+# -- cube lists, one band at a time ------------------------------------------
+
+def iter_details(tree: CoefficientTree):
+    """`CoefficientTree.iter_details` by a per-band `np.argwhere` scan."""
+    for j in tree.levels():
+        for s in sigma_set(tree.dim):
+            arr = tree.band(j, s)
+            for idx in np.argwhere(np.abs(arr) > 0.0):
+                off = tuple(int(i) for i in idx)
+                yield DyadicCube(tree.dim, j, off), s, float(arr[off])
+
+
+def _inside_mask(dim: int, level: int, R: DyadicCube) -> np.ndarray:
+    """Boolean array over level-`level` offsets marking cubes contained in R."""
+    if level < R.level:
+        return np.zeros((1 << level,) * dim, dtype=bool)
+    axes = [(np.arange(1 << level) >> (level - R.level)) == k for k in R.offset]
+    return functools.reduce(np.logical_and.outer, axes)
+
+
+def psi_atom_bad_cubes(tree: CoefficientTree, R: DyadicCube) -> tuple:
+    """`validate_psi_atom(tree, R).bad_cubes`: per band, the coefficients
+    above the zero tolerance off a mask of the level's cubes inside R."""
+    zero_tol = 1e-12 * (1.0 + math.sqrt(tree.detail_energy()))
+    bad = []
+    for j in tree.levels():
+        inside = _inside_mask(tree.dim, j, R)
+        for s in sigma_set(tree.dim):
+            for idx in np.argwhere((np.abs(tree.band(j, s)) > zero_tol) & ~inside):
+                bad.append(DyadicCube(tree.dim, j, tuple(int(i) for i in idx)))
+    return tuple(bad)

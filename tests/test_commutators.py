@@ -6,7 +6,7 @@ import pytest
 import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
-                     DyadicCube, MultiplierOperator, SampledFunction, analyze,
+                     DyadicCube, MultiplierOperator, SampledFunction, ShapeError, analyze,
                      atomic_decompose, bilinear_decomposition, commutator_apply,
                      commutator_parts, fractional_integral_operator,
                      h1b_characterizations, hilbert_operator, lp_norm, make_qb_atom,
@@ -339,6 +339,13 @@ def test_molecule_rejects_nonzero_mean():
         molecule_norm(SampledFunction(np.ones(128)), 0.25, (0.0,))
     with pytest.raises(DomainError):
         molecule_norm(SampledFunction(np.zeros(128)), 0.75, (0.0,))
+
+
+def test_molecule_center_has_dim_entries():
+    g = SampledFunction(np.outer([1.0, -1.0] * 4, np.ones(8)))
+    for y0 in [(0.5,), (0.5, 0.5, 0.5)]:
+        with pytest.raises(ShapeError):
+            molecule_norm(g, 0.25, y0)
 
 
 def test_molecule_uniform_over_atoms():

@@ -156,6 +156,25 @@ def test_suites_reject_unusable_operators(suite, operator):
         run_suite(cfg)
 
 
+OPERATOR_SPECS = ["identity", "hilbert", "riesz1", "riesz2", "ifrac:0.5", "maximal", "lusin"]
+
+
+@pytest.mark.parametrize("N", [2, 4, 8, 16, 32])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("suite", harness.SUITES)
+def test_every_suite_at_small_resolutions_reports_or_raises_a_typed_error(suite, dim, N):
+    specs = OPERATOR_SPECS if suite in ("commutator_identity", "sandwich") else [None]
+    for spec in specs:
+        operator = {} if spec is None else {"operator": spec}
+        cfg = ExperimentConfig(suite=suite, resolutions=[N], sample_count=2, dim=dim,
+                               **operator)
+        try:
+            report = run_suite(cfg)
+        except TorwaveError:
+            continue
+        assert isinstance(report, ExperimentReport) and isinstance(report.passed, bool)
+
+
 def test_commutator_identity_runs_riesz1_in_the_config_dim():
     # in one dimension the first Riesz transform is the Hilbert transform
     def residuals(operator):
@@ -473,6 +492,14 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys, text):
     assert cli_main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_cli_run_h1b_equivalence_without_cube_levels_exits_2(tmp_path, capsys):
+    # at N = 8 the random cubes would need a level from j0 = 2 up to J - 2 = 1
+    cfg = _write_config(tmp_path, suite="h1b_equivalence", resolutions=[8], sample_count=1)
+    assert cli_main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and "up to 1" in err
 
 
 def test_cli_decompose_underflow_exits_2(tmp_path, capsys):

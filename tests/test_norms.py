@@ -10,11 +10,33 @@ from oracles import assert_bitwise_equal
 from torwave import (ConfigurationError, DomainError, DyadicCube,
                      SampledFunction, build_basis, distance_field, hardy_norm,
                      hardy_square, llog_quasinorm, lp_norm, norm_report,
-                     oscillation_norm, synthesize,
+                     oscillation_norm, sup_norm, synthesize,
                      validate_atom, weak_lp_quasinorm)
-from torwave.errors import ShapeError
+from torwave.errors import ShapeError, TorwaveError
 from torwave.norms import OSCILLATION_MODES
 from torwave.samples import derive_rng, random_function, random_psi_atom
+
+
+@pytest.mark.parametrize("dim, shape", [(1, (64,)), (1, (3, 64)), (2, (2, 3, 16, 16)),
+                                        (2, (0, 8, 8))])
+def test_sup_norm_of_a_stack_is_the_one_case_values(dim, shape):
+    values = derive_rng(50).standard_normal(shape)
+    grids = values.reshape((-1,) + shape[len(shape) - dim:])
+    want = np.reshape([sup_norm(SampledFunction(g)) for g in grids], shape[:len(shape) - dim])
+    assert_bitwise_equal(sup_norm(values, dim), want)
+
+
+@pytest.mark.parametrize("dim, shape", [(None, (2, 8)), (3, (2, 8)), (1, (2, 6)),
+                                        (2, (4, 8))])
+def test_sup_norm_of_an_array_needs_its_grid_dim(dim, shape):
+    with pytest.raises(TorwaveError):
+        sup_norm(np.zeros(shape), dim)
+
+
+@pytest.mark.parametrize("dim, center", [(2, (0.5,)), (1, (0.5, 0.5)), (2, (0.1, 0.2, 0.3))])
+def test_distance_field_center_has_dim_entries(dim, center):
+    with pytest.raises(ShapeError):
+        distance_field(dim, 8, center)
 
 
 def test_lp_of_constant_one():

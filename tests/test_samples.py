@@ -4,7 +4,8 @@ import pytest
 import oracles
 from oracles import assert_bitwise_equal
 from torwave import (DegeneracyError, DomainError, ExperimentConfig, ResolutionError,
-                     SampledFunction, lp_norm, oscillation_norm, validate_psi_atom)
+                     SampledFunction, ShapeError, lp_norm, oscillation_norm,
+                     validate_psi_atom)
 import torwave.samples as samples
 from torwave.harness import _tree_and_bmo
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom, random_function,
@@ -57,6 +58,30 @@ def test_two_sided_atom_shape():
     assert lp_norm(a, np.inf) == 2.0 ** 4
     with pytest.raises(DomainError):
         two_sided_atom(64, 1.0 / 256)
+
+
+def test_two_sided_atom_wraps_around_the_torus():
+    # blocks that run past the end of the grid continue at its start
+    for width, edge in [(1.0, 0.5), (0.5, 0.9), (2.0 ** -3, 0.95)]:
+        a = two_sided_atom(64, width, edge)
+        assert a.integral() == 0.0
+        assert_bitwise_equal(a.values, np.roll(two_sided_atom(64, width, 0.0).values,
+                                               round(edge * 64)))
+    for width in [1.5, np.inf, np.nan]:
+        with pytest.raises(DomainError):
+            two_sided_atom(64, width)
+
+
+def test_random_cube_needs_a_level_range():
+    with pytest.raises(ResolutionError, match="from 3 up to 1"):
+        samples.random_cube(derive_rng(0), 1, 3, 1)
+    assert samples.random_cube(derive_rng(0), 2, 3, 3).level == 3
+
+
+def test_truncated_log_center_has_dim_entries():
+    for dim, center in [(2, (0.5,)), (1, (0.5, 0.5)), (1, ())]:
+        with pytest.raises(ShapeError):
+            truncated_log(dim, 8, center)
 
 
 def test_truncated_log_is_finite():

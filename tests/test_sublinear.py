@@ -5,14 +5,13 @@ import pytest
 
 from oracles import assert_bitwise_equal, pointwise_commutator_naive
 from torwave import (ConfigurationError, DomainError, GrandMaximal, LusinArea,
-                     SampledFunction, distance_field, grand_maximal, lusin_area,
-                     maximal_function)
+                     SampledFunction, distance_field, grand_maximal, lusin_area)
 from torwave.samples import derive_rng, random_bmo, random_function, two_sided_atom
 from torwave.sublinear import _BUMP_SHAPES, _bump, _bump_amplitude
 
 
 def test_maximal_of_zero():
-    out = maximal_function(SampledFunction(np.zeros(128)))
+    out = grand_maximal(1, 128).apply(SampledFunction(np.zeros(128)))
     assert np.all(out.values == 0.0)
 
 
@@ -24,7 +23,7 @@ def test_local_below_global(rng):
     M = op.apply(f, local=False)
     m = op.apply(f, local=True)
     assert np.all(m.values <= M.values)
-    assert set(op._scale_set(True)) < set(op._scale_set(False))
+    assert 0 < op._local_rows < len(op._kernel_scales)
 
 
 def test_maximal_dominates_scaled_pointwise_values():

@@ -14,9 +14,11 @@ from torwave import (CoefficientTree, ConfigurationError, DomainError, DyadicCub
                      default_coarse_level, hardy_norm, lp_norm, min_coarse_level,
                      sampled_wavelet, synthesize, validate_psi_atom,
                      wavelet_square_function)
-from torwave.samples import derive_rng, random_psi_atom, random_tree
+from torwave.samples import (derive_rng, random_cube, random_function, random_h1_tree,
+                             random_psi_atom, random_tree)
 from torwave.wavelets import MAX_DAUBECHIES_ORDER, band_index, mother_wavelet, sigma_set
 
+import oracles
 from oracles import assert_bitwise_equal, daubechies_residuals, literal_detail_coefficients
 
 ALL_BASES = [("haar", 1), ("daubechies", 2), ("daubechies", 4),
@@ -235,6 +237,45 @@ def test_psi_atom_validation_cases(rng):
     # independent summation of the coefficient budget
     total = float(np.sum(atom.coeffs ** 2))
     assert math.sqrt(total) <= R2.measure ** -0.5 * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)])
+@pytest.mark.parametrize("kind", ["psi", "h1", "white"])
+def test_cube_lists_match_the_per_band_scans(kind, dim, J):
+    """`iter_details` and `validate_psi_atom`'s bad cubes, both read from the
+    one cube list, against per-band scans, for cubes R coarser than, equal
+    to and finer than the tree's cubes."""
+    for seed in range(4):
+        rng = derive_rng(49, dim, seed)
+        if kind == "psi":
+            tree, R = random_psi_atom(rng, dim, 2, J)
+        elif kind == "h1":
+            tree, R = random_h1_tree(rng, dim, 2, J), random_cube(rng, dim, 2, J - 2)
+        else:
+            white = random_function(rng, dim, 1 << J, kind="white")
+            tree, R = analyze(white, build_basis("haar", 1), 2), random_cube(rng, dim, 2, J - 2)
+        details = list(tree.iter_details())
+        assert details == list(oracles.iter_details(tree))
+        assert all(type(v) is float and type(s) is tuple for _, s, v in details)
+        for cube in (DyadicCube(dim, 0, (0,) * dim),
+                     DyadicCube(dim, R.level - 1, tuple(k >> 1 for k in R.offset)), R,
+                     DyadicCube(dim, R.level + 1, tuple(2 * k + 1 for k in R.offset)),
+                     DyadicCube(dim, J, (0,) * dim)):
+            assert validate_psi_atom(tree, cube).bad_cubes \
+                == oracles.psi_atom_bad_cubes(tree, cube)
+
+
+@pytest.mark.parametrize("level, offset", [(2, (1.5,)), (2, ("1",)), (2.5, (1,)),
+                                           (2, None), (None, (1,))])
+def test_cube_level_and_offsets_are_integers(level, offset):
+    with pytest.raises(DomainError):
+        DyadicCube(1, level, offset)
+
+
+def test_cube_takes_numpy_integers():
+    cube = DyadicCube(2, np.int64(3), np.array([1, 7]))
+    assert cube == DyadicCube(2, 3, (1, 7))
+    assert type(cube.level) is int and all(type(k) is int for k in cube.offset)
 
 
 def test_square_function_of_atom_has_unit_l1_budget(rng):
