@@ -17,8 +17,8 @@ from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperato
                         hilbert_operator, identity_operator, k_class_image, k_class_ratio,
                         p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
 from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area
-from .norms import (AtomCheck, NormReport, hardy_norm, hardy_square, llog_quasinorm, lp_norm,
-                    norm_report, oscillation_norm, validate_atom, weak_lp_quasinorm)
+from .norms import (AtomCheck, NormReport, hardy_norm, llog_quasinorm, lp_norm, norm_report,
+                    oscillation_norm, validate_atom, weak_lp_quasinorm)
 from .commutators import (AtomicDecomposition, CommutatorDecomposition, H1bReport,
                           SubbilinearEnvelope, atomic_decompose, bilinear_decomposition,
                           commutator_apply, commutator_parts, h1b_characterizations,

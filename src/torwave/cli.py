@@ -15,7 +15,7 @@ from .commutators import atomic_decompose, make_qb_atom
 from .core import DyadicCube
 from .errors import TorwaveError, UsageError
 from .harness import ExperimentConfig, emit_report, parse_report, run_suite
-from .hlf import read_hlf, write_hlf
+from .hlf import atomic_write, read_hlf, write_hlf
 from .norms import norm_report, validate_atom
 from .samples import derive_rng, random_psi_atom
 from .wavelets import analyze, build_basis, default_coarse_level, synthesize, validate_psi_atom
@@ -68,8 +68,8 @@ def _cmd_norms(args) -> int:
     for r in reports:
         print(f"{r.space:<{width}}  {r.value:>24.17g}  {r.method}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump([dataclasses.asdict(r) for r in reports], fh, indent=2, sort_keys=True)
+        atomic_write(args.out, json.dumps([dataclasses.asdict(r) for r in reports],
+                                          indent=2, sort_keys=True))
         print(f"norm reports written to {args.out}")
     return 0
 
@@ -96,8 +96,7 @@ def _cmd_decompose(args) -> int:
         for i, (lam, tree_i, R) in enumerate(deco.atoms):
             blocks.append(f"# atom {i} lambda={lam:.17g} cube={R.key()}")
             blocks.append(_atom_triplets(tree_i))
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(blocks) + "\n")
+        atomic_write(args.out, "\n".join(blocks) + "\n")
         print(f"atom triplets written to {args.out}")
     return 0 if valid else 1
 

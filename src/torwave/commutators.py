@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field, sup_norm
+from .core import DyadicCube, SampledFunction, distance_field, grid_cases, sup_norm
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm
@@ -109,9 +109,8 @@ def bilinear_decomposition(b, T, f, basis: WaveletBasis, coarse_level: int | Non
     the analyzed f and b; see `commutator_parts`.  A `CommutatorDecomposition`
     of one case for two SampledFunctions, or of every case for two stacks of
     grids on their trailing `dim` axes."""
-    single = isinstance(f, SampledFunction)
-    if single:
-        b, f, dim = b.values, f.values, f.dim
+    f, dim, _, single = grid_cases(f, dim)
+    b = b.values if single else b
     dec = commutator_parts(b, T, f, _fb_split(f, b, basis, coarse_level, dim))
     if single:
         fields = dec.R_part, dec.S_image, dec.commutator

@@ -151,6 +151,19 @@ def grid_level(shape: tuple, dim: int) -> int:
     return n.bit_length() - 1
 
 
+def grid_cases(f, dim: int | None = None) -> tuple[np.ndarray, int, int, bool]:
+    """(values, dim, J, single) of one case, a `SampledFunction`, or of a
+    stack, an array of grids on its trailing `dim` axes.  A layer that takes
+    one case only calls it without a dim, so an array is a ShapeError there."""
+    if isinstance(f, SampledFunction):
+        return f.values, f.dim, f.finest_level, True
+    if dim is None:
+        raise ShapeError("an array is a stack of grids and needs their dim; "
+                         "one case is a SampledFunction")
+    values = np.asarray(f, dtype=float)
+    return values, dim, grid_level(values.shape, dim), False
+
+
 def _along(axis: int, index) -> tuple:
     """Index tuple applying `index` on the negative `axis` and taking
     everything elsewhere."""
@@ -221,8 +234,6 @@ def sup_norm(f, dim: int | None = None):
     """Largest |value| of a `SampledFunction`; for an array, that of every
     grid on its trailing `dim` axes, as an array of the leading shape (a
     max, so no summation order is involved)."""
-    if isinstance(f, SampledFunction):
-        return float(np.max(np.abs(f.values)))
-    values = np.abs(f)
-    J = grid_level(values.shape, dim)
-    return values.reshape(values.shape[:values.ndim - dim] + (1 << J * dim,)).max(axis=-1)
+    values, dim, J, single = grid_cases(f, dim)
+    top = np.abs(values).reshape(values.shape[:values.ndim - dim] + (1 << J * dim,)).max(axis=-1)
+    return float(top) if single else top

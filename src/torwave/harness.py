@@ -28,7 +28,7 @@ from .commutators import (bilinear_decomposition, commutator_apply, commutator_p
 from .core import DyadicCube, SampledFunction, sup_norm
 from .errors import UsageError
 from .hlf import atomic_write
-from .norms import hardy_norm, hardy_square, lp_norm, weak_lp_quasinorm
+from .norms import hardy_norm, lp_norm, weak_lp_quasinorm
 from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
                         hilbert_operator, identity_operator, k_class_image, k_class_ratio,
                         p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
@@ -240,11 +240,9 @@ def _suite_reconstruction(cfg: ExperimentConfig):
         f = np.stack([random_function(rng, cfg.dim, N, kind="white").values
                       for rng in _case_rngs(cfg, ri)])
         g = synthesize(analyze(f, basis, j0, cfg.dim), basis, j0, cfg.dim)
-        errors, sizes = sup_norm(g - f, cfg.dim), sup_norm(f, cfg.dim)
-        for ci in range(cfg.sample_count):
-            rel = float(errors[ci]) / max(float(sizes[ci]), 1e-300)
-            cases.append({"resolution": N, "case": ci, "residual_rel": rel,
-                          "ok": rel <= tol})
+        rels = sup_norm(g - f, cfg.dim) / np.maximum(sup_norm(f, cfg.dim), 1e-300)
+        cases += [{"resolution": N, "case": ci, "residual_rel": rel, "ok": rel <= tol}
+                  for ci, rel in enumerate(rels.tolist())]
     worst = _sup([case["residual_rel"] for case in cases])
     return (cases, {"max_residual_rel": worst, "tolerance": tol},
             [Gate("max_residual_rel", worst, tol, "<=")])
@@ -267,13 +265,10 @@ def _suite_product_identity(cfg: ExperimentConfig):
     for ri, N in enumerate(cfg.resolutions):
         ft, g = _tree_and_bmo(cfg, ri, j0, N)
         parts = paraproducts(ft, analyze(g, basis, j0, cfg.dim), basis, j0, cfg.dim)
-        fg_sup = sup_norm(synthesize(ft, basis, j0, cfg.dim) * g, cfg.dim)
-        for ci in range(cfg.sample_count):
-            residual = float(parts.residual_inf[ci])
-            bound = tol * (1.0 + float(fg_sup[ci]))
-            cases.append({"resolution": N, "case": ci,
-                          "residual_inf": residual, "bound": bound,
-                          "ok": residual <= bound})
+        bounds = tol * (1.0 + sup_norm(synthesize(ft, basis, j0, cfg.dim) * g, cfg.dim))
+        cases += [{"resolution": N, "case": ci, "residual_inf": residual, "bound": bound,
+                   "ok": residual <= bound} for ci, (residual, bound)
+                  in enumerate(zip(parts.residual_inf.tolist(), bounds.tolist()))]
     worst = _sup([c["residual_inf"] / c["bound"] for c in cases])
     return (cases, {"worst_residual_over_bound": worst, "tolerance": tol},
             [Gate("worst_residual_over_bound", worst, 1.0, "<=")])
@@ -369,20 +364,16 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
         remainder = commutator_parts(b, H, f, parts).R_part
         antis = s_operator(analyze(H.apply(f), basis, j0, dim), bt, basis, j0, dim) \
             - s_operator(ft, analyze(H_adjoint.apply(b), basis, j0, dim), basis, j0, dim)
-        # hardy_norm(., "H1_square") of every case: detail + coarse mass
-        h1, h1_pi4, h1_antis = (np.add(*hardy_square(v, basis, j0, dim))
-                                for v in (f, parts.pi4, antis))
-        rows = []
-        for ci in range(cfg.sample_count):
-            base = max(float(h1[ci]) * 1.0, 1e-300)  # b has unit oscillation norm
-            rows.append({
-                "ratio_s": lp_norm(SampledFunction(parts.pi3[ci] * -1.0), 1.0) / base,
-                "ratio_remainder": lp_norm(SampledFunction(remainder[ci]), 1.0) / base,
-                "ratio_pi4": float(h1_pi4[ci]) / base,
-                "ratio_antisym": float(h1_antis[ci]) / base,
-            })
-            cases.append({"resolution": N, "case": ci, **rows[-1]})
-        sups = {k: _sup([row[k] for row in rows]) for k in rows[0]}
+        # b has unit oscillation norm; S(f,b) = -pi3 has the L1 norm of pi3
+        base = np.maximum(hardy_norm(f, "H1_square", basis, j0, dim), 1e-300)
+        ratios = {k: (v / base).tolist() for k, v in [
+            ("ratio_s", lp_norm(parts.pi3, 1.0, dim)),
+            ("ratio_remainder", lp_norm(remainder, 1.0, dim)),
+            ("ratio_pi4", hardy_norm(parts.pi4, "H1_square", basis, j0, dim)),
+            ("ratio_antisym", hardy_norm(antis, "H1_square", basis, j0, dim))]}
+        cases += [{"resolution": N, "case": ci, **dict(zip(ratios, row))}
+                  for ci, row in enumerate(zip(*ratios.values()))]
+        sups = {k: _sup(column) for k, column in ratios.items()}
         kh = k_class_ratio(H, atoms=max(cfg.sample_count // 5, 4), b_samples=5,
                            seed=cfg.root_seed + ri, dim=dim, resolution=N)
         ks = k_class_ratio(lusin_area(dim, N), atoms=max(cfg.sample_count // 5, 4),
@@ -537,14 +528,12 @@ def _suite_fractional(cfg: ExperimentConfig):
     sups = {}
     for ri, N in enumerate(cfg.resolutions):
         f, dec, rels = _commutator_stack(cfg, ri, T, basis, j0, N)
-        h1 = np.add(*hardy_square(f, basis, j0, cfg.dim))
-        ratios = []
-        for ci, rel in enumerate(rels):
-            ratios.append(lp_norm(SampledFunction(dec.R_part[ci]), p) / max(float(h1[ci]), 1e-300))
-            cases.append({"resolution": N, "case": ci, "residual_rel": rel,
-                          "weak_quasinorm": weak_lp_quasinorm(
-                              SampledFunction(dec.commutator[ci]), p),
-                          "remainder_ratio": ratios[-1], "ok": rel <= tol})
+        h1 = hardy_norm(f, "H1_square", basis, j0, cfg.dim)
+        ratios = (lp_norm(dec.R_part, p, cfg.dim) / np.maximum(h1, 1e-300)).tolist()
+        weak = weak_lp_quasinorm(dec.commutator, p, cfg.dim).tolist()
+        cases += [{"resolution": N, "case": ci, "residual_rel": rel, "weak_quasinorm": w,
+                   "remainder_ratio": ratio, "ok": rel <= tol}
+                  for ci, (rel, w, ratio) in enumerate(zip(rels, weak, ratios))]
         sups[N] = _sup(ratios)
     drift, gates = _drift_gate(cfg, {"remainder_drift": list(sups.values())})
     summary = {"alpha": alpha, "remainder_sups": {str(N): sups[N] for N in sups},

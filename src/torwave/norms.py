@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, distance_field, grid_level
+from .core import DyadicCube, SampledFunction, distance_field, grid_cases
 from .errors import ConfigurationError, DomainError
 from .sublinear import grand_maximal
 from .wavelets import (WaveletBasis, analyze, coarse_projection, default_coarse_level,
@@ -32,38 +32,41 @@ class NormReport:
     resolution: int
 
 
-def _finite_input(value: float, f: SampledFunction, what: str) -> float:
-    """`value`, unless it is non-finite because a sample is: DomainError then.
-
-    Finite input is not scanned, so it pays nothing for the check.
-    """
-    if not math.isfinite(value) and not np.isfinite(f.values).all():
+def _finite_input(value, values: np.ndarray, what: str):
+    """`value`, unless some of it is non-finite because a sample is: DomainError
+    then.  Finite input is not scanned, so it pays nothing for the check."""
+    if not np.isfinite(value).all() and not np.isfinite(values).all():
         raise DomainError(f"{what} of non-finite samples")
     return value
 
 
-def lp_norm(f: SampledFunction, p: float) -> float:
-    """Grid Riemann-sum Lp norm; p = inf gives the sup norm."""
+def lp_norm(f, p: float, dim: int | None = None):
+    """Grid Riemann-sum Lp norm; p = inf gives the sup norm.  For an array,
+    the norm of every grid on its trailing `dim` axes, as an array of the
+    leading shape; each 1/p power is libm's `pow` on a Python float."""
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    a = np.abs(f.values)
-    value = float(a.max()) if math.isinf(p) else float((a ** p).mean() ** (1.0 / p))
-    return _finite_input(value, f, "Lp norm")
+    values, dim, J, single = grid_cases(f, dim)
+    a = np.abs(values).reshape(values.shape[:values.ndim - dim] + (1 << J * dim,))
+    value = a.max(axis=-1) if math.isinf(p) else np.asarray(
+        np.frompyfunc(pow, 2, 1)((a ** p).mean(axis=-1), 1.0 / p), float)
+    value = _finite_input(value, values, "Lp norm")
+    return float(value) if single else value
 
 
-def weak_lp_quasinorm(f: SampledFunction, p: float) -> float:
-    """sup over lambda of lambda * |{|f| > lambda}|^(1/p), exact for step data.
-
-    The supremum over positive lambda is attained just below one of the
-    attained values of |f|, so scanning the sorted value lattice is exact.
-    """
+def weak_lp_quasinorm(f, p: float, dim: int | None = None):
+    """sup over lambda of lambda * |{|f| > lambda}|^(1/p), exact for step data
+    (and per grid of an array, as `lp_norm`): the supremum is attained just
+    below an attained value of |f|, so scanning the sorted values is exact."""
     if not p >= 1:
         raise DomainError(f"p must be >= 1, got {p}")
-    a = np.sort(np.abs(f.values).ravel())[::-1]
-    if a[0] == 0.0:
-        return 0.0
-    measures = np.arange(1, a.size + 1) / a.size
-    return _finite_input(float(np.max(a * measures ** (1.0 / p))), f, "weak Lp quasinorm")
+    values, dim, J, single = grid_cases(f, dim)
+    a = np.sort(np.abs(values).reshape(values.shape[:values.ndim - dim] + (1 << J * dim,)),
+                axis=-1)[..., ::-1]
+    measures = np.arange(1, a.shape[-1] + 1) / a.shape[-1]
+    value = _finite_input(np.max(a * measures ** (1.0 / p), axis=-1), values,
+                          "weak Lp quasinorm")
+    return float(value) if single else value
 
 
 def _level_oscillations(values: np.ndarray, level: int, dim: int) -> np.ndarray:
@@ -85,10 +88,7 @@ def oscillation_norm(f, mode: str = "BMO", dim: int | None = None):
     the leading shape."""
     if mode not in OSCILLATION_MODES:
         raise ConfigurationError(f"unknown oscillation mode {mode!r}")
-    single = isinstance(f, SampledFunction)
-    v = f.values if single else np.asarray(f, dtype=float)
-    dim = f.dim if single else dim
-    J = grid_level(v.shape, dim)
+    v, dim, J, single = grid_cases(f, dim)
     # a NaN oscillation would drop out of the running max below and read as 0
     if not np.isfinite(v).all():
         raise DomainError("oscillation norm of non-finite samples")
@@ -119,12 +119,13 @@ def llog_quasinorm(f: SampledFunction) -> float:
     bisection runs on |f| / max|f|, whose mean can neither overflow nor
     underflow, and the result is scaled back.
     """
-    a = np.abs(f.values)
+    values, dim, J, _ = grid_cases(f)  # one case only
+    a = np.abs(values)
     if not a.any():
         return 0.0
-    top = _finite_input(float(a.max()), f, "Llog quasinorm")
+    top = _finite_input(float(a.max()), a, "Llog quasinorm")
     a = a / top
-    dist = distance_field(f.dim, f.resolution, (0.0,) * f.dim)
+    dist = distance_field(dim, 1 << J, (0.0,) * dim)
     logx = np.log(math.e + dist)
 
     def integral(lam: float) -> float:
@@ -149,41 +150,41 @@ def llog_quasinorm(f: SampledFunction) -> float:
     return 0.5 * (lo + hi) * top
 
 
-def hardy_square(values, basis: WaveletBasis | None, coarse_level: int | None,
-                 dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(detail, coarse) L1 masses of the square-function Hardy estimator of every
-    grid on the trailing axes of `values`, as two arrays of the leading shape.
+def _square_masses(f, basis: WaveletBasis | None, coarse_level: int | None,
+                   dim: int | None = None):
+    """(detail, coarse) L1 masses of the square-function Hardy estimator of
+    one case, or of every case of a stack as two arrays of its leading shape.
     The coarse part is the L1 norm of the sampled coarse scaling projection; a
     genuinely cancellative input has a negligible coarse part."""
     if basis is None:
         raise ConfigurationError("H1_square needs a wavelet basis")
+    values, dim, _, single = grid_cases(f, dim)
     j0 = default_coarse_level(basis, coarse_level)
     coeffs = analyze(values, basis, j0, dim)
-    grids = coeffs.shape[coeffs.ndim - dim:]
-    square = wavelet_square_function(coeffs, j0, dim).reshape((-1,) + grids)
-    coarse = coarse_projection(coeffs, basis, j0, dim).reshape((-1,) + grids)
-    batch = coeffs.shape[:coeffs.ndim - dim]
-    return (np.reshape([lp_norm(SampledFunction(w), 1.0) for w in square], batch),
-            np.reshape([float(np.abs(p).mean()) for p in coarse], batch))
+    masses = (lp_norm(wavelet_square_function(coeffs, j0, dim), 1.0, dim),
+              lp_norm(coarse_projection(coeffs, basis, j0, dim), 1.0, dim))
+    return tuple(map(float, masses)) if single else masses
 
 
-def hardy_norm(f: SampledFunction, mode: str, basis: WaveletBasis | None = None,
-               coarse_level: int | None = None) -> float:
+def hardy_norm(f, mode: str, basis: WaveletBasis | None = None,
+               coarse_level: int | None = None, dim: int | None = None):
     """Hardy-scale estimators: wavelet square function, grand/local maximal
-    function L1 norms, and the log-weighted maximal quasinorm."""
+    function L1 norms, and the log-weighted maximal quasinorm.  "H1_square"
+    also takes an array, as `lp_norm` does; the maximal modes take one case."""
     if mode not in HARDY_MODES:
         raise ConfigurationError(f"unknown hardy mode {mode!r}")
     if mode == "H1_square":
-        detail, coarse = map(float, hardy_square(f.values, basis, coarse_level, f.dim))
+        detail, coarse = _square_masses(f, basis, coarse_level, dim)
         return detail + coarse
-    M = grand_maximal(f.dim, f.resolution).apply(f, local=mode == "h1")
+    _, dim, J, _ = grid_cases(f)  # the maximal modes take one case
+    M = grand_maximal(dim, 1 << J).apply(f, local=mode == "h1")
     return llog_quasinorm(M) if mode == "Hlog" else lp_norm(M, 1.0)
 
 
 def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = None,
                 coarse_level: int | None = None) -> NormReport:
     """Compute one named norm and wrap it with its method description."""
-    N = f.resolution
+    N = 1 << grid_cases(f)[2]  # one case only
     if space.startswith(("Lp:", "weakLp:")):
         kind, _, text = space.partition(":")
         try:
@@ -202,7 +203,7 @@ def norm_report(f: SampledFunction, space: str, basis: WaveletBasis | None = Non
         return NormReport(space, oscillation_norm(f, space), method, N)
     if space in HARDY_MODES:
         if space == "H1_square":
-            detail, coarse = map(float, hardy_square(f.values, basis, coarse_level, f.dim))
+            detail, coarse = _square_masses(f, basis, coarse_level)
             method = f"wavelet-square/{basis.family}{basis.order}"
             if coarse > 1e-8 * (1.0 + detail):
                 method += f"[coarse part {coarse:.3g} flagged]"
@@ -237,7 +238,7 @@ def validate_atom(f: SampledFunction, Q: DyadicCube, q: float,
     """Check support in Q, the Lq size bound and the cancellation clauses."""
     if not 1 < q:
         raise DomainError(f"q must lie in (1, inf], got {q}")
-    outside = f.values.copy()
+    outside = grid_cases(f)[0].copy()  # one case only
     outside[Q.grid_slices(f.resolution)] = 0.0
     support_leak = float(np.max(np.abs(outside)))
     size = lp_norm(f, q)

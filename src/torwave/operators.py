@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, frequency_grid, grid_level, torus_delta
+from .core import DyadicCube, SampledFunction, frequency_grid, grid_cases, torus_delta
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
                      ShapeError)
 from .samples import random_bmo, random_classical_atom, random_cube
@@ -77,15 +77,13 @@ class MultiplierOperator:
     def apply(self, f):
         """T f for a SampledFunction; for an array, T of every grid on its
         trailing axes, returned as an array."""
-        single = isinstance(f, SampledFunction)
-        if single and f.dim != self.dim:
-            raise ShapeError(f"{self.name} acts in dimension {self.dim}, input has {f.dim}")
-        values = f.values if single else np.asarray(f, dtype=float)
-        N = 1 << grid_level(values.shape, self.dim)
+        values, dim, J, single = grid_cases(f, self.dim)
+        if dim != self.dim:
+            raise ShapeError(f"{self.name} acts in dimension {self.dim}, input has {dim}")
         axes = tuple(range(-self.dim, 0))
         # one complex buffer, transformed and multiplied in place
         spectrum = np.fft.fftn(values, axes=axes, out=np.empty(values.shape, complex))
-        spectrum *= self.symbol_array(N)
+        spectrum *= self.symbol_array(1 << J)
         out = np.fft.ifftn(spectrum, axes=axes, out=spectrum).real
         return SampledFunction(out) if single else out
 

@@ -233,11 +233,13 @@ def two_sided_atom(resolution: int, width: float, edge: float = 0.5) -> SampledF
     The two oppositely signed blocks sit circularly on one side of `edge`;
     paired with a logarithm singular at `edge` the atom keeps a nonzero
     weighted integral, which symmetric placement would cancel by parity.
-    DomainError for a width below the grid scale, or above 1 (blocks overlap).
+    DomainError for a width below the grid scale, or above 1 (blocks overlap),
+    and for a non-finite edge.
     """
     half = int(round(width * resolution / 2.0)) if width <= 1.0 else 0
-    if half < 1:
-        raise DomainError(f"width {width} is below the grid scale or above 1")
+    if half < 1 or not math.isfinite(edge):
+        raise DomainError(f"width {width} is below the grid scale or above 1, "
+                          f"or edge {edge} is not finite")
     at = (int(round(edge * resolution)) + np.arange(2 * half)) % resolution
     vals = np.zeros(resolution)
     vals[at] = np.repeat([1.0, -1.0], half)

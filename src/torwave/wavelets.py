@@ -53,7 +53,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, _along, _wrap, check_dim, grid_level
+from .core import DyadicCube, SampledFunction, _along, _wrap, check_dim, grid_cases, grid_level
 from .errors import ConfigurationError, ResolutionError, ShapeError
 
 # Scaling (low-pass) taps of the minimum-phase Daubechies family, order =
@@ -449,10 +449,7 @@ def analyze(f, basis: WaveletBasis, coarse_level: int | None = None, dim: int | 
     """Decompose a sampled function into its coefficient tree; for an array,
     the coefficient arrays (Mallat's layout) of every (N,)*dim grid on its
     trailing axes, returned as an array."""
-    single = isinstance(f, SampledFunction)
-    values = f.values if single else np.asarray(f, dtype=float)
-    dim = f.dim if single else dim
-    J = grid_level(values.shape, dim)
+    values, dim, J, single = grid_cases(f, dim)
     j0 = default_coarse_level(basis, coarse_level)
     _require_valid_levels(basis, j0, J)
     work = values * float(1 << J) ** (-dim / 2.0)

@@ -16,10 +16,11 @@ import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CoefficientTree, CommutatorDecomposition, ProductDecomposition,
                      SampledFunction, analyze, bilinear_decomposition, build_basis,
-                     coarse_projection, commutator_parts, hardy_square, hilbert_operator,
+                     coarse_projection, commutator_parts, hardy_norm, hilbert_operator,
                      paraproducts, parse_operator, projection_stack, riesz_operator,
                      s_operator, synthesize, wavelet_square_function)
 from torwave.core import _wrap
+from torwave.norms import _square_masses
 from torwave.wavelets import (MAX_DAUBECHIES_ORDER, _cascade, _down, _up, band_index,
                               default_coarse_level, min_coarse_level, sigma_set)
 
@@ -238,10 +239,16 @@ def test_batched_hardy_estimate_equals_its_rows(name, dim, N):
     basis = _basis(name)
     values = _stack(np.random.default_rng([N, dim, 7]), (N,) * dim)
     j0 = min_coarse_level(basis)
-    detail, coarse = hardy_square(values, basis, j0, dim)
+    detail, coarse = _square_masses(values, basis, j0, dim)
+    total = hardy_norm(values, "H1_square", basis, j0, dim)
     for i in np.ndindex(LEAD):
-        single = hardy_square(values[i], basis, j0, dim)
+        f = SampledFunction(values[i])
+        single = _square_masses(f, basis, j0)
         assert_bitwise_equal(np.array([detail[i], coarse[i]]), np.array(single))
+        assert_bitwise_equal(total[i], np.float64(hardy_norm(f, "H1_square", basis, j0)))
+        # a stack of no leading axes is one case too
+        assert_bitwise_equal(np.array(_square_masses(values[i], basis, j0, dim)),
+                             np.array(single))
 
 
 @pytest.mark.parametrize("op", ["hilbert", "ifrac:0.5", "riesz1", "riesz2", "identity"])

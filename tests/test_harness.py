@@ -416,6 +416,26 @@ def test_report_written_atomically(tmp_path, rng, monkeypatch):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_cli_norms_and_decompose_write_out_atomically(tmp_path, rng, monkeypatch, capsys):
+    hlf = tmp_path / "f.hlf1"
+    write_hlf(str(hlf), random_function(rng, 1, 64))
+    outs = {cmd: tmp_path / f"{cmd}.out" for cmd in ("norms", "decompose")}
+    for path in outs.values():
+        path.write_text("old content\n")
+
+    def no_replace(src, dst):
+        raise OSError("rename refused")
+
+    # a bare open() truncated the old file before writing the new one
+    monkeypatch.setattr(os, "replace", no_replace)
+    assert cli_main(["norms", "--input", str(hlf), "--space", "Lp:2",
+                     "--out", str(outs["norms"])]) == 2
+    assert cli_main(["decompose", "--input", str(hlf), "--out", str(outs["decompose"])]) == 2
+    assert "rename refused" in capsys.readouterr().err
+    assert all(path.read_text() == "old content\n" for path in outs.values())
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 # -- sampled-function files -------------------------------------------------------
 
 def test_hlf_round_trip(tmp_path, rng):

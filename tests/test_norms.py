@@ -9,11 +9,11 @@ import oracles
 from oracles import assert_bitwise_equal
 from torwave import (ConfigurationError, DomainError, DyadicCube,
                      SampledFunction, build_basis, distance_field, hardy_norm,
-                     hardy_square, llog_quasinorm, lp_norm, norm_report,
+                     llog_quasinorm, lp_norm, norm_report,
                      oscillation_norm, sup_norm, synthesize,
                      validate_atom, weak_lp_quasinorm)
 from torwave.errors import ShapeError, TorwaveError
-from torwave.norms import OSCILLATION_MODES
+from torwave.norms import OSCILLATION_MODES, _square_masses
 from torwave.samples import derive_rng, random_function, random_psi_atom
 
 
@@ -96,6 +96,74 @@ def test_norms_reject_non_finite_samples(rng, bad, estimator, dim):
     vals.flat[3] = bad
     with pytest.raises(DomainError, match="non-finite"):
         ESTIMATORS[estimator](SampledFunction(vals))
+
+
+_DB2 = build_basis("daubechies", 2)
+STACK_NORMS = {
+    "Lp:1": lambda f, dim=None: lp_norm(f, 1.0, dim),
+    "Lp:4/3": lambda f, dim=None: lp_norm(f, 4 / 3, dim),
+    "Lp:2": lambda f, dim=None: lp_norm(f, 2.0, dim),
+    "Lp:inf": lambda f, dim=None: lp_norm(f, np.inf, dim),
+    "weakLp:1": lambda f, dim=None: weak_lp_quasinorm(f, 1.0, dim),
+    "weakLp:4/3": lambda f, dim=None: weak_lp_quasinorm(f, 4 / 3, dim),
+    "weakLp:2": lambda f, dim=None: weak_lp_quasinorm(f, 2.0, dim),
+    "H1_square": lambda f, dim=None: hardy_norm(f, "H1_square", _DB2, 2, dim),
+}
+
+
+@pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("norm", STACK_NORMS)
+def test_stacked_norms_equal_their_rows(norm, dim, N):
+    call = STACK_NORMS[norm]
+    rng = derive_rng(63, dim, N)
+    grid = (N,) * dim
+    rows = [rng.standard_normal(grid), np.zeros(grid), rng.integers(-2, 3, grid) * 1.0,
+            rng.choice([0.0, -0.0, 1.0], grid), 1e-3 * rng.standard_normal(grid),
+            1e150 * rng.standard_normal(grid)]
+    values = np.stack(rows).reshape((2, 3) + grid)
+    stacked = call(values, dim)
+    assert stacked.shape == (2, 3)
+    for i in np.ndindex(2, 3):
+        single = call(SampledFunction(values[i]))
+        assert type(single) is float
+        assert_bitwise_equal(stacked[i], np.float64(single))
+    assert stacked[0, 1] == 0.0  # the all-zero row
+    assert_bitwise_equal(call(np.zeros((0,) + grid), dim), np.zeros(0))
+
+
+@pytest.mark.parametrize("p", [4 / 3, 1.5, 3.0])
+def test_lp_root_is_libm_pow(p):
+    # NumPy's AVX-512 power differs from libm in the last bit on a few percent
+    # of arguments, which would tie a record to the CPU running it
+    values = derive_rng(65).standard_normal((400, 16))
+    means = (np.abs(values) ** p).mean(axis=-1)
+    want = np.array([math.pow(m, 1.0 / p) for m in means.tolist()])
+    assert_bitwise_equal(lp_norm(values, p, 1), want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the transforms
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("norm", STACK_NORMS)
+def test_stacked_norms_reject_a_non_finite_row(norm, bad):
+    values = derive_rng(64).standard_normal((3, 64))
+    values[1, 5] = bad
+    with pytest.raises(DomainError, match="non-finite"):
+        STACK_NORMS[norm](values, 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: llog_quasinorm(np.ones(8)),
+    lambda: validate_atom(np.ones(8), DyadicCube(1, 1, (0,)), 2.0),
+    lambda: lp_norm(np.ones(8), 1.0),
+    lambda: weak_lp_quasinorm(np.ones(8), 1.0),
+    lambda: hardy_norm(np.ones(8), "H1_maximal"),
+    lambda: norm_report(np.ones(8), "BMO"),
+], ids=["llog", "validate_atom", "lp_without_dim", "weak_lp_without_dim", "H1_maximal",
+        "norm_report"])
+def test_one_case_norms_reject_an_array_with_a_typed_error(call):
+    # each of these ended in a bare AttributeError
+    with pytest.raises(TorwaveError):
+        call()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -208,11 +276,13 @@ def test_hardy_orderings(db4, rng):
 def test_hardy_square_mode_needs_basis():
     with pytest.raises(ConfigurationError):
         hardy_norm(SampledFunction(np.zeros(64)), "H1_square")
-    # the check lives in `hardy_square`, so every caller gets the typed error
+    # the check lives in `_square_masses`, so every caller gets the typed error
     with pytest.raises(ConfigurationError, match="needs a wavelet basis"):
         norm_report(SampledFunction(np.ones(64)), "H1_square")
     with pytest.raises(ConfigurationError, match="needs a wavelet basis"):
-        hardy_square(np.ones((3, 64)), None, None, 1)
+        hardy_norm(np.ones((3, 64)), "H1_square", None, None, 1)
+    with pytest.raises(ConfigurationError, match="needs a wavelet basis"):
+        _square_masses(np.ones((3, 64)), None, None, 1)
 
 
 def test_psi_atoms_have_unit_square_norm_and_stable_cross_band(db4):
@@ -235,7 +305,9 @@ def test_psi_atoms_have_unit_square_norm_and_stable_cross_band(db4):
 
 def test_square_norm_flags_coarse_part(db4):
     f = SampledFunction(np.full(256, 3.0))
-    detail, coarse = hardy_square(f.values, db4, 2, 1)
+    detail, coarse = _square_masses(f, db4, 2)
+    assert_bitwise_equal(np.concatenate(_square_masses(f.values[None], db4, 2, 1)),
+                         np.array([detail, coarse]))
     assert detail < 1e-12
     assert abs(coarse - 3.0) < 1e-12
     rep = norm_report(f, "H1_square", db4, 2)

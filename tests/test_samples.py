@@ -72,6 +72,13 @@ def test_two_sided_atom_wraps_around_the_torus():
             two_sided_atom(64, width)
 
 
+@pytest.mark.parametrize("edge", [np.nan, np.inf, -np.inf])
+def test_two_sided_atom_needs_a_finite_edge(edge):
+    # round(edge * N) raised a bare ValueError for nan and OverflowError for inf
+    with pytest.raises(DomainError, match="edge"):
+        two_sided_atom(64, 0.25, edge)
+
+
 def test_random_cube_needs_a_level_range():
     with pytest.raises(ResolutionError, match="from 3 up to 1"):
         samples.random_cube(derive_rng(0), 1, 3, 1)
