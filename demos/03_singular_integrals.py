@@ -1,24 +1,24 @@
 """Multiplier operators, their wavelet matrices, and almost-diagonal envelopes.
 
-Shows exact symbol actions on single frequencies, assembles the wavelet
-matrix of the Hilbert transform, fits the scale-and-distance envelope to its
-entries, and checks the envelope composition inequality by direct summation.
+Names each operator by its spec (`hilbert`, `ifrac:0.5`), shows exact symbol
+actions on single frequencies, assembles the wavelet matrix of the Hilbert
+transform, fits the scale-and-distance envelope to its entries, and checks
+the envelope composition inequality by direct summation.
 """
 
 import numpy as np
 
-from torwave import (SampledFunction, almost_diagonal_envelope_fit, build_basis,
-                     fractional_integral_operator, hilbert_operator, p_delta,
-                     pdelta_composition_check, wavelet_matrix)
+from torwave import (SampledFunction, almost_diagonal_envelope_fit, build_basis, p_delta,
+                     parse_operator, pdelta_composition_check, wavelet_matrix)
 from torwave.core import DyadicCube
 
 x = np.arange(256) / 256
 
 print("== symbols on single frequencies ==")
-H = hilbert_operator()
+H = parse_operator("hilbert", 1, 256)
 out = H.apply(SampledFunction(np.cos(2 * np.pi * x)))
 print(f"Hilbert(cos 2pi x) = sin 2pi x to {np.abs(out.values - np.sin(2*np.pi*x)).max():.1e}")
-Ia = fractional_integral_operator(0.5, 1)
+Ia = parse_operator("ifrac:0.5", 1, 256)
 out = Ia.apply(SampledFunction(np.cos(2 * np.pi * 3 * x)))
 print(f"half-order integral scales frequency 3 by (6 pi)^-1/2 = "
       f"{(6 * np.pi) ** -0.5:.6f}; measured {out.values.max():.6f}")

@@ -8,11 +8,9 @@ The final probe shows the commutator with a logarithm growing along shrinking
 atoms: the direct map is genuinely unbounded on that scale of inputs.
 """
 
-from torwave import (bilinear_decomposition, build_basis, commutator_apply,
-                     hilbert_operator, hardy_norm, lp_norm, subbilinear_envelope,
-                     synthesize)
+from torwave import (bilinear_decomposition, build_basis, commutator_apply, hardy_norm,
+                     lp_norm, parse_operator, subbilinear_envelope, synthesize)
 from torwave.samples import derive_rng, random_bmo, random_psi_atom, truncated_log, two_sided_atom
-from torwave.sublinear import grand_maximal, lusin_area
 
 basis = build_basis("daubechies", 4)
 rng = derive_rng(23)
@@ -21,7 +19,7 @@ N, j0 = 512, 2
 tree, _ = random_psi_atom(rng, 1, j0, 9)
 f = synthesize(tree, basis)
 b = random_bmo(rng, 1, N)
-H = hilbert_operator()
+H = parse_operator("hilbert", 1, N)
 
 print("== bilinear decomposition for the Hilbert transform ==")
 dec = bilinear_decomposition(b, H, f, basis, j0)
@@ -32,8 +30,8 @@ print(f"  remainder L1  = {lp_norm(dec.R_part, 1.0):.4f}, "
 print(f"  identity residual (sup) = {dec.residual_inf:.3e}")
 
 print("\n== sublinear sandwich for the maximal operator and area integral ==")
-for T, name in [(grand_maximal(1, N), "grand maximal"),
-                (lusin_area(1, N), "area integral")]:
+for T, name in [(parse_operator("maximal", 1, N), "grand maximal"),
+                (parse_operator("lusin", 1, N), "area integral")]:
     env = subbilinear_envelope(b, T, f, basis, j0)
     print(f"  {name:14s} sandwich holds: {env.sandwich_ok} "
           f"(max violation {env.max_violation:.2e})")

@@ -10,9 +10,9 @@ summable weights comparable to the square-function mass.
 import numpy as np
 
 from torwave import (DyadicCube, atomic_decompose, build_basis,
-                     h1b_characterizations, hilbert_operator, lp_norm,
-                     make_qb_atom, molecule_norm, synthesize, validate_atom,
-                     validate_psi_atom, wavelet_square_function)
+                     h1b_characterizations, lp_norm, make_qb_atom, molecule_norm,
+                     parse_operator, synthesize, validate_atom, validate_psi_atom,
+                     wavelet_square_function)
 from torwave.samples import derive_rng, random_bmo, random_classical_atom, random_h1_tree
 
 basis = build_basis("daubechies", 4)
@@ -47,7 +47,7 @@ print(f"reconstruction error {err:.1e}; all atoms validate: "
       f"{all(bool(validate_psi_atom(t, R)) for _, t, R in deco.atoms)}")
 
 print("\n== molecule seminorms ==")
-H = hilbert_operator()
+H = parse_operator("hilbert", 1, N)
 atom, Q2 = random_classical_atom(rng, 1, N)
 print(f"classical atom: seminorm {molecule_norm(atom, 0.25, Q2.center):.4f}")
 b_Q = float(b.values[Q2.grid_slices(N)].mean())

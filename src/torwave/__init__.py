@@ -13,10 +13,9 @@ from .wavelets import (CoefficientTree, PsiAtomCheck, WaveletBasis, analyze, bui
 from .paraproducts import (ProductDecomposition, diagonal_coefficient_sum, paraproducts,
                            s_operator, shift_invariance_check)
 from .operators import (MultiplierOperator, PdeltaEnvelope, WaveletMatrixOperator,
-                        almost_diagonal_envelope_fit, fractional_integral_operator,
-                        hilbert_operator, identity_operator, k_class_image, k_class_ratio,
-                        p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
-from .sublinear import GrandMaximal, LusinArea, grand_maximal, lusin_area
+                        almost_diagonal_envelope_fit, k_class_image, k_class_ratio, p_delta,
+                        parse_operator, pdelta_composition_check, wavelet_matrix)
+from .sublinear import grand_maximal, lusin_area
 from .norms import (AtomCheck, NormReport, hardy_norm, llog_quasinorm, lp_norm, norm_report,
                     oscillation_norm, validate_atom, weak_lp_quasinorm)
 from .commutators import (AtomicDecomposition, CommutatorDecomposition, H1bReport,
@@ -28,6 +27,6 @@ from .samples import (cube_profile, derive_rng, random_bmo, random_classical_ato
                       random_tree, truncated_log, two_sided_atom)
 from .hlf import read_hlf, write_hlf
 from .harness import (CSV_SCHEMAS, SUITES, ExperimentConfig, ExperimentReport, Gate,
-                      emit_report, parse_operator, parse_report, run_suite)
+                      emit_report, parse_report, run_suite)
 
 __version__ = "0.1.0"

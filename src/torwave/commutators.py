@@ -18,10 +18,9 @@ from .core import DyadicCube, SampledFunction, distance_field, grid_cases, sup_n
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, ShapeError)
 from .norms import hardy_norm, lp_norm, oscillation_norm
-from .operators import require_linear, riesz_operator
+from .operators import parse_operator, require_linear
 from .paraproducts import ProductDecomposition, paraproducts, s_operator
 from .samples import cube_profile
-from .sublinear import grand_maximal
 from .wavelets import (CoefficientTree, WaveletBasis, analyze, coarse_projection, coeff_index,
                        default_coarse_level, detail_cubes, detail_positions, sigma_set,
                        wavelet_square_function)
@@ -42,7 +41,7 @@ def commutator_apply(b: SampledFunction, T, f: SampledFunction) -> SampledFuncti
     value of T applied to (b(x) - b(.)) f(.), evaluated exactly through the
     operator's expanded `pointwise_shifted` path.
     """
-    if b.values.shape != f.values.shape:
+    if grid_cases(b)[0].shape != grid_cases(f)[0].shape:  # one case each
         raise ShapeError("b and f live on different grids")
     if getattr(T, "is_linear", False):
         require_linear(T, "T is not linear")
@@ -162,8 +161,8 @@ def make_qb_atom(Q: DyadicCube, b: SampledFunction, q: float, seed: int) -> Samp
     the atom budget |Q|^(1/q - 1)."""
     if not q > 1:
         raise DomainError(f"q must lie in (1, inf], got {q}")
-    a = SampledFunction(cube_profile(np.random.default_rng(seed), Q, b.resolution,
-                                     against=b.values))
+    values, _, J, _ = grid_cases(b)  # one case only
+    a = SampledFunction(cube_profile(np.random.default_rng(seed), Q, 1 << J, against=values))
     budget = Q.measure ** (1.0 / q - 1.0)
     return SampledFunction(a.values * (budget / lp_norm(a, q)))
 
@@ -208,13 +207,13 @@ def h1b_characterizations(f: SampledFunction, b: SampledFunction,
     b_bmo = oscillation_norm(b, "BMO")
     if b_bmo <= 1e-12:
         raise DomainError("b is constant; the commutator space is undefined")
-    maximal = grand_maximal(f.dim, f.resolution)
+    maximal = parse_operator("maximal", f.dim, f.resolution)
     v_maximal = lp_norm(commutator_apply(b, maximal, f), 1.0)
     ft = analyze(f, basis, coarse_level)
     bt = analyze(b, basis, coarse_level)
     sfb = s_operator(ft, bt, basis)
     v_square = hardy_norm(sfb, "H1_square", basis, coarse_level)
-    riesz_ops = [riesz_operator(a, f.dim) for a in range(f.dim)]
+    riesz_ops = [parse_operator(f"riesz{j}", f.dim, f.resolution) for j in range(1, f.dim + 1)]
     v_riesz = sum(lp_norm(commutator_apply(b, op, f), 1.0) for op in riesz_ops)
     v_T = v_maximal if T is None or T is maximal else lp_norm(commutator_apply(b, T, f), 1.0)
     base = hardy_norm(f, "H1_square", basis, coarse_level) * b_bmo
@@ -331,9 +330,10 @@ def molecule_norm(g: SampledFunction, epsilon: float, y0) -> float:
     Lq norm weighted by torus distance to y0 raised to 2*n*epsilon."""
     if not 0.0 < epsilon < 0.5:
         raise DomainError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    values, dim, J, _ = grid_cases(g)  # one case only
     if abs(g.integral()) > 1e-8 * (1.0 + lp_norm(g, 1.0)):
         raise CancellationError("molecule seminorm requires a mean-zero input")
     q = 1.0 / (1.0 - epsilon)
-    dist = distance_field(g.dim, g.resolution, y0)
-    weighted = SampledFunction(g.values * dist ** (2.0 * g.dim * epsilon))
+    dist = distance_field(dim, 1 << J, y0)
+    weighted = SampledFunction(values * dist ** (2.0 * dim * epsilon))
     return math.sqrt(lp_norm(g, q) * lp_norm(weighted, q))

@@ -225,9 +225,10 @@ def distance_field(dim: int, resolution: int, center) -> np.ndarray:
 
 def inner(f: SampledFunction, g: SampledFunction) -> float:
     """Grid L2 inner product (Riemann sum with cell measure N^-n)."""
-    if f.values.shape != g.values.shape:
+    x, y = grid_cases(f)[0], grid_cases(g)[0]  # one case each
+    if x.shape != y.shape:
         raise ShapeError("mismatched resolutions")
-    return float((f.values * g.values).mean())
+    return float((x * y).mean())
 
 
 def sup_norm(f, dim: int | None = None):

@@ -29,13 +29,11 @@ from .core import DyadicCube, SampledFunction, sup_norm
 from .errors import UsageError
 from .hlf import atomic_write
 from .norms import hardy_norm, lp_norm, weak_lp_quasinorm
-from .operators import (almost_diagonal_envelope_fit, fractional_integral_operator,
-                        hilbert_operator, identity_operator, k_class_image, k_class_ratio,
-                        p_delta, pdelta_composition_check, riesz_operator, wavelet_matrix)
+from .operators import (almost_diagonal_envelope_fit, k_class_image, k_class_ratio, p_delta,
+                        parse_operator, pdelta_composition_check, wavelet_matrix)
 from .paraproducts import paraproducts, s_operator
 from .samples import (derive_rng, random_bmo, random_classical_atom, random_cube,
                       random_function, random_h1_tree, truncated_log, two_sided_atom)
-from .sublinear import grand_maximal, lusin_area
 from .wavelets import analyze, build_basis, default_coarse_level, synthesize
 
 SCHEMA_VERSION = "1"
@@ -274,33 +272,6 @@ def _suite_product_identity(cfg: ExperimentConfig):
             [Gate("worst_residual_over_bound", worst, 1.0, "<=")])
 
 
-def parse_operator(spec: str, dim: int, resolution: int):
-    """The operator named by `spec` in dimension `dim` on an N = `resolution` grid.
-
-    The grammar is `identity`, `hilbert` (dim 1), `riesz<j>` (1 <= j <= dim),
-    `ifrac:<alpha>` (0 < alpha < dim), `maximal` and `lusin`; anything else
-    raises a TorwaveError.  Linear operators ignore `resolution`.
-    """
-    if spec == "identity":
-        return identity_operator(dim)
-    if spec == "hilbert" and dim == 1:
-        return hilbert_operator()
-    if spec == "maximal":
-        return grand_maximal(dim, resolution)
-    if spec == "lusin":
-        return lusin_area(dim, resolution)
-    if spec.startswith("riesz") and spec[5:] in [str(j) for j in range(1, dim + 1)]:
-        return riesz_operator(int(spec[5:]) - 1, dim)
-    if spec.startswith("ifrac:"):
-        try:
-            alpha = float(spec[6:])
-        except ValueError:
-            raise UsageError(f"operator {spec!r}: alpha is not a number") from None
-        return fractional_integral_operator(alpha, dim)
-    raise UsageError(f"unknown operator {spec!r} in dimension {dim} (use identity, "
-                     "hilbert, riesz<j>, ifrac:<alpha>, maximal or lusin)")
-
-
 def _commutator_stack(cfg: ExperimentConfig, ri: int, T, basis, j0: int, N: int):
     """The commutator identity on every case at resolution index `ri`: the
     stack f, its decomposition [b,T]f = R + T(S(f,b)), and each case's
@@ -352,18 +323,17 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
     dim = cfg.dim
-    H = riesz_operator(0, dim)
-    H_adjoint = H.adjoint()
     cases = []
     fits = {}
     for ri, N in enumerate(cfg.resolutions):
+        H = parse_operator("riesz1", dim, N)
         ft, b = _tree_and_bmo(cfg, ri, j0, N)
         f = synthesize(ft, basis, j0, dim)
         bt = analyze(b, basis, j0, dim)
         parts = paraproducts(ft, bt, basis, j0, dim)
         remainder = commutator_parts(b, H, f, parts).R_part
         antis = s_operator(analyze(H.apply(f), basis, j0, dim), bt, basis, j0, dim) \
-            - s_operator(ft, analyze(H_adjoint.apply(b), basis, j0, dim), basis, j0, dim)
+            - s_operator(ft, analyze(H.adjoint().apply(b), basis, j0, dim), basis, j0, dim)
         # b has unit oscillation norm; S(f,b) = -pi3 has the L1 norm of pi3
         base = np.maximum(hardy_norm(f, "H1_square", basis, j0, dim), 1e-300)
         ratios = {k: (v / base).tolist() for k, v in [
@@ -376,9 +346,8 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
         sups = {k: _sup(column) for k, column in ratios.items()}
         kh = k_class_ratio(H, atoms=max(cfg.sample_count // 5, 4), b_samples=5,
                            seed=cfg.root_seed + ri, dim=dim, resolution=N)
-        ks = k_class_ratio(lusin_area(dim, N), atoms=max(cfg.sample_count // 5, 4),
-                           b_samples=5, seed=cfg.root_seed + ri, dim=dim,
-                           resolution=N)
+        ks = k_class_ratio(parse_operator("lusin", dim, N), atoms=max(cfg.sample_count // 5, 4),
+                           b_samples=5, seed=cfg.root_seed + ri, dim=dim, resolution=N)
         fits[N] = dict(sups, kclass_hilbert=kh, kclass_lusin=ks)
     drifts, gates = _drift_gate(cfg, {k: [fits[N][k] for N in cfg.resolutions]
                                       for k in next(iter(fits.values()))})
@@ -421,10 +390,10 @@ def _suite_h1b_equivalence(cfg: ExperimentConfig):
 def _suite_unboundedness_probe(cfg: ExperimentConfig):
     basis = cfg.basis()
     j0 = cfg.j0(basis)
-    H = hilbert_operator()
     cases = []
     steps = []  # r[i+1] / r[i] along shrinking widths; > 1 exactly when r[i] < r[i+1]
     for ri, N in enumerate(cfg.resolutions):
+        H = parse_operator("hilbert", 1, N)
         b = truncated_log(1, N, (0.5,))
         ratios = []
         for e in range(3, 8):
@@ -473,7 +442,7 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
     basis = cfg.basis()
     N = max(cfg.resolutions)
     J = int(N).bit_length() - 1
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, N)
     fit_base = almost_diagonal_envelope_fit(
         wavelet_matrix(H, basis, range(2, J - 1), 1, N), 1.0).fitted_C
     fit_wide = almost_diagonal_envelope_fit(
@@ -491,10 +460,10 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
 
 
 def _suite_molecule(cfg: ExperimentConfig):
-    H = hilbert_operator()
     cases = []
     per_res = {}
     for ri, N in enumerate(cfg.resolutions):
+        H = parse_operator("hilbert", 1, N)
         shifted = []
         for ci, rng in enumerate(_case_rngs(cfg, ri)):
             a, Q = random_classical_atom(rng, cfg.dim, N)
@@ -523,10 +492,10 @@ def _suite_fractional(cfg: ExperimentConfig):
     tol = cfg.tol("identity_rel")
     alpha = 0.5
     p = cfg.dim / (cfg.dim - alpha)  # the critical exponent n / (n - alpha)
-    T = fractional_integral_operator(alpha, cfg.dim)
     cases = []
     sups = {}
     for ri, N in enumerate(cfg.resolutions):
+        T = parse_operator(f"ifrac:{alpha}", cfg.dim, N)
         f, dec, rels = _commutator_stack(cfg, ri, T, basis, j0, N)
         h1 = hardy_norm(f, "H1_square", basis, j0, cfg.dim)
         ratios = (lp_norm(dec.R_part, p, cfg.dim) / np.maximum(h1, 1e-300)).tolist()

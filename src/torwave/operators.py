@@ -22,8 +22,9 @@ import numpy as np
 
 from .core import DyadicCube, SampledFunction, frequency_grid, grid_cases, torus_delta
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
-                     ShapeError)
+                     ShapeError, UsageError)
 from .samples import random_bmo, random_classical_atom, random_cube
+from .sublinear import grand_maximal, lusin_area
 from .wavelets import (CoefficientTree, WaveletBasis, _circular_shifts, analyze,
                        detail_cubes, detail_positions, mother_wavelet, sigma_set)
 
@@ -110,42 +111,48 @@ def require_linear(T, hint: str) -> None:
 
 # -- stock operators ---------------------------------------------------------
 
-def identity_operator(dim: int = 1) -> MultiplierOperator:
-    return MultiplierOperator("identity", lambda *k: np.ones_like(k[0], dtype=complex),
-                              dim, bound=1.0)
+def parse_operator(spec: str, dim: int, resolution: int):
+    """The operator named by `spec` in dimension `dim` on an N = `resolution` grid.
 
+    The grammar is `identity`, `hilbert` (dim 1), `riesz<j>` (1 <= j <= dim),
+    `ifrac:<alpha>` (0 < alpha < dim), `maximal` and `lusin`; anything else
+    raises a TorwaveError.  Every operator's `name` is its spec.  Linear
+    operators ignore `resolution`; `maximal` and `lusin` are the cached
+    `grand_maximal` and `lusin_area` of the grid.
+    """
+    if spec == "maximal":
+        return grand_maximal(dim, resolution)
+    if spec == "lusin":
+        return lusin_area(dim, resolution)
+    if spec == "identity":
+        return MultiplierOperator(spec, lambda *k: np.ones_like(k[0], dtype=complex), dim)
+    if spec in ("hilbert", "riesz1") and dim == 1:
+        # the sign symbol, whose k = 0 entry (0, -0.0) the Riesz formula gives as (0, +0.0)
+        return MultiplierOperator(spec, lambda k: -1j * np.sign(k), 1)
+    if spec.startswith("riesz") and spec[5:] in [str(j) for j in range(1, dim + 1)]:
+        axis = int(spec[5:]) - 1
 
-def hilbert_operator() -> MultiplierOperator:
-    return MultiplierOperator("hilbert", lambda k: -1j * np.sign(k), 1, bound=1.0)
-
-
-def riesz_operator(axis: int, dim: int = 2) -> MultiplierOperator:
-    if not 0 <= axis < dim:
-        raise ConfigurationError(f"riesz axis {axis} outside dimension {dim}")
-    if dim == 1:
-        return MultiplierOperator("riesz1", lambda k: -1j * np.sign(k), 1, bound=1.0)
-
-    def symbol(*k):
-        norm = np.sqrt(sum(ki ** 2 for ki in k))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        def riesz(*k):
+            norm = np.sqrt(sum(ki ** 2 for ki in k))
             s = -1j * k[axis] / norm
-        s[norm == 0] = 0.0
-        return s
+            s[norm == 0] = 0.0
+            return s
 
-    return MultiplierOperator(f"riesz{axis + 1}", symbol, dim, bound=1.0)
+        return MultiplierOperator(spec, riesz, dim)
+    if spec.startswith("ifrac:"):
+        try:
+            alpha = float(spec[6:])
+        except ValueError:
+            raise UsageError(f"operator {spec!r}: alpha is not a number") from None
+        if not 0 < alpha < dim:
+            raise DomainError(f"alpha must lie in (0, dim), got {alpha} with dim={dim}")
 
+        def ifrac(*k):
+            return (2.0 * math.pi * np.sqrt(sum(ki ** 2 for ki in k))) ** (-alpha) + 0j
 
-def fractional_integral_operator(alpha: float, dim: int = 1) -> MultiplierOperator:
-    if not 0 < alpha < dim:
-        raise DomainError(f"alpha must lie in (0, dim), got {alpha} with dim={dim}")
-
-    def symbol(*k):
-        norm = np.sqrt(sum(ki ** 2 for ki in k))
-        with np.errstate(divide="ignore"):
-            return (2.0 * math.pi * norm) ** (-alpha) + 0j
-
-    return MultiplierOperator(f"ifrac{alpha:g}", symbol, dim, bound=None,
-                              unbounded_at_zero=True)
+        return MultiplierOperator(spec, ifrac, dim, bound=None, unbounded_at_zero=True)
+    raise UsageError(f"unknown operator {spec!r} in dimension {dim} (use identity, "
+                     "hilbert, riesz<j>, ifrac:<alpha>, maximal or lusin)")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampledFunction, _along, _wrap, check_dim, frequency_grid
+from .core import SampledFunction, _along, _wrap, check_dim, frequency_grid, grid_cases
 from .errors import ConfigurationError, DomainError, ShapeError
 
 _BUMP_SHAPES = ((0.5, 2), (0.75, 3), (1.0, 4))  # (width, polynomial power)
@@ -345,9 +345,10 @@ class _GridOperator:
         self._axes = tuple(range(-dim, 0))
 
     def _check(self, f: SampledFunction, *others: SampledFunction) -> None:
-        if f.dim != self.dim or f.resolution != self.resolution:
+        values, dim, J, _ = grid_cases(f)  # one case each
+        if dim != self.dim or 1 << J != self.resolution:
             raise ShapeError("operator built for a different grid")
-        if any(g.values.shape != f.values.shape for g in others):
+        if any(grid_cases(g)[0].shape != values.shape for g in others):
             raise ShapeError("mismatched resolutions")
 
 
@@ -365,7 +366,7 @@ class GrandMaximal(_GridOperator):
         self.scales = default_scales(resolution)
         if not self.scales:
             raise ConfigurationError("empty scale grid for the maximal operator")
-        self.name = "grand_maximal"
+        self.name = "maximal"
         # one row per (bump, scale), sorted by (window radius, scale): every
         # radius is a slice, and the local rows (t < 1) come first, since
         # t >= 1 always takes the largest radius N // 2
@@ -451,7 +452,7 @@ class LusinArea(_GridOperator):
                                      min_cells=1)
         if not self.scales:
             raise ConfigurationError("empty height grid for the area integral")
-        self.name = "lusin_area"
+        self.name = "lusin"
         self._kaxes = frequency_grid(dim, resolution)
         self._knorm = np.sqrt(sum(ki ** 2 for ki in self._kaxes))
         # (height t, window radius r, weight t^(1-n) * dt * window measure)

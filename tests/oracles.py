@@ -353,6 +353,37 @@ def pointwise_commutator_naive(T, b: SampledFunction, f: SampledFunction) -> Sam
     return SampledFunction(out)
 
 
+# -- stock multiplier symbols, one closed formula per operator ----------------
+
+def identity_symbol(*k):
+    return np.ones_like(k[0], dtype=complex)
+
+
+def hilbert_symbol(k):
+    """-i sign(k), whose k = 0 entry is (0, -0.0)."""
+    return -1j * np.sign(k)
+
+
+def riesz_symbol(axis: int):
+    """-i k_axis / |k|, set to (0, +0.0) at k = 0."""
+    def symbol(*k):
+        norm = np.sqrt(sum(ki ** 2 for ki in k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = -1j * k[axis] / norm
+        s[norm == 0] = 0.0
+        return s
+    return symbol
+
+
+def fractional_symbol(alpha: float):
+    """(2 pi |k|)^-alpha, singular at k = 0, where the operator imposes 0."""
+    def symbol(*k):
+        norm = np.sqrt(sum(ki ** 2 for ki in k))
+        with np.errstate(divide="ignore"):
+            return (2.0 * math.pi * norm) ** (-alpha) + 0j
+    return symbol
+
+
 # -- envelope machinery on cube-keyed entries, one p_delta per pair ----------
 
 def _level_cubes(dim: int, level: int) -> list:

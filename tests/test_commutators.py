@@ -8,9 +8,8 @@ from oracles import assert_bitwise_equal
 from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
                      DyadicCube, MultiplierOperator, SampledFunction, ShapeError, analyze,
                      atomic_decompose, bilinear_decomposition, commutator_apply,
-                     commutator_parts, fractional_integral_operator,
-                     h1b_characterizations, hilbert_operator, lp_norm, make_qb_atom,
-                     molecule_norm, paraproducts, subbilinear_envelope, sup_norm,
+                     commutator_parts, h1b_characterizations, inner, lp_norm, make_qb_atom,
+                     molecule_norm, paraproducts, parse_operator, subbilinear_envelope, sup_norm,
                      synthesize, validate_atom, validate_psi_atom, wavelet_matrix,
                      wavelet_square_function, weak_lp_quasinorm)
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
@@ -33,7 +32,7 @@ def _pair(seed, N=512, dim=1, j0=2, basis=None):
 def test_constant_symbol_vanishes(db4):
     f, _ = _pair(1, basis=db4)
     b = SampledFunction(np.full(512, 4.0))
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 512)
     assert sup_norm(commutator_apply(b, H, f)) < 1e-12
     M = grand_maximal(1, 512)
     assert sup_norm(commutator_apply(b, M, f)) < 1e-12
@@ -41,7 +40,7 @@ def test_constant_symbol_vanishes(db4):
 
 def test_linearity_in_f(db4):
     f, b = _pair(2, basis=db4)
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 512)
     lhs = commutator_apply(b, H, 3.0 * f)
     rhs = 3.0 * commutator_apply(b, H, f)
     assert sup_norm(lhs - rhs) <= 1e-10 * (1 + sup_norm(rhs))
@@ -51,7 +50,7 @@ def test_frequency_domain_oracle():
     # convolution-theorem values: [cos, H]cos = 0 and [cos, H]sin = -1/2
     x = np.arange(256) / 256
     b = SampledFunction(np.cos(2 * np.pi * x))
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 256)
     out = commutator_apply(b, H, SampledFunction(np.cos(2 * np.pi * x)))
     assert sup_norm(out) < 1e-12
     out = commutator_apply(b, H, SampledFunction(np.sin(2 * np.pi * x)))
@@ -68,7 +67,7 @@ def test_sublinear_operator_takes_the_pointwise_form(db4):
 def test_wavelet_matrix_is_no_operator_on_sampled_functions(haar, db4):
     # it is linear, but acts on coefficient trees only: a typed error, not an
     # AttributeError from a missing `apply`
-    mat = wavelet_matrix(hilbert_operator(), haar, range(2, 4), 1, 64)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 64), haar, range(2, 4), 1, 64)
     f, b = _pair(6, N=64, basis=db4)
     parts = paraproducts(analyze(f, db4, 2).coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
     with pytest.raises(ContractError, match="apply_tree"):
@@ -85,15 +84,36 @@ def test_sublinear_form_needs_the_pointwise_path(db4):
     with pytest.raises(ContractError, match="pointwise_shifted"):
         commutator_apply(b, SimpleNamespace(name="opaque", is_linear=False), f)
     with pytest.raises(ContractError, match="pointwise_shifted"):
-        subbilinear_envelope(b, hilbert_operator(), f, db4, 2)
+        subbilinear_envelope(b, parse_operator("hilbert", 1, 64), f, db4, 2)
+
+
+_F8 = SampledFunction(np.linspace(-1.0, 1.0, 8))
+# each one-case layer with the array np.ones(8) in place of one SampledFunction
+ONE_CASE_LAYERS = {
+    "inner": lambda x: inner(x, _F8),
+    "commutator_apply": lambda x: commutator_apply(_F8, parse_operator("hilbert", 1, 8), x),
+    "molecule_norm": lambda x: molecule_norm(x, 0.25, (0.5,)),
+    "subbilinear_envelope": lambda x: subbilinear_envelope(x, grand_maximal(1, 8), _F8,
+                                                           build_basis("haar", 1)),
+    "make_qb_atom": lambda x: make_qb_atom(DyadicCube(1, 1, (0,)), x, 2.0, seed=0),
+    "GrandMaximal.apply": lambda x: grand_maximal(1, 8).apply(x),
+    "LusinArea.apply": lambda x: lusin_area(1, 8).apply(x),
+    "LusinArea.pointwise_shifted": lambda x: lusin_area(1, 8).pointwise_shifted(x, _F8, _F8),
+}
+
+
+@pytest.mark.parametrize("layer", ONE_CASE_LAYERS)
+def test_one_case_layer_refuses_an_array(layer):
+    # an array is a stack and needs its dim; these layers take one case only
+    with pytest.raises(ShapeError, match="one case is a SampledFunction"):
+        ONE_CASE_LAYERS[layer](np.ones(8))
 
 
 # -- bilinear decomposition ------------------------------------------------------
 
-@pytest.mark.parametrize("opname", ["hilbert", "ifrac"])
-def test_bilinear_identity_against_direct_commutator(db4, opname):
-    T = hilbert_operator() if opname == "hilbert" \
-        else fractional_integral_operator(0.5, 1)
+@pytest.mark.parametrize("spec", ["hilbert", "ifrac:0.5"], ids=["hilbert", "ifrac"])
+def test_bilinear_identity_against_direct_commutator(db4, spec):
+    T = parse_operator(spec, 1, 512)
     worst = 0.0
     for i in range(10):
         rng = derive_rng(40, i)
@@ -114,7 +134,7 @@ def test_commutator_parts_from_tree_paraproducts(db4):
     f = synthesize(ft, db4)
     b = random_bmo(rng, 1, 512)
     parts = paraproducts(ft.coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 512)
     dec = commutator_parts(b.values, H, f.values, parts)
     remainder = (b.values * H.apply(f.values) - H.apply(parts.pi2) - H.apply(parts.coarse)
                  - H.apply(parts.pi1 + parts.pi4))
@@ -127,22 +147,22 @@ def test_commutator_parts_from_tree_paraproducts(db4):
 def test_bilinear_decomposition_applies_T_once_per_input(db4, monkeypatch):
     # T(f), T(b f), T(pi2), T(coarse), T(pi1 + pi4) and T(-pi3): six, not nine
     inputs = []
+    H = parse_operator("hilbert", 1, 256)
     apply = MultiplierOperator.apply
     monkeypatch.setattr(MultiplierOperator, "apply",
                         lambda self, g: inputs.append(g) or apply(self, g))
     f, b = _pair(13, N=256, basis=db4)
-    dec = bilinear_decomposition(b, hilbert_operator(), f, db4, 2)
+    dec = bilinear_decomposition(b, H, f, db4, 2)
     assert len(inputs) == 6
     assert sum(g is f.values for g in inputs) == 1
     assert_bitwise_equal(dec.commutator.values,
-                         (b * apply(hilbert_operator(), f)
-                          - apply(hilbert_operator(), b * f)).values)
+                         (b * apply(H, f) - apply(H, b * f)).values)
 
 
 def test_bilinear_constant_b(db4):
     f, _ = _pair(4, basis=db4)
     b = SampledFunction(np.full(512, -1.5))
-    dec = bilinear_decomposition(b, hilbert_operator(), f, db4, 2)
+    dec = bilinear_decomposition(b, parse_operator("hilbert", 1, 512), f, db4, 2)
     assert sup_norm(dec.R_part) < 1e-10
     assert sup_norm(dec.S_image) < 1e-10
 
@@ -261,7 +281,7 @@ def test_h1b_atom_bound(db4):
 
 def test_h1b_with_linear_and_sublinear_T(db4):
     f, b = _pair(8, N=256, basis=db4)
-    rep_lin = h1b_characterizations(f, b, db4, 2, T=hilbert_operator())
+    rep_lin = h1b_characterizations(f, b, db4, 2, T=parse_operator("hilbert", 1, 256))
     rep_sub = h1b_characterizations(f, b, db4, 2, T=lusin_area(1, 256))
     assert rep_lin.v_T > 0.0 and rep_sub.v_T > 0.0
 
@@ -357,7 +377,7 @@ def test_molecule_uniform_over_atoms():
 
 
 def test_molecule_of_shifted_image(db4):
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 512)
     for i in range(10):
         rng = derive_rng(49, i)
         a, Q = random_classical_atom(rng, 1, 512)
@@ -371,7 +391,7 @@ def test_molecule_of_shifted_image(db4):
 # -- antisymmetric paraproducts ------------------------------------------------------------
 
 def test_antisymmetric_zero_sum_hypothesis(db4):
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 256)
     for i in range(20):
         rng = derive_rng(50, i)
         f = random_function(rng, 1, 256)
@@ -387,7 +407,7 @@ def test_antisymmetric_zero_sum_hypothesis(db4):
 # as any linear T; its reports are taken at the critical exponent n / (n - alpha) = 2.
 
 def test_fractional_identity_and_reports(db4):
-    T = fractional_integral_operator(0.5, 1)
+    T = parse_operator("ifrac:0.5", 1, 512)
     for i in range(5):
         rng = derive_rng(51, i)
         tree, _ = random_psi_atom(rng, 1, 2, 9)
@@ -403,7 +423,7 @@ def test_fractional_identity_and_reports(db4):
 def test_fractional_constant_b(db4):
     f, _ = _pair(11, basis=db4)
     b = SampledFunction(np.full(512, 1.0))
-    dec = bilinear_decomposition(b, fractional_integral_operator(0.5, 1), f, db4, 2)
+    dec = bilinear_decomposition(b, parse_operator("ifrac:0.5", 1, 512), f, db4, 2)
     assert sup_norm(dec.R_part) < 1e-10
     assert sup_norm(dec.S_image) < 1e-10
     assert weak_lp_quasinorm(dec.commutator, 2.0) < 1e-10
@@ -412,7 +432,7 @@ def test_fractional_constant_b(db4):
 def test_fractional_alpha_domain(db4):
     f, b = _pair(12, N=256, basis=db4)
     with pytest.raises(DomainError):
-        bilinear_decomposition(b, fractional_integral_operator(1.5, 1), f, db4, 2)
+        bilinear_decomposition(b, parse_operator("ifrac:1.5", 1, 256), f, db4, 2)
 
 
 @pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])

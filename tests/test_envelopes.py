@@ -12,15 +12,15 @@ import numpy as np
 import pytest
 
 from torwave import (CoefficientTree, ConfigurationError, almost_diagonal_envelope_fit,
-                     build_basis, hilbert_operator, p_delta, pdelta_composition_check,
-                     riesz_operator, wavelet_matrix)
+                     build_basis, p_delta, parse_operator, pdelta_composition_check,
+                     wavelet_matrix)
 from torwave.samples import random_cube
 from torwave.wavelets import coeff_index
 
 import oracles
 from oracles import assert_bitwise_equal
 
-# (basis, dim, N, levels), with the Hilbert transform in 1-D and R_1 in 2-D
+# (basis, dim, N, levels), with R_1, the Hilbert transform in 1-D
 MATRICES = {
     "haar-1d": (("haar", 1), 1, 256, range(2, 7)),
     "db4-1d": (("daubechies", 4), 1, 256, range(2, 7)),
@@ -32,7 +32,7 @@ MATRICES = {
 def matrices(request):
     (family, order), dim, N, levels = MATRICES[request.param]
     basis = build_basis(family, order)
-    op = hilbert_operator() if dim == 1 else riesz_operator(0, 2)
+    op = parse_operator("riesz1", dim, N)
     return (wavelet_matrix(op, basis, levels, dim, N),
             oracles.wavelet_matrix_entries(op, basis, levels, dim, N))
 
@@ -51,7 +51,7 @@ def test_coo_arrays_equal_the_per_column_loop(name):
     # one stacked op.apply and analyze against one wavelet at a time
     (family, order), dim, N, levels = MATRICES[name]
     basis = build_basis(family, order)
-    op = hilbert_operator() if dim == 1 else riesz_operator(0, 2)
+    op = parse_operator("riesz1", dim, N)
     mat = wavelet_matrix(op, basis, levels, dim, N)
     rows, cols, values = oracles.wavelet_matrix_columns(op, basis, levels, dim, N)
     assert_bitwise_equal(mat.rows, rows)
@@ -102,7 +102,7 @@ def test_envelope_fit_matches_the_entry_loop(matrices, delta):
 
 def test_envelope_fit_needs_a_wavelet_matrix():
     with pytest.raises(ConfigurationError):
-        almost_diagonal_envelope_fit(hilbert_operator(), 1.0)
+        almost_diagonal_envelope_fit(parse_operator("hilbert", 1, 64), 1.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

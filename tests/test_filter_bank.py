@@ -16,9 +16,9 @@ import oracles
 from oracles import assert_bitwise_equal
 from torwave import (CoefficientTree, CommutatorDecomposition, ProductDecomposition,
                      SampledFunction, analyze, bilinear_decomposition, build_basis,
-                     coarse_projection, commutator_parts, hardy_norm, hilbert_operator,
-                     paraproducts, parse_operator, projection_stack, riesz_operator,
-                     s_operator, synthesize, wavelet_square_function)
+                     coarse_projection, commutator_parts, hardy_norm, paraproducts,
+                     parse_operator, projection_stack, s_operator, synthesize,
+                     wavelet_square_function)
 from torwave.core import _wrap
 from torwave.norms import _square_masses
 from torwave.wavelets import (MAX_DAUBECHIES_ORDER, _cascade, _down, _up, band_index,
@@ -276,7 +276,7 @@ def test_batched_paraproducts_equal_their_rows(name, dim, N):
     gc[1, 2][band_index(j0, (0,) * dim)] = scaling
     batch = paraproducts(fc, gc, basis, j0, dim)
     diagonal = s_operator(fc, gc, basis, j0, dim)
-    T = hilbert_operator() if dim == 1 else riesz_operator(1, 2)
+    T = parse_operator(f"riesz{dim}", dim, N)  # the Hilbert transform in 1-D
     b = _stack(rng, (N,) * dim)
     f = synthesize(fc, basis, j0, dim)
     commutator = commutator_parts(b, T, f, batch)

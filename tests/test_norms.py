@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -412,3 +413,18 @@ def test_stacked_oscillation_norm_checks_mode_and_grid():
         oscillation_norm(np.zeros((2, 8)), "BMO2", 1)
     with pytest.raises(ShapeError):
         oscillation_norm(np.zeros((2, 8, 4)), dim=2)
+
+
+@pytest.mark.parametrize("dim, N", [(1, 256), (2, 32)])
+def test_square_estimator_of_huge_samples_is_scaled_by_a_power_of_two(db4, dim, N):
+    # at 2^600 times its size a case's squares overflow unless it is scaled
+    x = derive_rng(91, dim).standard_normal((N,) * dim)
+    one = hardy_norm(SampledFunction(x), "H1_square", db4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = hardy_norm(SampledFunction(np.ldexp(x, 600)), "H1_square", db4)
+        stack = hardy_norm(np.stack([x, np.ldexp(x, 600), -x]), "H1_square", db4, dim=dim)
+    assert huge == np.ldexp(one, 600)
+    # the rows that need no scaling keep every bit
+    assert_bitwise_equal(stack, np.array([one, huge, hardy_norm(SampledFunction(-x), "H1_square",
+                                                                db4)]))

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainError,
                      ResolutionError, ShapeError, MultiplierOperator, SampledFunction,
-                     almost_diagonal_envelope_fit, analyze, fractional_integral_operator,
-                     grand_maximal, hilbert_operator,
-                     identity_operator, inner, k_class_ratio, p_delta,
-                     pdelta_composition_check, riesz_operator, synthesize,
-                     wavelet_matrix)
+                     almost_diagonal_envelope_fit, analyze, grand_maximal, inner,
+                     k_class_ratio, lusin_area, p_delta, parse_operator,
+                     pdelta_composition_check, synthesize, wavelet_matrix)
+from torwave.core import frequency_grid
 from torwave.operators import WaveletMatrixOperator
 from torwave.samples import derive_rng, random_bmo, random_classical_atom, random_cube, random_h1_tree
 
@@ -19,16 +18,17 @@ import oracles
 
 def test_hilbert_on_cosine():
     x = np.arange(256) / 256
-    out = hilbert_operator().apply(SampledFunction(np.cos(2 * np.pi * x)))
+    out = parse_operator("hilbert", 1, 256).apply(SampledFunction(np.cos(2 * np.pi * x)))
     np.testing.assert_allclose(out.values, np.sin(2 * np.pi * x), atol=1e-10)
 
 
 def test_hilbert_annihilates_constants():
-    out = hilbert_operator().apply(SampledFunction(np.full(128, 3.0)))
+    H = parse_operator("hilbert", 1, 128)
+    out = H.apply(SampledFunction(np.full(128, 3.0)))
     assert np.all(out.values == 0.0)
     # mean of any image vanishes: the symbol is zero at frequency zero
     rng = np.random.default_rng(1)
-    img = hilbert_operator().apply(SampledFunction(rng.standard_normal(128)))
+    img = H.apply(SampledFunction(rng.standard_normal(128)))
     assert abs(img.integral()) < 1e-14
 
 
@@ -36,9 +36,43 @@ def test_fractional_symbol_on_single_frequency():
     x = np.arange(256) / 256
     k, alpha = 3, 0.5
     f = SampledFunction(np.cos(2 * np.pi * k * x))
-    out = fractional_integral_operator(alpha, 1).apply(f)
+    out = parse_operator(f"ifrac:{alpha}", 1, 256).apply(f)
     np.testing.assert_allclose(out.values,
                                (2 * np.pi * k) ** -alpha * f.values, atol=1e-12)
+
+
+# every linear spec of the grammar in dims 1 and 2, and its closed-form symbol
+SYMBOL_FORMULAS = {
+    (1, "identity"): oracles.identity_symbol, (1, "hilbert"): oracles.hilbert_symbol,
+    (1, "riesz1"): oracles.hilbert_symbol, (1, "ifrac:0.5"): oracles.fractional_symbol(0.5),
+    (2, "identity"): oracles.identity_symbol, (2, "riesz1"): oracles.riesz_symbol(0),
+    (2, "riesz2"): oracles.riesz_symbol(1), (2, "ifrac:0.5"): oracles.fractional_symbol(0.5),
+    (2, "ifrac:1.5"): oracles.fractional_symbol(1.5),
+}
+
+
+@pytest.mark.parametrize("dim, spec", sorted(SYMBOL_FORMULAS))
+def test_spec_symbol_is_its_formula_bit_for_bit(dim, spec):
+    # the sign of every zero included: the 1-D sign symbol is (0, -0.0) at
+    # k = 0, where the Riesz formula imposes (0, +0.0)
+    N = 64 if dim == 1 else 16
+    want = np.array(SYMBOL_FORMULAS[dim, spec](*frequency_grid(dim, N)), dtype=complex)
+    if spec.startswith("ifrac:"):
+        want[(0,) * dim] = 0.0
+    assert parse_operator(spec, dim, N).symbol_array(N).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim, spec", sorted(SYMBOL_FORMULAS)
+                         + [(dim, spec) for dim in (1, 2) for spec in ("maximal", "lusin")])
+def test_operator_name_parses_back_to_the_operator(dim, spec):
+    N = 64 if dim == 1 else 16
+    T = parse_operator(spec, dim, N)
+    U = parse_operator(T.name, T.dim, N)
+    assert T.name == U.name == spec
+    if T.is_linear:
+        assert U.symbol_array(N).tobytes() == T.symbol_array(N).tobytes()
+    else:
+        assert U is T is (grand_maximal if spec == "maximal" else lusin_area)(dim, N)
 
 
 def test_unflagged_singular_symbol_is_a_configuration_error():
@@ -48,7 +82,7 @@ def test_unflagged_singular_symbol_is_a_configuration_error():
 
 
 def test_linearity_and_adjoint(rng):
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 128)
     f = SampledFunction(rng.standard_normal(128))
     g = SampledFunction(rng.standard_normal(128))
     a, b = 1.7, -0.3
@@ -56,7 +90,7 @@ def test_linearity_and_adjoint(rng):
     rhs = a * H.apply(f) + b * H.apply(g)
     np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-12)
     assert abs(inner(H.apply(f), g) - inner(f, H.adjoint().apply(g))) < 1e-10
-    R = riesz_operator(0, 2)
+    R = parse_operator("riesz1", 2, 32)
     f2 = SampledFunction(rng.standard_normal((32, 32)))
     g2 = SampledFunction(rng.standard_normal((32, 32)))
     assert abs(inner(R.apply(f2), g2) - inner(f2, R.adjoint().apply(g2))) < 1e-10
@@ -111,7 +145,7 @@ def test_composition_widening_stability():
 # -- wavelet matrices ---------------------------------------------------------
 
 def test_identity_matrix(db4):
-    mat = wavelet_matrix(identity_operator(1), db4, range(2, 6), 1, 128)
+    mat = wavelet_matrix(parse_operator("identity", 1, 128), db4, range(2, 6), 1, 128)
     assert set(mat.rows[mat.rows == mat.cols]) == set(range(4, 64))
     np.testing.assert_allclose(mat.values, (mat.rows == mat.cols).astype(float),
                                rtol=0, atol=1e-10)
@@ -121,7 +155,7 @@ def test_identity_matrix(db4):
 
 def test_wavelet_matrix_needs_a_linear_operator(haar):
     # a sublinear operator, and a wavelet matrix itself, which has no `apply`
-    mat = wavelet_matrix(hilbert_operator(), haar, range(2, 4), 1, 64)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 64), haar, range(2, 4), 1, 64)
     for op, match in [(grand_maximal(1, 64), "not linear"), (mat, "apply_tree")]:
         with pytest.raises(ContractError, match=match):
             wavelet_matrix(op, haar, range(2, 4), 1, 64)
@@ -138,7 +172,7 @@ def test_zero_matrix_fits_zero(db4):
 
 
 def test_hilbert_haar_matrix_is_antisymmetric(haar):
-    mat = wavelet_matrix(hilbert_operator(), haar, range(2, 6), 1, 128)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 128), haar, range(2, 6), 1, 128)
     entries = dict(zip(zip(mat.rows.tolist(), mat.cols.tolist()), mat.values.tolist()))
     assert len(entries) == mat.values.size
     for (src, dst), v in entries.items():
@@ -148,7 +182,7 @@ def test_hilbert_haar_matrix_is_antisymmetric(haar):
 def test_matrix_apply_matches_apply_then_analyze(db4):
     N, J = 256, 8
     levels = range(2, 7)
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, N)
     mat = wavelet_matrix(H, db4, levels, 1, N)
     inside = slice(1 << levels.start, 1 << levels.stop)  # the bands of `levels`
     for i in range(20):
@@ -164,7 +198,7 @@ def test_matrix_apply_matches_apply_then_analyze(db4):
 
 
 def test_matrix_triplet_export(db4):
-    mat = wavelet_matrix(identity_operator(1), db4, range(2, 4), 1, 64)
+    mat = wavelet_matrix(parse_operator("identity", 1, 64), db4, range(2, 4), 1, 64)
     text = mat.to_triplets()
     lines = text.splitlines()
     assert len(lines) == mat.values.size
@@ -174,7 +208,7 @@ def test_matrix_triplet_export(db4):
 
 
 def test_envelope_stability_when_levels_widen(db4):
-    H = hilbert_operator()
+    H = parse_operator("hilbert", 1, 256)
     fit1 = almost_diagonal_envelope_fit(
         wavelet_matrix(H, db4, range(2, 6), 1, 256), 1.0).fitted_C
     fit2 = almost_diagonal_envelope_fit(
@@ -186,7 +220,7 @@ def test_envelope_stability_when_levels_widen(db4):
 
 def test_k_class_constant_b_contributes_zero(rng):
     a, Q = random_classical_atom(rng, 1, 256)
-    Ta = hilbert_operator().apply(a)
+    Ta = parse_operator("hilbert", 1, 256).apply(a)
     b_const = SampledFunction(np.full(256, 9.9))
     b_Q = float(b_const.values[Q.grid_slices(256)].mean())
     val = float(np.abs((b_const.values - b_Q) * Ta.values).mean())
@@ -195,7 +229,7 @@ def test_k_class_constant_b_contributes_zero(rng):
 
 def test_k_class_identity_direct(rng):
     # with T = identity the ratio reduces to a direct atom computation
-    val = k_class_ratio(identity_operator(1), atoms=5, b_samples=3, seed=2,
+    val = k_class_ratio(parse_operator("identity", 1, 256), atoms=5, b_samples=3, seed=2,
                         resolution=256)
     assert 0.0 < val < np.inf
     a, Q = random_classical_atom(derive_rng(2), 1, 256)
@@ -206,28 +240,27 @@ def test_k_class_identity_direct(rng):
 
 
 def test_k_class_hilbert_finite():
-    val = k_class_ratio(hilbert_operator(), atoms=10, b_samples=3, seed=1,
+    val = k_class_ratio(parse_operator("hilbert", 1, 512), atoms=10, b_samples=3, seed=1,
                         resolution=512)
     assert 0.0 < val < np.inf
 
 
 def test_k_class_other_members_finite():
-    from torwave import grand_maximal
     val = k_class_ratio(grand_maximal(1, 256), atoms=4, b_samples=2, seed=2,
                         resolution=256)
     assert 0.0 < val < np.inf
-    val = k_class_ratio(riesz_operator(0, 2), atoms=3, b_samples=2, seed=2,
+    val = k_class_ratio(parse_operator("riesz1", 2, 64), atoms=3, b_samples=2, seed=2,
                         dim=2, resolution=64)
     assert 0.0 < val < np.inf
 
 
-@pytest.mark.parametrize("make, dim, N", [(hilbert_operator, 1, 256),
-                                          (lambda: riesz_operator(0, 2), 2, 32)])
-def test_k_class_ratio_equals_one_row_draws(make, dim, N):
+@pytest.mark.parametrize("spec, dim, N", [("hilbert", 1, 256), ("riesz1", 2, 32)])
+def test_k_class_ratio_equals_one_row_draws(spec, dim, N):
     """Each atom's BMO samples are one stack of `[rng] * b_samples`, equal
     to that many one-row draws bit for bit."""
-    got = k_class_ratio(make(), atoms=3, b_samples=4, seed=6, dim=dim, resolution=N)
-    assert got == oracles.k_class_ratio(make(), atoms=3, b_samples=4, seed=6, dim=dim,
+    T = parse_operator(spec, dim, N)
+    got = k_class_ratio(T, atoms=3, b_samples=4, seed=6, dim=dim, resolution=N)
+    assert got == oracles.k_class_ratio(T, atoms=3, b_samples=4, seed=6, dim=dim,
                                         resolution=N)
 
 
@@ -240,11 +273,11 @@ def test_typed_errors_of_the_envelope_and_k_class_family():
     with pytest.raises(DomainError):  # a negative level
         pdelta_composition_check(range(-1, 3), 1.0, 2)
     with pytest.raises(ResolutionError):  # classical atoms need N >= 16
-        k_class_ratio(hilbert_operator(), 2, 2, 1, 1, 8)
+        k_class_ratio(parse_operator("hilbert", 1, 8), 2, 2, 1, 1, 8)
 
 
 def test_matrix_transpose_swaps_keys(haar):
-    mat = wavelet_matrix(hilbert_operator(), haar, range(2, 5), 1, 128)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 128), haar, range(2, 5), 1, 128)
     trans = mat.transpose()
     np.testing.assert_array_equal(trans.rows, mat.cols)
     np.testing.assert_array_equal(trans.cols, mat.rows)
@@ -259,8 +292,7 @@ def test_matrix_transpose_swaps_keys(haar):
 
 
 
-MULTIPLIERS = {"hilbert": (hilbert_operator, 1), "riesz1": (lambda: riesz_operator(0, 2), 2),
-               "ifrac": (lambda: fractional_integral_operator(0.5, 1), 1)}
+MULTIPLIERS = {"hilbert": ("hilbert", 1), "riesz1": ("riesz1", 2), "ifrac": ("ifrac:0.5", 1)}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # nan and inf in the transforms
@@ -270,9 +302,9 @@ def test_batched_multiplier_rows_against_one_row_calls(name, bad):
     """Finite rows of a batched apply equal the one-row result bit for bit; a
     row holding a non-finite sample comes out NaN where the one-row result is
     NaN, but a NaN's sign bit may differ between the two."""
-    make, dim = MULTIPLIERS[name]
-    T = make()
+    spec, dim = MULTIPLIERS[name]
     N = 64 if dim == 1 else 16
+    T = parse_operator(spec, dim, N)
     X = derive_rng(71, dim).standard_normal((3,) + (N,) * dim)
     if bad is not None:
         X[1].flat[5] = bad

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import assert_bitwise_equal, pointwise_commutator_naive
-from torwave import (ConfigurationError, DomainError, GrandMaximal, LusinArea,
-                     SampledFunction, distance_field, grand_maximal, lusin_area)
+from torwave import (ConfigurationError, DomainError, SampledFunction, distance_field,
+                     grand_maximal, lusin_area)
 from torwave.samples import derive_rng, random_bmo, random_function, two_sided_atom
-from torwave.sublinear import _BUMP_SHAPES, _bump, _bump_amplitude
+from torwave.sublinear import GrandMaximal, LusinArea, _BUMP_SHAPES, _bump, _bump_amplitude
 
 
 def test_maximal_of_zero():
