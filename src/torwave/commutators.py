@@ -270,7 +270,7 @@ def atomic_decompose(f, basis: WaveletBasis) -> AtomicDecomposition:
     """
     W = wavelet_square_function(f).values
     detail_l1 = float(np.abs(W).mean())
-    coarse_l1 = float(np.abs(coarse_projection(f.coeffs, basis, f.coarse_level, f.dim)).mean())
+    coarse_l1 = float(np.abs(coarse_projection(f, basis)).mean())
     coarse_flagged = coarse_l1 > 1e-8 * (1.0 + detail_l1)
 
     medians = [_lower_medians(W, lev) for lev in range(0, f.finest_level)]

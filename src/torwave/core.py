@@ -76,13 +76,8 @@ class SampledFunction:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = np.asarray(values, dtype=float)
-        if v.ndim not in (1, 2):
-            raise DomainError(f"only dimensions 1 and 2 are supported, got ndim={v.ndim}")
-        n = v.shape[0]
-        if n & (n - 1) or any(s != n for s in v.shape):
-            raise ShapeError(f"grid must be square with power-of-two side, got shape {v.shape}")
-        v = v.copy()
+        v = np.array(values, dtype=float)
+        grid_level(v.shape, v.ndim)
         v.flags.writeable = False
         self.values = v
 
@@ -142,7 +137,8 @@ class SampledFunction:
 
 def grid_level(shape: tuple, dim: int) -> int:
     """J of an array shape whose trailing `dim` axes are an (N,)*dim grid
-    with N = 2^J; any leading (batch) axes are allowed."""
+    with N = 2^J; any leading (batch) axes are allowed.  The one power-of-two
+    check of a grid: an empty one is a ShapeError too."""
     check_dim(dim)
     n = shape[-1] if shape else 0
     if n < 1 or n & (n - 1) or tuple(shape[len(shape) - dim:]) != (n,) * dim:

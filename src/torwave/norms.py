@@ -165,8 +165,11 @@ def _square_masses(f, basis: WaveletBasis | None, coarse_level: int | None,
     # the estimator is homogeneous under powers of two, bit for bit.  The
     # whole-stack test allocates nothing: a temporary |values| on every call
     # cost a `linear_1d` benchmark pass 2.7x the minor page faults
-    e = 0
-    if max(values.max(initial=0.0), -values.min(initial=0.0)) > 2.0 ** 500:
+    e, hi, lo = 0, values.max(initial=0.0), -values.min(initial=0.0)
+    # an inf - inf in the transforms would warn before any typed error
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise DomainError("H1_square norm of non-finite samples")
+    if max(hi, lo) > 2.0 ** 500:
         top = sup_norm(values, dim)
         e = np.where(top > 2.0 ** 500, np.frexp(top)[1], 0)
         values = np.ldexp(values, -e.reshape(e.shape + (1,) * dim))

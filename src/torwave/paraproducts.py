@@ -16,7 +16,7 @@ import numpy as np
 from .core import SampledFunction, grid_level, sup_norm
 from .errors import ShapeError
 from .wavelets import (CoefficientTree, WaveletBasis, _require_valid_levels, band_index,
-                       mother_wavelet, projection_stack, same_layout, sigma_set)
+                       mother_wavelet, projection_stack, same_layout, sigma_set, tree_cases)
 
 
 @dataclass(frozen=True)
@@ -67,19 +67,17 @@ def _diagonal_layer(fc: np.ndarray, gc: np.ndarray, basis: WaveletBasis, level: 
 
 
 def _pair(f, g, basis: WaveletBasis, coarse_level: int | None, dim: int | None) -> tuple:
-    """(f coefficients, g coefficients, coarse level, dim, single) of two
+    """(f coefficients, g coefficients, coarse level, dim, J, single) of two
     trees of one layout, or of two stacks of coefficient arrays of one shape
-    with the given level and dim, which must be valid levels for `basis`."""
-    if isinstance(f, CoefficientTree) != isinstance(g, CoefficientTree):
+    with the given level and dim, at a coarse level valid for `basis`."""
+    fc, j0, dim, J, single = tree_cases(f, coarse_level, dim)
+    gc, g_j0, _, _, g_single = tree_cases(g, j0, dim)
+    if single != g_single:
         raise ShapeError("a tree pairs only with a tree, and a stack only with a stack")
-    if isinstance(f, CoefficientTree):
-        same_layout(f, g)
-        return f.coeffs, g.coeffs, f.coarse_level, f.dim, True
-    fc, gc = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
-    if fc.shape != gc.shape:
+    if (fc.shape, j0) != (gc.shape, g_j0):
         raise ShapeError("tree layouts do not match")
-    _require_valid_levels(basis, coarse_level, grid_level(fc.shape, dim))
-    return fc, gc, coarse_level, dim, False
+    _require_valid_levels(basis, j0, J)
+    return fc, gc, j0, dim, J, single
 
 
 def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
@@ -88,10 +86,9 @@ def paraproducts(f, g, basis: WaveletBasis, coarse_level: int | None = None,
     bilinear parts plus the coarse-scale remainder, as a `ProductDecomposition`
     of one case for two trees, or of every case for two stacks of coefficient
     arrays with their coarse level and dim."""
-    fc, gc, j0, dim, single = _pair(f, g, basis, coarse_level, dim)
+    fc, gc, j0, dim, J, single = _pair(f, g, basis, coarse_level, dim)
     Pf = projection_stack(fc, basis, j0, dim)
     Pg = projection_stack(gc, basis, j0, dim)
-    J = max(Pf)
     pi1, pi2, pi3, pi4 = (np.zeros(fc.shape) for _ in range(4))
     for j in range(j0, J):
         Qf, Qg = Pf[j + 1] - Pf[j], Pg[j + 1] - Pg[j]
@@ -112,9 +109,9 @@ def s_operator(f, g, basis: WaveletBasis, coarse_level: int | None = None,
                dim: int | None = None):
     """Negated diagonal part: same code path as the pi3 layer, sign flipped.
     A `SampledFunction` for two trees, an array for two stacks."""
-    fc, gc, j0, dim, single = _pair(f, g, basis, coarse_level, dim)
+    fc, gc, j0, dim, J, single = _pair(f, g, basis, coarse_level, dim)
     acc = np.zeros(fc.shape)
-    for j in range(j0, grid_level(fc.shape, dim)):
+    for j in range(j0, J):
         acc += _diagonal_layer(fc, gc, basis, j, dim)
     return SampledFunction(-acc) if single else -acc
 

@@ -35,11 +35,13 @@ sign of zero, which the JSON case records carry.
 Leading batch axis: every loop acts on the trailing `dim` axes of an array
 with any leading shape, and the steps take their axis counted from the end.
 Each layer has one name.  `analyze` takes a `SampledFunction` and returns a
-`CoefficientTree`; `synthesize`, `projection_stack` and
-`wavelet_square_function` take a tree.  Given instead an array plus `dim`
-(and, for coefficient arrays, the coarse level), each pushes the whole
+`CoefficientTree`; `synthesize`, `projection_stack`, `coarse_projection`
+and `wavelet_square_function` take a tree.  Given instead an array plus
+`dim` (and, for coefficient arrays, the coarse level), each pushes the whole
 stack of cases through every step at once and returns arrays, as
-`MultiplierOperator.apply` does; `coarse_projection` takes the stack only.
+`MultiplierOperator.apply` does.  `grid_cases` reads a grid or a stack of
+them, `tree_cases` a tree or a stack of coefficient arrays; `grid_level` is
+the one power-of-two check and `_valid_level` the one coarse-level check.
 Every step is elementwise across the leading axes, so case i of a stacked
 result equals the result for case i alone, bit for bit.
 """
@@ -309,21 +311,11 @@ class CoefficientTree:
 
     def __init__(self, coeffs, coarse_level: int):
         coeffs = np.array(coeffs, dtype=float)
-        check_dim(coeffs.ndim)
-        n = coeffs.shape[0]
-        if n < 1 or n & (n - 1) or coeffs.shape != (n,) * coeffs.ndim:
-            raise ShapeError(f"coefficient array has shape {coeffs.shape}, "
-                             f"need (N,)*dim with N a power of two")
-        finest_level = n.bit_length() - 1
-        coarse_level = _integral_level(coarse_level)
-        if not 0 <= coarse_level < finest_level:
-            raise ResolutionError(
-                f"need 0 <= coarse_level < finest_level, got {coarse_level}, {finest_level}")
+        self.finest_level = grid_level(coeffs.shape, coeffs.ndim)
+        self.coarse_level = _valid_level(coarse_level, self.finest_level)
         coeffs.flags.writeable = False
         self.coeffs = coeffs
         self.dim = coeffs.ndim
-        self.coarse_level = coarse_level
-        self.finest_level = finest_level
 
     # -- constructors ---------------------------------------------------------
 
@@ -421,18 +413,31 @@ def same_layout(*trees: CoefficientTree) -> None:
 # analysis / synthesis
 # ---------------------------------------------------------------------------
 
-def _integral_level(level) -> int:
-    """`level` as an int; ResolutionError unless integral (numpy ints pass)."""
+def _valid_level(level, J: int) -> int:
+    """`level` as an int; ResolutionError unless it is an integer (numpy
+    integers pass) with 0 <= level < J.  The one coarse-level check."""
     try:
-        return operator.index(level)
+        level = operator.index(level)
     except TypeError:
         raise ResolutionError(f"coarse level must be an integer, got {level!r}") from None
+    if not 0 <= level < J:
+        raise ResolutionError(f"need 0 <= coarse_level < J, got {level} and J={J}")
+    return level
+
+
+def tree_cases(tree, coarse_level: int | None = None, dim: int | None = None) -> tuple:
+    """(coeffs, j0, dim, J, single) of one case, a `CoefficientTree`, or of a
+    stack, an array of coefficient arrays on its trailing `dim` axes with
+    coarse level `coarse_level`: the coefficient-side twin of `grid_cases`."""
+    if isinstance(tree, CoefficientTree):
+        return tree.coeffs, tree.coarse_level, tree.dim, tree.finest_level, True
+    coeffs = np.asarray(tree, dtype=float)
+    J = grid_level(coeffs.shape, dim)
+    return coeffs, _valid_level(coarse_level, J), dim, J, False
 
 
 def _require_valid_levels(basis: WaveletBasis, coarse_level: int, finest_level: int):
-    if not 0 <= _integral_level(coarse_level) < finest_level:
-        raise ResolutionError(
-            f"need 0 <= coarse_level < J, got {coarse_level} and J={finest_level}")
+    _valid_level(coarse_level, finest_level)
     L = len(basis.scaling_filter)
     if L > 1 << (coarse_level + 1):
         raise ResolutionError(
@@ -461,14 +466,6 @@ def analyze(f, basis: WaveletBasis, coarse_level: int | None = None, dim: int | 
     return CoefficientTree(work, j0) if single else work
 
 
-def _coefficients(tree, coarse_level: int | None, dim: int | None) -> tuple:
-    """(coefficient array, coarse level, dim, single) of a CoefficientTree,
-    or of a stack of coefficient arrays with the given level and dim."""
-    if isinstance(tree, CoefficientTree):
-        return tree.coeffs, tree.coarse_level, tree.dim, True
-    return np.asarray(tree, dtype=float), _integral_level(coarse_level), dim, False
-
-
 def _cascade(coeffs: np.ndarray, basis: WaveletBasis, coarse_level: int,
              dim: int) -> dict:
     """Scaling arrays of every case at every level j0..J (J entry reproduces f)."""
@@ -490,8 +487,7 @@ def synthesize(tree, basis: WaveletBasis, coarse_level: int | None = None,
     """Reconstruct the sampled function from its coefficient tree; for a stack
     of coefficient arrays with their coarse level and dim, the sampled
     functions of every one, returned as an array."""
-    coeffs, j0, dim, single = _coefficients(tree, coarse_level, dim)
-    J = grid_level(coeffs.shape, dim)
+    coeffs, j0, dim, J, single = tree_cases(tree, coarse_level, dim)
     values = _cascade(coeffs, basis, j0, dim)[J] * float(1 << J) ** (dim / 2.0)
     return SampledFunction(values) if single else values
 
@@ -512,9 +508,8 @@ def projection_stack(tree, basis: WaveletBasis, coarse_level: int | None = None,
     P_J f equals the synthesized function exactly; successive differences
     P_{j+1}f - P_j f are the sampled detail layers.
     """
-    coeffs, j0, dim, _ = _coefficients(tree, coarse_level, dim)
+    coeffs, j0, dim, J, _ = tree_cases(tree, coarse_level, dim)
     cascade = _cascade(coeffs, basis, j0, dim)
-    J = max(cascade)
     # row i carries P_{j0+i} up the scaling-only ladder, all levels at once
     stack = cascade[j0][None]
     for j in range(j0, J):
@@ -523,16 +518,15 @@ def projection_stack(tree, basis: WaveletBasis, coarse_level: int | None = None,
     return dict(zip(range(j0, J + 1), stack))
 
 
-def coarse_projection(coeffs, basis: WaveletBasis, coarse_level: int,
-                      dim: int) -> np.ndarray:
-    """P_{j0} f of every case alone, equal to `projection_stack(...)[j0]` bit
-    for bit: the coarse scaling arrays carried up the same ladder, with no
-    synthesis cascade."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    J = grid_level(coeffs.shape, dim)
-    _require_valid_levels(basis, coarse_level, J)
-    row = coeffs[_corner(coarse_level, dim)]
-    for _ in range(coarse_level, J):
+def coarse_projection(tree, basis: WaveletBasis, coarse_level: int | None = None,
+                      dim: int | None = None) -> np.ndarray:
+    """P_{j0} f of a tree, or of every case of a stack, alone, as an array
+    equal to `projection_stack(...)[j0]` bit for bit: the coarse scaling
+    arrays carried up the same ladder, with no synthesis cascade."""
+    coeffs, j0, dim, J, _ = tree_cases(tree, coarse_level, dim)
+    _require_valid_levels(basis, j0, J)
+    row = coeffs[_corner(j0, dim)]
+    for _ in range(j0, J):
         row = _ladder_step(row, dim, basis)
     return row * float(1 << J) ** (dim / 2.0)
 
@@ -584,8 +578,7 @@ def wavelet_square_function(tree, coarse_level: int | None = None, dim: int | No
     """Pointwise l2 aggregate of detail coefficients weighted by 1/|I| on each
     cube; for a stack of coefficient arrays with their coarse level and dim,
     that of every one, returned as an array."""
-    coeffs, j0, dim, single = _coefficients(tree, coarse_level, dim)
-    J = grid_level(coeffs.shape, dim)
+    coeffs, j0, dim, J, single = tree_cases(tree, coarse_level, dim)
     acc = np.zeros(coeffs.shape)
     for j in range(j0, J):
         sq = sum(coeffs[(Ellipsis,) + band_index(j, s)] ** 2 for s in sigma_set(dim))

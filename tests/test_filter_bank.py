@@ -102,6 +102,9 @@ def test_coarse_projection_is_the_bottom_of_the_stack(name, shape, j0, kind):
                  dim, j0, J)
     assert_bitwise_equal(coarse_projection(tree.coeffs, basis, j0, dim),
                          projection_stack(tree, basis)[j0])
+    # a tree is one case of the same rule
+    assert_bitwise_equal(coarse_projection(tree, basis),
+                         coarse_projection(tree.coeffs, basis, j0, dim))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the sums

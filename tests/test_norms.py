@@ -87,7 +87,7 @@ ESTIMATORS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf in the transforms
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a typed error comes before any warning
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 @pytest.mark.parametrize("dim", [1, 2])

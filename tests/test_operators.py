@@ -9,7 +9,7 @@ from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainE
                      almost_diagonal_envelope_fit, analyze, grand_maximal, inner,
                      k_class_ratio, lusin_area, p_delta, parse_operator,
                      pdelta_composition_check, synthesize, wavelet_matrix)
-from torwave.core import frequency_grid
+from torwave.core import frequency_grid, grid_coordinates
 from torwave.operators import WaveletMatrixOperator
 from torwave.samples import derive_rng, random_bmo, random_classical_atom, random_cube, random_h1_tree
 
@@ -39,6 +39,44 @@ def test_fractional_symbol_on_single_frequency():
     out = parse_operator(f"ifrac:{alpha}", 1, 256).apply(f)
     np.testing.assert_allclose(out.values,
                                (2 * np.pi * k) ** -alpha * f.values, atol=1e-12)
+
+
+# a 2-D plane wave with k_1 != k_2, so that a swapped Riesz axis shows
+PLANE_K, PLANE_N = (3, -5), 32
+
+
+def _plane_phase():
+    x, y = grid_coordinates(2, PLANE_N)
+    return 2 * np.pi * (PLANE_K[0] * x + PLANE_K[1] * y)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_riesz_on_a_plane_wave(j):
+    # R_j cos 2pi(k.x) = (k_j / |k|) sin 2pi(k.x), independently of oracles.riesz_symbol
+    phase = _plane_phase()
+    out = parse_operator(f"riesz{j}", 2, PLANE_N).apply(SampledFunction(np.cos(phase)))
+    np.testing.assert_allclose(out.values, PLANE_K[j - 1] / math.hypot(*PLANE_K) * np.sin(phase),
+                               rtol=0, atol=1e-13)
+
+
+def test_riesz_squares_sum_to_minus_identity():
+    # R_1^2 + R_2^2 = -I on mean-zero data; a Nyquist mode has no symmetric partner
+    N = 32
+    spectrum = np.fft.fft2(derive_rng(72).standard_normal((N, N)))
+    spectrum[0, 0] = spectrum[N // 2, :] = spectrum[:, N // 2] = 0.0
+    f = SampledFunction(np.fft.ifft2(spectrum).real)
+    R1, R2 = (parse_operator(f"riesz{j}", 2, N) for j in (1, 2))
+    total = R1.apply(R1.apply(f)) + R2.apply(R2.apply(f))
+    np.testing.assert_allclose(total.values, -f.values, rtol=0, atol=1e-13)
+
+
+def test_fractional_integral_on_a_plane_wave():
+    # ifrac:alpha scales a plane wave by (2 pi |k|)^-alpha
+    phase, alpha = _plane_phase(), 0.5
+    out = parse_operator(f"ifrac:{alpha}", 2, PLANE_N).apply(SampledFunction(np.cos(phase)))
+    np.testing.assert_allclose(out.values,
+                               (2 * np.pi * math.hypot(*PLANE_K)) ** -alpha * np.cos(phase),
+                               rtol=0, atol=1e-14)
 
 
 # every linear spec of the grammar in dims 1 and 2, and its closed-form symbol

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 import torwave
 from torwave import (CoefficientTree, ConfigurationError, DomainError, DyadicCube,
                      ResolutionError, SampledFunction, ShapeError, analyze, build_basis,
-                     default_coarse_level, hardy_norm, lp_norm, min_coarse_level,
-                     sampled_wavelet, synthesize, validate_psi_atom,
-                     wavelet_square_function)
+                     coarse_projection, default_coarse_level, hardy_norm, lp_norm,
+                     min_coarse_level, projection_stack, sampled_wavelet, synthesize,
+                     validate_psi_atom, wavelet_square_function)
 from torwave.samples import (derive_rng, random_cube, random_function, random_h1_tree,
                              random_psi_atom, random_tree)
 from torwave.wavelets import MAX_DAUBECHIES_ORDER, band_index, mother_wavelet, sigma_set
@@ -303,10 +303,37 @@ def test_default_coarse_level_respects_filters():
 
 # -- the coefficient array -------------------------------------------------------
 
-@pytest.mark.parametrize("shape", [(8, 16), (16, 8), (12,), (12, 12), (0,)])
+NOT_A_GRID = [(8, 16), (16, 8), (12,), (12, 12), (0,), (0, 0)]
+
+
+@pytest.mark.parametrize("shape", NOT_A_GRID)
 def test_tree_rejects_non_square_or_non_dyadic_arrays(shape):
     with pytest.raises(ShapeError):
         CoefficientTree(np.zeros(shape), 1)
+
+
+@pytest.mark.parametrize("shape", NOT_A_GRID)
+def test_sampled_function_rejects_non_square_or_non_dyadic_arrays(shape):
+    # an empty grid used to pass, with finest_level -1
+    with pytest.raises(ShapeError):
+        SampledFunction(np.zeros(shape))
+
+
+@pytest.mark.parametrize("layer", ["synthesize", "projection_stack", "coarse_projection",
+                                   "wavelet_square_function"])
+@pytest.mark.parametrize("level", [-1, "J", 2.5, None])
+@pytest.mark.parametrize("dim, N", [(1, 64), (2, 16)])
+def test_stack_layers_reject_invalid_coarse_levels(layer, level, dim, N):
+    # J and -1 used to reach wavelet_square_function as zeros or a bare ValueError
+    stack = np.zeros((2,) + (N,) * dim)
+    level = N.bit_length() - 1 if level == "J" else level
+    db2 = build_basis("daubechies", 2)
+    calls = {"synthesize": lambda: synthesize(stack, db2, level, dim),
+             "projection_stack": lambda: projection_stack(stack, db2, level, dim),
+             "coarse_projection": lambda: coarse_projection(stack, db2, level, dim),
+             "wavelet_square_function": lambda: wavelet_square_function(stack, level, dim)}
+    with pytest.raises(ResolutionError):
+        calls[layer]()
 
 
 @pytest.mark.parametrize("shape,j0", [((16,), -1), ((16,), 4), ((16,), 5), ((1,), 0),
