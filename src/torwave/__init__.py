@@ -1,8 +1,7 @@
 """torwave: wavelet paraproducts, singular integrals, Hardy/BMO estimators and
 commutator decompositions on the periodic torus, with a verification harness."""
 
-from .core import (DyadicCube, SampledFunction, constant, distance_field, inner,
-                   sup_norm, zeros)
+from .core import DyadicCube, SampledFunction, distance_field, inner, sup_norm
 from .errors import (CancellationError, ConfigurationError, ContractError,
                      DegeneracyError, DomainError, FileFormatError, ResolutionError,
                      ShapeError, TorwaveError, UsageError)

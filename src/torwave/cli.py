@@ -14,7 +14,7 @@ import sys
 from .commutators import atomic_decompose, make_qb_atom
 from .core import DyadicCube
 from .errors import TorwaveError, UsageError
-from .harness import ExperimentConfig, emit_report, parse_report, run_suite
+from .harness import ExperimentConfig, emit_report, parse_report, resolution_level, run_suite
 from .hlf import atomic_write, read_hlf, write_hlf
 from .norms import norm_report, validate_atom
 from .samples import derive_rng, random_psi_atom
@@ -105,9 +105,7 @@ def _cmd_atoms(args) -> int:
     offset = tuple(_int(k, "--offset entry") for k in args.offset.split(","))
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    N = args.resolution
-    if N < 2 or N & (N - 1):
-        raise UsageError(f"--resolution must be a power of two >= 2, got {N}")
+    J = resolution_level(args.resolution, len(offset), "--resolution")
     if args.kind == "qb":
         if not args.b_file:
             raise UsageError("qb atoms need --b-file")
@@ -118,20 +116,18 @@ def _cmd_atoms(args) -> int:
         print(check.describe())
         print(f"integral: {atom.integral():.3e}  weighted: {(atom * b).integral():.3e}")
         ok = bool(check)
-    elif args.kind == "psi":
+    else:  # psi
         if args.level is not None or any(offset):
             raise UsageError("psi atoms draw their cube at random: give no --level, "
                              "and --offset only as zeros, one per axis")
         basis = _parse_basis(args.basis) if args.basis else build_basis("daubechies", 4)
         rng = derive_rng(args.seed)
         j0 = default_coarse_level(basis, args.coarse_level)
-        tree, R = random_psi_atom(rng, len(offset), j0, N.bit_length() - 1)
+        tree, R = random_psi_atom(rng, len(offset), j0, J)
         atom = synthesize(tree, basis)
         check = validate_psi_atom(tree, R)
         print(check.describe(), f"(cube {R.key()})")
         ok = bool(check)
-    else:
-        raise UsageError(f"unknown atom kind {args.kind!r}")
     if args.out:
         write_hlf(args.out, atom)
         print(f"atom written to {args.out}")

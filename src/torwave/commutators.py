@@ -204,16 +204,17 @@ def h1b_characterizations(f: SampledFunction, b: SampledFunction,
                           basis: WaveletBasis, coarse_level: int | None = None,
                           T=None) -> H1bReport:
     """Measure the four equivalent quantities controlling the commutator norm."""
+    _, dim, J, _ = grid_cases(f)  # one case only
     b_bmo = oscillation_norm(b, "BMO")
     if b_bmo <= 1e-12:
         raise DomainError("b is constant; the commutator space is undefined")
-    maximal = parse_operator("maximal", f.dim, f.resolution)
+    maximal = parse_operator("maximal", dim, 1 << J)
     v_maximal = lp_norm(commutator_apply(b, maximal, f), 1.0)
     ft = analyze(f, basis, coarse_level)
     bt = analyze(b, basis, coarse_level)
     sfb = s_operator(ft, bt, basis)
     v_square = hardy_norm(sfb, "H1_square", basis, coarse_level)
-    riesz_ops = [parse_operator(f"riesz{j}", f.dim, f.resolution) for j in range(1, f.dim + 1)]
+    riesz_ops = [parse_operator(f"riesz{j}", dim, 1 << J) for j in range(1, dim + 1)]
     v_riesz = sum(lp_norm(commutator_apply(b, op, f), 1.0) for op in riesz_ops)
     v_T = v_maximal if T is None or T is maximal else lp_norm(commutator_apply(b, T, f), 1.0)
     base = hardy_norm(f, "H1_square", basis, coarse_level) * b_bmo

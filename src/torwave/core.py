@@ -117,16 +117,10 @@ class SampledFunction:
     def __sub__(self, other):
         return SampledFunction(self.values - self._coerce(other))
 
-    def __rsub__(self, other):
-        return SampledFunction(self._coerce(other) - self.values)
-
     def __mul__(self, other):
         return SampledFunction(self.values * self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SampledFunction(-self.values)
 
     def __abs__(self):
         return SampledFunction(np.abs(self.values))
@@ -140,7 +134,7 @@ def grid_level(shape: tuple, dim: int) -> int:
     with N = 2^J; any leading (batch) axes are allowed.  The one power-of-two
     check of a grid: an empty one is a ShapeError too."""
     check_dim(dim)
-    n = shape[-1] if shape else 0
+    n = operator.index(shape[-1]) if shape else 0
     if n < 1 or n & (n - 1) or tuple(shape[len(shape) - dim:]) != (n,) * dim:
         raise ShapeError(f"array of shape {tuple(shape)} does not end in an (N,)*{dim} "
                          f"grid with N a power of two")
@@ -178,14 +172,6 @@ def _wrap(a: np.ndarray, before: int, after: int, axis: int) -> np.ndarray:
         return np.concatenate((a[_along(axis, slice(n - before, n))], a,
                                a[_along(axis, slice(0, after))]), axis=axis)
     return np.take(a, np.arange(-before, n + after) % n, axis=axis)
-
-
-def zeros(dim: int, resolution: int) -> SampledFunction:
-    return SampledFunction(np.zeros((resolution,) * dim))
-
-
-def constant(dim: int, resolution: int, value: float) -> SampledFunction:
-    return SampledFunction(np.full((resolution,) * dim, float(value)))
 
 
 def grid_coordinates(dim: int, resolution: int) -> tuple[np.ndarray, ...]:

@@ -25,7 +25,7 @@ import numpy as np
 from .commutators import (bilinear_decomposition, commutator_apply, commutator_parts,
                           h1b_characterizations, make_qb_atom, molecule_norm,
                           subbilinear_envelope)
-from .core import DyadicCube, SampledFunction, sup_norm
+from .core import DyadicCube, SampledFunction, check_dim, grid_level, sup_norm
 from .errors import UsageError
 from .hlf import atomic_write
 from .norms import hardy_norm, lp_norm, weak_lp_quasinorm
@@ -68,6 +68,20 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+MAX_GRID_SAMPLES = 1 << 24  # the largest grid a config or the command line may ask for
+
+
+def resolution_level(N: int, dim: int, what: str) -> int:
+    """J of a resolution N = 2^J read from a config or the command line: a
+    UsageError, raised before anything is allocated, unless N is a power of
+    two >= 2 whose (N,)*dim grid has at most MAX_GRID_SAMPLES samples."""
+    check_dim(dim)
+    if N < 2 or N & (N - 1) or N ** dim > MAX_GRID_SAMPLES:
+        raise UsageError(f"{what} takes powers of two >= 2 whose {dim}-D grids have at "
+                         f"most {MAX_GRID_SAMPLES} samples, got {N}")
+    return grid_level((N,) * dim, dim)
+
+
 @dataclass
 class ExperimentConfig:
     """Declarative description of one suite run."""
@@ -108,8 +122,7 @@ class ExperimentConfig:
             if not ok:
                 raise UsageError(f"bad config value {name}={getattr(self, name)!r}")
         for n in self.resolutions:
-            if n < 2 or n & (n - 1):
-                raise UsageError(f"resolutions must be powers of two, got {n}")
+            resolution_level(n, self.dim, "resolutions")
         if self.sample_count < 1:
             raise UsageError("sample_count must be >= 1")
         unknown = set(self.tolerances) - set(_DEFAULT_TOLERANCES)
@@ -250,7 +263,7 @@ def _tree_and_bmo(cfg: ExperimentConfig, ri: int, j0: int, N: int):
     """Draw of the product and commutator suites, case index leading: per case an
     H^1 coefficient array, then a unit-BMO sample, normalized once per stack."""
     rngs = _case_rngs(cfg, ri)
-    J = int(N).bit_length() - 1
+    J = grid_level((N,) * cfg.dim, cfg.dim)
     return (np.stack([random_h1_tree(rng, cfg.dim, j0, J).coeffs for rng in rngs]),
             random_bmo(rngs, cfg.dim, N))
 
@@ -362,7 +375,7 @@ def _suite_h1b_equivalence(cfg: ExperimentConfig):
     cases = []
     per_res = {}
     for ri, N in enumerate(cfg.resolutions):
-        J = int(N).bit_length() - 1
+        J = grid_level((N,) * cfg.dim, cfg.dim)
         ratios = {"square_over_riesz": [], "square_over_T": [], "riesz_over_T": []}
         norms = []
         for ci, rng in enumerate(_case_rngs(cfg, ri)):
@@ -441,7 +454,7 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
 
     basis = cfg.basis()
     N = max(cfg.resolutions)
-    J = int(N).bit_length() - 1
+    J = grid_level((N,), 1)
     H = parse_operator("hilbert", 1, N)
     fit_base = almost_diagonal_envelope_fit(
         wavelet_matrix(H, basis, range(2, J - 1), 1, N), 1.0).fitted_C

@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 
-from .core import SampledFunction
+from .core import SampledFunction, grid_cases
 from .errors import FileFormatError
 
 MAGIC = b"HLF1"
@@ -34,8 +34,9 @@ def atomic_write(path, data) -> None:
 
 
 def write_hlf(path, f: SampledFunction) -> None:
-    header = _HEADER.pack(MAGIC, f.dim, f.finest_level, b"\0" * 20)
-    atomic_write(path, header + np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+    values, dim, J, _ = grid_cases(f)  # one case only
+    header = _HEADER.pack(MAGIC, dim, J, b"\0" * 20)
+    atomic_write(path, header + np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def read_hlf(path) -> SampledFunction:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, frequency_grid, grid_cases, torus_delta
+from .core import (DyadicCube, SampledFunction, frequency_grid, grid_cases, grid_level,
+                   torus_delta)
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
                      ShapeError, UsageError)
 from .samples import random_bmo, random_classical_atom, random_cube
@@ -214,7 +215,7 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
     """
     require_linear(op, f"{getattr(op, 'name', 'op')} is not linear; a wavelet matrix "
                        "needs a linear operator")
-    J = int(resolution).bit_length() - 1
+    J = grid_level((resolution,) * dim, dim)
     if levels.stop > J or levels.start < 0 or len(levels) == 0:
         raise ResolutionError(f"level range {levels} incompatible with resolution {resolution}")
     index = detail_positions(levels, dim)
@@ -344,8 +345,11 @@ def pdelta_composition_check(levels: range, delta: float, samples: int,
 
 def k_class_image(b: SampledFunction, Q: DyadicCube, Ta: SampledFunction) -> SampledFunction:
     """(b - b_Q) T a, where b_Q is the mean of b on the cube Q."""
-    b_Q = float(b.values[Q.grid_slices(b.resolution)].mean())
-    return SampledFunction((b.values - b_Q) * Ta.values)
+    bv, tv = grid_cases(b)[0], grid_cases(Ta)[0]  # one case each
+    if bv.shape != tv.shape:
+        raise ShapeError("b and T a live on different grids")
+    b_Q = float(bv[Q.grid_slices(len(bv))].mean())
+    return SampledFunction((bv - b_Q) * tv)
 
 
 def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,

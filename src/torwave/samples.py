@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from .core import DyadicCube, SampledFunction, check_dim, distance_field, frequency_grid
+from .core import (DyadicCube, SampledFunction, check_dim, distance_field, frequency_grid,
+                   grid_level)
 from .errors import DegeneracyError, DomainError, ResolutionError
 from .norms import oscillation_norm
 from .wavelets import CoefficientTree, band_index, sigma_set
@@ -218,7 +219,7 @@ def cube_profile(rng, Q: DyadicCube, N: int, against=None) -> np.ndarray:
 def random_classical_atom(rng, dim: int, resolution: int):
     """Mean-zero L2-normalized bump supported on a random cube of level 2 to
     J - 2; returns (a, Q)."""
-    J = int(resolution).bit_length() - 1
+    J = grid_level((resolution,) * dim, dim)
     if J < 4:
         raise ResolutionError(f"a classical atom needs N >= 16, got N = {resolution}")
     Q = random_cube(rng, dim, 2, J - 2)

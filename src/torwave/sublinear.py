@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampledFunction, _along, _wrap, check_dim, frequency_grid, grid_cases
+from .core import SampledFunction, _along, _wrap, frequency_grid, grid_cases, grid_level
 from .errors import ConfigurationError, DomainError, ShapeError
 
 _BUMP_SHAPES = ((0.5, 2), (0.75, 3), (1.0, 4))  # (width, polynomial power)
@@ -130,7 +130,6 @@ def window_mean(a: np.ndarray, radius, dim: int | None = None) -> np.ndarray:
 _SUP_BUFFER_ELEMENTS = 1 << 15  # bounds the candidate blocks of the window sups
 _HULL_CHUNK = 1 << 13  # bounds the points one hull filter sorts at a time
 _SMALL_SEGMENT = 64  # quickhull hands segments this small to the monotone chain
-_DENSE_ROW_SHARE = 0.5  # a 2-D window row kept at more of a block's points is swept densely
 
 
 def _monotone_chain(xs: list, ys: list) -> list:
@@ -243,28 +242,16 @@ def _finite_or_nan(a: np.ndarray) -> np.ndarray:
     return np.where(np.isinf(a), np.nan, a)
 
 
-def _take_rows(part: np.ndarray, b: np.ndarray, pads: list, segments: list, top: int,
+def _take_rows(part: np.ndarray, b: np.ndarray, segments: list, top: int,
                live: np.ndarray) -> None:
     """part = max(part, the sup over window row l at point c, for every c, l
     with live[c, l]), where part and b are the grid lines from `top` on,
-    points c index them flattened, `pads` are A and H padded on both grid
-    axes with the kernel axis last, and segments[i][line, column] is the
-    row segment of pads[i] from that line and column on.  A row live at
-    more than `_DENSE_ROW_SHARE` of the points is swept densely
-    (`_block_sup`); the other (c, l) pairs are gathered, one contiguous
-    segment each, and both gathered fields fill at most
-    `_SUP_BUFFER_ELEMENTS`."""
-    (rows, n), (lines, _, terms) = part.shape, segments[0].shape
-    width = lines - n + 1
-    dense = np.flatnonzero(live.sum(axis=0) > _DENSE_ROW_SHARE * part.size)
-    if dense.size:
-        live = live.copy()
-        live[:, dense] = False
-        # [k, row, shift] is the lines' k-th field at that window offset
-        windows = [sliding_window_view(np.moveaxis(F[top:top + rows + width - 1], -1, 0).copy(),
-                                       (rows, n), axis=(-2, -1)) for F in pads]
-        for row in dense.tolist():
-            _block_sup(part, b, *(W[:, row].swapaxes(0, 1) for W in windows))
+    points c index them flattened, and segments[i][line, column] is the row
+    segment of A (i = 0) or H (i = 1), padded on both grid axes with the
+    kernel axis last, from that line and column on.  The (c, l) pairs are
+    gathered, one contiguous segment each, and both gathered fields fill at
+    most `_SUP_BUFFER_ELEMENTS`."""
+    n, width, terms = part.shape[1], live.shape[1], segments[0].shape[-1]
     flat, bflat, pairs = part.reshape(-1), b.reshape(-1), np.flatnonzero(live)
     block = max(1, _SUP_BUFFER_ELEMENTS // (2 * terms))
     for start in range(0, pairs.size, block):
@@ -327,10 +314,10 @@ def _window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
         at = np.flatnonzero(~(np.take_along_axis(bound, first[:, None], 1)[:, 0] <= flat))
         taken = np.zeros(bound.shape, dtype=bool)
         taken[at, first[at]] = True
-        _take_rows(part, b[top:top + rows], pads, segments, top, taken)
+        _take_rows(part, b[top:top + rows], segments, top, taken)
         live = ~(bound <= flat[:, None])
         live[taken] = False
-        _take_rows(part, b[top:top + rows], pads, segments, top, live)
+        _take_rows(part, b[top:top + rows], segments, top, live)
         out[top:top + rows] = part
 
 
@@ -340,13 +327,13 @@ class _GridOperator:
     is_linear = False
 
     def __init__(self, dim: int, resolution: int):
-        check_dim(dim)
+        self._level = grid_level((resolution,) * dim, dim)
         self.dim, self.resolution = dim, resolution
         self._axes = tuple(range(-dim, 0))
 
     def _check(self, f: SampledFunction, *others: SampledFunction) -> None:
         values, dim, J, _ = grid_cases(f)  # one case each
-        if dim != self.dim or 1 << J != self.resolution:
+        if dim != self.dim or J != self._level:
             raise ShapeError("operator built for a different grid")
         if any(grid_cases(g)[0].shape != values.shape for g in others):
             raise ShapeError("mismatched resolutions")

@@ -382,15 +382,9 @@ class CoefficientTree:
 
     # -- linear structure -----------------------------------------------------
 
-    def _binary(self, other, op):
-        same_layout(self, other)
-        return CoefficientTree(op(self.coeffs, other.coeffs), self.coarse_level)
-
     def __add__(self, other):
-        return self._binary(other, np.add)
-
-    def __sub__(self, other):
-        return self._binary(other, np.subtract)
+        same_layout(self, other)
+        return CoefficientTree(self.coeffs + other.coeffs, self.coarse_level)
 
     def __mul__(self, c):
         return CoefficientTree(float(c) * self.coeffs, self.coarse_level)
@@ -428,9 +422,13 @@ def _valid_level(level, J: int) -> int:
 def tree_cases(tree, coarse_level: int | None = None, dim: int | None = None) -> tuple:
     """(coeffs, j0, dim, J, single) of one case, a `CoefficientTree`, or of a
     stack, an array of coefficient arrays on its trailing `dim` axes with
-    coarse level `coarse_level`: the coefficient-side twin of `grid_cases`."""
+    coarse level `coarse_level`: the coefficient-side twin of `grid_cases`,
+    so an array without a dim is a ShapeError."""
     if isinstance(tree, CoefficientTree):
         return tree.coeffs, tree.coarse_level, tree.dim, tree.finest_level, True
+    if dim is None:
+        raise ShapeError("an array is a stack of coefficient arrays and needs their dim; "
+                         "one case is a CoefficientTree")
     coeffs = np.asarray(tree, dtype=float)
     J = grid_level(coeffs.shape, dim)
     return coeffs, _valid_level(coarse_level, J), dim, J, False
@@ -617,7 +615,8 @@ class PsiAtomCheck:
 def validate_psi_atom(tree: CoefficientTree, R: DyadicCube) -> PsiAtomCheck:
     """Check that a tree is a unit-budget wavelet packet supported inside R,
     with a relative slack of 1e-10 on the budget."""
-    if R.level < 0 or R.dim != tree.dim:
+    tree_cases(tree)  # one case only
+    if R.dim != tree.dim:
         raise ShapeError("cube dimension does not match the tree")
     l2 = math.sqrt(tree.detail_energy())
     zero_tol = 1e-12 * (1.0 + l2)

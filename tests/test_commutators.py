@@ -5,17 +5,18 @@ import pytest
 
 import oracles
 from oracles import assert_bitwise_equal
-from torwave import (CancellationError, ContractError, DegeneracyError, DomainError,
-                     DyadicCube, MultiplierOperator, SampledFunction, ShapeError, analyze,
-                     atomic_decompose, bilinear_decomposition, commutator_apply,
-                     commutator_parts, h1b_characterizations, inner, lp_norm, make_qb_atom,
-                     molecule_norm, paraproducts, parse_operator, subbilinear_envelope, sup_norm,
-                     synthesize, validate_atom, validate_psi_atom, wavelet_matrix,
-                     wavelet_square_function, weak_lp_quasinorm)
+from torwave import (CancellationError, ConfigurationError, ContractError, DegeneracyError,
+                     DomainError, DyadicCube, MultiplierOperator, SampledFunction, ShapeError,
+                     analyze, atomic_decompose, bilinear_decomposition, commutator_apply,
+                     commutator_parts, h1b_characterizations, inner, k_class_image, lp_norm,
+                     make_qb_atom, molecule_norm, paraproducts, parse_operator,
+                     projection_stack, subbilinear_envelope, sup_norm, synthesize,
+                     validate_atom, validate_psi_atom, wavelet_matrix,
+                     wavelet_square_function, weak_lp_quasinorm, write_hlf)
 from torwave.samples import (derive_rng, random_bmo, random_classical_atom,
                              random_function, random_h1_tree, random_psi_atom)
 from torwave.sublinear import grand_maximal, lusin_area
-from torwave.wavelets import CoefficientTree, build_basis
+from torwave.wavelets import CoefficientTree, build_basis, same_layout
 
 
 def _pair(seed, N=512, dim=1, j0=2, basis=None):
@@ -88,25 +89,84 @@ def test_sublinear_form_needs_the_pointwise_path(db4):
 
 
 _F8 = SampledFunction(np.linspace(-1.0, 1.0, 8))
+_HAAR = build_basis("haar", 1)
 # each one-case layer with the array np.ones(8) in place of one SampledFunction
 ONE_CASE_LAYERS = {
     "inner": lambda x: inner(x, _F8),
     "commutator_apply": lambda x: commutator_apply(_F8, parse_operator("hilbert", 1, 8), x),
     "molecule_norm": lambda x: molecule_norm(x, 0.25, (0.5,)),
-    "subbilinear_envelope": lambda x: subbilinear_envelope(x, grand_maximal(1, 8), _F8,
-                                                           build_basis("haar", 1)),
+    "subbilinear_envelope": lambda x: subbilinear_envelope(x, grand_maximal(1, 8), _F8, _HAAR),
     "make_qb_atom": lambda x: make_qb_atom(DyadicCube(1, 1, (0,)), x, 2.0, seed=0),
     "GrandMaximal.apply": lambda x: grand_maximal(1, 8).apply(x),
     "LusinArea.apply": lambda x: lusin_area(1, 8).apply(x),
     "LusinArea.pointwise_shifted": lambda x: lusin_area(1, 8).pointwise_shifted(x, _F8, _F8),
+    "h1b_characterizations-f": lambda x: h1b_characterizations(x, _F8, _HAAR),
+    "h1b_characterizations-b": lambda x: h1b_characterizations(_F8, x, _HAAR),
+    "k_class_image-b": lambda x: k_class_image(x, DyadicCube(1, 1, (0,)), _F8),
+    "k_class_image-Ta": lambda x: k_class_image(_F8, DyadicCube(1, 1, (0,)), x),
+    "write_hlf": lambda x: write_hlf("one-case.hlf1", x),
+}
+# each one-case layer of coefficient trees with the array np.ones(8) in place of one tree
+ONE_TREE_LAYERS = {
+    "validate_psi_atom": lambda x: validate_psi_atom(x, DyadicCube(1, 1, (0,))),
+    "atomic_decompose": lambda x: atomic_decompose(x, _HAAR),
+    "synthesize": lambda x: synthesize(x, _HAAR, 1),
+    "projection_stack": lambda x: projection_stack(x, _HAAR, 1),
+    "wavelet_square_function": lambda x: wavelet_square_function(x, 1),
 }
 
 
 @pytest.mark.parametrize("layer", ONE_CASE_LAYERS)
-def test_one_case_layer_refuses_an_array(layer):
+def test_one_case_layer_refuses_an_array(layer, tmp_path, monkeypatch):
     # an array is a stack and needs its dim; these layers take one case only
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ShapeError, match="one case is a SampledFunction"):
         ONE_CASE_LAYERS[layer](np.ones(8))
+    assert not list(tmp_path.iterdir())
+
+
+_F16 = SampledFunction(np.zeros(16))
+# each layer that pairs grids or trees, given two that differ
+MISMATCHED_GRIDS = {
+    "add": lambda: _F8 + _F16,
+    "sub": lambda: _F8 - _F16,
+    "mul": lambda: _F8 * _F16,
+    "inner": lambda: inner(_F8, _F16),
+    "commutator_apply": lambda: commutator_apply(_F16, parse_operator("hilbert", 1, 8), _F8),
+    "bilinear_decomposition": lambda: bilinear_decomposition(
+        _F16, parse_operator("hilbert", 1, 8), _F8, _HAAR, 1),
+    "commutator_parts": lambda: commutator_parts(
+        _F8.values, parse_operator("hilbert", 1, 8), _F8.values, SimpleNamespace(pi1=_F16.values)),
+    "k_class_image": lambda: k_class_image(_F8, DyadicCube(1, 1, (0,)), _F16),
+    "same_layout": lambda: same_layout(CoefficientTree.zeros(1, 1, 3),
+                                       CoefficientTree.zeros(1, 1, 4)),
+    "apply_tree": lambda: wavelet_matrix(parse_operator("hilbert", 1, 16), _HAAR, range(1, 4), 1,
+                                         16).apply_tree(CoefficientTree.zeros(1, 1, 3)),
+    "GrandMaximal-operator": lambda: grand_maximal(1, 16).apply(_F8),
+    "GrandMaximal-inputs": lambda: grand_maximal(1, 8).pointwise_shifted(_F16, _F8, _F8),
+    "LusinArea-operator": lambda: lusin_area(1, 16).apply(_F8),
+    "LusinArea-inputs": lambda: lusin_area(1, 8).pointwise_shifted(_F8, _F8, _F16),
+}
+
+
+@pytest.mark.parametrize("layer", MISMATCHED_GRIDS)
+def test_mismatched_grids_are_a_shape_error(layer):
+    with pytest.raises(ShapeError):
+        MISMATCHED_GRIDS[layer]()
+
+
+@pytest.mark.parametrize("dim, N", [(1, 8192), (2, 512)])
+def test_pointwise_commutator_over_the_cap_is_a_configuration_error(dim, N):
+    f = SampledFunction(np.zeros((N,) * dim))
+    with pytest.raises(ConfigurationError, match="raise POINTWISE_RESOLUTION_CAP"):
+        commutator_apply(f, SimpleNamespace(name="opaque", is_linear=False), f)
+
+
+@pytest.mark.parametrize("layer", ONE_TREE_LAYERS)
+def test_one_tree_layer_refuses_an_array_without_a_dim(layer):
+    # these raised a bare AttributeError, or a DomainError about dim None
+    with pytest.raises(ShapeError, match="one case is a CoefficientTree"):
+        ONE_TREE_LAYERS[layer](np.ones(8))
 
 
 # -- bilinear decomposition ------------------------------------------------------
@@ -239,6 +299,12 @@ def test_qb_atom_infinity_norm():
     Q = DyadicCube(1, 2, (2,))
     a = make_qb_atom(Q, b, np.inf, seed=2)
     assert abs(lp_norm(a, np.inf) - 1.0 / Q.measure) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, np.nan])
+def test_qb_atom_needs_q_above_one(q):
+    with pytest.raises(DomainError, match="q must lie in"):
+        make_qb_atom(DyadicCube(1, 1, (0,)), _F8, q, seed=0)
 
 
 def test_qb_atom_degenerate_two_cell_cube():

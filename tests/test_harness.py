@@ -5,6 +5,7 @@ import math
 import os
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,35 @@ def test_config_validation():
         ExperimentConfig(suite="reconstruction", sample_count=0).validate()
     with pytest.raises(UsageError, match="unknown config fields"):
         ExperimentConfig.from_dict({"suite": "reconstruction", "bogus": 1})
+
+
+@pytest.mark.parametrize("dim,N", [(1, 2 ** 100), (1, 2 ** 25), (2, 2 ** 13), (2, 2 ** 100)],
+                         ids=["1d-2^100", "1d-2^25", "2d-2^13", "2d-2^100"])
+def test_resolution_over_the_sample_bound_is_rejected_before_allocating(tmp_path, capsys,
+                                                                        dim, N):
+    # at 2^100 both readers used to end in numpy's "Maximum allowed dimension
+    # exceeded"; a grid over the bound is refused before any array is made
+    cfg = _write_config(tmp_path, resolutions=[N], dim=dim)
+    argv = ["atoms", "--kind", "psi", "--resolution", str(N), "--offset", ",".join("0" * dim)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(UsageError, match="powers of two"):
+            ExperimentConfig.from_dict({"suite": "reconstruction", "resolutions": [N],
+                                        "dim": dim})
+        assert cli_main(["run", "--config", cfg]) == 2
+        assert cli_main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    err = capsys.readouterr().err
+    assert err.count("error: --resolution takes powers of two") == 1
+    assert err.count("error: resolutions takes powers of two") == 1
+
+
+def test_resolution_bound_admits_the_largest_grid():
+    assert harness.resolution_level(harness.MAX_GRID_SAMPLES, 1, "N") == 24
+    assert harness.resolution_level(1 << 12, 2, "N") == 12
 
 
 def test_unknown_tolerance_name_is_a_usage_error(tmp_path, capsys):
@@ -374,6 +404,14 @@ def test_canonical_json_is_sorted_and_fixed_format():
     assert "2.0" in text  # floats keep a decimal point
 
 
+def test_unknown_report_format_is_a_usage_error(tmp_path):
+    rep = ExperimentReport(suite="molecule", config={}, cases=[], summary={},
+                           passed=True, wall_time=0.5)
+    with pytest.raises(UsageError, match="unknown report format 'xml'"):
+        emit_report(rep, "xml", str(tmp_path / "r.xml"))
+    assert not list(tmp_path.iterdir())
+
+
 def test_csv_schema_and_row_count():
     cfg = ExperimentConfig(suite="boundedness_sweep", resolutions=[128, 256],
                            sample_count=4)
@@ -452,6 +490,9 @@ def test_hlf_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\0" * 60)
     with pytest.raises(FileFormatError, match="magic"):
         read_hlf(str(path))
+    path.write_bytes(b"HLF1" + b"\0" * 20)
+    with pytest.raises(FileFormatError, match="truncated header"):
+        read_hlf(str(path))
 
 
 @pytest.mark.parametrize("dim,level,payload,match", [
@@ -460,6 +501,7 @@ def test_hlf_bad_magic(tmp_path):
     (1, 4, 8 * 15, r"needs 2\^4 samples, the file holds 15"),
     (1, 4, 8 * 16 + 3, "3 trailing bytes"),
     (2, 2, 8 * 17, "8 trailing bytes"),
+    (3, 2, 8 * 64, "unsupported dimension 3"),
 ])
 def test_hlf_size_checked_against_header(tmp_path, dim, level, payload, match):
     path = tmp_path / "bad.hlf1"

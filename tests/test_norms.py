@@ -337,6 +337,28 @@ def test_validate_atom_clauses(db4):
     a = a * (Q.measure ** (1.0 / q - 1.0) / lp_norm(a, q))
     assert validate_atom(a, Q, q)
     assert validate_atom(a, Q, q, b=SampledFunction(np.zeros(N)))
+    assert validate_atom(a, Q, q).describe() == "atom ok"
+
+    # a leak outside Q, twice the size budget, and a b that a does not cancel
+    leak = a.values.copy()
+    leak[0] = 1.0
+    for check, clause in [(validate_atom(SampledFunction(leak), Q, q), "i (support)"),
+                          (validate_atom(2.0 * a, Q, q), "ii (size)"),
+                          (validate_atom(a, Q, q, b=SampledFunction(np.arange(N) / N)),
+                           "iii (weighted cancellation)")]:
+        assert not check
+        assert check.describe() == f"atom fails clause {clause}"
+    for q in (1.0, 0.5, math.nan):
+        with pytest.raises(DomainError, match="q must lie in"):
+            validate_atom(a, Q, q)
+
+
+def test_unknown_hardy_mode_and_space_are_configuration_errors():
+    f = SampledFunction(np.ones(8))
+    with pytest.raises(ConfigurationError, match="unknown hardy mode 'H2'"):
+        hardy_norm(f, "H2")
+    with pytest.raises(ConfigurationError, match="unknown space 'Sobolev'"):
+        norm_report(f, "Sobolev")
 
 
 def test_norm_report_serialization(db4, rng):

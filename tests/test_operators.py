@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainError,
                      ResolutionError, ShapeError, MultiplierOperator, SampledFunction,
-                     almost_diagonal_envelope_fit, analyze, grand_maximal, inner,
+                     almost_diagonal_envelope_fit, analyze, build_basis, grand_maximal, inner,
                      k_class_ratio, lusin_area, p_delta, parse_operator,
                      pdelta_composition_check, synthesize, wavelet_matrix)
 from torwave.core import frequency_grid, grid_coordinates
@@ -119,6 +119,19 @@ def test_unflagged_singular_symbol_is_a_configuration_error():
         bad.apply(SampledFunction(np.ones(64)))
 
 
+@pytest.mark.parametrize("op, f, error, match", [
+    (MultiplierOperator("nan", lambda k: np.where(k == 3, np.nan, 1.0), 1, bound=None),
+     np.ones(8), ConfigurationError, "not finite on the grid"),
+    (MultiplierOperator("double", lambda k: np.full(k.shape, 2.0), 1), np.ones(8),
+     ConfigurationError, "exceeds its declared bound 1.0"),
+    (parse_operator("hilbert", 1, 8), np.ones((8, 8)), ShapeError,
+     "acts in dimension 1, input has 2"),
+], ids=["non-finite", "over-bound", "wrong-dim"])
+def test_multiplier_refuses_a_bad_symbol_or_grid(op, f, error, match):
+    with pytest.raises(error, match=match):
+        op.apply(SampledFunction(f))
+
+
 def test_linearity_and_adjoint(rng):
     H = parse_operator("hilbert", 1, 128)
     f = SampledFunction(rng.standard_normal(128))
@@ -197,6 +210,20 @@ def test_wavelet_matrix_needs_a_linear_operator(haar):
     for op, match in [(grand_maximal(1, 64), "not linear"), (mat, "apply_tree")]:
         with pytest.raises(ContractError, match=match):
             wavelet_matrix(op, haar, range(2, 4), 1, 64)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: wavelet_matrix(parse_operator("hilbert", 1, 64), build_basis("daubechies", 4),
+                           range(2, 4), 1, 100),
+    lambda: grand_maximal(1, 100), lambda: lusin_area(1, 100), lambda: lusin_area(2, 48),
+], ids=["wavelet_matrix", "grand_maximal", "lusin_area", "lusin_area-2d"])
+def test_non_dyadic_resolution_is_a_shape_error(build):
+    # wavelet_matrix used to return the N = 64 matrix, and the operators were
+    # built and cached on a grid on which every later apply raised
+    cached = grand_maximal.cache_info().currsize + lusin_area.cache_info().currsize
+    with pytest.raises(ShapeError, match="power of two"):
+        build()
+    assert grand_maximal.cache_info().currsize + lusin_area.cache_info().currsize == cached
 
 
 def test_zero_matrix_fits_zero(db4):
@@ -310,6 +337,8 @@ def test_typed_errors_of_the_envelope_and_k_class_family():
         p_delta(1, 0, 1, 0, 0.5)
     with pytest.raises(DomainError):  # a negative level
         pdelta_composition_check(range(-1, 3), 1.0, 2)
+    with pytest.raises(DomainError, match="empty level range"):
+        pdelta_composition_check(range(2, 2), 1.0, 2)
     with pytest.raises(ResolutionError):  # classical atoms need N >= 16
         k_class_ratio(parse_operator("hilbert", 1, 8), 2, 2, 1, 1, 8)
 

@@ -266,10 +266,30 @@ def test_cube_lists_match_the_per_band_scans(kind, dim, J):
 
 
 @pytest.mark.parametrize("level, offset", [(2, (1.5,)), (2, ("1",)), (2.5, (1,)),
-                                           (2, None), (None, (1,))])
+                                           (2, None), (None, (1,)), (-1, (0,)), (2, (4,)),
+                                           (2, (-1,))])
 def test_cube_level_and_offsets_are_integers(level, offset):
+    # and the level is >= 0, each offset in [0, 2^level)
     with pytest.raises(DomainError):
         DyadicCube(1, level, offset)
+
+
+def test_cube_shape_errors():
+    with pytest.raises(ShapeError, match="has 1 entries, dim is 2"):
+        DyadicCube(2, 2, (1,))
+    with pytest.raises(ShapeError, match="level 4 finer than resolution 8"):
+        DyadicCube(1, 4, (0,)).grid_slices(8)
+
+
+def test_psi_atom_check_describes_every_violation():
+    coeffs = np.zeros(64)
+    coeffs[0] = 0.5  # a scaling coefficient at j0 = 2
+    coeffs[7] = 10.0  # level 2, offset 3: coarser than R and outside it
+    check = validate_psi_atom(CoefficientTree(coeffs, 2), DyadicCube(1, 3, (0,)))
+    assert not check
+    assert check.describe() == (
+        "psi-atom violations: scaling coefficients present (max 0.5); coefficients "
+        "outside the cube on: 2:3; coefficient l2 10 exceeds budget 2.82843")
 
 
 def test_cube_takes_numpy_integers():

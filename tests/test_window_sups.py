@@ -2,8 +2,8 @@
 
 `pointwise_shifted` takes full-torus windows through a convex hull.  Its
 other windows are padded views in 1-D; in 2-D they skip every window row
-whose bound cannot raise the running sup, gather the rows left at each
-point, and sweep a row densely where it is left at most points.
+whose bound cannot raise the running sup, and gather the rows left at each
+point.
 `window_max` uses a doubling max and `window_mean` padded views.  All of
 them must reproduce the one-`np.roll`-per-shift loops in `oracles` exactly,
 degenerate point clouds, tied bounds, subnormal, overflowing and
@@ -224,10 +224,9 @@ def test_pointwise_shifted_non_finite_b_local(dim, N, bad):
 
 
 SUP_N = 16  # 2-D partial radii 1..7
-# (module constant, value): as set, one line and one pair per block, every
-# kept row swept densely, no row swept densely
-SUP_VARIANTS = [("_DENSE_ROW_SHARE", sublinear._DENSE_ROW_SHARE), ("_SUP_BUFFER_ELEMENTS", 64),
-                ("_DENSE_ROW_SHARE", 0.0), ("_DENSE_ROW_SHARE", np.inf)]
+# (module constant, value): as set, and one line and one pair per block
+SUP_VARIANTS = [("_SUP_BUFFER_ELEMENTS", sublinear._SUP_BUFFER_ELEMENTS),
+                ("_SUP_BUFFER_ELEMENTS", 64)]
 
 
 def _sup_fields(kind, scale, b_scale, rng):
@@ -262,10 +261,10 @@ def _assert_window_sup_matches(b, A, H):
                                            (1e-310, 1e-310), (1e300, 1e300)],
                          ids=["1", "1e-3", "1e7", "subnormal", "underflow", "overflow"])
 def test_window_sup_matches_shift_loop(kind, scale, b_scale):
-    # 2-D partial windows from a zero and from a running sup, with blocks of
-    # one line and one pair, and with every or no kept row swept densely;
-    # at 1e-310 the products are subnormal or zero, at 1e300 they overflow
-    # and the row bound is inf
+    # 2-D partial windows from a zero and from a running sup, with the
+    # default blocks and with blocks of one line and one pair; at 1e-310
+    # the products are subnormal or zero, at 1e300 they overflow and the
+    # row bound is inf
     b, A, H = _sup_fields(kind, scale, b_scale, np.random.default_rng(17))
     _assert_window_sup_matches(b, A, H)
 
