@@ -27,7 +27,7 @@ print(f"both annihilate constants: |H 1| = "
 
 print("\n== wavelet matrix of the Hilbert transform ==")
 basis = build_basis("daubechies", 4)
-mat = wavelet_matrix(H, basis, range(2, 7), 1, 256)
+mat = wavelet_matrix(H, basis, range(2, 7))
 print(f"levels 2..6: {mat.values.size} stored entries (|entry| >= 1e-14)")
 env = almost_diagonal_envelope_fit(mat, delta=1.0)
 (worst_row, _), (worst_col, _) = env.worst_pair

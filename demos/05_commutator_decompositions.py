@@ -38,6 +38,7 @@ for T, name in [(parse_operator("maximal", 1, N), "grand maximal"),
 
 print("\n== growth probe: atoms shrinking into a logarithmic singularity ==")
 N = 4096
+H = parse_operator("hilbert", 1, N)  # every operator acts on the one grid it is built for
 blog = truncated_log(1, N, (0.5,))
 for e in range(3, 8):
     width = 2.0 ** -e

@@ -154,6 +154,30 @@ def grid_cases(f, dim: int | None = None) -> tuple[np.ndarray, int, int, bool]:
     return values, dim, grid_level(values.shape, dim), False
 
 
+class _GridOperator:
+    """An operator built for one (N,)*dim grid: its dim, N, level J and
+    trailing FFT axes, and the one check that an input lies on that grid."""
+
+    is_linear = False
+
+    def __init__(self, dim: int, resolution: int):
+        self._level = grid_level((resolution,) * dim, dim)
+        self.dim, self.resolution = dim, resolution
+        self._axes = tuple(range(-dim, 0))
+
+    def _check(self, f, *others, dim: int | None = None) -> tuple[np.ndarray, bool]:
+        """(values, single) of `f` by `grid_cases(f, dim)`, so a stack only
+        with a dim; a ShapeError unless `f` lies on this operator's grid and
+        every one case in `others` on the grid of `f`."""
+        values, dim, J, single = grid_cases(f, dim)
+        if dim != self.dim or J != self._level:
+            raise ShapeError(f"{self.name} is built for N = {self.resolution} in dimension "
+                             f"{self.dim}, input has N = {1 << J} in dimension {dim}")
+        if any(grid_cases(g)[0].shape != values.shape for g in others):
+            raise ShapeError("mismatched resolutions")
+        return values, single
+
+
 def _along(axis: int, index) -> tuple:
     """Index tuple applying `index` on the negative `axis` and taking
     everything elsewhere."""

@@ -358,9 +358,9 @@ def _suite_boundedness_sweep(cfg: ExperimentConfig):
                   for ci, row in enumerate(zip(*ratios.values()))]
         sups = {k: _sup(column) for k, column in ratios.items()}
         kh = k_class_ratio(H, atoms=max(cfg.sample_count // 5, 4), b_samples=5,
-                           seed=cfg.root_seed + ri, dim=dim, resolution=N)
+                           seed=cfg.root_seed + ri)
         ks = k_class_ratio(parse_operator("lusin", dim, N), atoms=max(cfg.sample_count // 5, 4),
-                           b_samples=5, seed=cfg.root_seed + ri, dim=dim, resolution=N)
+                           b_samples=5, seed=cfg.root_seed + ri)
         fits[N] = dict(sups, kclass_hilbert=kh, kclass_lusin=ks)
     drifts, gates = _drift_gate(cfg, {k: [fits[N][k] for N in cfg.resolutions]
                                       for k in next(iter(fits.values()))})
@@ -457,9 +457,9 @@ def _suite_almost_diagonal(cfg: ExperimentConfig):
     J = grid_level((N,), 1)
     H = parse_operator("hilbert", 1, N)
     fit_base = almost_diagonal_envelope_fit(
-        wavelet_matrix(H, basis, range(2, J - 1), 1, N), 1.0).fitted_C
+        wavelet_matrix(H, basis, range(2, J - 1)), 1.0).fitted_C
     fit_wide = almost_diagonal_envelope_fit(
-        wavelet_matrix(H, basis, range(2, J), 1, N), 1.0).fitted_C
+        wavelet_matrix(H, basis, range(2, J)), 1.0).fitted_C
     match = Gate("pdelta_worst_match", worst, cfg.tol("pdelta_match"), "<=")
     drifts, (comp, fit) = _drift_gate(cfg, {"composition_drift": [comp_base, comp_wide],
                                              "envelope_drift": [fit_base, fit_wide]})
@@ -476,7 +476,7 @@ def _suite_molecule(cfg: ExperimentConfig):
     cases = []
     per_res = {}
     for ri, N in enumerate(cfg.resolutions):
-        H = parse_operator("hilbert", 1, N)
+        H = parse_operator("hilbert", 1, N) if cfg.dim == 1 else None
         shifted = []
         for ci, rng in enumerate(_case_rngs(cfg, ri)):
             a, Q = random_classical_atom(rng, cfg.dim, N)

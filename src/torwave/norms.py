@@ -189,7 +189,9 @@ def hardy_norm(f, mode: str, basis: WaveletBasis | None = None,
     if mode == "H1_square":
         detail, coarse = _square_masses(f, basis, coarse_level, dim)
         return detail + coarse
-    _, dim, J, _ = grid_cases(f)  # the maximal modes take one case
+    values, dim, J, _ = grid_cases(f)  # the maximal modes take one case
+    if not np.isfinite(values).all():  # before the FFT, which would warn
+        raise DomainError(f"{mode} norm of non-finite samples")
     M = grand_maximal(dim, 1 << J).apply(f, local=mode == "h1")
     return llog_quasinorm(M) if mode == "Hlog" else lp_norm(M, 1.0)
 

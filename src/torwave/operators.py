@@ -1,10 +1,12 @@
 """Singular and fractional integral operators on the torus.
 
-Multiplier operators act through the FFT on integer frequencies; real output
-is enforced by taking the real part, which Hermitian-symmetrizes the symbol
-at the self-conjugate Nyquist bins.  Wavelet-basis matrices hold grid inner
-products of transformed wavelets against the basis, and the scale-and-distance
-envelope machinery bounds their entries.
+Every operator acts on the one (N,)*dim grid it is built for.  A multiplier
+operator holds its symbol array on that grid and acts through the FFT on
+integer frequencies; real output is enforced by taking the real part, which
+Hermitian-symmetrizes the symbol at the self-conjugate Nyquist bins.
+Wavelet-basis matrices hold grid inner products of transformed wavelets
+against the basis, and the scale-and-distance envelope machinery bounds
+their entries.
 
 A wavelet matrix is three COO arrays: entry i is <T psi_rows[i], psi_cols[i]>,
 each wavelet named by its flat position in the `(2^stop,)*dim` coefficient array
@@ -20,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DyadicCube, SampledFunction, frequency_grid, grid_cases, grid_level,
-                   torus_delta)
+from .core import (DyadicCube, SampledFunction, _GridOperator, frequency_grid, grid_cases,
+                   grid_level, torus_delta)
 from .errors import (ConfigurationError, ContractError, DomainError, ResolutionError,
                      ShapeError, UsageError)
 from .samples import random_bmo, random_classical_atom, random_cube
@@ -32,71 +34,44 @@ from .wavelets import (CoefficientTree, WaveletBasis, _circular_shifts, analyze,
 MATRIX_ENTRY_FLOOR = 1e-14
 
 
-class MultiplierOperator:
-    """Linear Fourier multiplier operator with a derivable adjoint.
+class MultiplierOperator(_GridOperator):
+    """Linear Fourier multiplier on the one grid of its symbol, with a
+    derivable adjoint.
 
-    `apply` takes a sampled function, or an array whose trailing `dim` axes
-    are (N,)*dim grids under any leading (batch) shape; it transforms the
-    trailing axes only, so row i of a batched result equals the operator
-    applied to row i alone: bit for bit for finite input, and for non-finite
-    input at the same NaN positions, though a NaN's sign bit may differ.
-    The symbol array of each resolution is computed once and kept read-only.
+    `symbol` is the read-only complex array of the multiplier at the
+    frequencies `frequency_grid(dim, N)` of an (N,)*dim grid.  `apply` takes a
+    sampled function on that grid, or an array whose trailing `dim` axes are
+    that grid under any leading (batch) shape; it transforms the trailing
+    axes only, so row i of a batched result equals the operator applied to
+    row i alone: bit for bit for finite input, and for non-finite input at
+    the same NaN positions, though a NaN's sign bit may differ.
     """
 
     is_linear = True
 
-    def __init__(self, name: str, symbol, dim: int, bound: float | None = 1.0,
-                 unbounded_at_zero: bool = False):
-        self.name = name
-        self.symbol = symbol
-        self.dim = dim
-        self.bound = bound
-        self.unbounded_at_zero = unbounded_at_zero
-        self._symbols = {}
-
-    def symbol_array(self, resolution: int) -> np.ndarray:
-        if resolution in self._symbols:
-            return self._symbols[resolution]
-        k = frequency_grid(self.dim, resolution)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.array(self.symbol(*k), dtype=complex)
-        origin = (0,) * self.dim
-        if self.unbounded_at_zero:
-            s[origin] = 0.0
-        elif not np.isfinite(s[origin]):
-            raise ConfigurationError(
-                f"{self.name}: symbol is singular at frequency zero; "
-                "flag it unbounded_at_zero to impose symbol(0)=0")
-        if not np.all(np.isfinite(s)):
-            raise ConfigurationError(f"{self.name}: symbol not finite on the grid")
-        if self.bound is not None and np.max(np.abs(s)) > self.bound * (1 + 1e-12):
-            raise ConfigurationError(
-                f"{self.name}: symbol exceeds its declared bound {self.bound}")
+    def __init__(self, name: str, symbol):
+        s = np.array(symbol, dtype=complex)
+        super().__init__(s.ndim, 1 << grid_level(s.shape, s.ndim))
+        if not np.isfinite(s).all():
+            raise ConfigurationError(f"{name}: symbol not finite on the grid")
         s.flags.writeable = False
-        self._symbols[resolution] = s
-        return s
+        self.name, self.symbol = name, s
 
     def apply(self, f):
         """T f for a SampledFunction; for an array, T of every grid on its
         trailing axes, returned as an array."""
-        values, dim, J, single = grid_cases(f, self.dim)
-        if dim != self.dim:
-            raise ShapeError(f"{self.name} acts in dimension {self.dim}, input has {dim}")
-        axes = tuple(range(-self.dim, 0))
+        values, single = self._check(f, dim=self.dim)
         # one complex buffer, transformed and multiplied in place
-        spectrum = np.fft.fftn(values, axes=axes, out=np.empty(values.shape, complex))
-        spectrum *= self.symbol_array(1 << J)
-        out = np.fft.ifftn(spectrum, axes=axes, out=spectrum).real
+        spectrum = np.fft.fftn(values, axes=self._axes, out=np.empty(values.shape, complex))
+        spectrum *= self.symbol
+        out = np.fft.ifftn(spectrum, axes=self._axes, out=spectrum).real
         return SampledFunction(out) if single else out
 
     def adjoint(self) -> "MultiplierOperator":
-        orig = self.symbol
-        return MultiplierOperator(
-            self.name + "*", lambda *k: np.conj(orig(*k)), self.dim,
-            bound=self.bound, unbounded_at_zero=self.unbounded_at_zero)
+        return MultiplierOperator(self.name + "*", np.conj(self.symbol))
 
     def __repr__(self):
-        return f"MultiplierOperator({self.name}, dim={self.dim})"
+        return f"MultiplierOperator({self.name}, dim={self.dim}, N={self.resolution})"
 
 
 def require_linear(T, hint: str) -> None:
@@ -113,33 +88,35 @@ def require_linear(T, hint: str) -> None:
 # -- stock operators ---------------------------------------------------------
 
 def parse_operator(spec: str, dim: int, resolution: int):
-    """The operator named by `spec` in dimension `dim` on an N = `resolution` grid.
+    """The operator named by `spec` on the (N,)*dim grid with N = `resolution`.
 
     The grammar is `identity`, `hilbert` (dim 1), `riesz<j>` (1 <= j <= dim),
     `ifrac:<alpha>` (0 < alpha < dim), `maximal` and `lusin`; anything else
-    raises a TorwaveError.  Every operator's `name` is its spec.  Linear
-    operators ignore `resolution`; `maximal` and `lusin` are the cached
-    `grand_maximal` and `lusin_area` of the grid.
+    raises a TorwaveError.  Every operator's `name` is its spec, and every
+    operator acts on this one grid only: the linear ones hold its symbol
+    array, and `maximal` and `lusin` are the cached `grand_maximal` and
+    `lusin_area` of the grid.
     """
     if spec == "maximal":
         return grand_maximal(dim, resolution)
     if spec == "lusin":
         return lusin_area(dim, resolution)
+    grid_level((resolution,) * dim, dim)  # before fftfreq, which fails on N = 0
+    k = frequency_grid(dim, resolution)
     if spec == "identity":
-        return MultiplierOperator(spec, lambda *k: np.ones_like(k[0], dtype=complex), dim)
+        return MultiplierOperator(spec, np.ones_like(k[0], dtype=complex))
     if spec in ("hilbert", "riesz1") and dim == 1:
-        # the sign symbol, whose k = 0 entry (0, -0.0) the Riesz formula gives as (0, +0.0)
-        return MultiplierOperator(spec, lambda k: -1j * np.sign(k), 1)
+        # the sign symbol, not the Riesz formula below: its complex-by-real
+        # division gives -0x1.fffffffffffffp-1 in place of -1 at some k (+-49,
+        # +-98, +-103 and +-107 of N = 256), which moves six golden records,
+        # and (0, +0.0) in place of (0, -0.0) at k = 0
+        return MultiplierOperator(spec, -1j * np.sign(k[0]))
     if spec.startswith("riesz") and spec[5:] in [str(j) for j in range(1, dim + 1)]:
-        axis = int(spec[5:]) - 1
-
-        def riesz(*k):
-            norm = np.sqrt(sum(ki ** 2 for ki in k))
-            s = -1j * k[axis] / norm
-            s[norm == 0] = 0.0
-            return s
-
-        return MultiplierOperator(spec, riesz, dim)
+        norm = np.sqrt(sum(ki ** 2 for ki in k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            symbol = -1j * k[int(spec[5:]) - 1] / norm
+        symbol[norm == 0] = 0.0
+        return MultiplierOperator(spec, symbol)
     if spec.startswith("ifrac:"):
         try:
             alpha = float(spec[6:])
@@ -147,11 +124,10 @@ def parse_operator(spec: str, dim: int, resolution: int):
             raise UsageError(f"operator {spec!r}: alpha is not a number") from None
         if not 0 < alpha < dim:
             raise DomainError(f"alpha must lie in (0, dim), got {alpha} with dim={dim}")
-
-        def ifrac(*k):
-            return (2.0 * math.pi * np.sqrt(sum(ki ** 2 for ki in k))) ** (-alpha) + 0j
-
-        return MultiplierOperator(spec, ifrac, dim, bound=None, unbounded_at_zero=True)
+        with np.errstate(divide="ignore"):
+            symbol = (2.0 * math.pi * np.sqrt(sum(ki ** 2 for ki in k))) ** (-alpha) + 0j
+        symbol[(0,) * dim] = 0.0  # singular at k = 0, where the operator is 0
+        return MultiplierOperator(spec, symbol)
     raise UsageError(f"unknown operator {spec!r} in dimension {dim} (use identity, "
                      "hilbert, riesz<j>, ifrac:<alpha>, maximal or lusin)")
 
@@ -205,9 +181,9 @@ class WaveletMatrixOperator:
                 f"..{self.levels.stop - 1}, nnz={self.values.size})")
 
 
-def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
-                   resolution: int) -> WaveletMatrixOperator:
-    """Assemble grid inner products of op applied to every basis wavelet.
+def wavelet_matrix(op, basis: WaveletBasis, levels: range) -> WaveletMatrixOperator:
+    """Assemble grid inner products of op applied to every basis wavelet of
+    op's grid.
 
     The wavelets of the level range form one stack, which goes through
     `op.apply` and `analyze` once.  Entries below 1e-14 are dropped to
@@ -215,9 +191,10 @@ def wavelet_matrix(op, basis: WaveletBasis, levels: range, dim: int,
     """
     require_linear(op, f"{getattr(op, 'name', 'op')} is not linear; a wavelet matrix "
                        "needs a linear operator")
-    J = grid_level((resolution,) * dim, dim)
+    dim, J = op.dim, grid_level((op.resolution,) * op.dim, op.dim)
     if levels.stop > J or levels.start < 0 or len(levels) == 0:
-        raise ResolutionError(f"level range {levels} incompatible with resolution {resolution}")
+        raise ResolutionError(f"level range {levels} incompatible with resolution "
+                              f"{op.resolution}")
     index = detail_positions(levels, dim)
     # the wavelets of one band, cube offsets in raster order as in `index`:
     # the mother wavelet rolled by offset * N / 2^j cells, as `sampled_wavelet` does
@@ -352,16 +329,16 @@ def k_class_image(b: SampledFunction, Q: DyadicCube, Ta: SampledFunction) -> Sam
     return SampledFunction((bv - b_Q) * tv)
 
 
-def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
-                  resolution: int = 512) -> float:
-    """sup of ||(b - b_Q) T a||_L1 over random atoms a on Q and unit-BMO b."""
+def k_class_ratio(T, atoms: int, b_samples: int, seed: int) -> float:
+    """sup of ||(b - b_Q) T a||_L1 over random atoms a on Q and unit-BMO b,
+    all on T's grid."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(atoms):
-        a, Q = random_classical_atom(rng, dim, resolution)
+        a, Q = random_classical_atom(rng, T.dim, T.resolution)
         Ta = T.apply(a)
         # one stack of b_samples draws, equal to that many one-row draws from rng
-        for b in random_bmo([rng] * b_samples, dim, resolution):
+        for b in random_bmo([rng] * b_samples, T.dim, T.resolution):
             image = k_class_image(SampledFunction(b), Q, Ta)
             worst = max(worst, float(np.abs(image.values).mean()))
     return worst

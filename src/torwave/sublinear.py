@@ -26,8 +26,8 @@ from itertools import product
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import SampledFunction, _along, _wrap, frequency_grid, grid_cases, grid_level
-from .errors import ConfigurationError, DomainError, ShapeError
+from .core import SampledFunction, _GridOperator, _along, _wrap, frequency_grid
+from .errors import ConfigurationError, DomainError
 
 _BUMP_SHAPES = ((0.5, 2), (0.75, 3), (1.0, 4))  # (width, polynomial power)
 
@@ -319,24 +319,6 @@ def _window_sup(out: np.ndarray, b: np.ndarray, A: np.ndarray, H: np.ndarray,
         live[taken] = False
         _take_rows(part, b[top:top + rows], segments, top, live)
         out[top:top + rows] = part
-
-
-class _GridOperator:
-    """A (dim, N) grid, its trailing FFT axes and the input checks."""
-
-    is_linear = False
-
-    def __init__(self, dim: int, resolution: int):
-        self._level = grid_level((resolution,) * dim, dim)
-        self.dim, self.resolution = dim, resolution
-        self._axes = tuple(range(-dim, 0))
-
-    def _check(self, f: SampledFunction, *others: SampledFunction) -> None:
-        values, dim, J, _ = grid_cases(f)  # one case each
-        if dim != self.dim or J != self._level:
-            raise ShapeError("operator built for a different grid")
-        if any(grid_cases(g)[0].shape != values.shape for g in others):
-            raise ShapeError("mismatched resolutions")
 
 
 class GrandMaximal(_GridOperator):

@@ -398,10 +398,10 @@ def _basis_index(dim: int, levels):
                 yield cube, s
 
 
-def wavelet_matrix_entries(op, basis, levels: range, dim: int, resolution: int) -> dict:
+def wavelet_matrix_entries(op, basis, levels: range) -> dict:
     """`wavelet_matrix` as a dict keyed by ((cube, sigma), (cube, sigma))
     pairs (column wavelet first), in assembly order."""
-    J = int(resolution).bit_length() - 1
+    dim, J = op.dim, op.resolution.bit_length() - 1
     j0 = levels.start
     index = list(_basis_index(dim, levels))
     # per-axis positions of every basis coefficient in a coefficient array
@@ -415,11 +415,11 @@ def wavelet_matrix_entries(op, basis, levels: range, dim: int, resolution: int) 
     return entries
 
 
-def wavelet_matrix_columns(op, basis, levels: range, dim: int, resolution: int):
+def wavelet_matrix_columns(op, basis, levels: range):
     """`wavelet_matrix`'s (rows, cols, values) arrays, one basis wavelet at a
     time: roll the mother wavelet, apply op, analyze, keep the entries at or
     above the floor."""
-    J = int(resolution).bit_length() - 1
+    dim, J = op.dim, op.resolution.bit_length() - 1
     flat = np.arange(1 << (levels.stop * dim)).reshape((1 << levels.stop,) * dim)
     index = np.concatenate([flat[band_index(j, s)].ravel()
                             for j in levels for s in sigma_set(dim)])
@@ -633,16 +633,15 @@ def random_bmo(rng, dim: int, resolution: int) -> SampledFunction:
     return SampledFunction(f.values / norm)
 
 
-def k_class_ratio(T, atoms: int, b_samples: int, seed: int, dim: int = 1,
-                  resolution: int = 512) -> float:
+def k_class_ratio(T, atoms: int, b_samples: int, seed: int) -> float:
     """`operators.k_class_ratio` with one `random_bmo` call per BMO sample."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(atoms):
-        a, Q = random_classical_atom(rng, dim, resolution)
+        a, Q = random_classical_atom(rng, T.dim, T.resolution)
         Ta = T.apply(a)
         for _ in range(b_samples):
-            image = k_class_image(random_bmo(rng, dim, resolution), Q, Ta)
+            image = k_class_image(random_bmo(rng, T.dim, T.resolution), Q, Ta)
             worst = max(worst, float(np.abs(image.values).mean()))
     return worst
 

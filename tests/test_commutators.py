@@ -68,7 +68,7 @@ def test_sublinear_operator_takes_the_pointwise_form(db4):
 def test_wavelet_matrix_is_no_operator_on_sampled_functions(haar, db4):
     # it is linear, but acts on coefficient trees only: a typed error, not an
     # AttributeError from a missing `apply`
-    mat = wavelet_matrix(parse_operator("hilbert", 1, 64), haar, range(2, 4), 1, 64)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 64), haar, range(2, 4))
     f, b = _pair(6, N=64, basis=db4)
     parts = paraproducts(analyze(f, db4, 2).coeffs, analyze(b, db4, 2).coeffs, db4, 2, 1)
     with pytest.raises(ContractError, match="apply_tree"):
@@ -140,8 +140,10 @@ MISMATCHED_GRIDS = {
     "k_class_image": lambda: k_class_image(_F8, DyadicCube(1, 1, (0,)), _F16),
     "same_layout": lambda: same_layout(CoefficientTree.zeros(1, 1, 3),
                                        CoefficientTree.zeros(1, 1, 4)),
-    "apply_tree": lambda: wavelet_matrix(parse_operator("hilbert", 1, 16), _HAAR, range(1, 4), 1,
-                                         16).apply_tree(CoefficientTree.zeros(1, 1, 3)),
+    "apply_tree": lambda: wavelet_matrix(parse_operator("hilbert", 1, 16), _HAAR,
+                                         range(1, 4)).apply_tree(CoefficientTree.zeros(1, 1, 3)),
+    "MultiplierOperator-operator": lambda: parse_operator("hilbert", 1, 16).apply(_F8),
+    "MultiplierOperator-stack": lambda: parse_operator("hilbert", 1, 16).apply(_F8.values[None]),
     "GrandMaximal-operator": lambda: grand_maximal(1, 16).apply(_F8),
     "GrandMaximal-inputs": lambda: grand_maximal(1, 8).pointwise_shifted(_F16, _F8, _F8),
     "LusinArea-operator": lambda: lusin_area(1, 16).apply(_F8),

@@ -33,8 +33,7 @@ def matrices(request):
     (family, order), dim, N, levels = MATRICES[request.param]
     basis = build_basis(family, order)
     op = parse_operator("riesz1", dim, N)
-    return (wavelet_matrix(op, basis, levels, dim, N),
-            oracles.wavelet_matrix_entries(op, basis, levels, dim, N))
+    return wavelet_matrix(op, basis, levels), oracles.wavelet_matrix_entries(op, basis, levels)
 
 
 def test_coo_arrays_list_the_entries_in_order(matrices):
@@ -52,8 +51,8 @@ def test_coo_arrays_equal_the_per_column_loop(name):
     (family, order), dim, N, levels = MATRICES[name]
     basis = build_basis(family, order)
     op = parse_operator("riesz1", dim, N)
-    mat = wavelet_matrix(op, basis, levels, dim, N)
-    rows, cols, values = oracles.wavelet_matrix_columns(op, basis, levels, dim, N)
+    mat = wavelet_matrix(op, basis, levels)
+    rows, cols, values = oracles.wavelet_matrix_columns(op, basis, levels)
     assert_bitwise_equal(mat.rows, rows)
     assert_bitwise_equal(mat.cols, cols)
     assert_bitwise_equal(mat.values, values)

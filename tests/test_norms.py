@@ -84,6 +84,9 @@ ESTIMATORS = {
     "weakLp": lambda f: weak_lp_quasinorm(f, 1.5),
     "Llog": llog_quasinorm,
     "H1_square": lambda f: hardy_norm(f, "H1_square", build_basis("daubechies", 2), 2),
+    "H1_maximal": lambda f: hardy_norm(f, "H1_maximal"),
+    "h1": lambda f: hardy_norm(f, "h1"),
+    "Hlog": lambda f: hardy_norm(f, "Hlog"),
 }
 
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from torwave import (CoefficientTree, ConfigurationError, ContractError, DomainError,
                      ResolutionError, ShapeError, MultiplierOperator, SampledFunction,
-                     almost_diagonal_envelope_fit, analyze, build_basis, grand_maximal, inner,
+                     almost_diagonal_envelope_fit, analyze, grand_maximal, inner,
                      k_class_ratio, lusin_area, p_delta, parse_operator,
                      pdelta_composition_check, synthesize, wavelet_matrix)
 from torwave.core import frequency_grid, grid_coordinates
@@ -97,7 +98,11 @@ def test_spec_symbol_is_its_formula_bit_for_bit(dim, spec):
     want = np.array(SYMBOL_FORMULAS[dim, spec](*frequency_grid(dim, N)), dtype=complex)
     if spec.startswith("ifrac:"):
         want[(0,) * dim] = 0.0
-    assert parse_operator(spec, dim, N).symbol_array(N).tobytes() == want.tobytes()
+    T = parse_operator(spec, dim, N)
+    assert T.symbol.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        T.symbol[(0,) * dim] = 1.0
+    assert T.adjoint().symbol.tobytes() == np.conj(want).tobytes()
 
 
 @pytest.mark.parametrize("dim, spec", sorted(SYMBOL_FORMULAS)
@@ -108,28 +113,42 @@ def test_operator_name_parses_back_to_the_operator(dim, spec):
     U = parse_operator(T.name, T.dim, N)
     assert T.name == U.name == spec
     if T.is_linear:
-        assert U.symbol_array(N).tobytes() == T.symbol_array(N).tobytes()
+        assert U.symbol.tobytes() == T.symbol.tobytes()
     else:
         assert U is T is (grand_maximal if spec == "maximal" else lusin_area)(dim, N)
 
 
-def test_unflagged_singular_symbol_is_a_configuration_error():
-    bad = MultiplierOperator("inv", lambda k: 1.0 / np.abs(k), 1, bound=None)
-    with pytest.raises(ConfigurationError, match="unbounded_at_zero"):
-        bad.apply(SampledFunction(np.ones(64)))
-
-
-@pytest.mark.parametrize("op, f, error, match", [
-    (MultiplierOperator("nan", lambda k: np.where(k == 3, np.nan, 1.0), 1, bound=None),
-     np.ones(8), ConfigurationError, "not finite on the grid"),
-    (MultiplierOperator("double", lambda k: np.full(k.shape, 2.0), 1), np.ones(8),
-     ConfigurationError, "exceeds its declared bound 1.0"),
-    (parse_operator("hilbert", 1, 8), np.ones((8, 8)), ShapeError,
-     "acts in dimension 1, input has 2"),
-], ids=["non-finite", "over-bound", "wrong-dim"])
-def test_multiplier_refuses_a_bad_symbol_or_grid(op, f, error, match):
+@pytest.mark.parametrize("build, f, error, match", [
+    (lambda: MultiplierOperator("nan", np.where(np.arange(8) == 3, np.nan, 1.0)), None,
+     ConfigurationError, "not finite on the grid"),
+    (lambda: MultiplierOperator("inf", np.r_[np.inf, np.ones(7)]), None,
+     ConfigurationError, "not finite on the grid"),
+    (lambda: MultiplierOperator("non-dyadic", np.ones(12)), None, ShapeError, "power of two"),
+    (lambda: MultiplierOperator("non-square", np.ones((8, 4))), None, ShapeError,
+     "power of two"),
+    (lambda: parse_operator("hilbert", 1, 8), np.ones((8, 8)), ShapeError,
+     "built for N = 8 in dimension 1, input has N = 8 in dimension 2"),
+    (lambda: parse_operator("hilbert", 1, 64), np.ones(128), ShapeError,
+     "built for N = 64 in dimension 1, input has N = 128 in dimension 1"),
+], ids=["non-finite", "infinite", "non-dyadic", "non-square", "wrong-dim", "wrong-N"])
+def test_multiplier_refuses_a_bad_symbol_or_grid(build, f, error, match):
+    # a symbol is checked when the operator is built, a grid when it is applied
     with pytest.raises(error, match=match):
-        op.apply(SampledFunction(f))
+        T = build()
+        T.apply(SampledFunction(f))
+
+
+@pytest.mark.parametrize("spec, dim", [("identity", 1), ("hilbert", 1), ("riesz1", 2),
+                                       ("ifrac:0.5", 1)])
+@pytest.mark.parametrize("stack", [False, True], ids=["one-case", "stack"])
+def test_linear_operator_refuses_another_grid(spec, dim, stack):
+    # it used to apply silently at any N; a stack of 2-D grids is also a
+    # stack of 1-D ones, so only one case shows a 1-D operator another dim
+    T = parse_operator(spec, dim, 16)
+    for grid in [(32,) * dim, (8,) * dim] + [(16,) * (3 - dim)] * (dim == 2 or not stack):
+        values = np.ones(((2,) if stack else ()) + grid)
+        with pytest.raises(ShapeError):
+            T.apply(values if stack else SampledFunction(values))
 
 
 def test_linearity_and_adjoint(rng):
@@ -196,7 +215,7 @@ def test_composition_widening_stability():
 # -- wavelet matrices ---------------------------------------------------------
 
 def test_identity_matrix(db4):
-    mat = wavelet_matrix(parse_operator("identity", 1, 128), db4, range(2, 6), 1, 128)
+    mat = wavelet_matrix(parse_operator("identity", 1, 128), db4, range(2, 6))
     assert set(mat.rows[mat.rows == mat.cols]) == set(range(4, 64))
     np.testing.assert_allclose(mat.values, (mat.rows == mat.cols).astype(float),
                                rtol=0, atol=1e-10)
@@ -206,29 +225,32 @@ def test_identity_matrix(db4):
 
 def test_wavelet_matrix_needs_a_linear_operator(haar):
     # a sublinear operator, and a wavelet matrix itself, which has no `apply`
-    mat = wavelet_matrix(parse_operator("hilbert", 1, 64), haar, range(2, 4), 1, 64)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 64), haar, range(2, 4))
     for op, match in [(grand_maximal(1, 64), "not linear"), (mat, "apply_tree")]:
         with pytest.raises(ContractError, match=match):
-            wavelet_matrix(op, haar, range(2, 4), 1, 64)
+            wavelet_matrix(op, haar, range(2, 4))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: wavelet_matrix(parse_operator("hilbert", 1, 64), build_basis("daubechies", 4),
-                           range(2, 4), 1, 100),
-    lambda: grand_maximal(1, 100), lambda: lusin_area(1, 100), lambda: lusin_area(2, 48),
-], ids=["wavelet_matrix", "grand_maximal", "lusin_area", "lusin_area-2d"])
+NON_DYADIC_BUILDS = {
+    "grand_maximal": lambda: grand_maximal(1, 100), "lusin_area": lambda: lusin_area(1, 100),
+    "lusin_area-2d": lambda: lusin_area(2, 48),
+    **{f"{dim}-{spec}-{N}": functools.partial(parse_operator, spec, dim, N)
+       for dim, spec in sorted(SYMBOL_FORMULAS) for N in (0, 3, 100)},
+}
+
+
+@pytest.mark.parametrize("build", NON_DYADIC_BUILDS)
 def test_non_dyadic_resolution_is_a_shape_error(build):
-    # wavelet_matrix used to return the N = 64 matrix, and the operators were
-    # built and cached on a grid on which every later apply raised
+    # the sublinear operators used to be built and cached on a grid on which
+    # every later apply raised, and the linear ones applied at any N
     cached = grand_maximal.cache_info().currsize + lusin_area.cache_info().currsize
     with pytest.raises(ShapeError, match="power of two"):
-        build()
+        NON_DYADIC_BUILDS[build]()
     assert grand_maximal.cache_info().currsize + lusin_area.cache_info().currsize == cached
 
 
 def test_zero_matrix_fits_zero(db4):
-    zero = MultiplierOperator("zero", lambda k: np.zeros_like(k, dtype=complex), 1)
-    mat = wavelet_matrix(zero, db4, range(2, 5), 1, 128)
+    mat = wavelet_matrix(MultiplierOperator("zero", np.zeros(128)), db4, range(2, 5))
     env = almost_diagonal_envelope_fit(mat, 1.0)
     assert env.fitted_C == 0.0
     with pytest.raises(DomainError):
@@ -237,7 +259,7 @@ def test_zero_matrix_fits_zero(db4):
 
 
 def test_hilbert_haar_matrix_is_antisymmetric(haar):
-    mat = wavelet_matrix(parse_operator("hilbert", 1, 128), haar, range(2, 6), 1, 128)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 128), haar, range(2, 6))
     entries = dict(zip(zip(mat.rows.tolist(), mat.cols.tolist()), mat.values.tolist()))
     assert len(entries) == mat.values.size
     for (src, dst), v in entries.items():
@@ -248,7 +270,7 @@ def test_matrix_apply_matches_apply_then_analyze(db4):
     N, J = 256, 8
     levels = range(2, 7)
     H = parse_operator("hilbert", 1, N)
-    mat = wavelet_matrix(H, db4, levels, 1, N)
+    mat = wavelet_matrix(H, db4, levels)
     inside = slice(1 << levels.start, 1 << levels.stop)  # the bands of `levels`
     for i in range(20):
         rng = derive_rng(71, i)
@@ -263,7 +285,7 @@ def test_matrix_apply_matches_apply_then_analyze(db4):
 
 
 def test_matrix_triplet_export(db4):
-    mat = wavelet_matrix(parse_operator("identity", 1, 64), db4, range(2, 4), 1, 64)
+    mat = wavelet_matrix(parse_operator("identity", 1, 64), db4, range(2, 4))
     text = mat.to_triplets()
     lines = text.splitlines()
     assert len(lines) == mat.values.size
@@ -275,9 +297,9 @@ def test_matrix_triplet_export(db4):
 def test_envelope_stability_when_levels_widen(db4):
     H = parse_operator("hilbert", 1, 256)
     fit1 = almost_diagonal_envelope_fit(
-        wavelet_matrix(H, db4, range(2, 6), 1, 256), 1.0).fitted_C
+        wavelet_matrix(H, db4, range(2, 6)), 1.0).fitted_C
     fit2 = almost_diagonal_envelope_fit(
-        wavelet_matrix(H, db4, range(2, 7), 1, 256), 1.0).fitted_C
+        wavelet_matrix(H, db4, range(2, 7)), 1.0).fitted_C
     assert max(fit1, fit2) / min(fit1, fit2) < 2.0
 
 
@@ -294,8 +316,7 @@ def test_k_class_constant_b_contributes_zero(rng):
 
 def test_k_class_identity_direct(rng):
     # with T = identity the ratio reduces to a direct atom computation
-    val = k_class_ratio(parse_operator("identity", 1, 256), atoms=5, b_samples=3, seed=2,
-                        resolution=256)
+    val = k_class_ratio(parse_operator("identity", 1, 256), atoms=5, b_samples=3, seed=2)
     assert 0.0 < val < np.inf
     a, Q = random_classical_atom(derive_rng(2), 1, 256)
     b = random_bmo(derive_rng(2, 1), 1, 256)
@@ -305,17 +326,14 @@ def test_k_class_identity_direct(rng):
 
 
 def test_k_class_hilbert_finite():
-    val = k_class_ratio(parse_operator("hilbert", 1, 512), atoms=10, b_samples=3, seed=1,
-                        resolution=512)
+    val = k_class_ratio(parse_operator("hilbert", 1, 512), atoms=10, b_samples=3, seed=1)
     assert 0.0 < val < np.inf
 
 
 def test_k_class_other_members_finite():
-    val = k_class_ratio(grand_maximal(1, 256), atoms=4, b_samples=2, seed=2,
-                        resolution=256)
+    val = k_class_ratio(grand_maximal(1, 256), atoms=4, b_samples=2, seed=2)
     assert 0.0 < val < np.inf
-    val = k_class_ratio(parse_operator("riesz1", 2, 64), atoms=3, b_samples=2, seed=2,
-                        dim=2, resolution=64)
+    val = k_class_ratio(parse_operator("riesz1", 2, 64), atoms=3, b_samples=2, seed=2)
     assert 0.0 < val < np.inf
 
 
@@ -324,9 +342,8 @@ def test_k_class_ratio_equals_one_row_draws(spec, dim, N):
     """Each atom's BMO samples are one stack of `[rng] * b_samples`, equal
     to that many one-row draws bit for bit."""
     T = parse_operator(spec, dim, N)
-    got = k_class_ratio(T, atoms=3, b_samples=4, seed=6, dim=dim, resolution=N)
-    assert got == oracles.k_class_ratio(T, atoms=3, b_samples=4, seed=6, dim=dim,
-                                        resolution=N)
+    got = k_class_ratio(T, atoms=3, b_samples=4, seed=6)
+    assert got == oracles.k_class_ratio(T, atoms=3, b_samples=4, seed=6)
 
 
 def test_typed_errors_of_the_envelope_and_k_class_family():
@@ -340,11 +357,11 @@ def test_typed_errors_of_the_envelope_and_k_class_family():
     with pytest.raises(DomainError, match="empty level range"):
         pdelta_composition_check(range(2, 2), 1.0, 2)
     with pytest.raises(ResolutionError):  # classical atoms need N >= 16
-        k_class_ratio(parse_operator("hilbert", 1, 8), 2, 2, 1, 1, 8)
+        k_class_ratio(parse_operator("hilbert", 1, 8), 2, 2, 1)
 
 
 def test_matrix_transpose_swaps_keys(haar):
-    mat = wavelet_matrix(parse_operator("hilbert", 1, 128), haar, range(2, 5), 1, 128)
+    mat = wavelet_matrix(parse_operator("hilbert", 1, 128), haar, range(2, 5))
     trans = mat.transpose()
     np.testing.assert_array_equal(trans.rows, mat.cols)
     np.testing.assert_array_equal(trans.cols, mat.rows)
